@@ -188,12 +188,13 @@ func (m *Model) ScoreBatchPrunedContext(ctx context.Context, queries [][]float64
 }
 
 // Coreset returns a model refitted on an importance-weighted sample of at
-// most n fitted points — the principled upgrade of Subsample's stride
-// sampling. Points are drawn by sensitivity (Lucic/Bachem/Krause):
-// selection probability mixes a uniform floor with a term proportional to
-// the point's k-distance, so sparse regions — cluster fringes, small
-// clusters, the places a stride sample decimates first and whose absence
-// distorts downstream LOF scores the most — are preferentially retained.
+// most n fitted points, under the same configuration: the approximate
+// model servers answer ?mode=coreset and ?mode=degraded from. Points are
+// drawn by sensitivity (Lucic/Bachem/Krause): selection probability mixes
+// a uniform floor with a term proportional to the point's k-distance, so
+// sparse regions — cluster fringes, small clusters, the places a stride
+// sample decimates first and whose absence distorts downstream LOF scores
+// the most — are preferentially retained.
 // The draw is deterministic (fixed seed, systematic resampling), so every
 // replica deriving a coreset from the same model selects the same points.
 // n must exceed the configured MinPtsUB; when the model already has at most

@@ -193,59 +193,3 @@ func TestCoresetModel(t *testing.T) {
 		t.Fatalf("coreset model scores a far outlier %v; sparse regions were lost", score)
 	}
 }
-
-// TestSubsampleEdgeCases covers the stride sampler's boundaries: a request
-// covering the whole model returns the receiver, the MinPtsUB floor is
-// enforced exactly, metric weights survive the refit, and the stride is
-// deterministic.
-func TestSubsampleEdgeCases(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	data := approxTestData(rng, 200)
-	det, err := New(Config{MinPtsLB: 5, MinPtsUB: 12, Weights: []float64{0.5, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := det.Fit(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := res.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm, err := m.Subsample(m.Len()); err != nil || sm != m {
-		t.Fatalf("full-size subsample should return the receiver, got %v (%v)", sm, err)
-	}
-	if sm, err := m.Subsample(m.Len() * 10); err != nil || sm != m {
-		t.Fatalf("oversized subsample should return the receiver, got %v (%v)", sm, err)
-	}
-	if _, err := m.Subsample(12); err == nil {
-		t.Fatal("subsample of MinPtsUB points should be rejected")
-	}
-	if _, err := m.Subsample(0); err == nil {
-		t.Fatal("empty subsample should be rejected")
-	}
-	sm, err := m.Subsample(13) // smallest legal size
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm.Len() != 13 {
-		t.Fatalf("subsample has %d points, want 13", sm.Len())
-	}
-	if w := sm.Config().Weights; len(w) != 2 || w[0] != 0.5 || w[1] != 3 {
-		t.Fatalf("subsample dropped metric weights: %v", w)
-	}
-	if lb, ub := sm.Config().MinPtsLB, sm.Config().MinPtsUB; lb != 5 || ub != 12 {
-		t.Fatalf("subsample changed MinPts range to [%d, %d]", lb, ub)
-	}
-	sm2, err := m.Subsample(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{7, 7}
-	a, _ := sm.Score(q)
-	b, _ := sm2.Score(q)
-	if math.Float64bits(a) != math.Float64bits(b) {
-		t.Fatalf("stride subsample not deterministic: %v vs %v", a, b)
-	}
-}

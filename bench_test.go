@@ -283,7 +283,7 @@ func BenchmarkAblationMaterialization(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for minPts := lb; minPts <= ub; minPts++ {
 				core.NaiveLOFs(ix, func(j int) []index.Neighbor {
-					return index.KNNWithTies(ix, d.Points.At(j), minPts, j)
+					return index.KNNWithTiesInto(ix.NewCursor(), nil, d.Points.At(j), minPts, j)
 				}, minPts)
 			}
 		}

@@ -46,18 +46,18 @@ import (
 
 func main() {
 	var (
-		addr           = flag.String("addr", "127.0.0.1:8090", "listen address")
-		shards         = flag.String("shards", "", "shard replica URLs: ';' separates shards, ',' separates replicas of one shard")
-		modelPath      = flag.String("model", "", "model snapshot to preload, split and distribute (see lofcli -save-model)")
-		hedge          = flag.Duration("hedge", 50*time.Millisecond, "delay before hedging a shard request to the next replica (<=0 disables)")
-		partitioner    = flag.String("partitioner", "hash", "point-to-shard assignment: hash or range")
-		degradedSample = flag.Int("degraded-sample", 2048, "points in the local degraded fallback model (<0 disables)")
-		repairEvery    = flag.Duration("repair-interval", 2*time.Second, "how often to sweep replicas for repair")
-		grace          = flag.Duration("grace", 15*time.Second, "graceful shutdown drain budget")
-		logLevel       = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-		traceSample    = flag.Float64("trace-sample", 0, "probability of recording a trace for requests without an inbound sampled traceparent (0 disables tracing unless -trace-slow is set)")
-		traceSlow      = flag.Duration("trace-slow", 0, "always record spans at least this slow, even unsampled (0 disables the slow override)")
-		traceBuffer    = flag.Int("trace-buffer", 4096, "recorded spans kept in the in-process ring buffer served by /v1/debug/traces")
+		addr          = flag.String("addr", "127.0.0.1:8090", "listen address")
+		shards        = flag.String("shards", "", "shard replica URLs: ';' separates shards, ',' separates replicas of one shard")
+		modelPath     = flag.String("model", "", "model snapshot to preload, split and distribute (see lofcli -save-model)")
+		hedge         = flag.Duration("hedge", 50*time.Millisecond, "delay before hedging a shard request to the next replica (<=0 disables)")
+		partitioner   = flag.String("partitioner", "hash", "point-to-shard assignment: hash or range")
+		coresetSample = flag.Int("coreset-sample", 2048, "points in the local coreset model behind ?mode=coreset and the ?mode=degraded outage fallback (<0 disables)")
+		repairEvery   = flag.Duration("repair-interval", 2*time.Second, "how often to sweep replicas for repair")
+		grace         = flag.Duration("grace", 15*time.Second, "graceful shutdown drain budget")
+		logLevel      = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
+		traceSample   = flag.Float64("trace-sample", 0, "probability of recording a trace for requests without an inbound sampled traceparent (0 disables tracing unless -trace-slow is set)")
+		traceSlow     = flag.Duration("trace-slow", 0, "always record spans at least this slow, even unsampled (0 disables the slow override)")
+		traceBuffer   = flag.Int("trace-buffer", 4096, "recorded spans kept in the in-process ring buffer served by /v1/debug/traces")
 	)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -65,7 +65,7 @@ func main() {
 	o := options{
 		addr: *addr, shards: *shards, modelPath: *modelPath,
 		hedge: *hedge, partitioner: *partitioner,
-		degradedSample: *degradedSample, repairEvery: *repairEvery,
+		coresetSample: *coresetSample, repairEvery: *repairEvery,
 		grace: *grace, logLevel: *logLevel,
 		traceSample: *traceSample, traceSlow: *traceSlow, traceBuffer: *traceBuffer,
 	}
@@ -76,18 +76,18 @@ func main() {
 }
 
 type options struct {
-	addr           string
-	shards         string
-	modelPath      string
-	hedge          time.Duration
-	partitioner    string
-	degradedSample int
-	repairEvery    time.Duration
-	grace          time.Duration
-	logLevel       string
-	traceSample    float64
-	traceSlow      time.Duration
-	traceBuffer    int
+	addr          string
+	shards        string
+	modelPath     string
+	hedge         time.Duration
+	partitioner   string
+	coresetSample int
+	repairEvery   time.Duration
+	grace         time.Duration
+	logLevel      string
+	traceSample   float64
+	traceSlow     time.Duration
+	traceBuffer   int
 }
 
 // parseTargets splits the -shards grammar: ';' between shards, ',' between
@@ -161,7 +161,7 @@ func run(ctx context.Context, o options, logw io.Writer, ready chan<- string) er
 		Client:         client.Config{},
 		Hedge:          o.hedge,
 		Partitioner:    parter,
-		DegradedSample: o.degradedSample,
+		CoresetSample:  o.coresetSample,
 		RepairInterval: o.repairEvery,
 		Logger:         logger,
 		Trace:          collector,

@@ -93,7 +93,7 @@ func TestLifecycle(t *testing.T) {
 		done <- run(ctx, options{
 			addr: "127.0.0.1:0", shards: shards, modelPath: path,
 			partitioner: "range", hedge: 10 * time.Millisecond,
-			degradedSample: 64, repairEvery: 100 * time.Millisecond,
+			coresetSample: 64, repairEvery: 100 * time.Millisecond,
 			grace: 5 * time.Second, logLevel: "error",
 		}, io.Discard, ready)
 	}()

@@ -12,11 +12,14 @@
 // Endpoints:
 //
 //	POST /v1/fit              fit a model from JSON data, replacing the current one
-//	POST /v1/score            score query points against the current model
+//	POST /v1/score            score query points against the current model;
+//	                          ?mode=pruned|coreset|degraded selects an
+//	                          approximate path
 //	GET  /v1/model            current model summary
 //	POST /v1/shard/snapshot   install a shard partition pushed by lofcoord
 //	POST /v1/shard/candidates per-partition kNN candidates (shard role)
 //	POST /v1/shard/rows       merged rows of owned points (shard role)
+//	POST /v1/shard/kdists     stored k-distance envelopes (shard role)
 //	POST /v1/stream/init      create (or replace) the streaming pipeline
 //	POST /v1/stream           apply one ingestion batch (inserts/deletes/expiry)
 //	POST /v1/stream/score     score queries against the published stream epoch
@@ -27,18 +30,21 @@
 //	GET  /readyz              readiness: model/partition presence and version,
 //	                          503 while empty or mid-swap
 //	GET  /metrics             Prometheus text-format metrics (per-route histograms)
-//	GET  /metrics.json        legacy JSON counter view
+//	GET  /v1/debug/traces     recorded trace spans (with -trace-sample or -trace-slow)
 //
 // A lofserve can therefore serve in two roles: standalone (fit and score
 // the whole model) or as one shard of a lofcoord fleet, holding a
 // partition snapshot at a coordinator-assigned version. -max-snapshot
 // bounds the accepted partition snapshot size.
 //
-// The server sheds load above -max-inflight with 429 responses, bounds
-// each request by -timeout, and drains in-flight requests before exiting
-// on SIGTERM or SIGINT (up to -grace). Logs are structured JSON lines on
-// stderr, one per request, filtered by -log-level. When -pprof-addr is
-// set, net/http/pprof profiling endpoints are served on that address on a
+// The server sheds load above -max-inflight with 429 responses, except
+// for ?mode=degraded and ?mode=coreset requests, which a small reserve
+// pool still admits and the coreset model answers; it bounds each request
+// by -timeout, and drains in-flight requests before exiting on SIGTERM or
+// SIGINT (up to -grace). Logs are structured JSON lines on stderr, one
+// per request, filtered by -log-level; the request path, error bodies and
+// metrics are the front end lofcoord shares. When -pprof-addr is set,
+// net/http/pprof profiling endpoints are served on that address on a
 // separate listener so profiling is never exposed on the API port.
 package main
 

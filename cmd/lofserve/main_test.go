@@ -104,22 +104,6 @@ func TestServeFitScoreShutdown(t *testing.T) {
 		t.Fatalf("scores %v: between-cluster point should outscore the inlier", sr.Scores)
 	}
 
-	resp, err = http.Get(base + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ms struct {
-		Requests map[string]int64 `json:"requests"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&ms)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Requests["/v1/fit"] != 1 || ms.Requests["/v1/score"] != 1 {
-		t.Fatalf("metrics %+v", ms.Requests)
-	}
-
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +115,14 @@ func TestServeFitScoreShutdown(t *testing.T) {
 	}
 	if !bytes.Contains(promBody, []byte("# TYPE lof_http_request_duration_seconds histogram")) {
 		t.Fatalf("/metrics missing Prometheus histogram family:\n%s", promBody)
+	}
+	for _, line := range []string{
+		`lof_http_requests_total{route="/v1/fit",code="200"} 1`,
+		`lof_http_requests_total{route="/v1/score",code="200"} 1`,
+	} {
+		if !bytes.Contains(promBody, []byte(line+"\n")) {
+			t.Fatalf("/metrics missing %q:\n%s", line, promBody)
+		}
 	}
 
 	if err := shutdown(); err != nil {

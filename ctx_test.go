@@ -138,52 +138,3 @@ func TestScoreBatchContextCancelled(t *testing.T) {
 		t.Fatalf("error = %v, want context.Canceled in the chain", err)
 	}
 }
-
-// TestSubsampleDeterministic: the degraded-model subsample is a pure
-// function of the model — two calls agree — and scores remain sane.
-func TestSubsampleDeterministic(t *testing.T) {
-	det, err := New(Config{MinPtsLB: 3, MinPtsUB: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := det.Fit(ctxTestData(rand.New(rand.NewSource(8)), 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := res.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := m.Subsample(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := m.Subsample(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Len() != 100 || s2.Len() != 100 {
-		t.Fatalf("subsample sizes %d, %d; want 100", s1.Len(), s2.Len())
-	}
-	q := []float64{0.1, -0.2, 0.3}
-	v1, err := s1.Score(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := s2.Score(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 != v2 {
-		t.Fatalf("two subsamples score %v vs %v; want deterministic agreement", v1, v2)
-	}
-	// Subsampling never upsamples: asking for more points than the model
-	// holds returns the model itself.
-	same, err := m.Subsample(10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != m {
-		t.Error("oversized subsample did not return the original model")
-	}
-}

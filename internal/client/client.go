@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lof/internal/front"
 	"lof/internal/server"
 	"lof/internal/trace"
 )
@@ -218,6 +219,16 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("client: server returned status %d: %s", e.Status, e.Message)
 }
 
+// StatusCode returns the HTTP status of the server response that failed
+// the request in err's chain, or 0 when no response did.
+func StatusCode(err error) int {
+	var ae *apiError
+	if errors.As(err, &ae) {
+		return ae.Status
+	}
+	return 0
+}
+
 // do runs the retry loop for one logical request: POST body (or GET when
 // body is nil) to path, decode a 200 into out. The caller's ctx bounds the
 // whole loop; each attempt additionally gets PerAttemptTimeout.
@@ -346,36 +357,6 @@ func (c *Client) finish(resp *http.Response, err error, out interface{}) (retry 
 
 // --- API surface ---------------------------------------------------------
 
-// jsonFloat decodes the server's float encoding, where non-finite values
-// arrive as the strings "+Inf", "-Inf" and "NaN".
-type jsonFloat float64
-
-func (f *jsonFloat) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "+Inf", "Inf":
-			*f = jsonFloat(math.Inf(1))
-		case "-Inf":
-			*f = jsonFloat(math.Inf(-1))
-		case "NaN":
-			*f = jsonFloat(math.NaN())
-		default:
-			return fmt.Errorf("client: unknown float string %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = jsonFloat(v)
-	return nil
-}
-
 // ModelInfo mirrors the server's model summary.
 type ModelInfo struct {
 	Objects  int    `json:"objects"`
@@ -412,7 +393,7 @@ func (c *Client) Fit(ctx context.Context, cfg server.FitConfig, data [][]float64
 }
 
 // ScoreResult is a score response: one LOF per query, and the mode that
-// served it ("degraded" when the subsampled model answered, "" for exact).
+// served it ("" for exact answers).
 type ScoreResult struct {
 	Scores []float64
 	Mode   string
@@ -445,17 +426,13 @@ func (c *Client) ScoreMode(ctx context.Context, queries [][]float64, mode string
 		path += "?mode=" + mode
 	}
 	var out struct {
-		Scores []jsonFloat `json:"scores"`
-		Mode   string      `json:"mode"`
+		Scores []front.Float `json:"scores"`
+		Mode   string        `json:"mode"`
 	}
 	if err := c.do(ctx, http.MethodPost, path, body, &out); err != nil {
 		return nil, err
 	}
-	res := &ScoreResult{Scores: make([]float64, len(out.Scores)), Mode: out.Mode}
-	for i, v := range out.Scores {
-		res.Scores[i] = float64(v)
-	}
-	return res, nil
+	return &ScoreResult{Scores: front.Float64s(out.Scores), Mode: out.Mode}, nil
 }
 
 // Model fetches the current model summary.

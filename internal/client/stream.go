@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"lof/internal/front"
 	"lof/internal/server"
 )
 
@@ -99,34 +100,26 @@ func (c *Client) StreamScore(ctx context.Context, queries [][]float64) (*StreamS
 		return nil, err
 	}
 	var out struct {
-		Scores []jsonFloat `json:"scores"`
-		Epoch  uint64      `json:"epoch"`
+		Scores []front.Float `json:"scores"`
+		Epoch  uint64        `json:"epoch"`
 	}
 	if err := c.do(ctx, http.MethodPost, "/v1/stream/score", body, &out); err != nil {
 		return nil, err
 	}
-	res := &StreamScoreResult{Scores: make([]float64, len(out.Scores)), Epoch: out.Epoch}
-	for i, v := range out.Scores {
-		res.Scores[i] = float64(v)
-	}
-	return res, nil
+	return &StreamScoreResult{Scores: front.Float64s(out.Scores), Epoch: out.Epoch}, nil
 }
 
 // StreamWindowLOFs fetches the window's IDs and maintained LOF values.
 func (c *Client) StreamWindowLOFs(ctx context.Context) (*StreamLOFs, error) {
 	var out struct {
-		IDs   []uint64    `json:"ids"`
-		LOFs  []jsonFloat `json:"lofs"`
-		Epoch uint64      `json:"epoch"`
+		IDs   []uint64      `json:"ids"`
+		LOFs  []front.Float `json:"lofs"`
+		Epoch uint64        `json:"epoch"`
 	}
 	if err := c.do(ctx, http.MethodGet, "/v1/stream/lofs", nil, &out); err != nil {
 		return nil, err
 	}
-	res := &StreamLOFs{IDs: out.IDs, LOFs: make([]float64, len(out.LOFs)), Epoch: out.Epoch}
-	for i, v := range out.LOFs {
-		res.LOFs[i] = float64(v)
-	}
-	return res, nil
+	return &StreamLOFs{IDs: out.IDs, LOFs: front.Float64s(out.LOFs), Epoch: out.Epoch}, nil
 }
 
 // StreamStats fetches the pipeline counters and epoch shape.

@@ -19,10 +19,12 @@
 //
 // Failure policy: per-shard calls hedge across replicas (first success
 // wins); when a whole shard is unreachable, a request that opted into
-// ?mode=degraded is answered from a local approximate model with the
+// ?mode=degraded is answered from the local coreset model with the
 // response marked "degraded", and any other request fails with a gateway
-// error — never a silently wrong exact score. A background repair loop
-// re-pushes snapshots to replicas that report unready or stale.
+// error — never a silently wrong exact score. A shard that rejects the
+// batch as too large (413) is not an outage: the caller gets the 413. A
+// background repair loop re-pushes snapshots to replicas that report
+// unready or stale.
 //
 // Approximate modes ride the same scatter-gather machinery:
 //
@@ -41,9 +43,10 @@ package coord
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
+	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +55,7 @@ import (
 	"lof/internal/approx"
 	"lof/internal/client"
 	"lof/internal/core"
+	"lof/internal/front"
 	"lof/internal/geom"
 	"lof/internal/index"
 	"lof/internal/matdb"
@@ -76,13 +80,10 @@ type Config struct {
 	Hedge time.Duration
 	// Partitioner is the point→shard assignment rule.
 	Partitioner shard.Partitioner
-	// DegradedSample sizes the local subsampled model kept as the
-	// degraded-mode fallback for shard outages. Zero means 2048; negative
-	// disables degraded serving.
-	DegradedSample int
 	// CoresetSample sizes the sensitivity-sampled coreset model kept for
-	// ?mode=coreset serving and preferred by the degraded fallback. Zero
-	// means 2048; negative disables coreset derivation.
+	// ?mode=coreset serving and as the ?mode=degraded fallback for shard
+	// outages. Zero means 2048; negative disables it, and both modes then
+	// answer exactly or fail.
 	CoresetSample int
 	// PruneEps is the ?mode=pruned certification band half-width: queries
 	// whose LOF interval lies inside [1/(1+eps), 1+eps] are answered 1
@@ -93,7 +94,8 @@ type Config struct {
 	Workers int
 	// RepairInterval paces the background repair loop. Default 2s.
 	RepairInterval time.Duration
-	// Logger receives coordinator events. Nil discards.
+	// Logger receives coordinator events and one line per request. Nil
+	// discards.
 	Logger *slog.Logger
 	// Trace collects distributed-tracing spans for coordinator requests and
 	// scatter-gather rounds; nil disables tracing.
@@ -103,15 +105,14 @@ type Config struct {
 // state is the installed serving state: everything a score request needs,
 // swapped atomically on fit.
 type state struct {
-	version  uint64
-	meta     shard.Meta
-	dim      int
-	lb, ub   int
-	agg      core.Aggregate
-	info     ModelInfo
-	encoded  [][]byte // per-shard snapshots, kept for repair re-pushes
-	degraded *lof.Model
-	coreset  *lof.Model
+	version uint64
+	meta    shard.Meta
+	dim     int
+	lb, ub  int
+	agg     core.Aggregate
+	info    ModelInfo
+	encoded [][]byte // per-shard snapshots, kept for repair re-pushes
+	coreset *lof.Model
 }
 
 // ModelInfo mirrors the single-node server's model summary, so the same
@@ -140,28 +141,23 @@ type Coordinator struct {
 
 	// Per-shard observability: RPC latency and failures by shard index.
 	shardLatency []*obs.Histogram
-	shardFails   []expvar.Int
-	degradedHits expvar.Int
-	repairPushes expvar.Int
-	fits         expvar.Int
-	scoreQueries expvar.Int
+	shardFails   []atomic.Int64
+	repairPushes *atomic.Int64
+	fits         *atomic.Int64
+	scorePoints  *atomic.Int64
 	// scoreModes counts score requests by the mode that actually served
 	// them; certified counts pruned-mode queries certified without exact
 	// evaluation.
-	scoreModes expvar.Map
-	certified  expvar.Int
+	scoreModes map[string]*atomic.Int64
+	certified  *atomic.Int64
 
-	// Per-route HTTP observability (see http.go's wrap middleware).
-	routes map[string]*coordRoute
+	front *front.Front
 }
 
 // New validates cfg and returns a Coordinator with one client per replica.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Targets) == 0 {
 		return nil, errors.New("coord: at least one shard target is required")
-	}
-	if cfg.DegradedSample == 0 {
-		cfg.DegradedSample = 2048
 	}
 	if cfg.CoresetSample == 0 {
 		cfg.CoresetSample = 2048
@@ -172,25 +168,20 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RepairInterval <= 0 {
 		cfg.RepairInterval = 2 * time.Second
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(discardHandler{})
-	}
 	c := &Coordinator{
 		cfg:          cfg,
 		replicas:     make([]*client.ReplicaSet, len(cfg.Targets)),
 		pool:         pool.New(cfg.Workers),
 		shardLatency: make([]*obs.Histogram, len(cfg.Targets)),
-		shardFails:   make([]expvar.Int, len(cfg.Targets)),
-		routes:       make(map[string]*coordRoute, len(coordRoutes)),
+		shardFails:   make([]atomic.Int64, len(cfg.Targets)),
+		front:        front.New(front.Config{Prefix: "lof_coord_http_", Logger: cfg.Logger, Trace: cfg.Trace}),
 	}
-	for _, route := range coordRoutes {
-		c.routes[route] = &coordRoute{latency: obs.NewHistogram(obs.DefaultLatencyBuckets)}
-	}
-	// Pre-seed every mode label so the metrics exposition shape is stable
-	// from the first scrape.
-	for _, mode := range []string{"full", "pruned", "coreset", "degraded"} {
-		c.scoreModes.Add(mode, 0)
-	}
+	c.front.Handle("POST /v1/fit", c.handleFit)
+	c.front.Handle("POST /v1/score", c.handleScore)
+	c.front.Handle("GET /v1/model", c.handleModel)
+	c.front.HandleFunc("GET /healthz", c.handleHealthz)
+	c.front.HandleFunc("GET /readyz", c.handleReadyz)
+	c.declareMetrics(c.front.Metrics)
 	for s, urls := range cfg.Targets {
 		rs, err := client.NewReplicaSet(urls, cfg.Client)
 		if err != nil {
@@ -226,8 +217,7 @@ func (c *Coordinator) Version() uint64 {
 // per shard. The new version serves once every shard has acknowledged the
 // push on at least one replica; remaining replicas are brought up to date
 // by the repair loop. The full fitted model is released after the split —
-// the coordinator keeps only the encoded parts and the small degraded
-// fallback.
+// the coordinator keeps only the encoded parts and the small coreset.
 func (c *Coordinator) Fit(ctx context.Context, fitCfg server.FitConfig, data [][]float64) (ModelInfo, error) {
 	c.fitMu.Lock()
 	defer c.fitMu.Unlock()
@@ -252,7 +242,7 @@ func (c *Coordinator) Fit(ctx context.Context, fitCfg server.FitConfig, data [][
 	}
 	c.state.Store(st)
 	c.fits.Add(1)
-	c.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "model distributed",
+	c.log(ctx, slog.LevelInfo, "model distributed",
 		slog.Uint64("version", st.version),
 		slog.Int("shards", len(c.replicas)),
 		slog.Int("objects", st.info.Objects))
@@ -276,7 +266,7 @@ func (c *Coordinator) Install(ctx context.Context, m *lof.Model) (ModelInfo, err
 }
 
 // buildState splits m into encoded per-shard snapshots under a fresh
-// version and derives the degraded fallback.
+// version and derives the coreset.
 func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 	pts, db := m.Fitted()
 	mcfg := m.Config()
@@ -311,11 +301,6 @@ func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 	for s, p := range parts {
 		if st.encoded[s], err = shard.EncodePart(p); err != nil {
 			return nil, fmt.Errorf("coord: encoding shard %d: %w", s, err)
-		}
-	}
-	if c.cfg.DegradedSample > 0 {
-		if d, err := m.Subsample(c.cfg.DegradedSample); err == nil {
-			st.degraded = d
 		}
 	}
 	if c.cfg.CoresetSample > 0 {
@@ -385,8 +370,7 @@ func (e *shardError) Unwrap() error { return e.err }
 //
 //	""/"full"  exact scatter-gather; a shard outage fails the request
 //	"degraded" exact, but a shard outage is absorbed by the local
-//	           approximate fallback (coreset preferred, stride subsample
-//	           otherwise), the return marked "degraded"
+//	           coreset model, the return marked "degraded"
 //	"pruned"   band-certified: queries whose LOF interval lies inside
 //	           1±eps answer 1 without round 3; the rest answer exactly
 //	"coreset"  served from the local coreset model; exact when disabled
@@ -411,8 +395,8 @@ func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode strin
 		if err != nil {
 			return nil, "", 0, err
 		}
-		c.scoreQueries.Add(int64(len(queries)))
-		c.scoreModes.Add("coreset", 1)
+		c.scorePoints.Add(int64(len(queries)))
+		c.scoreModes[front.ModeCoreset].Add(1)
 		return scores, "coreset", 0, nil
 	}
 	if mode == "pruned" {
@@ -420,38 +404,34 @@ func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode strin
 		if err != nil {
 			return nil, "", 0, err
 		}
-		c.scoreQueries.Add(int64(len(queries)))
-		c.scoreModes.Add("pruned", 1)
+		c.scorePoints.Add(int64(len(queries)))
+		c.scoreModes[front.ModePruned].Add(1)
 		c.certified.Add(int64(certified))
 		return scores, "pruned", certified, nil
 	}
 	scores, err := c.scoreExact(ctx, st, queries)
 	if err == nil {
-		c.scoreQueries.Add(int64(len(queries)))
-		c.scoreModes.Add("full", 1)
+		c.scorePoints.Add(int64(len(queries)))
+		c.scoreModes[front.ModeFull].Add(1)
 		return scores, "", 0, nil
 	}
 	var se *shardError
-	fallback := st.coreset
-	if fallback == nil {
-		fallback = st.degraded
-	}
-	if errors.As(err, &se) && mode == "degraded" && c.cfg.DegradedSample > 0 && fallback != nil {
+	if errors.As(err, &se) && mode == "degraded" && st.coreset != nil {
 		if ctx.Err() != nil {
 			return nil, "", 0, err
 		}
-		c.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "serving degraded",
+		c.log(ctx, slog.LevelWarn, "serving degraded",
 			slog.Int("shard", se.shard), slog.String("cause", se.err.Error()))
 		dsp, dctx := trace.StartSpan(ctx, "coord/degraded")
 		dsp.SetAttrInt("shard", int64(se.shard))
 		dsp.SetAttr("cause", se.err.Error())
-		scores, derr := fallback.ScoreBatchContext(dctx, queries)
+		scores, derr := st.coreset.ScoreBatchContext(dctx, queries)
 		dsp.End()
 		if derr != nil {
 			return nil, "", 0, fmt.Errorf("coord: degraded fallback after %v: %w", err, derr)
 		}
-		c.degradedHits.Add(int64(len(queries)))
-		c.scoreModes.Add("degraded", 1)
+		c.scorePoints.Add(int64(len(queries)))
+		c.scoreModes[front.ModeDegraded].Add(1)
 		return scores, "degraded", 0, nil
 	}
 	return nil, "", 0, err
@@ -767,7 +747,8 @@ func (c *Coordinator) evalInto(ctx context.Context, st *state, g *gathered, out 
 }
 
 // eachShard runs fn for every shard concurrently and returns the first
-// error wrapped as a shardError.
+// error, wrapped as a shardError unless the shard rejected the batch as
+// too large — the caller's error, which degraded mode must not absorb.
 func (c *Coordinator) eachShard(ctx context.Context, fn func(s int) error) error {
 	errs := make([]error, len(c.replicas))
 	var wg sync.WaitGroup
@@ -780,7 +761,11 @@ func (c *Coordinator) eachShard(ctx context.Context, fn func(s int) error) error
 	}
 	wg.Wait()
 	for s, err := range errs {
-		if err != nil {
+		switch {
+		case err == nil:
+		case client.StatusCode(err) == http.StatusRequestEntityTooLarge:
+			return fmt.Errorf("coord: shard %d: %w", s, err)
+		default:
 			return &shardError{shard: s, err: err}
 		}
 	}
@@ -886,7 +871,7 @@ func (c *Coordinator) Repair(ctx context.Context) int {
 				}
 				if _, err := cl.PushSnapshot(ctx, st.encoded[s]); err == nil {
 					pushes.Add(1)
-					c.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "repaired replica",
+					c.log(ctx, slog.LevelInfo, "repaired replica",
 						slog.Int("shard", s), slog.Uint64("version", st.version))
 				}
 			}(s, cl)
@@ -912,6 +897,13 @@ func (c *Coordinator) Run(ctx context.Context) {
 	}
 }
 
+// log writes one coordinator event when a logger is configured.
+func (c *Coordinator) log(ctx context.Context, level slog.Level, msg string, attrs ...slog.Attr) {
+	if c.cfg.Logger != nil {
+		c.cfg.Logger.LogAttrs(ctx, level, msg, attrs...)
+	}
+}
+
 // coreAggregate maps the public aggregation enum onto the core one.
 func coreAggregate(a lof.Aggregation) core.Aggregate {
 	switch a {
@@ -924,11 +916,23 @@ func coreAggregate(a lof.Aggregation) core.Aggregate {
 	}
 }
 
-// discardHandler is a slog.Handler that drops everything (slog.DiscardHandler
-// arrived in Go 1.24; this build supports 1.23).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
+// declareMetrics declares the coordinator's own metric families in reg,
+// after the front end's route and trace families.
+func (c *Coordinator) declareMetrics(reg *obs.Registry) {
+	c.fits = reg.Counter("lof_coord_fits_total", "Models fitted and distributed by this coordinator.")
+	c.scorePoints = reg.Counter("lof_coord_score_points_total", "Query points answered, in every score mode.")
+	c.scoreModes = reg.CounterVec("lof_coord_score_mode_total", "Score requests by the mode that served them.", "mode", front.Modes...)
+	c.certified = reg.Counter("lof_coord_pruned_certified_total", "Pruned-mode queries certified without exact evaluation.")
+	c.repairPushes = reg.Counter("lof_coord_repair_pushes_total", "Snapshot re-pushes performed by the repair loop.")
+	reg.Gauge("lof_coord_snapshot_version", "Installed snapshot version.", func() (float64, bool) { return float64(c.Version()), true })
+	reg.Family("lof_coord_shard_failures_total", "counter", "Failed shard RPC rounds by shard.", func(p *obs.PromWriter) {
+		for s := range c.shardFails {
+			p.IntSample("lof_coord_shard_failures_total", c.shardFails[s].Load(), "shard", strconv.Itoa(s))
+		}
+	})
+	reg.Family("lof_coord_shard_rpc_duration_seconds", "histogram", "Shard RPC round latency by shard (hedging included).", func(p *obs.PromWriter) {
+		for s, h := range c.shardLatency {
+			p.Histo("lof_coord_shard_rpc_duration_seconds", h.Snapshot(), "shard", strconv.Itoa(s))
+		}
+	})
+}

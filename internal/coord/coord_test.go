@@ -1,7 +1,10 @@
 package coord_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -276,9 +279,44 @@ func TestChaosFaultyShard(t *testing.T) {
 	}
 }
 
+// TestShardBatchLimitIsCallerError: a batch over the shards' MaxBatch is
+// the caller's error, not a shard outage. lofcoord answers 413 with the
+// shard's message, as lofserve would, and degraded mode must not turn it
+// into a coreset answer.
+func TestShardBatchLimitIsCallerError(t *testing.T) {
+	targets := make([][]string, 3)
+	for s := range targets {
+		ts := httptest.NewServer(server.New(server.Config{MaxBatch: 4}).Handler())
+		t.Cleanup(ts.Close)
+		targets[s] = []string{ts.URL}
+	}
+	c := newCoord(t, targets, shard.PartitionHash)
+	if _, err := c.Install(context.Background(), fitModel(t, lof.Config{MinPtsLB: 3, MinPtsUB: 9})); err != nil {
+		t.Fatalf("Install: %v", err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(map[string]interface{}{"queries": testQueries()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"", "?mode=degraded", "?mode=pruned"} {
+		resp, err := http.Post(ts.URL+"/v1/score"+mode, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(raw), "batch of 12 exceeds limit 4") {
+			t.Errorf("score%s: status %d body %s, want 413 with the shard's message", mode, resp.StatusCode, raw)
+		}
+	}
+}
+
 // TestChaosShardDown takes a whole shard offline. Exact requests must fail
-// loudly; requests that opted into degraded mode get the subsampled
-// fallback, explicitly labeled.
+// loudly; requests that opted into degraded mode get the coreset model's
+// answer, bit for bit, explicitly labeled — and fail loudly too when the
+// coreset is disabled.
 func TestChaosShardDown(t *testing.T) {
 	var down atomic.Bool
 	targets := startShards(t, 2, func(s int, h http.Handler) http.Handler {
@@ -293,11 +331,29 @@ func TestChaosShardDown(t *testing.T) {
 		})
 	})
 	m := fitModel(t, lof.Config{MinPtsLB: 3, MinPtsUB: 9})
-	c := newCoord(t, targets, shard.PartitionRange)
-	if _, err := c.Install(context.Background(), m); err != nil {
-		t.Fatalf("Install: %v", err)
+	install := func(coresetSample int) *coord.Coordinator {
+		c, err := coord.New(coord.Config{
+			Targets: targets, Client: fastClient(), Partitioner: shard.PartitionRange,
+			CoresetSample: coresetSample,
+		})
+		if err != nil {
+			t.Fatalf("coord.New: %v", err)
+		}
+		if _, err := c.Install(context.Background(), m); err != nil {
+			t.Fatalf("Install: %v", err)
+		}
+		return c
+	}
+	c, noCoreset := install(64), install(-1)
+	cs, err := m.Coreset(64)
+	if err != nil {
+		t.Fatalf("Coreset: %v", err)
 	}
 	queries := testQueries()
+	wantDegraded, err := cs.ScoreBatch(queries)
+	if err != nil {
+		t.Fatalf("coreset scores: %v", err)
+	}
 	down.Store(true)
 
 	if _, _, _, err := c.Score(context.Background(), queries, ""); err == nil {
@@ -310,12 +366,16 @@ func TestChaosShardDown(t *testing.T) {
 	if mode != "degraded" {
 		t.Fatalf("fallback answer labeled %q, want degraded", mode)
 	}
-	if len(scores) != len(queries) {
-		t.Fatalf("degraded scores: %d for %d queries", len(scores), len(queries))
+	assertBitIdentical(t, scores, wantDegraded, "degraded")
+	if _, _, _, err := noCoreset.Score(context.Background(), queries, "degraded"); err == nil {
+		t.Fatal("degraded score without a coreset succeeded with a shard down")
 	}
-	for i, s := range scores {
-		if math.IsNaN(s) || s < 0 {
-			t.Fatalf("degraded score %d = %v", i, s)
+	// Degraded points count as answered points, like every other mode.
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{"lof_coord_score_points_total 12\n", `lof_coord_score_mode_total{mode="degraded"} 1` + "\n"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics lack %q", want)
 		}
 	}
 

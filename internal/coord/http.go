@@ -1,264 +1,106 @@
 package coord
 
 import (
-	"encoding/json"
 	"errors"
-	"expvar"
-	"fmt"
-	"math"
 	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
-	"lof/internal/obs"
+	"lof/internal/client"
+	"lof/internal/front"
 	"lof/internal/server"
-	"lof/internal/trace"
 )
 
 // The coordinator's HTTP surface speaks the same JSON protocol as the
 // single-node lofserve API — same request bodies, same response shapes,
-// same error envelope — so internal/client (and anything else written
-// against lofserve) points at a lofcoord unchanged. Coordinator-specific
-// detail (shard count, snapshot version) rides in additive fields.
+// same error envelope, through the same front end — so internal/client
+// (and anything else written against lofserve) points at a lofcoord
+// unchanged. Coordinator-specific detail (shard count, snapshot version)
+// rides in additive fields.
 
 const defaultMaxBodyBytes = 1 << 30
-
-type fitRequest struct {
-	Config server.FitConfig `json:"config"`
-	Data   [][]float64      `json:"data"`
-}
 
 type fitResponse struct {
 	ModelInfo
 	FitMS float64 `json:"fitMillis"`
 }
 
-type scoreRequest struct {
-	Queries [][]float64 `json:"queries"`
-	// Workers is accepted for lofserve protocol compatibility; the
-	// coordinator sizes its own merge pool and ignores it.
-	Workers int `json:"workers,omitempty"`
-}
-
-type scoreResponse struct {
-	Scores []jsonFloat `json:"scores"`
-	Mode   string      `json:"mode,omitempty"`
-	// Certified is the number of pruned-mode queries answered from the
-	// LOF bound alone, without exact evaluation.
-	Certified int `json:"certified,omitempty"`
-}
-
-// jsonFloat mirrors the server's non-finite-tolerant float rendering:
-// +Inf/-Inf/NaN marshal as strings instead of failing the response.
-type jsonFloat float64
-
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsInf(v, 1) {
-		return []byte(`"+Inf"`), nil
-	}
-	if math.IsInf(v, -1) {
-		return []byte(`"-Inf"`), nil
-	}
-	if math.IsNaN(v) {
-		return []byte(`"NaN"`), nil
-	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
-}
-
-// coordRoutes fixes the exposition order of the coordinator's per-route
-// series.
-var coordRoutes = []string{"/v1/fit", "/v1/score", "/v1/model"}
-
-// coordRoute is the coordinator's per-route observability: a latency
-// histogram plus the slowest traced request and its trace ID (the exemplar
-// linking the histogram's top bucket to /v1/debug/traces).
-type coordRoute struct {
-	latency *obs.Histogram
-	mu      sync.Mutex
-	slowest time.Duration
-	trace   string
-}
-
-func (cr *coordRoute) record(d time.Duration, traceID string) {
-	cr.latency.Observe(d)
-	cr.mu.Lock()
-	if d > cr.slowest && traceID != "" {
-		cr.slowest = d
-		cr.trace = traceID
-	}
-	cr.mu.Unlock()
-}
-
-func (cr *coordRoute) exemplar() (time.Duration, string, bool) {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	return cr.slowest, cr.trace, cr.trace != ""
-}
-
-// coordStatusWriter records the response status for span error marking.
-type coordStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *coordStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *coordStatusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// wrap is the coordinator's request middleware: it assigns (or continues)
-// the X-Request-ID, echoes it on the response, starts the request span —
-// continuing an inbound traceparent — and records per-route latency with
-// the slowest-request trace exemplar.
-func (c *Coordinator) wrap(route string, h http.HandlerFunc) http.Handler {
-	cr := c.routes[route]
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := trace.IncomingRequestID(r)
-		ctx := trace.ContextWithRequestID(r.Context(), id)
-		sp, ctx := c.cfg.Trace.StartRequest(ctx, "http "+route, r.Header.Get(trace.Header))
-		sp.SetAttr("route", route)
-		sp.SetAttr("requestId", id)
-		w.Header().Set(trace.RequestIDHeader, id)
-		sw := &coordStatusWriter{ResponseWriter: w}
-		start := time.Now()
-		h(sw, r.WithContext(ctx))
-		elapsed := time.Since(start)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		sp.SetAttrInt("status", int64(status))
-		if status >= 500 {
-			sp.SetError(fmt.Sprintf("status %d", status))
-		}
-		sp.EndIn(elapsed)
-		cr.record(elapsed, sp.TraceIDString())
-	})
-}
-
 // Handler returns the coordinator's HTTP API.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("POST /v1/fit", c.wrap("/v1/fit", c.handleFit))
-	mux.Handle("POST /v1/score", c.wrap("/v1/score", c.handleScore))
-	mux.Handle("GET /v1/model", c.wrap("/v1/model", c.handleModel))
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /readyz", c.handleReadyz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.Handle("GET /v1/debug/traces", trace.DebugHandler(c.cfg.Trace))
-	return mux
-}
-
-func (c *Coordinator) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, defaultMaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
-			return false
-		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
-		return false
-	}
-	return true
-}
+func (c *Coordinator) Handler() http.Handler { return c.front }
 
 func (c *Coordinator) handleFit(w http.ResponseWriter, r *http.Request) {
-	var req fitRequest
-	if !c.decode(w, r, &req) {
+	var req server.FitRequest
+	if !front.Decode(w, r, defaultMaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Data) == 0 {
-		writeError(w, http.StatusBadRequest, "fit requires a non-empty data array")
+		front.WriteError(w, r, http.StatusBadRequest, "fit requires a non-empty data array")
 		return
 	}
+	front.SetBatch(r.Context(), len(req.Data))
 	start := time.Now()
 	info, err := c.Fit(r.Context(), req.Config, req.Data)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, fitResponse{
+	front.WriteJSON(w, http.StatusOK, fitResponse{
 		ModelInfo: info,
 		FitMS:     float64(time.Since(start).Microseconds()) / 1000,
 	})
 }
 
 func (c *Coordinator) handleScore(w http.ResponseWriter, r *http.Request) {
-	mode := r.URL.Query().Get("mode")
-	switch mode {
-	case "", "full", "degraded", "pruned", "coreset":
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown mode %q; valid modes are %q, %q, %q and %q",
-				mode, "full", "degraded", "pruned", "coreset"))
+	mode, ok := front.ScoreMode(w, r)
+	if !ok {
 		return
 	}
-	var req scoreRequest
-	if !c.decode(w, r, &req) {
+	var req front.ScoreRequest
+	if !front.Decode(w, r, defaultMaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "score requires a non-empty queries array")
+		front.WriteError(w, r, http.StatusBadRequest, "score requires a non-empty queries array")
 		return
 	}
+	front.SetBatch(r.Context(), len(req.Queries))
 	scores, servedMode, certified, err := c.Score(r.Context(), req.Queries, mode)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return
 		}
+		var se *shardError
 		switch {
 		case errors.Is(err, errNoModel):
-			writeError(w, http.StatusConflict, "no fitted model; POST /v1/fit first or start with -model")
-		case isShardError(err):
-			writeError(w, http.StatusBadGateway, err.Error())
+			front.WriteError(w, r, http.StatusConflict, "no fitted model; POST /v1/fit first or start with -model")
+		case client.StatusCode(err) == http.StatusRequestEntityTooLarge:
+			front.WriteError(w, r, http.StatusRequestEntityTooLarge, err.Error())
+		case errors.As(err, &se):
+			front.WriteError(w, r, http.StatusBadGateway, err.Error())
 		default:
-			writeError(w, http.StatusBadRequest, err.Error())
+			front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		}
 		return
 	}
-	resp := scoreResponse{Scores: make([]jsonFloat, len(scores)), Mode: servedMode, Certified: certified}
-	for i, v := range scores {
-		resp.Scores[i] = jsonFloat(v)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func isShardError(err error) bool {
-	var se *shardError
-	return errors.As(err, &se)
+	front.WriteJSON(w, http.StatusOK, front.ScoreResponse{Scores: front.Floats(scores), Mode: servedMode, Certified: certified})
 }
 
 func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 	info, ok := c.Info()
 	if !ok {
-		writeError(w, http.StatusNotFound, "no fitted model")
+		front.WriteError(w, r, http.StatusNotFound, "no fitted model")
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	front.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleHealthz is pure liveness, like the shard servers': the process is
 // up and serving HTTP. Routing decisions belong to /readyz.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, ok := c.Info()
-	writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ok", "model": ok})
+	front.WriteJSON(w, http.StatusOK, map[string]interface{}{"status": "ok", "model": ok})
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -275,64 +117,5 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ri.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, ri)
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := obs.NewPromWriter(w)
-	p.Family("lof_coord_fits_total", "counter", "Models fitted and distributed by this coordinator.")
-	p.IntSample("lof_coord_fits_total", c.fits.Value())
-	p.Family("lof_coord_score_points_total", "counter", "Query points answered exactly via scatter-gather.")
-	p.IntSample("lof_coord_score_points_total", c.scoreQueries.Value())
-	p.Family("lof_coord_degraded_total", "counter", "Query points answered from the local degraded model.")
-	p.IntSample("lof_coord_degraded_total", c.degradedHits.Value())
-	p.Family("lof_coord_score_mode_total", "counter", "Score requests by the mode that served them.")
-	c.scoreModes.Do(func(kv expvar.KeyValue) {
-		if v, ok := kv.Value.(*expvar.Int); ok {
-			p.IntSample("lof_coord_score_mode_total", v.Value(), "mode", kv.Key)
-		}
-	})
-	p.Family("lof_coord_pruned_certified_total", "counter", "Pruned-mode queries certified without exact evaluation.")
-	p.IntSample("lof_coord_pruned_certified_total", c.certified.Value())
-	p.Family("lof_coord_repair_pushes_total", "counter", "Snapshot re-pushes performed by the repair loop.")
-	p.IntSample("lof_coord_repair_pushes_total", c.repairPushes.Value())
-	p.Family("lof_coord_snapshot_version", "gauge", "Installed snapshot version.")
-	p.IntSample("lof_coord_snapshot_version", int64(c.Version()))
-	p.Family("lof_coord_shard_failures_total", "counter", "Failed shard RPC rounds by shard.")
-	for s := range c.shardFails {
-		p.IntSample("lof_coord_shard_failures_total", c.shardFails[s].Value(), "shard", strconv.Itoa(s))
-	}
-	p.Family("lof_coord_shard_rpc_duration_seconds", "histogram", "Shard RPC round latency by shard (hedging included).")
-	for s, h := range c.shardLatency {
-		p.Histo("lof_coord_shard_rpc_duration_seconds", h.Snapshot(), "shard", strconv.Itoa(s))
-	}
-	p.Family("lof_coord_http_request_duration_seconds", "histogram", "Coordinator HTTP request latency by route.")
-	for _, route := range coordRoutes {
-		p.Histo("lof_coord_http_request_duration_seconds", c.routes[route].latency.Snapshot(), "route", route)
-	}
-	p.Family("lof_coord_http_slowest_request_seconds", "gauge", "Slowest traced request per route, with its trace ID.")
-	for _, route := range coordRoutes {
-		if d, tid, ok := c.routes[route].exemplar(); ok {
-			p.Sample("lof_coord_http_slowest_request_seconds", d.Seconds(),
-				"route", route, "trace_id", tid)
-		}
-	}
-	ts := c.cfg.Trace.Stats()
-	p.Family("lof_trace_spans_total", "counter", "Trace spans started in this process.")
-	p.IntSample("lof_trace_spans_total", int64(ts.Started))
-	p.Family("lof_trace_recorded_total", "counter", "Trace spans recorded to the ring buffer.")
-	p.IntSample("lof_trace_recorded_total", int64(ts.Recorded))
-	p.Family("lof_trace_dropped_total", "counter", "Recorded trace spans evicted by the ring bound.")
-	p.IntSample("lof_trace_dropped_total", int64(ts.Dropped))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	front.WriteJSON(w, status, ri)
 }

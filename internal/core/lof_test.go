@@ -232,7 +232,7 @@ func TestNaiveMatchesMaterialized(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := NaiveLOFs(ix, func(i int) []index.Neighbor {
-			return index.KNNWithTies(ix, pts.At(i), minPts, i)
+			return index.KNNWithTiesInto(ix.NewCursor(), nil, pts.At(i), minPts, i)
 		}, minPts)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9 {

@@ -61,8 +61,10 @@ func Run(pts *geom.Points, ix index.Index, p Params) (*Result, error) {
 
 	// neighborhood returns the eps-neighborhood including the point itself
 	// (the DBSCAN convention for the MinPts count).
+	cur := ix.NewCursor()
+	var nn []index.Neighbor
 	neighborhood := func(i int) []int {
-		nn := ix.Range(pts.At(i), p.Eps, i)
+		nn = cur.RangeInto(nn[:0], pts.At(i), p.Eps, i)
 		out := make([]int, 0, len(nn)+1)
 		out = append(out, i)
 		for _, nb := range nn {

@@ -221,9 +221,10 @@ func RunAblationMaterialization(seed int64, n int) (*AblationMaterializationResu
 
 	naive := make([][]float64, 0, ub-lb+1)
 	res.Naive, err = timed(func() error {
+		cur := ix.NewCursor()
 		for minPts := lb; minPts <= ub; minPts++ {
 			naive = append(naive, core.NaiveLOFs(ix, func(i int) []index.Neighbor {
-				return index.KNNWithTies(ix, d.Points.At(i), minPts, i)
+				return index.KNNWithTiesInto(cur, nil, d.Points.At(i), minPts, i)
 			}, minPts))
 		}
 		return nil

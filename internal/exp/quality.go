@@ -9,6 +9,7 @@ import (
 	"lof/internal/dbscan"
 	"lof/internal/eval"
 	"lof/internal/geom"
+	"lof/internal/index"
 	"lof/internal/index/kdtree"
 	"lof/internal/knnout"
 	"lof/internal/matdb"
@@ -108,9 +109,11 @@ func RunQuality(seed int64) (*QualityResult, error) {
 	}
 	dmin := 2 * med
 	dbScores := make([]float64, d.Len())
+	cur := ix.NewCursor()
+	var nn []index.Neighbor
 	for i := 0; i < d.Len(); i++ {
-		count := len(ix.Range(d.Points.At(i), dmin, i))
-		dbScores[i] = -float64(count) // fewer neighbors = higher score
+		nn = cur.RangeInto(nn[:0], d.Points.At(i), dmin, i)
+		dbScores[i] = -float64(len(nn)) // fewer neighbors = higher score
 	}
 
 	res := &QualityResult{N: d.Len(), LocalCount: nLocal, GlobalCount: nGlobal}

@@ -243,20 +243,9 @@ func (f *faultyIndex) stall() {
 	}
 }
 
-func (f *faultyIndex) KNN(q geom.Point, k int, exclude int) []index.Neighbor {
-	f.stall()
-	return f.Index.KNN(q, k, exclude)
-}
-
-func (f *faultyIndex) Range(q geom.Point, r float64, exclude int) []index.Neighbor {
-	f.stall()
-	return f.Index.Range(q, r, exclude)
-}
-
-// NewCursor returns a cursor whose queries pass through the fault profile,
-// so the cursor-threading hot path is exercised too.
+// NewCursor returns a cursor whose queries pass through the fault profile.
 func (f *faultyIndex) NewCursor() index.Cursor {
-	return &faultyCursor{f: f, cur: index.NewCursor(f.Index)}
+	return &faultyCursor{f: f, cur: f.Index.NewCursor()}
 }
 
 type faultyCursor struct {

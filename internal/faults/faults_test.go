@@ -160,10 +160,10 @@ func TestIndexWrapperTransparent(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		q := geom.Point{rng.NormFloat64(), rng.NormFloat64()}
-		if got, want := wrapped.KNN(q, 5, -1), base.KNN(q, 5, -1); !reflect.DeepEqual(got, want) {
+		if got, want := wrapped.NewCursor().KNNInto(nil, q, 5, -1), base.NewCursor().KNNInto(nil, q, 5, -1); !reflect.DeepEqual(got, want) {
 			t.Fatalf("KNN mismatch under fault injection: %v vs %v", got, want)
 		}
-		if got, want := wrapped.Range(q, 0.5, -1), base.Range(q, 0.5, -1); !reflect.DeepEqual(got, want) {
+		if got, want := wrapped.NewCursor().RangeInto(nil, q, 0.5, -1), base.NewCursor().RangeInto(nil, q, 0.5, -1); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Range mismatch under fault injection: %v vs %v", got, want)
 		}
 	}

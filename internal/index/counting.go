@@ -12,17 +12,14 @@ import (
 // quantity the paper's Section 7 index comparison is about. Counters are
 // atomic, keeping the wrapped index safe for concurrent queries.
 //
-// Counting also observes the cursor layer: it tracks how many cursors were
-// created, how many queries were served by a reused cursor (the
-// allocation-free hot path), and how many went through the legacy
-// KNN/Range shims that build a throwaway cursor per call (cursor misses).
+// Counting also tracks how many cursors were created and how many queries
+// were served by a reused cursor (the allocation-free hot path).
 type Counting struct {
 	Index
 	knn, rng atomic.Int64
 
 	cursors     atomic.Int64 // cursors handed out via NewCursor
 	cursorReuse atomic.Int64 // queries served by a cursor after its first
-	cursorMiss  atomic.Int64 // legacy KNN/Range calls (throwaway cursor)
 }
 
 // NewCounting wraps ix; a nil ix returns nil.
@@ -33,27 +30,11 @@ func NewCounting(ix Index) *Counting {
 	return &Counting{Index: ix}
 }
 
-// KNN counts the query as a legacy-path (cursor-miss) probe and delegates
-// to the wrapped index.
-func (c *Counting) KNN(q geom.Point, k int, exclude int) []Neighbor {
-	c.knn.Add(1)
-	c.cursorMiss.Add(1)
-	return c.Index.KNN(q, k, exclude)
-}
-
-// Range counts the query as a legacy-path (cursor-miss) probe and
-// delegates to the wrapped index.
-func (c *Counting) Range(q geom.Point, r float64, exclude int) []Neighbor {
-	c.rng.Add(1)
-	c.cursorMiss.Add(1)
-	return c.Index.Range(q, r, exclude)
-}
-
 // NewCursor returns a counting cursor over the wrapped index's cursor, so
 // consumers that thread cursors keep the wrapper's query accounting.
 func (c *Counting) NewCursor() Cursor {
 	c.cursors.Add(1)
-	return &countingCursor{c: c, cur: NewCursor(c.Index)}
+	return &countingCursor{c: c, cur: c.Index.NewCursor()}
 }
 
 // countingCursor delegates to the wrapped index's cursor and attributes
@@ -84,10 +65,10 @@ func (cc *countingCursor) RangeInto(dst []Neighbor, q geom.Point, r float64, exc
 	return cc.cur.RangeInto(dst, q, r, exclude)
 }
 
-// KNNQueries returns the number of KNN calls observed (both paths).
+// KNNQueries returns the number of kNN queries observed.
 func (c *Counting) KNNQueries() int64 { return c.knn.Load() }
 
-// RangeQueries returns the number of Range calls observed (both paths).
+// RangeQueries returns the number of range queries observed.
 func (c *Counting) RangeQueries() int64 { return c.rng.Load() }
 
 // Cursors returns how many cursors were created through the wrapper.
@@ -96,10 +77,6 @@ func (c *Counting) Cursors() int64 { return c.cursors.Load() }
 // CursorReuse returns how many queries were served by a reused cursor —
 // every query after the first on each cursor, the allocation-free path.
 func (c *Counting) CursorReuse() int64 { return c.cursorReuse.Load() }
-
-// CursorMisses returns how many queries went through the legacy KNN/Range
-// shims, each of which builds and discards a cursor.
-func (c *Counting) CursorMisses() int64 { return c.cursorMiss.Load() }
 
 // Unwrap returns the underlying index.
 func (c *Counting) Unwrap() Index { return c.Index }

@@ -24,13 +24,13 @@ func TestCountingDelegatesAndCounts(t *testing.T) {
 	}
 
 	q := pts.At(0)
-	got := c.KNN(q, 2, 0)
-	want := base.KNN(q, 2, 0)
+	got := c.NewCursor().KNNInto(nil, q, 2, 0)
+	want := base.NewCursor().KNNInto(nil, q, 2, 0)
 	if len(got) != len(want) || got[0] != want[0] {
 		t.Fatalf("KNN through wrapper = %v, want %v", got, want)
 	}
-	_ = c.Range(q, 2.5, index.ExcludeNone)
-	_ = c.KNN(q, 1, index.ExcludeNone)
+	_ = c.NewCursor().RangeInto(nil, q, 2.5, index.ExcludeNone)
+	_ = c.NewCursor().KNNInto(nil, q, 1, index.ExcludeNone)
 	if c.KNNQueries() != 2 || c.RangeQueries() != 1 {
 		t.Fatalf("counters knn=%d range=%d, want 2/1", c.KNNQueries(), c.RangeQueries())
 	}
@@ -50,7 +50,7 @@ func TestCountingConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < queries; i++ {
-				_ = c.KNN(pts.At(i%pts.Len()), 2, index.ExcludeNone)
+				_ = c.NewCursor().KNNInto(nil, pts.At(i%pts.Len()), 2, index.ExcludeNone)
 			}
 		}()
 	}

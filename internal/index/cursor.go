@@ -11,64 +11,33 @@ import "lof/internal/geom"
 // A cursor is bound to the index that created it and is NOT safe for
 // concurrent use — it is a per-goroutine object. The index itself stays
 // immutable and safe for concurrent queries; parallel consumers allocate
-// one cursor per worker (see matdb.Materialize). Results are identical to
-// the legacy Index.KNN/Range methods, which are themselves thin shims over
-// a fresh cursor.
+// one cursor per worker (see matdb.Materialize).
 type Cursor interface {
 	// Index returns the index this cursor queries.
 	Index() Index
 	// KNNInto appends the k nearest neighbors of q to dst and returns the
-	// extended slice, with the exact semantics of Index.KNN: sorted by
-	// (distance, index), self-exclusion via exclude, all points when fewer
-	// than k are available.
+	// extended slice, sorted by (distance, index), excluding the point with
+	// index exclude (ExcludeNone keeps all points). If fewer than k points
+	// are available, all of them are appended. Ties at the k-th distance are
+	// broken by index; KNNWithTiesInto gives the paper's tie-inclusive
+	// neighborhoods.
 	KNNInto(dst []Neighbor, q geom.Point, k int, exclude int) []Neighbor
-	// RangeInto appends every point within distance r of q (inclusive) to
-	// dst and returns the extended slice, with the exact semantics of
-	// Index.Range.
+	// RangeInto appends every point within distance r of q (inclusive),
+	// excluding the point with index exclude, to dst and returns the
+	// extended slice, sorted by (distance, index).
 	RangeInto(dst []Neighbor, q geom.Point, r float64, exclude int) []Neighbor
 }
 
-// CursorIndex is implemented by indexes that hand out reusable cursors.
-// All five in-tree implementations (linear, grid, kdtree, xtree, vafile)
-// and the Counting wrapper implement it; NewCursor falls back to a legacy
-// adapter for any other Index.
-type CursorIndex interface {
-	Index
-	// NewCursor returns a fresh cursor over the index.
-	NewCursor() Cursor
-}
+// NewCursor returns a reusable cursor over ix.
+func NewCursor(ix Index) Cursor { return ix.NewCursor() }
 
-// NewCursor returns a reusable cursor over ix: the index's own cursor when
-// it implements CursorIndex, otherwise an adapter that answers through the
-// legacy allocating methods (correct, but without the reuse benefit).
-func NewCursor(ix Index) Cursor {
-	if ci, ok := ix.(CursorIndex); ok {
-		return ci.NewCursor()
-	}
-	return &legacyCursor{ix: ix}
-}
-
-// legacyCursor adapts a plain Index to the Cursor interface by copying out
-// of the allocating methods.
-type legacyCursor struct {
-	ix Index
-}
-
-func (c *legacyCursor) Index() Index { return c.ix }
-
-func (c *legacyCursor) KNNInto(dst []Neighbor, q geom.Point, k int, exclude int) []Neighbor {
-	return append(dst, c.ix.KNN(q, k, exclude)...)
-}
-
-func (c *legacyCursor) RangeInto(dst []Neighbor, q geom.Point, r float64, exclude int) []Neighbor {
-	return append(dst, c.ix.Range(q, r, exclude)...)
-}
-
-// KNNWithTiesInto is KNNWithTies through a cursor: it appends the
-// k-distance neighborhood of q (Definition 4, ties included) to dst and
-// returns the extended slice. The intermediate kNN result is staged in dst
-// itself and replaced by the range expansion, so the call allocates only
-// when dst must grow.
+// KNNWithTiesInto appends the k-distance neighborhood of q (Definition 4
+// of the paper) to dst and returns the extended slice: every point whose
+// distance from q is at most the k-th smallest distance, so more than k
+// points when several tie at the k-distance, and none when k is not
+// positive. The intermediate kNN result is staged in dst itself and
+// replaced by the range expansion, so the call allocates only when dst
+// must grow.
 func KNNWithTiesInto(c Cursor, dst []Neighbor, q geom.Point, k int, exclude int) []Neighbor {
 	if k <= 0 {
 		return dst

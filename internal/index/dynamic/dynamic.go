@@ -179,17 +179,6 @@ func (ix *Index) Rebuild() {
 	}
 }
 
-// KNN returns the k nearest live neighbors of q via a fresh cursor; hot
-// paths should reuse a cursor.
-func (ix *Index) KNN(q geom.Point, k int, exclude int) []index.Neighbor {
-	return ix.NewCursor().KNNInto(nil, q, k, exclude)
-}
-
-// Range returns all live points within distance r of q via a fresh cursor.
-func (ix *Index) Range(q geom.Point, r float64, exclude int) []index.Neighbor {
-	return ix.NewCursor().RangeInto(nil, q, r, exclude)
-}
-
 // NewCursor returns a reusable query object over the index. The cursor
 // observes mutations (it holds no snapshot), but must not be used
 // concurrently with them.

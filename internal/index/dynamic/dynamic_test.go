@@ -125,7 +125,7 @@ func TestTombstoneBacklogOverfetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := ix.KNN(geom.Point{0}, 5, index.ExcludeNone)
+	got := ix.NewCursor().KNNInto(nil, geom.Point{0}, 5, index.ExcludeNone)
 	want := naiveKNN(ix, geom.Point{0}, 5, index.ExcludeNone)
 	if !equalNeighbors(got, want) {
 		t.Fatalf("KNN after base tombstones = %v, want %v", got, want)

@@ -22,7 +22,7 @@ func TestGridQueryFarOutsideBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := grid.New(pts, nil)
-	got := ix.KNN(geom.Point{100, 100}, 2, index.ExcludeNone)
+	got := ix.NewCursor().KNNInto(nil, geom.Point{100, 100}, 2, index.ExcludeNone)
 	if len(got) != 2 || got[0].Index != 3 {
 		t.Fatalf("KNN from far outside=%v", got)
 	}
@@ -38,7 +38,7 @@ func TestGridDegenerateDimension(t *testing.T) {
 		}
 	}
 	ix := grid.New(pts, nil)
-	got := ix.KNN(geom.Point{25, 3}, 2, 25)
+	got := ix.NewCursor().KNNInto(nil, geom.Point{25, 3}, 2, 25)
 	if len(got) != 2 || got[0].Dist != 1 || got[1].Dist != 1 {
 		t.Fatalf("KNN=%v", got)
 	}
@@ -50,7 +50,7 @@ func TestGridSinglePointRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := grid.New(pts, nil)
-	if got := ix.Range(geom.Point{2, 2}, 0, index.ExcludeNone); len(got) != 1 {
+	if got := ix.NewCursor().RangeInto(nil, geom.Point{2, 2}, 0, index.ExcludeNone); len(got) != 1 {
 		t.Fatalf("Range=%v", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestGridBoundaryCellZeroRange(t *testing.T) {
 	}
 	ix := grid.New(pts, nil)
 	for _, i := range []int{3, 7, 8} {
-		got := ix.Range(pts.At(i), 0, i)
+		got := ix.NewCursor().RangeInto(nil, pts.At(i), 0, i)
 		if len(got) != 2 {
 			t.Fatalf("Range(point %d, 0)=%v, want both duplicates", i, got)
 		}
@@ -99,15 +99,15 @@ func TestGridMatchesLinearOnBoundaryHeavyData(t *testing.T) {
 	lix := linear.New(pts, nil)
 	for i := 0; i < pts.Len(); i++ {
 		for k := 1; k <= 4; k++ {
-			g := gix.KNN(pts.At(i), k, i)
-			l := lix.KNN(pts.At(i), k, i)
+			g := gix.NewCursor().KNNInto(nil, pts.At(i), k, i)
+			l := lix.NewCursor().KNNInto(nil, pts.At(i), k, i)
 			if !neighborsEqual(g, l) {
 				t.Fatalf("KNN(%d, k=%d): grid=%v linear=%v", i, k, g, l)
 			}
 			if len(l) > 0 {
 				r := l[len(l)-1].Dist
-				g = gix.Range(pts.At(i), r, i)
-				l = lix.Range(pts.At(i), r, i)
+				g = gix.NewCursor().RangeInto(nil, pts.At(i), r, i)
+				l = lix.NewCursor().RangeInto(nil, pts.At(i), r, i)
 				if !neighborsEqual(g, l) {
 					t.Fatalf("Range(%d, %v): grid=%v linear=%v", i, r, g, l)
 				}

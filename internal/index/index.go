@@ -24,43 +24,19 @@ type Neighbor struct {
 }
 
 // Index answers exact nearest-neighbor and range queries over a fixed
-// dataset. Implementations are immutable after construction and safe for
-// concurrent queries.
+// dataset through cursors. Implementations are immutable after
+// construction and safe for concurrent use, one cursor per goroutine.
 type Index interface {
 	// Len returns the number of indexed points.
 	Len() int
 	// Metric returns the distance metric the index was built with.
 	Metric() geom.Metric
-	// KNN returns the k nearest neighbors of q, excluding the point with
-	// index exclude (pass ExcludeNone to keep all points). Results are
-	// sorted by (distance, index). If fewer than k points are available,
-	// all of them are returned. Ties at the k-th distance are broken by
-	// index; use KNNWithTies for the paper's tie-inclusive neighborhoods.
-	KNN(q geom.Point, k int, exclude int) []Neighbor
-	// Range returns every point within distance r of q (inclusive),
-	// excluding the point with index exclude, sorted by (distance, index).
-	Range(q geom.Point, r float64, exclude int) []Neighbor
+	// NewCursor returns a fresh cursor over the index.
+	NewCursor() Cursor
 }
 
-// ExcludeNone disables self-exclusion in KNN and Range queries.
+// ExcludeNone disables self-exclusion in kNN and range queries.
 const ExcludeNone = -1
-
-// KNNWithTies returns the k-distance neighborhood of q (Definition 4 of the
-// paper): every point whose distance from q is at most the k-th smallest
-// distance. The result can contain more than k points when several points
-// tie at the k-distance. It is empty when the index holds no other points
-// or when k is not positive (no k-distance exists then).
-func KNNWithTies(ix Index, q geom.Point, k int, exclude int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	nn := ix.KNN(q, k, exclude)
-	if len(nn) < k {
-		return nn // fewer than k candidates: no tie expansion possible
-	}
-	kdist := nn[len(nn)-1].Dist
-	return ix.Range(q, kdist, exclude)
-}
 
 // byDistIndex implements sort.Interface over neighbors in the canonical
 // (distance, index) order. A named slice type instead of sort.Slice keeps

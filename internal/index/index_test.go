@@ -8,31 +8,30 @@ import (
 	"lof/internal/geom"
 )
 
-// panicIndex fails the test if any query reaches the index, proving a
-// guard short-circuited before touching it.
-type panicIndex struct{}
+// panicCursor fails the test if any query reaches it, proving a guard
+// short-circuited before touching the index.
+type panicCursor struct{}
 
-func (panicIndex) Len() int            { return 3 }
-func (panicIndex) Metric() geom.Metric { return geom.Euclidean{} }
-func (panicIndex) KNN(geom.Point, int, int) []Neighbor {
-	panic("index: KNN called")
+func (panicCursor) Index() Index { return nil }
+func (panicCursor) KNNInto([]Neighbor, geom.Point, int, int) []Neighbor {
+	panic("index: KNNInto called")
 }
-func (panicIndex) Range(geom.Point, float64, int) []Neighbor {
-	panic("index: Range called")
+func (panicCursor) RangeInto([]Neighbor, geom.Point, float64, int) []Neighbor {
+	panic("index: RangeInto called")
 }
 
 // KNNWithTies used to panic on non-positive k by indexing an empty kNN
-// result; it must now return nil without issuing any query.
+// result; KNNWithTiesInto must leave dst untouched without issuing any
+// query.
 func TestKNNWithTiesNonPositiveK(t *testing.T) {
-	for _, k := range []int{0, -1, -100} {
-		if got := KNNWithTies(panicIndex{}, geom.Point{0}, k, ExcludeNone); got != nil {
-			t.Fatalf("KNNWithTies(k=%d)=%v, want nil", k, got)
-		}
-	}
-	cur := NewCursor(panicIndex{})
 	prefix := []Neighbor{{Index: 1, Dist: 1}}
-	if got := KNNWithTiesInto(cur, prefix, geom.Point{0}, 0, ExcludeNone); len(got) != 1 {
-		t.Fatalf("KNNWithTiesInto(k=0)=%v, want untouched prefix", got)
+	for _, k := range []int{0, -1, -100} {
+		if got := KNNWithTiesInto(panicCursor{}, nil, geom.Point{0}, k, ExcludeNone); got != nil {
+			t.Fatalf("KNNWithTiesInto(k=%d)=%v, want nil", k, got)
+		}
+		if got := KNNWithTiesInto(panicCursor{}, prefix, geom.Point{0}, k, ExcludeNone); len(got) != 1 {
+			t.Fatalf("KNNWithTiesInto(k=%d)=%v, want untouched prefix", k, got)
+		}
 	}
 }
 

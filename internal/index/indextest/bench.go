@@ -9,55 +9,11 @@ import (
 	"lof/internal/index"
 )
 
-// BenchKNN is the shared micro-benchmark every index package runs: build
-// once, then measure kNN query latency over clustered data at a spread of
-// sizes and dimensionalities.
-func BenchKNN(b *testing.B, build Builder) {
-	b.Helper()
-	for _, cfg := range []struct{ n, dim, k int }{
-		{1000, 2, 10},
-		{10000, 2, 10},
-		{10000, 8, 10},
-		{10000, 32, 10},
-	} {
-		b.Run(fmt.Sprintf("n=%d/d=%d/k=%d", cfg.n, cfg.dim, cfg.k), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(17))
-			pts := geom.NewPoints(cfg.dim, cfg.n)
-			for i := 0; i < cfg.n; i++ {
-				p := make(geom.Point, cfg.dim)
-				center := float64(rng.Intn(8)) * 10
-				for d := range p {
-					p[d] = center + rng.NormFloat64()
-				}
-				if err := pts.Append(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ix := build(pts, geom.Euclidean{})
-			queries := make([]geom.Point, 64)
-			for qi := range queries {
-				q := make(geom.Point, cfg.dim)
-				center := float64(rng.Intn(8)) * 10
-				for d := range q {
-					q[d] = center + rng.NormFloat64()
-				}
-				queries[qi] = q
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nn := ix.KNN(queries[i%len(queries)], cfg.k, index.ExcludeNone)
-				if len(nn) != cfg.k {
-					b.Fatalf("got %d results", len(nn))
-				}
-			}
-		})
-	}
-}
-
-// BenchKNNCursor is BenchKNN through a reused cursor and caller-owned
-// buffer — the allocation-free hot path the materialization step runs on.
-// Comparing it against BenchKNN isolates the cursor refactor's effect.
+// BenchKNNCursor is the shared kNN micro-benchmark every index package
+// runs: build once, then measure kNN query latency through a reused cursor
+// and caller-owned buffer — the allocation-free hot path the
+// materialization step runs on — over clustered data at a spread of sizes
+// and dimensionalities.
 func BenchKNNCursor(b *testing.B, build Builder) {
 	b.Helper()
 	for _, cfg := range []struct{ n, dim, k int }{

@@ -1,6 +1,7 @@
 // Package indextest provides the contract test every index implementation
-// must pass: on random datasets, KNN and Range results must match the
-// sequential scan exactly, including tie handling and self-exclusion.
+// must pass: on random datasets, kNN and range queries through a cursor
+// must match the sequential scan exactly, including tie handling and
+// self-exclusion.
 package indextest
 
 import (
@@ -97,9 +98,9 @@ func Run(t *testing.T, build Builder) {
 		}
 
 		// One cursor and one destination buffer serve every query of the
-		// trial: cursor results must match the legacy methods bit for bit,
-		// and appending must leave the existing prefix of dst untouched.
+		// trial: appending must leave the existing prefix of dst untouched.
 		cur := index.NewCursor(ix)
+		refCur := ref.NewCursor()
 		if cur.Index() != index.Index(ix) {
 			t.Fatalf("trial %d: cursor.Index() does not return its index", trial)
 		}
@@ -121,46 +122,37 @@ func Run(t *testing.T, build Builder) {
 				}
 			}
 			k := 1 + rng.Intn(12)
-			got := ix.KNN(q, k, exclude)
-			want := ref.KNN(q, k, exclude)
-			if !neighborsEqual(got, want) {
-				t.Fatalf("trial %d query %d: KNN(k=%d, exclude=%d, metric=%s, n=%d, dim=%d)\n got %v\nwant %v",
-					trial, qi, k, exclude, m.Name(), n, dim, got, want)
-			}
-
-			// Cursor path: identical results, appended after an intact
-			// prefix, through the cursor reused across every query.
+			want := refCur.KNNInto(nil, q, k, exclude)
 			dst = append(dst[:0], sentinel)
 			dst = cur.KNNInto(dst, q, k, exclude)
 			if dst[0] != sentinel {
 				t.Fatalf("trial %d query %d: KNNInto clobbered dst prefix: %v", trial, qi, dst[0])
 			}
-			if !exactEqual(dst[1:], got) {
-				t.Fatalf("trial %d query %d: KNNInto(k=%d, exclude=%d, metric=%s)\n got %v\nwant %v",
-					trial, qi, k, exclude, m.Name(), dst[1:], got)
+			if !neighborsEqual(dst[1:], want) {
+				t.Fatalf("trial %d query %d: KNNInto(k=%d, exclude=%d, metric=%s, n=%d, dim=%d)\n got %v\nwant %v",
+					trial, qi, k, exclude, m.Name(), n, dim, dst[1:], want)
 			}
 
 			r := rng.Float64() * 15
-			gotR := ix.Range(q, r, exclude)
-			wantR := ref.Range(q, r, exclude)
-			if !neighborsEqual(gotR, wantR) {
-				t.Fatalf("trial %d query %d: Range(r=%v, exclude=%d, metric=%s, n=%d, dim=%d)\n got %v\nwant %v",
-					trial, qi, r, exclude, m.Name(), n, dim, gotR, wantR)
-			}
+			wantR := refCur.RangeInto(nil, q, r, exclude)
 			dst = append(dst[:0], sentinel)
 			dst = cur.RangeInto(dst, q, r, exclude)
 			if dst[0] != sentinel {
 				t.Fatalf("trial %d query %d: RangeInto clobbered dst prefix: %v", trial, qi, dst[0])
 			}
-			if !exactEqual(dst[1:], gotR) {
-				t.Fatalf("trial %d query %d: RangeInto(r=%v, exclude=%d, metric=%s)\n got %v\nwant %v",
-					trial, qi, r, exclude, m.Name(), dst[1:], gotR)
+			if !neighborsEqual(dst[1:], wantR) {
+				t.Fatalf("trial %d query %d: RangeInto(r=%v, exclude=%d, metric=%s, n=%d, dim=%d)\n got %v\nwant %v",
+					trial, qi, r, exclude, m.Name(), n, dim, dst[1:], wantR)
 			}
 
 			// The tie-inclusive neighborhood must contain the plain kNN
 			// set and every member must be within the k-distance.
-			ties := index.KNNWithTies(ix, q, k, exclude)
-			if len(want) > 0 && len(ties) >= len(want) {
+			dst = append(dst[:0], sentinel)
+			dst = index.KNNWithTiesInto(cur, dst, q, k, exclude)
+			if dst[0] != sentinel {
+				t.Fatalf("trial %d query %d: KNNWithTiesInto clobbered dst prefix: %v", trial, qi, dst[0])
+			}
+			if ties := dst[1:]; len(want) > 0 {
 				kdist := want[len(want)-1].Dist
 				for _, nb := range ties {
 					if nb.Dist > kdist+1e-9 {
@@ -171,21 +163,11 @@ func Run(t *testing.T, build Builder) {
 					t.Fatalf("trial %d: ties %d < knn %d", trial, len(ties), len(want))
 				}
 			}
-			dst = append(dst[:0], sentinel)
-			dst = index.KNNWithTiesInto(cur, dst, q, k, exclude)
-			if dst[0] != sentinel {
-				t.Fatalf("trial %d query %d: KNNWithTiesInto clobbered dst prefix: %v", trial, qi, dst[0])
-			}
-			if !exactEqual(dst[1:], ties) {
-				t.Fatalf("trial %d query %d: KNNWithTiesInto(k=%d, exclude=%d, metric=%s)\n got %v\nwant %v",
-					trial, qi, k, exclude, m.Name(), dst[1:], ties)
-			}
 		}
 	}
 }
 
-// exactEqual is bitwise equality — the cursor path must not merely be
-// close to the legacy path, it must be the same computation.
+// exactEqual is bitwise equality.
 func exactEqual(a, b []index.Neighbor) bool {
 	if len(a) != len(b) {
 		return false
@@ -204,47 +186,32 @@ func RunEdgeCases(t *testing.T, build Builder) {
 	t.Helper()
 	m := geom.Euclidean{}
 
-	empty := geom.NewPoints(2, 0)
-	ix := build(empty, m)
-	if got := ix.KNN(geom.Point{0, 0}, 3, index.ExcludeNone); len(got) != 0 {
-		t.Fatalf("empty KNN=%v", got)
+	empty := index.NewCursor(build(geom.NewPoints(2, 0), m))
+	if got := empty.KNNInto(nil, geom.Point{0, 0}, 3, index.ExcludeNone); len(got) != 0 {
+		t.Fatalf("empty KNNInto=%v", got)
 	}
-	if got := ix.Range(geom.Point{0, 0}, 5, index.ExcludeNone); len(got) != 0 {
-		t.Fatalf("empty Range=%v", got)
+	if got := empty.RangeInto(nil, geom.Point{0, 0}, 5, index.ExcludeNone); len(got) != 0 {
+		t.Fatalf("empty RangeInto=%v", got)
 	}
 
 	one, err := geom.FromRows([]geom.Point{{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix = build(one, m)
-	if got := ix.KNN(geom.Point{0, 0}, 5, index.ExcludeNone); len(got) != 1 || got[0].Index != 0 {
-		t.Fatalf("single-point KNN=%v", got)
+	cur := index.NewCursor(build(one, m))
+	if got := cur.KNNInto(nil, geom.Point{0, 0}, 5, index.ExcludeNone); len(got) != 1 || got[0].Index != 0 {
+		t.Fatalf("single-point KNNInto=%v", got)
 	}
-	if got := ix.KNN(geom.Point{1, 1}, 5, 0); len(got) != 0 {
-		t.Fatalf("self-excluded single-point KNN=%v", got)
-	}
-	if got := ix.KNN(geom.Point{0, 0}, 0, index.ExcludeNone); len(got) != 0 {
-		t.Fatalf("k=0 KNN=%v", got)
-	}
-	if got := ix.Range(geom.Point{0, 0}, -1, index.ExcludeNone); len(got) != 0 {
-		t.Fatalf("negative-radius Range=%v", got)
+	if got := cur.KNNInto(nil, geom.Point{1, 1}, 5, 0); len(got) != 0 {
+		t.Fatalf("self-excluded single-point KNNInto=%v", got)
 	}
 	// Zero radius at an exact point location includes that point.
-	if got := ix.Range(geom.Point{1, 1}, 0, index.ExcludeNone); len(got) != 1 {
-		t.Fatalf("zero-radius Range=%v", got)
+	if got := cur.RangeInto(nil, geom.Point{1, 1}, 0, index.ExcludeNone); len(got) != 1 {
+		t.Fatalf("zero-radius RangeInto=%v", got)
 	}
 
-	// Cursor edge cases: degenerate queries must leave dst untouched, and
-	// the cursor must stay usable after them.
-	emptyCur := index.NewCursor(build(empty, m))
-	if got := emptyCur.KNNInto(nil, geom.Point{0, 0}, 3, index.ExcludeNone); len(got) != 0 {
-		t.Fatalf("empty cursor KNNInto=%v", got)
-	}
-	if got := emptyCur.RangeInto(nil, geom.Point{0, 0}, 5, index.ExcludeNone); len(got) != 0 {
-		t.Fatalf("empty cursor RangeInto=%v", got)
-	}
-	cur := index.NewCursor(ix)
+	// Degenerate queries (k <= 0, negative radius) must leave dst
+	// untouched, and the cursor must stay usable after them.
 	prefix := []index.Neighbor{{Index: 9, Dist: 9}}
 	if got := cur.KNNInto(prefix, geom.Point{0, 0}, 0, index.ExcludeNone); len(got) != 1 || got[0] != prefix[0] {
 		t.Fatalf("k=0 KNNInto=%v", got)

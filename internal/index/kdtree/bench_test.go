@@ -6,6 +6,5 @@ import (
 	"lof/internal/index/indextest"
 )
 
-func BenchmarkKNN(b *testing.B)       { indextest.BenchKNN(b, build) }
 func BenchmarkKNNCursor(b *testing.B) { indextest.BenchKNNCursor(b, build) }
 func BenchmarkBuild(b *testing.B)     { indextest.BenchBuild(b, build) }

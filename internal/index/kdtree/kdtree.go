@@ -214,14 +214,3 @@ func (c *Cursor) rangeQuery(n *node, q geom.Point, r float64, exclude int) {
 		c.rangeQuery(far, q, r, exclude)
 	}
 }
-
-// KNN returns the k nearest neighbors of q via a fresh cursor; hot paths
-// should reuse a cursor.
-func (ix *Index) KNN(q geom.Point, k int, exclude int) []index.Neighbor {
-	return ix.NewCursor().KNNInto(nil, q, k, exclude)
-}
-
-// Range returns all points within distance r of q via a fresh cursor.
-func (ix *Index) Range(q geom.Point, r float64, exclude int) []index.Neighbor {
-	return ix.NewCursor().RangeInto(nil, q, r, exclude)
-}

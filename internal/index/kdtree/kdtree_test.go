@@ -26,7 +26,7 @@ func TestKDTreeAllDuplicatePoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := kdtree.New(pts, nil)
-	got := ix.KNN(geom.Point{5, 5}, 3, 0)
+	got := ix.NewCursor().KNNInto(nil, geom.Point{5, 5}, 3, 0)
 	if len(got) != 3 {
 		t.Fatalf("KNN=%v", got)
 	}
@@ -46,7 +46,7 @@ func TestKDTreeConstantAxis(t *testing.T) {
 		}
 	}
 	ix := kdtree.New(pts, nil)
-	got := ix.KNN(geom.Point{100, 7}, 2, 100)
+	got := ix.NewCursor().KNNInto(nil, geom.Point{100, 7}, 2, 100)
 	if len(got) != 2 {
 		t.Fatalf("KNN=%v", got)
 	}

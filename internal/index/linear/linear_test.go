@@ -13,7 +13,7 @@ func build(pts *geom.Points, m geom.Metric) index.Index { return linear.New(pts,
 
 // The linear scan is the reference, so the contract run checks it against
 // itself — still worthwhile, because it exercises the tie and exclusion
-// plumbing and the KNNWithTies invariants.
+// plumbing and the KNNWithTiesInto invariants.
 func TestLinearContract(t *testing.T)  { indextest.Run(t, build) }
 func TestLinearEdgeCases(t *testing.T) { indextest.RunEdgeCases(t, build) }
 func TestLinearZeroAlloc(t *testing.T) { indextest.RunZeroAlloc(t, build) }
@@ -24,14 +24,14 @@ func TestLinearKnownAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := linear.New(pts, nil) // nil metric defaults to Euclidean
-	got := ix.KNN(geom.Point{0, 0}, 2, 0)
+	got := ix.NewCursor().KNNInto(nil, geom.Point{0, 0}, 2, 0)
 	if len(got) != 2 || got[0].Index != 1 || got[1].Index != 2 {
 		t.Fatalf("KNN=%v", got)
 	}
 	if got[0].Dist != 1 || got[1].Dist != 2 {
 		t.Fatalf("dists=%v", got)
 	}
-	r := ix.Range(geom.Point{0, 0}, 2, index.ExcludeNone)
+	r := ix.NewCursor().RangeInto(nil, geom.Point{0, 0}, 2, index.ExcludeNone)
 	if len(r) != 3 {
 		t.Fatalf("Range=%v", r)
 	}
@@ -50,7 +50,7 @@ func TestLinearTieInclusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := linear.New(pts, geom.Euclidean{})
-	nn := index.KNNWithTies(ix, pts.At(0), 4, 0)
+	nn := index.KNNWithTiesInto(ix.NewCursor(), nil, pts.At(0), 4, 0)
 	if len(nn) != 6 {
 		t.Fatalf("|N4| = %d, want 6 (paper's Definition 4 example): %v", len(nn), nn)
 	}

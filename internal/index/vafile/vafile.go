@@ -265,14 +265,3 @@ func (c *Cursor) RangeInto(dst []index.Neighbor, q geom.Point, r float64, exclud
 	c.sorter.Sort(dst[start:])
 	return dst
 }
-
-// KNN returns the exact k nearest neighbors of q via a fresh cursor; hot
-// paths should reuse a cursor.
-func (ix *Index) KNN(q geom.Point, k int, exclude int) []index.Neighbor {
-	return ix.NewCursor().KNNInto(nil, q, k, exclude)
-}
-
-// Range returns all points within distance r of q via a fresh cursor.
-func (ix *Index) Range(q geom.Point, r float64, exclude int) []index.Neighbor {
-	return ix.NewCursor().RangeInto(nil, q, r, exclude)
-}

@@ -84,8 +84,8 @@ func TestVAFileCoarseQuantizationStillExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := geom.Point{3.5, 2.2, 1.1}
-	a := coarse.KNN(q, 7, index.ExcludeNone)
-	b := fine.KNN(q, 7, index.ExcludeNone)
+	a := coarse.NewCursor().KNNInto(nil, q, 7, index.ExcludeNone)
+	b := fine.NewCursor().KNNInto(nil, q, 7, index.ExcludeNone)
 	if len(a) != len(b) {
 		t.Fatalf("len %d vs %d", len(a), len(b))
 	}

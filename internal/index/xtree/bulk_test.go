@@ -48,8 +48,8 @@ func TestBulkLoadAgreesWithInsertionBuild(t *testing.T) {
 	b := xtree.BulkLoad(pts, nil)
 	for q := 0; q < 40; q++ {
 		query := geom.Point{rng.NormFloat64() * 2, rng.NormFloat64() * 2, rng.NormFloat64() * 2}
-		ra := a.KNN(query, 7, index.ExcludeNone)
-		rb := b.KNN(query, 7, index.ExcludeNone)
+		ra := a.NewCursor().KNNInto(nil, query, 7, index.ExcludeNone)
+		rb := b.NewCursor().KNNInto(nil, query, 7, index.ExcludeNone)
 		if len(ra) != len(rb) {
 			t.Fatalf("lengths differ: %d vs %d", len(ra), len(rb))
 		}

@@ -494,14 +494,3 @@ func (c *Cursor) rangeQuery(n *node, qp geom.Point, r float64, exclude int) {
 		c.rangeQuery(ch, qp, r, exclude)
 	}
 }
-
-// KNN returns the k nearest neighbors of q via a fresh cursor; hot paths
-// should reuse a cursor.
-func (ix *Index) KNN(qp geom.Point, k int, exclude int) []index.Neighbor {
-	return ix.NewCursor().KNNInto(nil, qp, k, exclude)
-}
-
-// Range returns all points within distance r of q via a fresh cursor.
-func (ix *Index) Range(qp geom.Point, r float64, exclude int) []index.Neighbor {
-	return ix.NewCursor().RangeInto(nil, qp, r, exclude)
-}

@@ -63,7 +63,7 @@ func TestXTreeDuplicateHeavy(t *testing.T) {
 		}
 	}
 	ix := xtree.New(pts, nil)
-	got := ix.KNN(geom.Point{0, 0}, 5, index.ExcludeNone)
+	got := ix.NewCursor().KNNInto(nil, geom.Point{0, 0}, 5, index.ExcludeNone)
 	if len(got) != 5 {
 		t.Fatalf("KNN=%v", got)
 	}

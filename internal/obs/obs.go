@@ -1,7 +1,7 @@
 // Package obs is the stdlib-only observability substrate for the LOF
 // pipeline: nestable phase tracing with fixed-bucket latency histograms
-// and named counters, plus Prometheus text-format exposition helpers used
-// by the HTTP server.
+// and named counters, plus the metric registry and Prometheus text-format
+// exposition behind the /metrics endpoints of lofserve and lofcoord.
 //
 // The paper's entire Section 7 evaluation is a performance story — index
 // build vs. kNN materialization vs. the per-MinPts two-scan LOF step —
@@ -68,9 +68,6 @@ const (
 	// CounterCursorReuse counts queries served by a reused cursor (every
 	// query after a cursor's first), the allocation-free path.
 	CounterCursorReuse = "cursor_reuse_total"
-	// CounterCursorMisses counts queries that went through the legacy
-	// KNN/Range shims, each building a throwaway cursor.
-	CounterCursorMisses = "cursor_miss_total"
 	// CounterPoolTasks counts parallel regions entered on the worker pool.
 	CounterPoolTasks = "pool_tasks_total"
 	// CounterPoolChunks counts chunks dispatched across those regions.

@@ -137,7 +137,7 @@ func TestCoreDistancesMatchKDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < pts.Len(); i++ {
-		nn := ix.KNN(pts.At(i), minPts, i)
+		nn := ix.NewCursor().KNNInto(nil, pts.At(i), minPts, i)
 		want := nn[len(nn)-1].Dist
 		if math.Abs(res.Core[i]-want) > 1e-12 {
 			t.Fatalf("core[%d]=%v want %v", i, res.Core[i], want)

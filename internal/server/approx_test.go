@@ -153,59 +153,42 @@ func TestScoreModeCoreset(t *testing.T) {
 	}
 }
 
-// TestDegradedPrefersCoreset: the degraded fallback chain is coreset →
-// stride subsample → full. With both derived models installed, degraded
-// answers must come from the coreset (checked by score identity), and with
-// the coreset disabled, from the stride subsample.
+// TestDegradedPrefersCoreset: degraded and coreset requests both answer
+// from the one coreset model, bit for bit what its ScoreBatch returns, and
+// report the mode that was asked for.
 func TestDegradedPrefersCoreset(t *testing.T) {
 	m := approxModel(t, 300)
-	q := [][]float64{{0.3, -0.1}}
+	q := [][]float64{{0.3, -0.1}, {60, 60}}
 	coreset, err := m.Coreset(128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stride, err := m.Subsample(128)
+	want, err := coreset.ScoreBatch(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCoreset, err := coreset.ScoreBatch(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStride, err := stride.ScoreBatch(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(wantCoreset[0]) == math.Float64bits(wantStride[0]) {
-		t.Fatal("test needs coreset and stride models that disagree on the probe query")
-	}
-
-	score := func(srv *Server) approxScoreOut {
-		t.Helper()
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/score?mode=degraded",
+	srv := New(Config{CoresetSample: 128})
+	srv.SetModel(m)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, mode := range []string{"degraded", "coreset"} {
+		resp, raw := postJSON(t, ts.Client(), ts.URL+"/v1/score?mode="+mode,
 			map[string]interface{}{"queries": q})
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d body %s", resp.StatusCode, raw)
+			t.Fatalf("%s: status %d body %s", mode, resp.StatusCode, raw)
 		}
 		var out approxScoreOut
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-
-	both := New(Config{DegradedSample: 128, CoresetSample: 128})
-	both.SetModel(m)
-	if out := score(both); out.Mode != "degraded" || math.Float64bits(out.Scores[0]) != math.Float64bits(wantCoreset[0]) {
-		t.Fatalf("degraded with both models served %v (mode %q), want coreset score %v", out.Scores[0], out.Mode, wantCoreset[0])
-	}
-
-	noCoreset := New(Config{DegradedSample: 128, CoresetSample: -1})
-	noCoreset.SetModel(m)
-	if out := score(noCoreset); out.Mode != "degraded" || math.Float64bits(out.Scores[0]) != math.Float64bits(wantStride[0]) {
-		t.Fatalf("degraded without coreset served %v (mode %q), want stride score %v", out.Scores[0], out.Mode, wantStride[0])
+		if out.Mode != mode {
+			t.Fatalf("%s request served as mode %q", mode, out.Mode)
+		}
+		for i := range want {
+			if math.Float64bits(out.Scores[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s query %d scored %v, want the coreset's %v", mode, i, out.Scores[i], want[i])
+			}
+		}
 	}
 }
 

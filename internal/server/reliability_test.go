@@ -57,9 +57,9 @@ func holdFirstScore(t *testing.T) (entered, release chan struct{}) {
 
 // TestDegradedMode covers the graceful-degradation path: opt-in
 // approximate scoring, reserve admission when the main limiter is full,
-// Retry-After on sheds, and the degraded metrics counter.
+// Retry-After on sheds, and the degraded mode count.
 func TestDegradedMode(t *testing.T) {
-	srv := New(Config{MaxInFlight: 1, DegradedSample: 32})
+	srv := New(Config{MaxInFlight: 1, CoresetSample: 32})
 	srv.SetModel(fitModel(t, 200))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -135,24 +135,25 @@ func TestDegradedMode(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	// The Prometheus view exposes the degraded counter.
+	// The Prometheus view counts the degraded responses by mode.
 	resp, err := client.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	counters, _ := parsePromText(t, readBody(t, resp))
-	if got := counters["lof_http_degraded_total"]; got < 2 {
-		t.Errorf("lof_http_degraded_total = %d, want ≥2", got)
+	if got := counters[`lof_http_score_mode_total{mode="degraded"}`]; got < 2 {
+		t.Errorf("lof_http_score_mode_total{mode=\"degraded\"} = %d, want ≥2", got)
 	}
 	if got := counters["lof_http_shed_total"]; got != 1 {
 		t.Errorf("lof_http_shed_total = %d, want 1", got)
 	}
 }
 
-// TestDegradedDisabled: a negative DegradedSample turns the feature off;
-// opting in still succeeds, served exactly by the full model.
+// TestDegradedDisabled: a negative CoresetSample turns the approximate
+// model off; opting into degraded mode still succeeds, served exactly by
+// the full model.
 func TestDegradedDisabled(t *testing.T) {
-	srv := New(Config{DegradedSample: -1})
+	srv := New(Config{CoresetSample: -1})
 	srv.SetModel(fitModel(t, 120))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -191,7 +192,7 @@ func TestGracefulDrainUnderFit(t *testing.T) {
 	client := &http.Client{}
 	fitDone := make(chan int, 1)
 	go func() {
-		resp, _ := postJSON(t, client, base+"/v1/fit", fitRequest{
+		resp, _ := postJSON(t, client, base+"/v1/fit", FitRequest{
 			Config: FitConfig{MinPtsLB: 3, MinPtsUB: 6},
 			Data:   testData(rand.New(rand.NewSource(10)), 80),
 		})

@@ -2,17 +2,19 @@
 // posted data, score out-of-sample query points against the current model,
 // and expose health and metrics endpoints. It is stdlib-only and built for
 // serving traffic: a concurrency limiter sheds excess load with 429s, every
-// request runs under a timeout, the model is swapped atomically so scoring
-// never blocks behind a refit, and expvar-style counters track request
-// volume, latency and batch sizes.
+// request runs under a timeout, and the model is swapped atomically so
+// scoring never blocks behind a refit. The request path, error bodies and
+// metric registry are the front end it shares with lofcoord
+// (internal/front).
 //
 // Endpoints:
 //
 //	POST /v1/fit              {"config": {...}, "data": [[...], ...]}
 //	POST /v1/score            {"queries": [[...], ...]}; ?mode= full (default),
 //	                          pruned (bound-certified fast path), coreset
-//	                          (sensitivity-sampled model), degraded (best
-//	                          available approximation under load)
+//	                          (sensitivity-sampled model), degraded (the
+//	                          coreset, admitted through the reserve pool
+//	                          under load)
 //	GET  /v1/model            current model summary
 //	POST /v1/shard/snapshot   install a pushed shard partition (octet-stream)
 //	POST /v1/shard/candidates per-partition kNN candidates (shard role)
@@ -29,7 +31,7 @@
 //	                          while a snapshot swap is in flight
 //	GET  /metrics             Prometheus text format: per-route latency
 //	                          histograms, request counts by status code, gauges
-//	GET  /metrics.json        the pre-Prometheus JSON counter view (expvar vars)
+//	GET  /v1/debug/traces     recorded trace spans (404 with tracing off)
 //
 // Every request gets an ID (honoring an inbound X-Request-ID), echoed in
 // the X-Request-ID response header, included in error response bodies, and
@@ -37,22 +39,16 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"expvar"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lof"
+	"lof/internal/front"
 	"lof/internal/obs"
 	"lof/internal/shard"
 	"lof/internal/stream"
@@ -73,14 +69,10 @@ type Config struct {
 	// MaxBatch bounds the number of query points per score request.
 	// Default 100000.
 	MaxBatch int
-	// DegradedSample sizes the subsampled approximate model maintained
-	// alongside each installed model for degraded-mode serving (see
-	// Model.Subsample). Zero means 2048; negative disables degraded mode.
-	DegradedSample int
 	// CoresetSample sizes the sensitivity-sampled approximate model (see
-	// Model.Coreset) maintained alongside each installed model for
-	// ?mode=coreset serving; ?mode=degraded prefers it over the stride
-	// subsample. Zero means 2048; negative disables coreset serving.
+	// Model.Coreset) maintained alongside each installed model, which
+	// answers ?mode=coreset and ?mode=degraded. Zero means 2048; negative
+	// disables it, and both modes then answer from the full model.
 	CoresetSample int
 	// PruneEps is the certification half-width of ?mode=pruned serving:
 	// queries whose LOF provably lies in [1/(1+eps), 1+eps] answer 1 without
@@ -118,9 +110,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 100000
 	}
-	if c.DegradedSample == 0 {
-		c.DegradedSample = 2048
-	}
 	if c.CoresetSample == 0 {
 		c.CoresetSample = 2048
 	}
@@ -136,110 +125,37 @@ func (c Config) withDefaults() Config {
 	if c.MaxSnapshotBytes <= 0 {
 		c.MaxSnapshotBytes = 1 << 30
 	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	return c
 }
 
-// metrics are expvar variables deliberately not published to the global
-// expvar registry, so multiple servers (tests, embedding) can coexist in
-// one process; the /metrics.json handler serves them directly.
+// metrics are the server's own families, declared once in the front
+// end's registry next to the route and trace families.
 type metrics struct {
-	requests    expvar.Map // per-route completed request counts
-	latencyUS   expvar.Map // per-route summed handler latency, microseconds
-	batchPoints expvar.Int // total query points scored
-	fitPoints   expvar.Int // total data points fitted
-	inFlight    expvar.Int // gauge: requests currently being served
-	shed        expvar.Int // requests rejected by the concurrency limiter
-	degraded    expvar.Int // score responses served from the degraded model
-	scoreModes  expvar.Map // score responses by the mode that actually served
-	certified   expvar.Int // pruned-mode queries answered from the bound certificate
-	snapshots   expvar.Int // shard snapshots installed
-	stale       expvar.Int // shard data requests refused for version mismatch
+	inFlight    atomic.Int64 // gauge: requests currently being served
+	shed        *atomic.Int64
+	scoreModes  map[string]*atomic.Int64 // score responses by the mode that actually served
+	certified   *atomic.Int64
+	snapshots   *atomic.Int64
+	stale       *atomic.Int64
+	fitPoints   *atomic.Int64
+	scorePoints *atomic.Int64
 
-	streamBatches expvar.Int // stream push batches applied
-	streamInserts expvar.Int // points inserted through the stream
-	streamExpired expvar.Int // points expired by window bounds
-	streamFreezes expvar.Int // stream windows frozen into batch models
-}
-
-// routeStats is the Prometheus-facing per-route view: a latency histogram
-// (replacing the summed-microseconds map, which supported no percentile
-// estimates) and request counts keyed by status code.
-type routeStats struct {
-	latency *obs.Histogram
-	mu      sync.Mutex
-	byCode  map[int]int64
-	// slowest and slowTrace link the route's worst observed latency to its
-	// trace — the exemplar that lets an operator jump from the histogram's
-	// top bucket straight to /v1/debug/traces. slowTrace is empty until a
-	// traced request tops the route.
-	slowest   time.Duration
-	slowTrace string
-}
-
-func newRouteStats() *routeStats {
-	return &routeStats{
-		latency: obs.NewHistogram(obs.DefaultLatencyBuckets),
-		byCode:  make(map[int]int64),
-	}
-}
-
-func (rs *routeStats) record(code int, d time.Duration, traceID string) {
-	rs.latency.Observe(d)
-	rs.mu.Lock()
-	rs.byCode[code]++
-	if d > rs.slowest && traceID != "" {
-		rs.slowest = d
-		rs.slowTrace = traceID
-	}
-	rs.mu.Unlock()
-}
-
-// exemplar returns the slowest traced latency and its trace ID, ok when a
-// traced request has been recorded.
-func (rs *routeStats) exemplar() (time.Duration, string, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.slowest, rs.slowTrace, rs.slowTrace != ""
-}
-
-// codes returns the observed status codes in ascending order with counts.
-func (rs *routeStats) codes() ([]int, map[int]int64) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make(map[int]int64, len(rs.byCode))
-	keys := make([]int, 0, len(rs.byCode))
-	for c, n := range rs.byCode {
-		out[c] = n
-		keys = append(keys, c)
-	}
-	sort.Ints(keys)
-	return keys, out
-}
-
-// metricRoutes fixes the exposition order of per-route series.
-var metricRoutes = []string{
-	"/v1/fit", "/v1/score", "/v1/model",
-	"/v1/shard/snapshot", "/v1/shard/candidates", "/v1/shard/rows",
-	"/v1/shard/kdists",
-	"/v1/stream/init", "/v1/stream", "/v1/stream/score",
-	"/v1/stream/lofs", "/v1/stream/stats", "/v1/stream/freeze",
+	streamBatches *atomic.Int64
+	streamInserts *atomic.Int64
+	streamExpired *atomic.Int64
+	streamFreezes *atomic.Int64
 }
 
 // Server is the HTTP serving state: the current model plus limits and
 // counters. Create with New, expose with Handler.
 type Server struct {
-	cfg      Config
-	model    atomic.Pointer[lof.Model]
-	degraded atomic.Pointer[lof.Model]
+	cfg   Config
+	model atomic.Pointer[lof.Model]
 	// coreset is the sensitivity-sampled approximate model derived at
-	// SetModel time; ?mode=coreset serves from it, and ?mode=degraded
-	// prefers it over the stride subsample.
+	// SetModel time; ?mode=coreset and ?mode=degraded serve from it.
 	coreset atomic.Pointer[lof.Model]
 	// part is the installed shard partition when this process serves as one
 	// shard of a scatter-gather tier; version mirrors the snapshot version
@@ -256,12 +172,12 @@ type Server struct {
 	stream  atomic.Pointer[stream.Pipeline]
 	limiter chan struct{}
 	// degradedLimiter is a small reserve pool: when the main limiter is
-	// full, score requests that opted into ?mode=degraded may still be
+	// full, score requests that opted into an approximate mode may still be
 	// admitted through it, trading accuracy for availability instead of
 	// being shed.
 	degradedLimiter chan struct{}
+	front           *front.Front
 	m               metrics
-	routes          map[string]*routeStats
 }
 
 // testHookScoreStart, when non-nil, runs at the start of every score
@@ -282,213 +198,97 @@ func New(cfg Config) *Server {
 		limiter:         make(chan struct{}, cfg.MaxInFlight),
 		degradedLimiter: make(chan struct{}, cfg.DegradedMaxInFlight),
 	}
-	s.m.requests.Init()
-	s.m.latencyUS.Init()
-	s.m.scoreModes.Init()
-	// Pre-seed every mode so the exposition is deterministic from the first
-	// scrape — expvar.Map iterates sorted, and the metrics lint relies on a
-	// stable family shape.
-	for _, mode := range []string{modeFull, modePruned, modeCoreset, modeDegraded} {
-		s.m.scoreModes.Add(mode, 0)
-	}
-	s.routes = make(map[string]*routeStats, len(metricRoutes))
-	for _, route := range metricRoutes {
-		s.routes[route] = newRouteStats()
-	}
+	s.front = front.New(front.Config{Prefix: "lof_http_", Logger: cfg.Logger, Trace: cfg.Trace, Admit: s.admit})
+	s.declareMetrics(s.front.Metrics)
+	f := s.front
+	f.Handle("POST /v1/fit", s.handleFit)
+	f.Handle("POST /v1/score", s.handleScore)
+	f.Handle("GET /v1/model", s.handleModel)
+	f.Handle("POST /v1/shard/snapshot", s.handleShardSnapshot)
+	f.Handle("POST /v1/shard/candidates", s.handleShardCandidates)
+	f.Handle("POST /v1/shard/rows", s.handleShardRows)
+	f.Handle("POST /v1/shard/kdists", s.handleShardKDists)
+	f.Handle("POST /v1/stream/init", s.handleStreamInit)
+	f.Handle("POST /v1/stream", s.handleStreamPush)
+	f.Handle("POST /v1/stream/score", s.handleStreamScore)
+	f.Handle("GET /v1/stream/lofs", s.handleStreamLOFs)
+	f.Handle("GET /v1/stream/stats", s.handleStreamStats)
+	f.Handle("POST /v1/stream/freeze", s.handleStreamFreeze)
+	f.HandleFunc("GET /healthz", s.handleHealthz)
+	f.HandleFunc("GET /readyz", s.handleReadyz)
 	return s
 }
 
 // SetModel installs m as the serving model, replacing any previous one.
 // In-flight requests finish against the model they started with. When
-// approximate serving is enabled, a stride-subsampled model (degraded
-// mode) and a sensitivity-sampled coreset model (coreset mode, preferred
-// by degraded mode) are derived from m — synchronously; both refits are
-// small — and installed alongside it; if a derivation fails, requests for
-// that mode fall back per the mode's fallback chain rather than erroring.
+// coreset serving is enabled, a sensitivity-sampled coreset model is
+// derived from m — synchronously; the refit is small — and installed
+// alongside it; if the derivation fails, approximate requests fall back
+// to m rather than erroring.
 func (s *Server) SetModel(m *lof.Model) {
 	s.model.Store(m)
 	// Installing a model is a state change the readiness report must
 	// reflect; each install gets a fresh (monotonic, process-local) version.
 	s.version.Add(1)
-	s.degraded.Store(nil)
 	s.coreset.Store(nil)
-	if m == nil {
+	if m == nil || s.cfg.CoresetSample < 0 {
 		return
 	}
-	if s.cfg.DegradedSample >= 0 {
-		if d, err := m.Subsample(s.cfg.DegradedSample); err == nil {
-			s.degraded.Store(d)
-		}
-	}
-	if s.cfg.CoresetSample >= 0 {
-		if c, err := m.Coreset(s.cfg.CoresetSample); err == nil {
-			s.coreset.Store(c)
-		}
+	if c, err := m.Coreset(s.cfg.CoresetSample); err == nil {
+		s.coreset.Store(c)
 	}
 }
 
 // Model returns the current serving model, or nil when none is installed.
 func (s *Server) Model() *lof.Model { return s.model.Load() }
 
-// Handler returns the full route table wrapped with the limiter, metrics
-// and timeout middleware.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("POST /v1/fit", s.wrap("/v1/fit", s.handleFit))
-	mux.Handle("POST /v1/score", s.wrap("/v1/score", s.handleScore))
-	mux.Handle("GET /v1/model", s.wrap("/v1/model", s.handleModel))
-	mux.Handle("POST /v1/shard/snapshot", s.wrap("/v1/shard/snapshot", s.handleShardSnapshot))
-	mux.Handle("POST /v1/shard/candidates", s.wrap("/v1/shard/candidates", s.handleShardCandidates))
-	mux.Handle("POST /v1/shard/rows", s.wrap("/v1/shard/rows", s.handleShardRows))
-	mux.Handle("POST /v1/shard/kdists", s.wrap("/v1/shard/kdists", s.handleShardKDists))
-	mux.Handle("POST /v1/stream/init", s.wrap("/v1/stream/init", s.handleStreamInit))
-	mux.Handle("POST /v1/stream", s.wrap("/v1/stream", s.handleStreamPush))
-	mux.Handle("POST /v1/stream/score", s.wrap("/v1/stream/score", s.handleStreamScore))
-	mux.Handle("GET /v1/stream/lofs", s.wrap("/v1/stream/lofs", s.handleStreamLOFs))
-	mux.Handle("GET /v1/stream/stats", s.wrap("/v1/stream/stats", s.handleStreamStats))
-	mux.Handle("POST /v1/stream/freeze", s.wrap("/v1/stream/freeze", s.handleStreamFreeze))
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
-	// Unwrapped like /metrics: the debug read must stay available when the
-	// limiter is saturated — that is exactly when someone is reading traces.
-	mux.Handle("GET /v1/debug/traces", trace.DebugHandler(s.cfg.Trace))
-	return mux
-}
-
-// requestInfo is the per-request observability record carried through the
-// context: the request ID for error bodies and logs, and the batch size
-// reported by the handler. Batch is atomic because the handler may run on
-// the timeout middleware's goroutine while the logging wrapper reads it
-// from the serving goroutine after a timeout.
-type requestInfo struct {
-	id    string
-	batch atomic.Int64
-}
-
-type requestInfoKey struct{}
-
-// infoFromContext returns the request's info record, nil outside wrap.
-func infoFromContext(ctx context.Context) *requestInfo {
-	info, _ := ctx.Value(requestInfoKey{}).(*requestInfo)
-	return info
-}
-
-// requestID picks the inbound X-Request-ID or mints a fresh one; the
-// logic lives in internal/trace so the coordinator assigns IDs the same
-// way.
-func requestID(r *http.Request) string {
-	return trace.IncomingRequestID(r)
-}
+// Handler returns the route table behind the shared front end.
+func (s *Server) Handler() http.Handler { return s.front }
 
 // now reads the configured server clock (time.Now unless a test injected
 // a fake).
 func (s *Server) now() time.Time { return s.cfg.Now() }
 
-// statusWriter records the response status code. The timeout middleware
-// serializes writes on the serving goroutine, so no lock is needed.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// wrap applies, outside-in: request-ID assignment, trace-span start and
-// traceparent continuation, concurrency shedding, in-flight accounting,
-// request timeout, per-route histograms and counters, and the one
-// structured log line per request.
-func (s *Server) wrap(route string, h http.HandlerFunc) http.Handler {
-	timed := http.TimeoutHandler(h, s.cfg.RequestTimeout, `{"error":"request timed out"}`)
-	rs := s.routes[route]
+// admit is the front end's admission hook: concurrency shedding with the
+// reserve pool for approximate score requests, in-flight accounting, and
+// the request timeout.
+func (s *Server) admit(route string, next http.Handler) http.Handler {
+	timed := http.TimeoutHandler(next, s.cfg.RequestTimeout, `{"error":"request timed out"}`)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		info := &requestInfo{id: requestID(r)}
-		ctx := context.WithValue(r.Context(), requestInfoKey{}, info)
-		ctx = trace.ContextWithRequestID(ctx, info.id)
-		sp, ctx := s.cfg.Trace.StartRequest(ctx, "http "+route, r.Header.Get(trace.Header))
-		sp.SetAttr("route", route)
-		sp.SetAttr("requestId", info.id)
-		r = r.WithContext(ctx)
-		w.Header().Set("X-Request-ID", info.id)
-		admitted := false
 		select {
 		case s.limiter <- struct{}{}:
-			admitted = true
 			defer func() { <-s.limiter }()
 		default:
 			// Main limiter full. Score requests that opted into an
 			// approximate mode may still enter through the small reserve pool.
-			if route == "/v1/score" && approximateMode(r.URL.Query().Get("mode")) {
-				select {
-				case s.degradedLimiter <- struct{}{}:
-					admitted = true
-					defer func() { <-s.degradedLimiter }()
-				default:
-				}
+			if !s.admitReserve(route, r) {
+				s.m.shed.Add(1)
+				// A shed is transient by construction — in-flight work drains
+				// on the order of the request timeout, so hint a short retry.
+				w.Header().Set("Retry-After", "1")
+				front.WriteError(w, r, http.StatusTooManyRequests, "server at capacity")
+				return
 			}
-		}
-		if !admitted {
-			s.m.shed.Add(1)
-			// A shed is transient by construction — in-flight work drains on
-			// the order of the request timeout, so hint a short retry delay.
-			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusTooManyRequests, "server at capacity")
-			rs.record(http.StatusTooManyRequests, 0, sp.TraceIDString())
-			s.m.requests.Add(route, 1)
-			sp.SetAttrInt("status", http.StatusTooManyRequests)
-			sp.SetError("shed: server at capacity")
-			sp.End()
-			s.cfg.Logger.LogAttrs(r.Context(), slog.LevelWarn, "request shed",
-				slog.String("requestId", info.id),
-				slog.String("route", route),
-				slog.Int("status", http.StatusTooManyRequests))
-			return
+			defer func() { <-s.degradedLimiter }()
 		}
 		s.m.inFlight.Add(1)
 		defer s.m.inFlight.Add(-1)
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		timed.ServeHTTP(sw, r)
-		elapsed := time.Since(start)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK // handler wrote nothing; net/http defaults the status
-		}
-		sp.SetAttrInt("status", int64(status))
-		if batch := info.batch.Load(); batch > 0 {
-			sp.SetAttrInt("batch", batch)
-		}
-		if status >= 500 {
-			sp.SetError(fmt.Sprintf("status %d", status))
-		}
-		sp.EndIn(elapsed)
-		rs.record(status, elapsed, sp.TraceIDString())
-		s.m.latencyUS.Add(route, elapsed.Microseconds())
-		s.m.requests.Add(route, 1)
-		level := slog.LevelInfo
-		if status >= 500 {
-			level = slog.LevelError
-		}
-		s.cfg.Logger.LogAttrs(r.Context(), level, "request",
-			slog.String("requestId", info.id),
-			slog.String("route", route),
-			slog.Int("status", status),
-			slog.Duration("duration", elapsed),
-			slog.Int64("batch", info.batch.Load()))
+		timed.ServeHTTP(w, r)
 	})
+}
+
+// admitReserve takes a reserve-pool slot for a score request that opted
+// into an approximate mode, reporting whether it got one.
+func (s *Server) admitReserve(route string, r *http.Request) bool {
+	if mode := r.URL.Query().Get("mode"); route != "/v1/score" || (mode != front.ModeDegraded && mode != front.ModeCoreset) {
+		return false
+	}
+	select {
+	case s.degradedLimiter <- struct{}{}:
+		return true
+	default:
+		return false
+	}
 }
 
 // --- request/response shapes -------------------------------------------
@@ -530,7 +330,8 @@ func (c FitConfig) Detector() (*lof.Detector, error) {
 	})
 }
 
-type fitRequest struct {
+// FitRequest is the body of a fit request on either tier.
+type FitRequest struct {
 	Config FitConfig   `json:"config"`
 	Data   [][]float64 `json:"data"`
 }
@@ -549,67 +350,9 @@ type fitResponse struct {
 	FitMS float64 `json:"fitMillis"`
 }
 
-type scoreRequest struct {
-	Queries [][]float64 `json:"queries"`
-	// Workers, when positive, overrides the scoring pool width for this
-	// request only (1 = sequential). Zero keeps the model's fitted
-	// configuration.
-	Workers int `json:"workers,omitempty"`
-}
-
 // maxScoreWorkers caps the per-request workers override; a request cannot
 // conscript an unbounded number of goroutines.
 const maxScoreWorkers = 256
-
-// Score-mode query parameter values: full (the default) serves exact
-// scores from the installed model; pruned serves the bound-certified fast
-// path — exact scores for uncertain queries, a certified 1 for dense-core
-// ones; coreset serves approximate scores from the sensitivity-sampled
-// model; degraded serves the best available approximation (coreset, then
-// stride subsample, then full) and — like coreset — is admitted through
-// the reserve limiter when the server is saturated.
-const (
-	modeFull     = "full"
-	modePruned   = "pruned"
-	modeCoreset  = "coreset"
-	modeDegraded = "degraded"
-)
-
-// approximateMode reports whether a requested score mode opts into
-// approximate answers, which the reserve limiter may admit under load.
-func approximateMode(mode string) bool {
-	return mode == modeDegraded || mode == modeCoreset
-}
-
-type scoreResponse struct {
-	Scores []jsonFloat `json:"scores"`
-	// Mode is the mode that actually served: "pruned", "coreset" or
-	// "degraded"; omitted for exact full-model scores (including approximate
-	// requests that fell back to the full model).
-	Mode string `json:"mode,omitempty"`
-	// Certified is the number of queries answered from the pruning
-	// certificate alone; present only in pruned mode.
-	Certified int `json:"certified,omitempty"`
-}
-
-// jsonFloat marshals non-finite LOF values (possible for duplicate-heavy
-// data without distinct mode) as JSON strings instead of failing the whole
-// response: +Inf → "+Inf".
-type jsonFloat float64
-
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsInf(v, 1) {
-		return []byte(`"+Inf"`), nil
-	}
-	if math.IsInf(v, -1) {
-		return []byte(`"-Inf"`), nil
-	}
-	if math.IsNaN(v) {
-		return []byte(`"NaN"`), nil
-	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
-}
 
 func infoFor(m *lof.Model) modelInfo {
 	cfg := m.Config()
@@ -632,40 +375,22 @@ func infoFor(m *lof.Model) modelInfo {
 
 // --- handlers -----------------------------------------------------------
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, "request body too large")
-			return false
-		}
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	if hook := testHookFitStart; hook != nil {
 		hook()
 	}
-	var req fitRequest
-	if !s.decode(w, r, &req) {
+	var req FitRequest
+	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Data) == 0 {
-		writeError(w, r, http.StatusBadRequest, "fit requires a non-empty data array")
+		front.WriteError(w, r, http.StatusBadRequest, "fit requires a non-empty data array")
 		return
 	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Data)))
-	}
+	front.SetBatch(r.Context(), len(req.Data))
 	det, err := req.Config.Detector()
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	start := time.Now()
@@ -677,17 +402,17 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 			// listening), so just stop burning CPU.
 			return
 		}
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	m, err := res.Model()
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
+		front.WriteError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.SetModel(m)
 	s.m.fitPoints.Add(int64(len(req.Data)))
-	writeJSON(w, http.StatusOK, fitResponse{
+	front.WriteJSON(w, http.StatusOK, fitResponse{
 		modelInfo: infoFor(m),
 		FitMS:     float64(time.Since(start).Microseconds()) / 1000,
 	})
@@ -697,65 +422,41 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if hook := testHookScoreStart; hook != nil {
 		hook()
 	}
-	mode := r.URL.Query().Get("mode")
-	switch mode {
-	case "", modeFull, modePruned, modeCoreset, modeDegraded:
-	default:
-		writeError(w, r, http.StatusBadRequest,
-			fmt.Sprintf("unknown mode %q; valid modes are %q, %q, %q and %q",
-				mode, modeFull, modePruned, modeCoreset, modeDegraded))
+	mode, ok := front.ScoreMode(w, r)
+	if !ok {
 		return
 	}
 	m := s.Model()
 	if m == nil {
-		writeError(w, r, http.StatusConflict, "no fitted model; POST /v1/fit first or start with -model")
+		front.WriteError(w, r, http.StatusConflict, "no fitted model; POST /v1/fit first or start with -model")
 		return
 	}
 	// served is the mode that actually answers. Approximate modes fall back
-	// rather than fail: coreset falls back to the full model when no coreset
-	// is installed; degraded prefers the coreset (the better approximation
-	// at the same size), then the stride subsample, then the full model.
-	served := modeFull
-	switch mode {
-	case modeCoreset:
+	// rather than fail: without a coreset they answer from the full model.
+	served := mode
+	if mode == front.ModeCoreset || mode == front.ModeDegraded {
 		if c := s.coreset.Load(); c != nil {
 			m = c
-			served = modeCoreset
+		} else {
+			served = front.ModeFull
 		}
-	case modeDegraded:
-		// A negative DegradedSample turns the degraded feature off entirely:
-		// opting in serves the full model, whatever other approximate models
-		// exist.
-		if s.cfg.DegradedSample >= 0 {
-			if c := s.coreset.Load(); c != nil {
-				m = c
-				served = modeDegraded
-			} else if d := s.degraded.Load(); d != nil {
-				m = d
-				served = modeDegraded
-			}
-		}
-	case modePruned:
-		served = modePruned
 	}
-	var req scoreRequest
-	if !s.decode(w, r, &req) {
+	var req front.ScoreRequest
+	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, "score requires a non-empty queries array")
+		front.WriteError(w, r, http.StatusBadRequest, "score requires a non-empty queries array")
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
+		front.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Queries)))
-	}
+	front.SetBatch(r.Context(), len(req.Queries))
 	if req.Workers < 0 || req.Workers > maxScoreWorkers {
-		writeError(w, r, http.StatusBadRequest,
+		front.WriteError(w, r, http.StatusBadRequest,
 			fmt.Sprintf("workers must be in [0, %d], got %d", maxScoreWorkers, req.Workers))
 		return
 	}
@@ -772,7 +473,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var scores []float64
 	var certified int
 	var err error
-	if served == modePruned {
+	if served == front.ModePruned {
 		scores, certified, err = scoreChunkedPruned(r, m, req.Queries, s.cfg.PruneEps)
 	} else {
 		scores, err = scoreChunked(r, m, req.Queries)
@@ -785,26 +486,17 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			// The timeout middleware already answered; nothing to write.
 			return
 		}
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.m.batchPoints.Add(int64(len(req.Queries)))
-	resp := scoreResponse{Scores: make([]jsonFloat, len(scores))}
-	for i, v := range scores {
-		resp.Scores[i] = jsonFloat(v)
-	}
-	s.m.scoreModes.Add(served, 1)
-	if served != modeFull {
+	s.m.scorePoints.Add(int64(len(req.Queries)))
+	s.m.scoreModes[served].Add(1)
+	s.m.certified.Add(int64(certified))
+	resp := front.ScoreResponse{Scores: front.Floats(scores), Certified: certified}
+	if served != front.ModeFull {
 		resp.Mode = served
 	}
-	if served == modeDegraded {
-		s.m.degraded.Add(1)
-	}
-	if served == modePruned {
-		resp.Certified = certified
-		s.m.certified.Add(int64(certified))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	front.WriteJSON(w, http.StatusOK, resp)
 }
 
 // scoreChunkSize bounds how much scoring work happens between context
@@ -887,139 +579,64 @@ func emitPhaseSpans(sp *trace.Span, stats *lof.RunStats) {
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	m := s.Model()
 	if m == nil {
-		writeError(w, r, http.StatusNotFound, "no fitted model")
+		front.WriteError(w, r, http.StatusNotFound, "no fitted model")
 		return
 	}
-	writeJSON(w, http.StatusOK, infoFor(m))
+	front.WriteJSON(w, http.StatusOK, infoFor(m))
 }
 
 // handleHealthz is pure liveness: 200 whenever the process is serving,
 // regardless of model state. Routing decisions belong to /readyz; the model
 // field is reported for operator convenience only.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	front.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"status": "ok",
 		"model":  s.Model() != nil,
 	})
 }
 
-// handleMetrics serves the Prometheus text exposition: per-route request
-// counts labeled by status code, per-route latency histograms, and the
-// process gauges and totals. Routes are emitted in metricRoutes order and
-// codes in ascending order, so the output is deterministic for a given
-// state — which the scrape lint in scripts/check.sh relies on.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := obs.NewPromWriter(w)
-	p.Family("lof_http_requests_total", "counter", "Completed HTTP requests by route and status code.")
-	for _, route := range metricRoutes {
-		keys, counts := s.routes[route].codes()
-		for _, code := range keys {
-			p.IntSample("lof_http_requests_total", counts[code],
-				"route", route, "code", strconv.Itoa(code))
-		}
+// declareMetrics declares the server's own metric families in reg, after
+// the front end's route and trace families.
+func (s *Server) declareMetrics(reg *obs.Registry) {
+	gauge := func(v func() int64) func() (float64, bool) {
+		return func() (float64, bool) { return float64(v()), true }
 	}
-	p.Family("lof_http_request_duration_seconds", "histogram", "HTTP request latency by route.")
-	for _, route := range metricRoutes {
-		p.Histo("lof_http_request_duration_seconds", s.routes[route].latency.Snapshot(),
-			"route", route)
-	}
-	p.Family("lof_http_in_flight", "gauge", "Requests currently being served.")
-	p.IntSample("lof_http_in_flight", s.m.inFlight.Value())
-	p.Family("lof_http_shed_total", "counter", "Requests rejected by the concurrency limiter.")
-	p.IntSample("lof_http_shed_total", s.m.shed.Value())
-	p.Family("lof_http_degraded_total", "counter", "Score responses served from the degraded (subsampled) model.")
-	p.IntSample("lof_http_degraded_total", s.m.degraded.Value())
-	p.Family("lof_http_score_mode_total", "counter", "Score responses by the mode that actually served them.")
-	s.m.scoreModes.Do(func(kv expvar.KeyValue) {
-		if v, ok := kv.Value.(*expvar.Int); ok {
-			p.IntSample("lof_http_score_mode_total", v.Value(), "mode", kv.Key)
-		}
-	})
-	p.Family("lof_http_pruned_certified_total", "counter", "Pruned-mode queries answered from the bound certificate alone.")
-	p.IntSample("lof_http_pruned_certified_total", s.m.certified.Value())
-	p.Family("lof_shard_snapshots_total", "counter", "Shard partition snapshots installed.")
-	p.IntSample("lof_shard_snapshots_total", s.m.snapshots.Value())
-	p.Family("lof_shard_stale_total", "counter", "Shard data requests refused for a stale snapshot version.")
-	p.IntSample("lof_shard_stale_total", s.m.stale.Value())
-	p.Family("lof_snapshot_version", "gauge", "Version of the installed serving state.")
-	p.IntSample("lof_snapshot_version", int64(s.version.Load()))
-	p.Family("lof_stream_batches_total", "counter", "Stream push batches applied.")
-	p.IntSample("lof_stream_batches_total", s.m.streamBatches.Value())
-	p.Family("lof_stream_inserts_total", "counter", "Points inserted through the stream.")
-	p.IntSample("lof_stream_inserts_total", s.m.streamInserts.Value())
-	p.Family("lof_stream_expired_total", "counter", "Points expired by the stream's window bounds.")
-	p.IntSample("lof_stream_expired_total", s.m.streamExpired.Value())
-	p.Family("lof_stream_freezes_total", "counter", "Stream windows frozen into batch models.")
-	p.IntSample("lof_stream_freezes_total", s.m.streamFreezes.Value())
-	if pl := s.stream.Load(); pl != nil {
-		st := pl.Stats()
-		p.Family("lof_stream_epoch", "gauge", "Published stream epoch sequence number.")
-		p.IntSample("lof_stream_epoch", int64(st.Seq))
-		p.Family("lof_stream_live", "gauge", "Live points in the stream window.")
-		p.IntSample("lof_stream_live", int64(st.Live))
-		p.Family("lof_stream_epoch_lag_seconds", "gauge", "Seconds since the current stream epoch was published.")
-		lag := 0.0
-		if st.LastPublishUnixNanos > 0 {
-			lag = s.now().Sub(time.Unix(0, st.LastPublishUnixNanos)).Seconds()
-			if lag < 0 {
-				lag = 0
+	reg.Gauge("lof_http_in_flight", "Requests currently being served.", gauge(s.m.inFlight.Load))
+	s.m.shed = reg.Counter("lof_http_shed_total", "Requests rejected by the concurrency limiter.")
+	s.m.scoreModes = reg.CounterVec("lof_http_score_mode_total", "Score responses by the mode that actually served them.", "mode", front.Modes...)
+	s.m.certified = reg.Counter("lof_http_pruned_certified_total", "Pruned-mode queries answered from the bound certificate alone.")
+	s.m.snapshots = reg.Counter("lof_shard_snapshots_total", "Shard partition snapshots installed.")
+	s.m.stale = reg.Counter("lof_shard_stale_total", "Shard data requests refused for a stale snapshot version.")
+	reg.Gauge("lof_snapshot_version", "Version of the installed serving state.", gauge(func() int64 { return int64(s.version.Load()) }))
+	s.m.streamBatches = reg.Counter("lof_stream_batches_total", "Stream push batches applied.")
+	s.m.streamInserts = reg.Counter("lof_stream_inserts_total", "Points inserted through the stream.")
+	s.m.streamExpired = reg.Counter("lof_stream_expired_total", "Points expired by the stream's window bounds.")
+	s.m.streamFreezes = reg.Counter("lof_stream_freezes_total", "Stream windows frozen into batch models.")
+	// The stream gauges are present only while a pipeline exists.
+	streamGauge := func(v func(st stream.Stats) float64) func() (float64, bool) {
+		return func() (float64, bool) {
+			pl := s.stream.Load()
+			if pl == nil {
+				return 0, false
 			}
-		}
-		p.Sample("lof_stream_epoch_lag_seconds", lag)
-		p.Family("lof_stream_replay_queue_depth", "gauge", "In-flight readers pinning the published epoch (writers drain behind them before replay).")
-		p.IntSample("lof_stream_replay_queue_depth", int64(st.Readers))
-		p.Family("lof_stream_window_occupancy", "gauge", "Fill fraction of the count-bounded stream window (0 when unbounded).")
-		occ := 0.0
-		if st.MaxPoints > 0 {
-			occ = float64(st.Live) / float64(st.MaxPoints)
-		}
-		p.Sample("lof_stream_window_occupancy", occ)
-	}
-	p.Family("lof_fit_points_total", "counter", "Data points fitted across all fit requests.")
-	p.IntSample("lof_fit_points_total", s.m.fitPoints.Value())
-	p.Family("lof_score_points_total", "counter", "Query points scored across all score requests.")
-	p.IntSample("lof_score_points_total", s.m.batchPoints.Value())
-	p.Family("lof_http_slowest_request_seconds", "gauge", "Slowest traced request per route, with its trace ID — the exemplar linking the latency histogram's top bucket to /v1/debug/traces.")
-	for _, route := range metricRoutes {
-		if d, tid, ok := s.routes[route].exemplar(); ok {
-			p.Sample("lof_http_slowest_request_seconds", d.Seconds(),
-				"route", route, "trace_id", tid)
+			return v(pl.Stats()), true
 		}
 	}
-	ts := s.cfg.Trace.Stats()
-	p.Family("lof_trace_spans_total", "counter", "Trace spans started in this process.")
-	p.IntSample("lof_trace_spans_total", int64(ts.Started))
-	p.Family("lof_trace_recorded_total", "counter", "Trace spans recorded to the ring buffer.")
-	p.IntSample("lof_trace_recorded_total", int64(ts.Recorded))
-	p.Family("lof_trace_dropped_total", "counter", "Recorded trace spans evicted by the ring bound.")
-	p.IntSample("lof_trace_dropped_total", int64(ts.Dropped))
-}
-
-// handleMetricsJSON serves the counters as one JSON object, in expvar's
-// own rendering — the view /metrics offered before it switched to the
-// Prometheus text format.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"requests":%s,"latency_us":%s,"batch_points_total":%s,"fit_points_total":%s,"in_flight":%s,"shed_total":%s}`,
-		s.m.requests.String(), s.m.latencyUS.String(), s.m.batchPoints.String(),
-		s.m.fitPoints.String(), s.m.inFlight.String(), s.m.shed.String())
-	fmt.Fprintln(w)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-// writeError answers with {"error": ..., "requestId": ...} so clients can
-// quote the ID that the server's log line carries.
-func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	body := map[string]string{"error": msg}
-	if info := infoFromContext(r.Context()); info != nil {
-		body["requestId"] = info.id
-	}
-	writeJSON(w, status, body)
+	reg.Gauge("lof_stream_epoch", "Published stream epoch sequence number.", streamGauge(func(st stream.Stats) float64 { return float64(st.Seq) }))
+	reg.Gauge("lof_stream_live", "Live points in the stream window.", streamGauge(func(st stream.Stats) float64 { return float64(st.Live) }))
+	reg.Gauge("lof_stream_epoch_lag_seconds", "Seconds since the current stream epoch was published.", streamGauge(func(st stream.Stats) float64 {
+		if st.LastPublishUnixNanos <= 0 {
+			return 0
+		}
+		return math.Max(0, s.now().Sub(time.Unix(0, st.LastPublishUnixNanos)).Seconds())
+	}))
+	reg.Gauge("lof_stream_replay_queue_depth", "In-flight readers pinning the published epoch (writers drain behind them before replay).", streamGauge(func(st stream.Stats) float64 { return float64(st.Readers) }))
+	reg.Gauge("lof_stream_window_occupancy", "Fill fraction of the count-bounded stream window (0 when unbounded).", streamGauge(func(st stream.Stats) float64 {
+		if st.MaxPoints <= 0 {
+			return 0
+		}
+		return float64(st.Live) / float64(st.MaxPoints)
+	}))
+	s.m.fitPoints = reg.Counter("lof_fit_points_total", "Data points fitted across all fit requests.")
+	s.m.scorePoints = reg.Counter("lof_score_points_total", "Query points scored across all score requests.")
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"lof"
+	"lof/internal/front"
 )
 
 // testData builds a two-cluster dataset suitable for MinPts ranges ≤ 6.
@@ -67,15 +68,6 @@ func getJSON(t *testing.T, client *http.Client, url string, v interface{}) *http
 	return resp
 }
 
-type metricsSnapshot struct {
-	Requests    map[string]int64 `json:"requests"`
-	LatencyUS   map[string]int64 `json:"latency_us"`
-	BatchPoints int64            `json:"batch_points_total"`
-	FitPoints   int64            `json:"fit_points_total"`
-	InFlight    int64            `json:"in_flight"`
-	Shed        int64            `json:"shed_total"`
-}
-
 // TestEndToEnd drives the full API surface over HTTP: fit, model info,
 // score, health, and metrics advancement.
 func TestEndToEnd(t *testing.T) {
@@ -105,7 +97,7 @@ func TestEndToEnd(t *testing.T) {
 	// Fit.
 	rng := rand.New(rand.NewSource(21))
 	data := testData(rng, 60)
-	resp, body = postJSON(t, client, ts.URL+"/v1/fit", fitRequest{
+	resp, body = postJSON(t, client, ts.URL+"/v1/fit", FitRequest{
 		Config: FitConfig{MinPtsLB: 3, MinPtsUB: 6},
 		Data:   data,
 	})
@@ -131,7 +123,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// Score: the served values must match the library exactly.
 	queries := [][]float64{{0, 0}, {10, 10}, {5, 5}}
-	resp, body = postJSON(t, client, ts.URL+"/v1/score", scoreRequest{Queries: queries})
+	resp, body = postJSON(t, client, ts.URL+"/v1/score", front.ScoreRequest{Queries: queries})
 	if resp.StatusCode != 200 {
 		t.Fatalf("score: status %d body %s", resp.StatusCode, body)
 	}
@@ -164,29 +156,27 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("between-cluster point should be the most outlying: %v", sr.Scores)
 	}
 
-	// Metrics must have advanced (JSON counter view).
-	var ms metricsSnapshot
-	if resp := getJSON(t, client, ts.URL+"/metrics.json", &ms); resp.StatusCode != 200 {
-		t.Fatalf("metrics.json status %d", resp.StatusCode)
+	// Metrics must have advanced.
+	mresp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ms.Requests["/v1/fit"] != 1 || ms.Requests["/v1/score"] != 2 {
-		t.Errorf("request counts %+v", ms.Requests)
-	}
-	if ms.BatchPoints != 3 {
-		t.Errorf("batch_points_total = %d, want 3", ms.BatchPoints)
-	}
-	if ms.FitPoints != 60 {
-		t.Errorf("fit_points_total = %d, want 60", ms.FitPoints)
-	}
-	if ms.LatencyUS["/v1/fit"] < 0 {
-		t.Errorf("negative latency %+v", ms.LatencyUS)
-	}
-	if ms.InFlight != 0 {
-		t.Errorf("in_flight = %d after requests drained", ms.InFlight)
+	counters, _ := parsePromText(t, readBody(t, mresp))
+	for key, want := range map[string]int64{
+		`lof_http_requests_total{route="/v1/fit",code="200"}`:   1,
+		`lof_http_requests_total{route="/v1/score",code="200"}`: 1,
+		`lof_http_requests_total{route="/v1/score",code="409"}`: 1,
+		"lof_score_points_total":                                3,
+		"lof_fit_points_total":                                  60,
+		"lof_http_in_flight":                                    0,
+	} {
+		if got := counters[key]; got != want {
+			t.Errorf("%s = %d, want %d", key, got, want)
+		}
 	}
 
 	// Validation errors surface as 400 with a descriptive message.
-	resp, body = postJSON(t, client, ts.URL+"/v1/score", scoreRequest{Queries: [][]float64{{1, 2, 3}}})
+	resp, body = postJSON(t, client, ts.URL+"/v1/score", front.ScoreRequest{Queries: [][]float64{{1, 2, 3}}})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "dimensions") {
 		t.Errorf("dimension mismatch: status %d body %s", resp.StatusCode, body)
 	}
@@ -308,11 +298,11 @@ func TestScoreConcurrentWithHandlers(t *testing.T) {
 	for i := range queries {
 		queries[i] = []float64{rng.Float64() * 12, rng.Float64() * 12}
 	}
-	body, err := json.Marshal(scoreRequest{Queries: queries})
+	body, err := json.Marshal(front.ScoreRequest{Queries: queries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fitBody, err := json.Marshal(fitRequest{Config: FitConfig{MinPtsLB: 3, MinPtsUB: 6}, Data: data})
+	fitBody, err := json.Marshal(FitRequest{Config: FitConfig{MinPtsLB: 3, MinPtsUB: 6}, Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +357,7 @@ func TestScoreConcurrentWithHandlers(t *testing.T) {
 
 // TestJSONFloat pins the non-finite score encoding.
 func TestJSONFloat(t *testing.T) {
-	b, err := json.Marshal(scoreResponse{Scores: []jsonFloat{1.5, jsonFloat(infPos()), jsonFloat(infNeg())}})
+	b, err := json.Marshal(front.ScoreResponse{Scores: front.Floats([]float64{1.5, infPos(), infNeg()})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +397,7 @@ func BenchmarkScoreHandler(b *testing.B) {
 			for i := range queries {
 				queries[i] = []float64{rng.Float64() * 12, rng.Float64() * 12}
 			}
-			body, err := json.Marshal(scoreRequest{Queries: queries})
+			body, err := json.Marshal(front.ScoreRequest{Queries: queries})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -530,7 +520,7 @@ func TestMetricsPrometheus(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(99))
 	data := testData(rng, 60)
-	resp, body := postJSON(t, client, ts.URL+"/v1/fit", fitRequest{
+	resp, body := postJSON(t, client, ts.URL+"/v1/fit", FitRequest{
 		Config: FitConfig{MinPtsLB: 3, MinPtsUB: 6},
 		Data:   data,
 	})
@@ -538,13 +528,13 @@ func TestMetricsPrometheus(t *testing.T) {
 		t.Fatalf("fit: status %d body %s", resp.StatusCode, body)
 	}
 	for i := 0; i < 3; i++ {
-		resp, body = postJSON(t, client, ts.URL+"/v1/score", scoreRequest{Queries: [][]float64{{0, 0}, {5, 5}}})
+		resp, body = postJSON(t, client, ts.URL+"/v1/score", front.ScoreRequest{Queries: [][]float64{{0, 0}, {5, 5}}})
 		if resp.StatusCode != 200 {
 			t.Fatalf("score: status %d body %s", resp.StatusCode, body)
 		}
 	}
 	// One 4xx so a second code series shows up.
-	resp, _ = postJSON(t, client, ts.URL+"/v1/score", scoreRequest{Queries: nil})
+	resp, _ = postJSON(t, client, ts.URL+"/v1/score", front.ScoreRequest{Queries: nil})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty score: status %d", resp.StatusCode)
 	}
@@ -631,15 +621,6 @@ func TestMetricsPrometheus(t *testing.T) {
 	if scoreRequests != scoreHist.count {
 		t.Errorf("requests_total %d disagrees with histogram count %d", scoreRequests, scoreHist.count)
 	}
-
-	// The JSON view still serves the old counters alongside.
-	var ms metricsSnapshot
-	if resp := getJSON(t, client, ts.URL+"/metrics.json", &ms); resp.StatusCode != 200 {
-		t.Fatalf("metrics.json status %d", resp.StatusCode)
-	}
-	if ms.Requests["/v1/score"] != 4 {
-		t.Errorf("metrics.json score requests = %d, want 4", ms.Requests["/v1/score"])
-	}
 }
 
 // TestRequestIDs pins the request-ID contract: echoed in the response
@@ -710,14 +691,14 @@ func TestRequestLogging(t *testing.T) {
 	client := ts.Client()
 
 	rng := rand.New(rand.NewSource(7))
-	resp, body := postJSON(t, client, ts.URL+"/v1/fit", fitRequest{
+	resp, body := postJSON(t, client, ts.URL+"/v1/fit", FitRequest{
 		Config: FitConfig{MinPtsLB: 3, MinPtsUB: 6},
 		Data:   testData(rng, 40),
 	})
 	if resp.StatusCode != 200 {
 		t.Fatalf("fit: status %d body %s", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, client, ts.URL+"/v1/score", scoreRequest{Queries: [][]float64{{0, 0}, {1, 1}, {2, 2}}})
+	resp, body = postJSON(t, client, ts.URL+"/v1/score", front.ScoreRequest{Queries: [][]float64{{0, 0}, {1, 1}, {2, 2}}})
 	if resp.StatusCode != 200 {
 		t.Fatalf("score: status %d body %s", resp.StatusCode, body)
 	}

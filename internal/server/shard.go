@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"lof/internal/front"
 	"lof/internal/shard"
 	"lof/internal/trace"
 )
@@ -44,20 +45,18 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
+			front.WriteError(w, r, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("snapshot exceeds the %d-byte limit", s.cfg.MaxSnapshotBytes))
 			return
 		}
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("rejecting snapshot: %v", err))
+		front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("rejecting snapshot: %v", err))
 		return
 	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(p.Len()))
-	}
+	front.SetBatch(r.Context(), p.Len())
 	s.part.Store(p)
 	s.version.Store(p.Version())
 	s.m.snapshots.Add(1)
-	writeJSON(w, http.StatusOK, shard.SnapshotInfo{
+	front.WriteJSON(w, http.StatusOK, shard.SnapshotInfo{
 		Version: p.Version(),
 		Shard:   p.ShardID(),
 		Shards:  p.NumShards(),
@@ -70,13 +69,13 @@ func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) shardPart(w http.ResponseWriter, r *http.Request, version uint64) *shard.Part {
 	p := s.part.Load()
 	if p == nil {
-		writeError(w, r, http.StatusConflict, "no shard partition installed; push a snapshot first")
+		front.WriteError(w, r, http.StatusConflict, "no shard partition installed; push a snapshot first")
 		return nil
 	}
 	if version != p.Version() {
 		s.m.stale.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusServiceUnavailable,
+		front.WriteError(w, r, http.StatusServiceUnavailable,
 			fmt.Sprintf("stale snapshot version: request pinned %d, shard holds %d", version, p.Version()))
 		return nil
 	}
@@ -85,15 +84,15 @@ func (s *Server) shardPart(w http.ResponseWriter, r *http.Request, version uint6
 
 func (s *Server) handleShardCandidates(w http.ResponseWriter, r *http.Request) {
 	var req shard.CandidatesRequest
-	if !s.decode(w, r, &req) {
+	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, "candidates requires a non-empty queries array")
+		front.WriteError(w, r, http.StatusBadRequest, "candidates requires a non-empty queries array")
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
+		front.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
@@ -101,9 +100,7 @@ func (s *Server) handleShardCandidates(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Queries)))
-	}
+	front.SetBatch(r.Context(), len(req.Queries))
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
 		sp.SetAttrInt("queries", int64(len(req.Queries)))
 		sp.SetAttrInt("version", int64(p.Version()))
@@ -113,27 +110,27 @@ func (s *Server) handleShardCandidates(w http.ResponseWriter, r *http.Request) {
 	for i, q := range req.Queries {
 		cs, err := p.Candidates(q)
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("query %d: %v", i, err))
+			front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("query %d: %v", i, err))
 			return
 		}
 		out[i] = cs
 	}
-	writeJSON(w, http.StatusOK, shard.CandidatesResponse{
+	front.WriteJSON(w, http.StatusOK, shard.CandidatesResponse{
 		Version: p.Version(), Shard: p.ShardID(), Candidates: out,
 	})
 }
 
 func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) {
 	var req shard.RowsRequest
-	if !s.decode(w, r, &req) {
+	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, "rows requires a non-empty queries array")
+		front.WriteError(w, r, http.StatusBadRequest, "rows requires a non-empty queries array")
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
+		front.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
@@ -141,9 +138,7 @@ func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Queries)))
-	}
+	front.SetBatch(r.Context(), len(req.Queries))
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
 		sp.SetAttrInt("queries", int64(len(req.Queries)))
 		sp.SetAttrInt("version", int64(p.Version()))
@@ -156,27 +151,27 @@ func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) {
 			// An unowned id means the caller's routing disagrees with the
 			// installed layout — a permanent error for this request, not a
 			// transient one; the coordinator re-resolves, it does not retry.
-			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("rows request %d: %v", i, err))
+			front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("rows request %d: %v", i, err))
 			return
 		}
 		out[i] = rows
 	}
-	writeJSON(w, http.StatusOK, shard.RowsResponse{
+	front.WriteJSON(w, http.StatusOK, shard.RowsResponse{
 		Version: p.Version(), Shard: p.ShardID(), Rows: out,
 	})
 }
 
 func (s *Server) handleShardKDists(w http.ResponseWriter, r *http.Request) {
 	var req shard.KDistsRequest
-	if !s.decode(w, r, &req) {
+	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
-		writeError(w, r, http.StatusBadRequest, "kdists requires a non-empty ids array")
+		front.WriteError(w, r, http.StatusBadRequest, "kdists requires a non-empty ids array")
 		return
 	}
 	if len(req.IDs) > s.cfg.MaxBatch*maxKDistsPerQuery {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
+		front.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d ids exceeds limit %d", len(req.IDs), s.cfg.MaxBatch*maxKDistsPerQuery))
 		return
 	}
@@ -184,9 +179,7 @@ func (s *Server) handleShardKDists(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.IDs)))
-	}
+	front.SetBatch(r.Context(), len(req.IDs))
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
 		sp.SetAttrInt("ids", int64(len(req.IDs)))
 		sp.SetAttrInt("version", int64(p.Version()))
@@ -196,10 +189,10 @@ func (s *Server) handleShardKDists(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Unowned ids and out-of-range ranks mean the caller disagrees with
 		// the installed layout — permanent for this request, like rows.
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("kdists request: %v", err))
+		front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("kdists request: %v", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, shard.KDistsResponse{
+	front.WriteJSON(w, http.StatusOK, shard.KDistsResponse{
 		Version: p.Version(), Shard: p.ShardID(), Lo: lo, Hi: hi,
 	})
 }
@@ -250,5 +243,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !info.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, info)
+	front.WriteJSON(w, status, info)
 }

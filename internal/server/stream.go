@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"lof"
+	"lof/internal/front"
 	"lof/internal/geom"
 	"lof/internal/stream"
 	"lof/internal/trace"
@@ -79,14 +80,14 @@ type streamScoreRequest struct {
 }
 
 type streamScoreResponse struct {
-	Scores []jsonFloat `json:"scores"`
-	Epoch  uint64      `json:"epoch"`
+	Scores []front.Float `json:"scores"`
+	Epoch  uint64        `json:"epoch"`
 }
 
 type streamLOFsResponse struct {
-	IDs   []uint64    `json:"ids"`
-	LOFs  []jsonFloat `json:"lofs"`
-	Epoch uint64      `json:"epoch"`
+	IDs   []uint64      `json:"ids"`
+	LOFs  []front.Float `json:"lofs"`
+	Epoch uint64        `json:"epoch"`
 }
 
 type streamFreezeResponse struct {
@@ -104,26 +105,26 @@ func (s *Server) SetStream(p *stream.Pipeline) { s.stream.Store(p) }
 
 func (s *Server) handleStreamInit(w http.ResponseWriter, r *http.Request) {
 	var req streamInitRequest
-	if !s.decode(w, r, &req) {
+	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	pl, err := req.Config.Pipeline()
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Replacing a live pipeline is a deliberate reset: in-flight reads
 	// finish against the epoch they acquired, subsequent requests see the
 	// fresh pipeline.
 	s.stream.Store(pl)
-	writeJSON(w, http.StatusOK, pl.Stats())
+	front.WriteJSON(w, http.StatusOK, pl.Stats())
 }
 
 // streamOr409 fetches the pipeline or answers 409 with the init hint.
 func (s *Server) streamOr409(w http.ResponseWriter, r *http.Request) *stream.Pipeline {
 	pl := s.stream.Load()
 	if pl == nil {
-		writeError(w, r, http.StatusConflict, "no streaming pipeline; POST /v1/stream/init first or start with -stream-dim")
+		front.WriteError(w, r, http.StatusConflict, "no streaming pipeline; POST /v1/stream/init first or start with -stream-dim")
 	}
 	return pl
 }
@@ -144,21 +145,19 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req streamPushRequest
-	if !s.decode(w, r, &req) {
+	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Inserts)+len(req.Deletes) == 0 {
-		writeError(w, r, http.StatusBadRequest, "stream push requires inserts or deletes")
+		front.WriteError(w, r, http.StatusBadRequest, "stream push requires inserts or deletes")
 		return
 	}
 	if len(req.Inserts)+len(req.Deletes) > s.cfg.MaxBatch {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
+		front.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Inserts)+len(req.Deletes), s.cfg.MaxBatch))
 		return
 	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Inserts) + len(req.Deletes)))
-	}
+	front.SetBatch(r.Context(), len(req.Inserts)+len(req.Deletes))
 	now := s.now()
 	if req.NowUnixNanos != 0 {
 		now = time.Unix(0, req.NowUnixNanos)
@@ -169,7 +168,7 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 		Now:     now,
 	})
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
@@ -193,7 +192,7 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 	s.m.streamBatches.Add(1)
 	s.m.streamInserts.Add(int64(len(res.Inserted)))
 	s.m.streamExpired.Add(int64(len(res.Expired)))
-	writeJSON(w, http.StatusOK, streamPushResponse{
+	front.WriteJSON(w, http.StatusOK, streamPushResponse{
 		Epoch:     res.Seq,
 		Inserted:  res.Inserted,
 		Expired:   res.Expired,
@@ -209,32 +208,26 @@ func (s *Server) handleStreamScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req streamScoreRequest
-	if !s.decode(w, r, &req) {
+	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, "stream score requires a non-empty queries array")
+		front.WriteError(w, r, http.StatusBadRequest, "stream score requires a non-empty queries array")
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
-		writeError(w, r, http.StatusRequestEntityTooLarge,
+		front.WriteError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
-	if info := infoFromContext(r.Context()); info != nil {
-		info.batch.Store(int64(len(req.Queries)))
-	}
+	front.SetBatch(r.Context(), len(req.Queries))
 	scores, seq, err := pl.ScoreBatch(toGeomPoints(req.Queries))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.m.batchPoints.Add(int64(len(req.Queries)))
-	resp := streamScoreResponse{Scores: make([]jsonFloat, len(scores)), Epoch: seq}
-	for i, v := range scores {
-		resp.Scores[i] = jsonFloat(v)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.m.scorePoints.Add(int64(len(req.Queries)))
+	front.WriteJSON(w, http.StatusOK, streamScoreResponse{Scores: front.Floats(scores), Epoch: seq})
 }
 
 func (s *Server) handleStreamLOFs(w http.ResponseWriter, r *http.Request) {
@@ -243,11 +236,7 @@ func (s *Server) handleStreamLOFs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ids, lofs, seq := pl.LOFs()
-	resp := streamLOFsResponse{IDs: ids, LOFs: make([]jsonFloat, len(lofs)), Epoch: seq}
-	for i, v := range lofs {
-		resp.LOFs[i] = jsonFloat(v)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	front.WriteJSON(w, http.StatusOK, streamLOFsResponse{IDs: ids, LOFs: front.Floats(lofs), Epoch: seq})
 }
 
 func (s *Server) handleStreamStats(w http.ResponseWriter, r *http.Request) {
@@ -255,7 +244,7 @@ func (s *Server) handleStreamStats(w http.ResponseWriter, r *http.Request) {
 	if pl == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, pl.Stats())
+	front.WriteJSON(w, http.StatusOK, pl.Stats())
 }
 
 func (s *Server) handleStreamFreeze(w http.ResponseWriter, r *http.Request) {
@@ -266,7 +255,7 @@ func (s *Server) handleStreamFreeze(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	m, seq, err := s.FreezeStreamInstall()
 	if err != nil {
-		writeError(w, r, http.StatusConflict, err.Error())
+		front.WriteError(w, r, http.StatusConflict, err.Error())
 		return
 	}
 	if child, _ := trace.StartSpan(r.Context(), "stream/freeze"); child != nil {
@@ -274,7 +263,7 @@ func (s *Server) handleStreamFreeze(w http.ResponseWriter, r *http.Request) {
 		child.SetAttrInt("objects", int64(m.Len()))
 		child.EndIn(time.Since(start))
 	}
-	writeJSON(w, http.StatusOK, streamFreezeResponse{modelInfo: infoFor(m), Epoch: seq})
+	front.WriteJSON(w, http.StatusOK, streamFreezeResponse{modelInfo: infoFor(m), Epoch: seq})
 }
 
 // FreezeStreamInstall freezes the stream window and installs the result

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"lof"
+	"lof/internal/front"
 )
 
 // TestStreamEndToEnd drives the streaming API over HTTP: init, pushes with
@@ -89,9 +90,9 @@ func TestStreamEndToEnd(t *testing.T) {
 
 	// Window LOFs must equal a batch fit over the same rows, bit for bit.
 	var lofsRes struct {
-		IDs   []uint64    `json:"ids"`
-		LOFs  []jsonFloat `json:"lofs"`
-		Epoch uint64      `json:"epoch"`
+		IDs   []uint64      `json:"ids"`
+		LOFs  []front.Float `json:"lofs"`
+		Epoch uint64        `json:"epoch"`
 	}
 	if resp := getJSON(t, client, ts.URL+"/v1/stream/lofs", &lofsRes); resp.StatusCode != http.StatusOK {
 		t.Fatalf("lofs: status %d", resp.StatusCode)
@@ -120,8 +121,8 @@ func TestStreamEndToEnd(t *testing.T) {
 	// Out-of-sample scores match a refit over window ∪ {q}.
 	queries := [][]float64{{0, 0}, {8, 8}}
 	var scoreRes struct {
-		Scores []jsonFloat `json:"scores"`
-		Epoch  uint64      `json:"epoch"`
+		Scores []front.Float `json:"scores"`
+		Epoch  uint64        `json:"epoch"`
 	}
 	resp, body = postJSON(t, client, ts.URL+"/v1/stream/score", map[string]interface{}{
 		"queries": queries,

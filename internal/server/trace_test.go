@@ -28,7 +28,7 @@ func TestScoreTraceSpansAndExemplar(t *testing.T) {
 	client := ts.Client()
 
 	rng := rand.New(rand.NewSource(29))
-	resp, body := postJSON(t, client, ts.URL+"/v1/fit", fitRequest{
+	resp, body := postJSON(t, client, ts.URL+"/v1/fit", FitRequest{
 		Config: FitConfig{MinPtsLB: 3, MinPtsUB: 6},
 		Data:   testData(rng, 60),
 	})

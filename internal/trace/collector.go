@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"encoding/binary"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -267,7 +268,7 @@ func (s *Span) SetAttr(key, value string) {
 
 // SetAttrInt attaches an integer attribute.
 func (s *Span) SetAttrInt(key string, value int64) {
-	s.SetAttr(key, itoa(value))
+	s.SetAttr(key, strconv.FormatInt(value, 10))
 }
 
 // SetError marks the span failed; error spans are always recorded,
@@ -329,28 +330,4 @@ func (s *Span) EndIn(d time.Duration) {
 		rec.ParentID = s.parent.String()
 	}
 	s.c.record(rec)
-}
-
-// itoa is strconv.FormatInt without pulling strconv into the span hot
-// path's inlining budget; spans are off the scoring path, so clarity wins.
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -165,6 +166,7 @@ func TestSpanEndIdempotentAndAttrs(t *testing.T) {
 	sp.SetAttr("route", "/v1/score")
 	sp.SetAttrInt("batch", 42)
 	sp.SetAttrInt("neg", -7)
+	sp.SetAttrInt("min", math.MinInt64)
 	sp.EndIn(time.Millisecond)
 	sp.End() // second end must not double-record
 	sp.SetAttr("late", "ignored")
@@ -173,7 +175,7 @@ func TestSpanEndIdempotentAndAttrs(t *testing.T) {
 		t.Fatalf("recorded %d spans, want 1", len(recs))
 	}
 	a := recs[0].Attrs
-	if a["route"] != "/v1/score" || a["batch"] != "42" || a["neg"] != "-7" {
+	if a["route"] != "/v1/score" || a["batch"] != "42" || a["neg"] != "-7" || a["min"] != "-9223372036854775808" {
 		t.Fatalf("attrs %v", a)
 	}
 	if _, ok := a["late"]; ok {

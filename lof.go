@@ -355,7 +355,6 @@ func (d *Detector) fitPoints(ctx context.Context, pts *geom.Points, tr *obs.Trac
 		tr.Count(obs.CounterRangeQueries, counting.RangeQueries())
 		tr.Count(obs.CounterCursors, counting.Cursors())
 		tr.Count(obs.CounterCursorReuse, counting.CursorReuse())
-		tr.Count(obs.CounterCursorMisses, counting.CursorMisses())
 		// Keep the raw index on the result: scoring issues its own queries
 		// and should not inherit the fit's counters.
 		ix = counting.Unwrap()

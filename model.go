@@ -207,44 +207,6 @@ func (m *Model) ScoreBatchContext(ctx context.Context, queries [][]float64) ([]f
 	return out, nil
 }
 
-// Subsample returns a model refitted on an evenly strided subsample of at
-// most n fitted points, under the same configuration. It is the cheap
-// approximate model a server can answer from when the full model is too
-// expensive under overload: scores are approximate (densities come from the
-// subsample) but systematically correlated with the full model's. n must
-// exceed the configured MinPtsUB for neighborhoods to exist; when the model
-// already has at most n points the receiver itself is returned.
-func (m *Model) Subsample(n int) (*Model, error) {
-	total := m.pts.Len()
-	if n >= total {
-		return m, nil
-	}
-	if n <= m.cfg.MinPtsUB {
-		return nil, fmt.Errorf("lof: subsample of %d cannot support MinPtsUB=%d; need at least %d",
-			n, m.cfg.MinPtsUB, m.cfg.MinPtsUB+1)
-	}
-	// Deterministic stride sampling keeps the subsample stable across
-	// replicas serving the same model.
-	data := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		src := m.pts.At(i * total / n)
-		row := make([]float64, len(src))
-		copy(row, src)
-		data[i] = row
-	}
-	cfg := m.cfg.clone()
-	cfg.MinPts = 0 // normalized configs carry the range in MinPtsLB/UB
-	det, err := New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("lof: subsample config: %w", err)
-	}
-	res, err := det.Fit(data)
-	if err != nil {
-		return nil, fmt.Errorf("lof: subsample refit: %w", err)
-	}
-	return res.Model()
-}
-
 func (m *Model) coreAggregate() core.Aggregate {
 	switch m.cfg.Aggregation {
 	case AggregateMean:

@@ -19,7 +19,7 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 # Fit/score pipeline, approximate-path, and snapshot-load benchmarks
-# (repo root), per-index KNN benchmarks (legacy and cursor paths), and
+# (repo root), per-index cursor KNN benchmarks, and
 # streaming ingestion benchmarks.
 go test -run NONE -bench 'Fit|ScoreBatch|SnapshotLoad|ApproxScore' -benchtime "$benchtime" -benchmem . | tee -a "$tmp"
 go test -run NONE -bench 'KNN' -benchtime "$benchtime" -benchmem ./internal/index/... | tee -a "$tmp"

@@ -10,7 +10,7 @@
 #     allocation counts vary with scheduling and are only reported,
 #     never gated.
 #
-# Duplicate benchmark names (BenchmarkKNN exists once per index package)
+# Duplicate benchmark names (BenchmarkKNNCursor exists once per index package)
 # are matched by occurrence order, which is stable because bench.sh runs
 # packages in a fixed order.
 #

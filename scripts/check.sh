@@ -20,10 +20,45 @@ cd "$(dirname "$0")/.."
 # it. Raise it as coverage grows; never lower it to make a PR pass.
 COVERAGE_FLOOR=78.0
 
-# metrics_lint builds lofserve, starts it on an ephemeral port, and
-# validates that GET /metrics is parseable Prometheus text format 0.0.4
-# (every line a comment or a sample, the advertised families present) and
-# that GET /metrics.json still serves the JSON counter view.
+# lint_exposition file family... checks that a scraped /metrics body is
+# parseable Prometheus text format 0.0.4 (every line a comment or a sample)
+# and declares every listed family ('# TYPE name type').
+lint_exposition() {
+	file=$1
+	shift
+	if grep -Ev '^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* |[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9.eE+-]+(e[+-][0-9]+)?$|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? \+Inf$)' "$file" | grep -Ev '^# (HELP|TYPE) ' >"$file.bad" 2>/dev/null && [ -s "$file.bad" ]; then
+		echo "unparseable /metrics lines:" >&2
+		cat "$file.bad" >&2
+		exit 1
+	fi
+	for family in "$@"; do
+		if ! grep -qF "# TYPE $family" "$file"; then
+			echo "/metrics missing family: $family" >&2
+			cat "$file" >&2
+			exit 1
+		fi
+	done
+}
+
+# listen_addr log waits for the startup log line
+# {"msg":"listening","addr":"127.0.0.1:PORT"} and prints the address.
+listen_addr() {
+	for _ in $(seq 1 50); do
+		addr=$(sed -n 's/.*"msg":"listening".*"addr":"\([^"]*\)".*/\1/p' "$1" | head -n 1)
+		if [ -n "$addr" ]; then
+			echo "$addr"
+			return 0
+		fi
+		sleep 0.1
+	done
+	echo "no listen address reported:" >&2
+	cat "$1" >&2
+	return 1
+}
+
+# metrics_lint builds lofserve and lofcoord, starts lofserve on an
+# ephemeral port and lofcoord in front of it as its one shard, and lints
+# both GET /metrics expositions.
 metrics_lint() {
 	echo "== metrics lint"
 	tmpdir=$(mktemp -d)
@@ -31,57 +66,34 @@ metrics_lint() {
 	# fires before the server starts (e.g. the build fails) would otherwise
 	# die on the unset variable and mask the real error.
 	server_pid=
-	trap 'kill "$server_pid" 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
+	coord_pid=
+	trap 'kill "$server_pid" "$coord_pid" 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
 	go build -o "$tmpdir/lofserve" ./cmd/lofserve
+	go build -o "$tmpdir/lofcoord" ./cmd/lofcoord
 	# A streaming pipeline and full-sample tracing are enabled so the
 	# lof_stream_* gauges and lof_trace_* counters are present to lint.
 	"$tmpdir/lofserve" -addr 127.0.0.1:0 -stream-dim 3 -trace-sample 1 >"$tmpdir/log" 2>&1 &
 	server_pid=$!
-
-	# The bound address appears in the startup log line
-	# {"msg":"listening","addr":"127.0.0.1:PORT"}.
-	addr=""
-	for _ in $(seq 1 50); do
-		addr=$(sed -n 's/.*"msg":"listening".*"addr":"\([^"]*\)".*/\1/p' "$tmpdir/log" | head -n 1)
-		[ -n "$addr" ] && break
-		sleep 0.1
-	done
-	if [ -z "$addr" ]; then
-		echo "lofserve did not report a listen address:" >&2
-		cat "$tmpdir/log" >&2
-		exit 1
-	fi
+	addr=$(listen_addr "$tmpdir/log")
+	"$tmpdir/lofcoord" -addr 127.0.0.1:0 -shards "http://$addr" -trace-sample 1 >"$tmpdir/coord.log" 2>&1 &
+	coord_pid=$!
+	coord_addr=$(listen_addr "$tmpdir/coord.log")
 
 	curl -fsS "http://$addr/metrics" >"$tmpdir/metrics.txt"
-
-	# Every line must be a comment or a sample:
-	#   name{labels} value   |   name value
-	if grep -Ev '^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* |[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9.eE+-]+(e[+-][0-9]+)?$|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? \+Inf$)' "$tmpdir/metrics.txt" | grep -Ev '^# (HELP|TYPE) ' >"$tmpdir/bad" 2>/dev/null && [ -s "$tmpdir/bad" ]; then
-		echo "unparseable /metrics lines:" >&2
-		cat "$tmpdir/bad" >&2
-		exit 1
-	fi
-
-	for family in \
-		'# TYPE lof_http_requests_total counter' \
-		'# TYPE lof_http_request_duration_seconds histogram' \
-		'# TYPE lof_http_in_flight gauge' \
-		'# TYPE lof_http_shed_total counter' \
-		'# TYPE lof_http_score_mode_total counter' \
-		'# TYPE lof_http_pruned_certified_total counter' \
-		'# TYPE lof_stream_epoch_lag_seconds gauge' \
-		'# TYPE lof_stream_replay_queue_depth gauge' \
-		'# TYPE lof_stream_window_occupancy gauge' \
-		'# TYPE lof_http_slowest_request_seconds gauge' \
-		'# TYPE lof_trace_spans_total counter' \
-		'# TYPE lof_trace_recorded_total counter' \
-		'# TYPE lof_trace_dropped_total counter'; do
-		if ! grep -qF "$family" "$tmpdir/metrics.txt"; then
-			echo "/metrics missing family: $family" >&2
-			cat "$tmpdir/metrics.txt" >&2
-			exit 1
-		fi
-	done
+	lint_exposition "$tmpdir/metrics.txt" \
+		'lof_http_requests_total counter' \
+		'lof_http_request_duration_seconds histogram' \
+		'lof_http_in_flight gauge' \
+		'lof_http_shed_total counter' \
+		'lof_http_score_mode_total counter' \
+		'lof_http_pruned_certified_total counter' \
+		'lof_stream_epoch_lag_seconds gauge' \
+		'lof_stream_replay_queue_depth gauge' \
+		'lof_stream_window_occupancy gauge' \
+		'lof_http_slowest_request_seconds gauge' \
+		'lof_trace_spans_total counter' \
+		'lof_trace_recorded_total counter' \
+		'lof_trace_dropped_total counter'
 
 	# Histogram buckets must carry le labels ending in +Inf.
 	if ! grep -q 'lof_http_request_duration_seconds_bucket{route="/v1/fit",le="+Inf"}' "$tmpdir/metrics.txt"; then
@@ -89,15 +101,17 @@ metrics_lint() {
 		exit 1
 	fi
 
-	# The legacy JSON view must still answer with a JSON object.
-	case $(curl -fsS "http://$addr/metrics.json") in
-	\{*) ;;
-	*)
-		echo "/metrics.json is not a JSON object" >&2
-		exit 1
-		;;
-	esac
+	curl -fsS "http://$coord_addr/metrics" >"$tmpdir/coord_metrics.txt"
+	lint_exposition "$tmpdir/coord_metrics.txt" \
+		'lof_coord_http_requests_total counter' \
+		'lof_coord_http_request_duration_seconds histogram' \
+		'lof_coord_score_mode_total counter' \
+		'lof_trace_spans_total counter' \
+		'lof_trace_recorded_total counter' \
+		'lof_trace_dropped_total counter'
 
+	kill "$coord_pid"
+	wait "$coord_pid" 2>/dev/null || true
 	kill "$server_pid"
 	wait "$server_pid" 2>/dev/null || true
 	trap - EXIT
