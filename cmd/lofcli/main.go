@@ -18,6 +18,16 @@
 //	lofcli -in data.csv -minpts 10 -save-model model.bin
 //	lofcli score -model model.bin -in queries.csv
 //
+// -save-model replaces an existing file by rename, never by rewriting it
+// in place, so a server already serving that file by mmap keeps its
+// answers. Snapshots in the retired streamed formats 1 and 2 no longer
+// load; the migrate subcommand converts one once. It refits the stored
+// configuration and coordinates, checks that the refit's materialization
+// database equals the stored one entry for entry, and only then writes
+// format 3:
+//
+//	lofcli migrate -in old.bin -out model.bin
+//
 // -approx switches fit and score to the pruned fast path: dense-core
 // points are certified as LOF ≈ 1 from k-distance bounds and only the
 // uncertain frontier is evaluated exactly (bit-identical to the exact
@@ -43,12 +53,15 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "score" {
-		if err := runScoreCmd(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "lofcli score: %v\n", err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		sub := map[string]func([]string, io.Writer) error{"score": runScoreCmd, "migrate": runMigrateCmd}[os.Args[1]]
+		if sub != nil {
+			if err := sub(os.Args[2:], os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "lofcli %s: %v\n", os.Args[1], err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
 	}
 	var (
 		in        = flag.String("in", "", "input CSV path ('-' or empty for stdin)")
@@ -178,7 +191,11 @@ func run(w io.Writer, o options) error {
 	fitWall := time.Since(fitStart)
 
 	if o.saveModel != "" {
-		if err := writeModelFile(res, o.saveModel); err != nil {
+		m, err := res.Model()
+		if err != nil {
+			return err
+		}
+		if err := m.WriteFile(o.saveModel); err != nil {
 			return err
 		}
 	}
@@ -294,19 +311,6 @@ func writeStats(w io.Writer, res *lof.Result, fitWall time.Duration) error {
 		return err
 	}
 	return res.Stats().WriteTable(w)
-}
-
-// writeModelFile freezes the fitted model into a snapshot file.
-func writeModelFile(res *lof.Result, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := res.WriteModel(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing model %s: %w", path, err)
-	}
-	return f.Close()
 }
 
 // runScoreCmd implements the score subcommand: load a model snapshot and

@@ -17,7 +17,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -269,7 +268,11 @@ func main() {
 			fmt.Println()
 		}
 		if snap != nil {
-			printStats(os.Stdout, e.name, snap)
+			fmt.Printf("## %s pipeline stats\n", e.name)
+			if err := snap.WriteTable(os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "lofexp: %s: %v\n", e.name, err)
+				os.Exit(1)
+			}
 			fmt.Println()
 		}
 	}
@@ -293,25 +296,4 @@ func runExperiment(e experiment, seed int64, quick, stats bool) ([]*exp.Table, *
 		return nil, nil, err
 	}
 	return tables, tr.Snapshot(), nil
-}
-
-// printStats renders a tracer snapshot as the experiment's phase and
-// counter breakdown.
-func printStats(w io.Writer, name string, snap *obs.RunStats) {
-	fmt.Fprintf(w, "## %s pipeline stats\n", name)
-	if len(snap.Phases) == 0 {
-		fmt.Fprintln(w, "no traced phases (experiment does not run the LOF pipeline)")
-		return
-	}
-	fmt.Fprintf(w, "%-14s %8s %10s %14s\n", "phase", "count", "items", "total")
-	for _, p := range snap.Phases {
-		indent := ""
-		if obs.Nested(p.Name) {
-			indent = "  "
-		}
-		fmt.Fprintf(w, "%-14s %8d %10d %14v\n", indent+p.Name, p.Count, p.Items, p.Total)
-	}
-	for _, c := range snap.Counters {
-		fmt.Fprintf(w, "%-33s %14d\n", c.Name, c.Value)
-	}
 }

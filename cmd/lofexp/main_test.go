@@ -76,8 +76,10 @@ func TestRunExperimentStats(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	printStats(&buf, target.name, snap)
-	if !strings.Contains(buf.String(), "materialize") || !strings.Contains(buf.String(), "phase") {
+	if err := snap.WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "materialize") || !strings.Contains(buf.String(), "PHASE") {
 		t.Fatalf("printed stats missing content:\n%s", buf.String())
 	}
 

@@ -314,9 +314,9 @@ func run(ctx context.Context, o options, logw io.Writer, ready chan<- [2]string)
 }
 
 // freezeLoop periodically refits the stream window into the serving model
-// and, when configured, saves it as a standard snapshot file. The save
-// goes through a temp file and rename, so a concurrent loader never sees
-// a torn snapshot.
+// and, when configured, saves it as a standard snapshot file. Model.WriteFile
+// saves through a synced temp file and a rename, so a concurrent loader
+// never sees a torn snapshot.
 func freezeLoop(ctx context.Context, srv *server.Server, o options, logger *slog.Logger) {
 	t := time.NewTicker(o.freezeEvery)
 	defer t.Stop()
@@ -335,7 +335,7 @@ func freezeLoop(ctx context.Context, srv *server.Server, o options, logger *slog
 		}
 		attrs := []slog.Attr{slog.Uint64("epoch", seq), slog.Int("objects", m.Len())}
 		if o.snapshotPath != "" {
-			if err := saveSnapshot(o.snapshotPath, m); err != nil {
+			if err := m.WriteFile(o.snapshotPath); err != nil {
 				logger.LogAttrs(ctx, slog.LevelError, "stream snapshot save failed",
 					slog.String("error", err.Error()))
 				continue
@@ -344,23 +344,4 @@ func freezeLoop(ctx context.Context, srv *server.Server, o options, logger *slog
 		}
 		logger.LogAttrs(ctx, slog.LevelInfo, "stream window frozen", attrs...)
 	}
-}
-
-// saveSnapshot writes m to path atomically via a same-directory temp file.
-func saveSnapshot(path string, m *lof.Model) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := m.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -139,9 +139,3 @@ func Neighbors(b []byte) ([]index.Neighbor, bool) {
 	}
 	return out, false
 }
-
-// AppendNeighbor appends one wire neighbor entry to b.
-func AppendNeighbor(b []byte, nb index.Neighbor) []byte {
-	b = AppendU64(b, uint64(int64(nb.Index)))
-	return AppendU64(b, math.Float64bits(nb.Dist))
-}

@@ -1,7 +1,8 @@
 // Package flatbin is the binary-layout toolkit shared by the snapshot
-// formats: explicit little-endian scalar encoding (no reflection), sectioned
-// file framing, and zero-copy reinterpretation of byte regions as numeric
-// slices where the platform allows it.
+// formats: sectioned file framing, zero-copy reinterpretation of byte
+// regions as numeric slices where the platform allows it, and a sticky-error
+// little-endian Reader for decoding the retired streamed formats once (see
+// lofcli migrate).
 //
 // Every multi-byte value in every snapshot format is little-endian. The
 // sectioned formats (model snapshot v3, shard part v2) store their bulk
@@ -20,77 +21,6 @@ import (
 	"fmt"
 	"io"
 )
-
-// Writer encodes little-endian scalars onto an io.Writer with a sticky
-// error, so encoders read as straight-line field lists with one error check
-// per logical group.
-type Writer struct {
-	w   io.Writer
-	n   int64
-	err error
-	buf [8]byte
-}
-
-// NewWriter returns a Writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// N returns the number of bytes successfully written.
-func (w *Writer) N() int64 { return w.n }
-
-// Err returns the first write error, if any.
-func (w *Writer) Err() error { return w.err }
-
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
-	}
-	n, err := w.w.Write(p)
-	w.n += int64(n)
-	w.err = err
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	w.buf[0] = v
-	w.write(w.buf[:1])
-}
-
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	binary.LittleEndian.PutUint16(w.buf[:2], v)
-	w.write(w.buf[:2])
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
-}
-
-// I32 writes a little-endian int32 (two's complement).
-func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
-
-// F64 writes a little-endian IEEE-754 float64 (its exact bit pattern).
-func (w *Writer) F64(v float64) { w.U64(Float64bitsOf(v)) }
-
-// Bytes writes p verbatim.
-func (w *Writer) Bytes(p []byte) { w.write(p) }
-
-// String writes s verbatim (no length prefix; the formats carry their own).
-func (w *Writer) String(s string) {
-	if w.err != nil {
-		return
-	}
-	n, err := io.WriteString(w.w, s)
-	w.n += int64(n)
-	w.err = err
-}
 
 // Reader decodes little-endian scalars from an io.Reader with a sticky
 // error. After the first failure every accessor returns zero, so decoders
@@ -157,31 +87,6 @@ func (r *Reader) Full(p []byte) {
 		r.err = err
 	}
 }
-
-// Append helpers for encoders that assemble a sized buffer directly.
-
-// AppendU16 appends a little-endian uint16 to b.
-func AppendU16(b []byte, v uint16) []byte {
-	return append(b, byte(v), byte(v>>8))
-}
-
-// AppendU32 appends a little-endian uint32 to b.
-func AppendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// AppendU64 appends a little-endian uint64 to b.
-func AppendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// AppendI32 appends a little-endian int32 to b.
-func AppendI32(b []byte, v int32) []byte { return AppendU32(b, uint32(v)) }
-
-// AppendF64 appends a little-endian float64 to b.
-func AppendF64(b []byte, v float64) []byte { return AppendU64(b, Float64bitsOf(v)) }
 
 // Align8 returns n rounded up to the next multiple of 8. Section offsets in
 // the flat snapshot formats are all 8-aligned so the numeric casts above

@@ -1,6 +1,9 @@
 package flatbin
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Section is one entry of a sectioned snapshot's table: a typed, 8-aligned
 // byte range within the file. The table itself is a count of fixed
@@ -22,10 +25,11 @@ const SectionEntrySize = 24
 
 // AppendSection appends s's table entry to b.
 func AppendSection(b []byte, s Section) []byte {
-	b = AppendU32(b, s.ID)
-	b = AppendU32(b, 0)
-	b = AppendU64(b, s.Off)
-	return AppendU64(b, s.Len)
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, s.ID)
+	b = le.AppendUint32(b, 0)
+	b = le.AppendUint64(b, s.Off)
+	return le.AppendUint64(b, s.Len)
 }
 
 // ParseSections decodes and validates a section table. file is the whole

@@ -155,7 +155,7 @@ func (f *Front) wrap(rt *route, next http.Handler) http.Handler {
 			level = slog.LevelWarn
 			sp.SetError("shed: server at capacity")
 		}
-		sp.EndIn(elapsed)
+		sp.End() // from span start, so it covers every child span
 		rt.record(status, elapsed, sp.TraceIDString())
 		if f.cfg.Logger != nil {
 			f.cfg.Logger.LogAttrs(ctx, level, "request",

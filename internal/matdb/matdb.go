@@ -10,10 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 
-	"lof/internal/flatbin"
 	"lof/internal/geom"
 	"lof/internal/index"
 	"lof/internal/obs"
@@ -272,137 +269,6 @@ func (db *DB) CheckMinPts(minPts int) error {
 		return fmt.Errorf("matdb: MinPts=%d exceeds materialized K=%d", minPts, db.K)
 	}
 	return nil
-}
-
-// --- Binary persistence -------------------------------------------------
-//
-// The paper's implementation writes M to a file between the two steps; we
-// provide the same capability with a small self-describing binary format:
-//
-//	magic "LOFM" | version u32 | K u32 | distinct u8 | n u64
-//	then per point: count u32, count × (index u32, dist f64),
-//	and for distinct databases: rankCount u32, rankCount × u32
-
-const (
-	magic   = "LOFM"
-	version = 1
-)
-
-// WriteTo serializes the database with explicit little-endian encoding (no
-// reflection). It implements io.WriterTo.
-func (db *DB) WriteTo(w io.Writer) (int64, error) {
-	fw := flatbin.NewWriter(w)
-	fw.String(magic)
-	fw.U32(version)
-	fw.U32(uint32(db.K))
-	distinct := uint8(0)
-	if db.distinctAt != nil {
-		distinct = 1
-	}
-	fw.U8(distinct)
-	fw.U64(uint64(len(db.Neighbors)))
-	for i, nn := range db.Neighbors {
-		fw.U32(uint32(len(nn)))
-		for _, nb := range nn {
-			fw.U32(uint32(nb.Index))
-			fw.F64(nb.Dist)
-		}
-		if distinct == 1 {
-			ranks := db.distinctAt[i]
-			fw.U32(uint32(len(ranks)))
-			for _, rk := range ranks {
-				fw.U32(uint32(rk))
-			}
-		}
-	}
-	return fw.N(), fw.Err()
-}
-
-// Read deserializes a database written by WriteTo.
-func Read(r io.Reader) (*DB, error) {
-	fr := flatbin.NewReader(r)
-	head := make([]byte, len(magic))
-	fr.Full(head)
-	if err := fr.Context("matdb: reading magic"); err != nil {
-		return nil, err
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("matdb: bad magic %q", head)
-	}
-	ver := fr.U32()
-	if err := fr.Context("matdb: reading version"); err != nil {
-		return nil, err
-	}
-	if ver != version {
-		return nil, fmt.Errorf("matdb: unsupported version %d", ver)
-	}
-	k := fr.U32()
-	distinct := fr.U8()
-	n := fr.U64()
-	if err := fr.Context("matdb: reading header"); err != nil {
-		return nil, err
-	}
-	if distinct > 1 {
-		return nil, fmt.Errorf("matdb: invalid distinct flag %d", distinct)
-	}
-	const maxPoints = 1 << 40
-	if n > maxPoints {
-		return nil, fmt.Errorf("matdb: implausible point count %d", n)
-	}
-	// Allocations grow with successfully parsed data, never with header
-	// values alone, so a corrupt header cannot trigger a huge allocation.
-	db := &DB{K: int(k)}
-	db.Neighbors = make([][]index.Neighbor, 0, min(n, 1024))
-	if distinct == 1 {
-		db.distinctAt = make([][]int32, 0, min(n, 1024))
-	}
-	for i := uint64(0); i < n; i++ {
-		count := fr.U32()
-		if err := fr.Context("matdb: reading point %d", i); err != nil {
-			return nil, err
-		}
-		if uint64(count) > n {
-			return nil, fmt.Errorf("matdb: point %d claims %d neighbors for %d points", i, count, n)
-		}
-		nn := make([]index.Neighbor, 0, min(uint64(count), 1024))
-		for j := uint32(0); j < count; j++ {
-			idx := fr.U32()
-			dist := fr.F64()
-			if err := fr.Context("matdb: reading point %d neighbor %d", i, j); err != nil {
-				return nil, err
-			}
-			if uint64(idx) >= n {
-				return nil, fmt.Errorf("matdb: point %d references out-of-range neighbor %d", i, idx)
-			}
-			if math.IsNaN(dist) || dist < 0 {
-				return nil, fmt.Errorf("matdb: point %d neighbor %d has invalid distance %v", i, j, dist)
-			}
-			nn = append(nn, index.Neighbor{Index: int(idx), Dist: dist})
-		}
-		db.Neighbors = append(db.Neighbors, nn)
-		if distinct == 1 {
-			rc := fr.U32()
-			if err := fr.Context("matdb: reading point %d ranks", i); err != nil {
-				return nil, err
-			}
-			if rc > count {
-				return nil, fmt.Errorf("matdb: point %d has %d ranks for %d neighbors", i, rc, count)
-			}
-			ranks := make([]int32, 0, min(uint64(rc), 1024))
-			for j := uint32(0); j < rc; j++ {
-				rk := fr.U32()
-				if err := fr.Context("matdb: reading point %d rank %d", i, j); err != nil {
-					return nil, err
-				}
-				if rk >= count {
-					return nil, fmt.Errorf("matdb: point %d rank %d out of range", i, rk)
-				}
-				ranks = append(ranks, int32(rk))
-			}
-			db.distinctAt = append(db.distinctAt, ranks)
-		}
-	}
-	return db, nil
 }
 
 // Entries returns the total number of stored neighbor entries. The paper

@@ -1,7 +1,6 @@
 package matdb
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,28 +214,50 @@ func TestDistinctFallbackWhenTooFewPositions(t *testing.T) {
 	}
 }
 
+// flatten lays db out as the flat arrays the sectioned snapshot formats
+// store, the input FromFlat restores a database from.
+func flatten(db *DB) (flat []index.Neighbor, rowOffs []uint64, ranks []int32, rankOffs []uint64) {
+	rowOffs = []uint64{0}
+	for i, nn := range db.Neighbors {
+		flat = append(flat, nn...)
+		rowOffs = append(rowOffs, uint64(len(flat)))
+		if db.IsDistinct() {
+			if i == 0 {
+				rankOffs = []uint64{0}
+			}
+			ranks = append(ranks, db.RanksOf(i)...)
+			rankOffs = append(rankOffs, uint64(len(ranks)))
+		}
+	}
+	return flat, rowOffs, ranks, rankOffs
+}
+
 func TestRoundTrip(t *testing.T) {
-	pts := randomPoints(t, 4, 120, 4)
-	db := mustMaterialize(t, pts, 20)
-	var buf bytes.Buffer
-	n, err := db.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.K != db.K || back.Len() != db.Len() {
-		t.Fatalf("K=%d Len=%d", back.K, back.Len())
-	}
-	for i := range db.Neighbors {
-		for j := range db.Neighbors[i] {
-			if db.Neighbors[i][j] != back.Neighbors[i][j] {
-				t.Fatalf("point %d neighbor %d differs after round trip", i, j)
+	for _, distinct := range []bool{false, true} {
+		pts := randomPoints(t, 4, 120, 4)
+		var opts []Option
+		if distinct {
+			opts = append(opts, Distinct())
+		}
+		db := mustMaterialize(t, pts, 20, opts...)
+		flat, rowOffs, ranks, rankOffs := flatten(db)
+		back, err := FromFlat(db.K, db.Len(), flat, rowOffs, ranks, rankOffs, distinct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.K != db.K || back.Len() != db.Len() || back.IsDistinct() != distinct {
+			t.Fatalf("K=%d Len=%d distinct=%v", back.K, back.Len(), back.IsDistinct())
+		}
+		for i := range db.Neighbors {
+			for j := range db.Neighbors[i] {
+				if db.Neighbors[i][j] != back.Neighbors[i][j] {
+					t.Fatalf("point %d neighbor %d differs after round trip", i, j)
+				}
+			}
+			for m := 1; m <= db.K; m++ {
+				if math.Float64bits(db.KDistance(i, m)) != math.Float64bits(back.KDistance(i, m)) {
+					t.Fatalf("point %d: %d-distance differs after round trip", i, m)
+				}
 			}
 		}
 	}
@@ -244,25 +265,50 @@ func TestRoundTrip(t *testing.T) {
 
 func TestReadRejectsCorruptInput(t *testing.T) {
 	pts := randomPoints(t, 5, 20, 2)
-	db := mustMaterialize(t, pts, 5)
-	var buf bytes.Buffer
-	if _, err := db.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	db := mustMaterialize(t, pts, 5, Distinct())
+	n := db.Len()
+	cases := map[string]func(flat []index.Neighbor, rowOffs []uint64, ranks []int32, rankOffs []uint64) error{
+		"zero K": func(f []index.Neighbor, ro []uint64, rk []int32, rko []uint64) error {
+			_, err := FromFlat(0, n, f, ro, rk, rko, true)
+			return err
+		},
+		"short row offsets": func(f []index.Neighbor, ro []uint64, rk []int32, rko []uint64) error {
+			_, err := FromFlat(db.K, n, f, ro[:n], rk, rko, true)
+			return err
+		},
+		"offsets past the entries": func(f []index.Neighbor, ro []uint64, rk []int32, rko []uint64) error {
+			ro[n]++
+			_, err := FromFlat(db.K, n, f, ro, rk, rko, true)
+			return err
+		},
+		"decreasing offsets": func(f []index.Neighbor, ro []uint64, rk []int32, rko []uint64) error {
+			ro[1], ro[2] = ro[2], ro[1]
+			_, err := FromFlat(db.K, n, f, ro, rk, rko, true)
+			return err
+		},
+		"NaN distance": func(f []index.Neighbor, ro []uint64, rk []int32, rko []uint64) error {
+			f[3].Dist = math.NaN()
+			_, err := FromFlat(db.K, n, f, ro, rk, rko, true)
+			return err
+		},
+		"negative distance": func(f []index.Neighbor, ro []uint64, rk []int32, rko []uint64) error {
+			f[3].Dist = -1
+			_, err := FromFlat(db.K, n, f, ro, rk, rko, true)
+			return err
+		},
+		"rank out of its row": func(f []index.Neighbor, ro []uint64, rk []int32, rko []uint64) error {
+			rk[0] = int32(ro[1] - ro[0])
+			_, err := FromFlat(db.K, n, f, ro, rk, rko, true)
+			return err
+		},
+		"ranks on a raw database": func(f []index.Neighbor, ro []uint64, rk []int32, rko []uint64) error {
+			_, err := FromFlat(db.K, n, f, ro, rk, rko, false)
+			return err
+		},
 	}
-	good := buf.Bytes()
-
-	cases := map[string][]byte{
-		"empty":        {},
-		"bad magic":    append([]byte("XXXX"), good[4:]...),
-		"truncated":    good[:len(good)/2],
-		"short header": good[:6],
-	}
-	// Bad version.
-	bad := append([]byte{}, good...)
-	bad[4] = 99
-	cases["bad version"] = bad
-	for name, data := range cases {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
+	for name, corrupt := range cases {
+		flat, rowOffs, ranks, rankOffs := flatten(db)
+		if err := corrupt(flat, rowOffs, ranks, rankOffs); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -271,12 +317,9 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 func TestReadRejectsOutOfRangeNeighbor(t *testing.T) {
 	pts := randomPoints(t, 6, 5, 2)
 	db := mustMaterialize(t, pts, 2)
-	db.Neighbors[0][0].Index = 999 // corrupt in memory, then serialize
-	var buf bytes.Buffer
-	if _, err := db.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err == nil {
+	flat, rowOffs, _, _ := flatten(db)
+	flat[0].Index = 999
+	if _, err := FromFlat(db.K, db.Len(), flat, rowOffs, nil, nil, false); err == nil {
 		t.Fatal("out-of-range neighbor accepted")
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is the stdlib-only observability substrate for the LOF
-// pipeline: nestable phase tracing with fixed-bucket latency histograms
-// and named counters, plus the metric registry and Prometheus text-format
+// pipeline: nestable phase tracing with named counters, summarized as the
+// RunStats record that lof.Result.Stats and lofcli -stats report, plus the metric registry and Prometheus text-format
 // exposition behind the /metrics endpoints of lofserve and lofcoord.
 //
 // The paper's entire Section 7 evaluation is a performance story — index
@@ -18,6 +18,8 @@
 package obs
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,7 +98,6 @@ type phaseAgg struct {
 	count, items int64
 	total        time.Duration
 	min, max     time.Duration
-	hist         *Histogram
 }
 
 // NewTracer returns an empty tracer ready to record.
@@ -126,7 +127,7 @@ func (t *Tracer) Phase(name string) *Span {
 func (t *Tracer) ensure(name string) *phaseAgg {
 	agg, ok := t.phases[name]
 	if !ok {
-		agg = &phaseAgg{hist: NewHistogram(DefaultLatencyBuckets)}
+		agg = &phaseAgg{}
 		t.phases[name] = agg
 		t.order = append(t.order, name)
 	}
@@ -158,7 +159,6 @@ func (t *Tracer) record(name string, d time.Duration, items int64) {
 	if d > agg.max {
 		agg.max = d
 	}
-	agg.hist.Observe(d)
 	t.mu.Unlock()
 }
 
@@ -189,32 +189,45 @@ func (s *Span) End() {
 	s.t.record(s.name, time.Since(s.start), s.items)
 }
 
-// PhaseStats is the aggregated view of one phase.
-type PhaseStats struct {
-	// Name is the phase name; Nested(Name) phases measure busy time inside
-	// parallel regions.
-	Name string
-	// Count is the number of recorded spans.
-	Count int64
-	// Items is the total work items attributed across spans.
-	Items int64
-	// Total is the summed span duration; Min and Max bound individual spans.
-	Total, Min, Max time.Duration
-	// Latency is the fixed-bucket histogram of span durations.
-	Latency HistogramSnapshot
+// PhaseStat reports the aggregated timings of one pipeline phase. Phase
+// names containing '/' (such as "sweep/lrd") are nested inside parallel
+// regions: their totals are busy time summed across workers and may exceed
+// the wall-clock time of their enclosing phase. Top-level phases run
+// serially on the coordinating goroutine, so their totals sum to the
+// pipeline's wall-clock time.
+type PhaseStat struct {
+	// Name identifies the phase: ingest, index_build, materialize, sweep,
+	// sweep/lrd, sweep/lof, aggregate, score, score/knn, score/merge.
+	Name string `json:"name"`
+	// Count is the number of times the phase ran.
+	Count int64 `json:"count"`
+	// Items is the total work items processed (points, MinPts values or
+	// queries, depending on the phase); zero when not applicable.
+	Items int64 `json:"items,omitempty"`
+	// Total, Min and Max are span durations in nanoseconds.
+	Total time.Duration `json:"totalNS"`
+	Min   time.Duration `json:"minNS"`
+	Max   time.Duration `json:"maxNS"`
 }
 
-// CounterStat is one named counter value.
+// Nested reports whether the phase ran inside a parallel region, making
+// Total a busy-time figure rather than wall-clock time.
+func (p PhaseStat) Nested() bool { return Nested(p.Name) }
+
+// CounterStat reports one pipeline counter.
 type CounterStat struct {
-	Name  string
-	Value int64
+	// Name identifies the counter, e.g. knn_queries_total or
+	// pool_chunks_total.
+	Name string `json:"name"`
+	// Value is the accumulated count.
+	Value int64 `json:"value"`
 }
 
-// RunStats is a point-in-time snapshot of a tracer: phases in first-seen
-// order followed by counters in first-seen order.
+// RunStats is the observability record of a traced run: per-phase timings
+// in first-seen (pipeline) order followed by counters in first-seen order.
 type RunStats struct {
-	Phases   []PhaseStats
-	Counters []CounterStat
+	Phases   []PhaseStat   `json:"phases"`
+	Counters []CounterStat `json:"counters,omitempty"`
 }
 
 // Snapshot returns the tracer's current aggregates; nil for a nil tracer.
@@ -225,15 +238,14 @@ func (t *Tracer) Snapshot() *RunStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := &RunStats{
-		Phases:   make([]PhaseStats, 0, len(t.order)),
+		Phases:   make([]PhaseStat, 0, len(t.order)),
 		Counters: make([]CounterStat, 0, len(t.corder)),
 	}
 	for _, name := range t.order {
 		agg := t.phases[name]
-		out.Phases = append(out.Phases, PhaseStats{
+		out.Phases = append(out.Phases, PhaseStat{
 			Name: name, Count: agg.count, Items: agg.items,
 			Total: agg.total, Min: agg.min, Max: agg.max,
-			Latency: agg.hist.Snapshot(),
 		})
 	}
 	for _, name := range t.corder {
@@ -243,16 +255,16 @@ func (t *Tracer) Snapshot() *RunStats {
 }
 
 // Phase returns the named phase's aggregate, if recorded.
-func (s *RunStats) Phase(name string) (PhaseStats, bool) {
+func (s *RunStats) Phase(name string) (PhaseStat, bool) {
 	if s == nil {
-		return PhaseStats{}, false
+		return PhaseStat{}, false
 	}
 	for _, p := range s.Phases {
 		if p.Name == name {
 			return p, true
 		}
 	}
-	return PhaseStats{}, false
+	return PhaseStat{}, false
 }
 
 // Counter returns the named counter's value, zero if never counted.
@@ -277,11 +289,108 @@ func (s *RunStats) TopLevelTotal() time.Duration {
 	}
 	var sum time.Duration
 	for _, p := range s.Phases {
-		if !Nested(p.Name) {
+		if !p.Nested() {
 			sum += p.Total
 		}
 	}
 	return sum
+}
+
+// WriteTable renders the stats as an aligned text table: one row per phase
+// with share-of-total for top-level phases, then the counters. It is the
+// one renderer behind lofcli -stats and lofexp -stats.
+func (s *RunStats) WriteTable(w io.Writer) error {
+	if s == nil {
+		_, err := fmt.Fprintln(w, "no run stats (fit without Trace)")
+		return err
+	}
+	total := s.TopLevelTotal()
+	tw := &tableWriter{w: w}
+	tw.row("PHASE", "COUNT", "ITEMS", "TOTAL", "SHARE", "RATE")
+	for _, p := range s.Phases {
+		share := "-"
+		if !p.Nested() && total > 0 {
+			share = fmt.Sprintf("%5.1f%%", 100*float64(p.Total)/float64(total))
+		}
+		rate := "-"
+		if p.Items > 0 && p.Total > 0 {
+			rate = fmt.Sprintf("%.0f items/s", float64(p.Items)/p.Total.Seconds())
+		}
+		name := p.Name
+		if p.Nested() {
+			name = "  " + name // indent under the enclosing top-level phase
+		}
+		tw.row(name, fmt.Sprint(p.Count), fmt.Sprint(p.Items), fmtDuration(p.Total), share, rate)
+	}
+	tw.row("total", "", "", fmtDuration(total), "100.0%", "")
+	if err := tw.flush(); err != nil {
+		return err
+	}
+	if len(s.Counters) > 0 {
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+		ct := &tableWriter{w: w}
+		ct.row("COUNTER", "VALUE")
+		for _, c := range s.Counters {
+			ct.row(c.Name, fmt.Sprint(c.Value))
+		}
+		return ct.flush()
+	}
+	return nil
+}
+
+// fmtDuration rounds durations to a readable precision without losing the
+// sub-millisecond phases entirely.
+func fmtDuration(d time.Duration) string {
+	switch {
+	case d >= time.Second:
+		return d.Round(time.Millisecond).String()
+	case d >= time.Millisecond:
+		return d.Round(time.Microsecond).String()
+	default:
+		return d.String()
+	}
+}
+
+// tableWriter accumulates rows and renders them with per-column alignment;
+// small enough that text/tabwriter would be overkill.
+type tableWriter struct {
+	w    io.Writer
+	rows [][]string
+}
+
+func (t *tableWriter) row(cells ...string) { t.rows = append(t.rows, cells) }
+
+func (t *tableWriter) flush() error {
+	widths := make([]int, 0, 8)
+	for _, r := range t.rows {
+		for i, c := range r {
+			if i >= len(widths) {
+				widths = append(widths, 0)
+			}
+			if len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	var b strings.Builder
+	for _, r := range t.rows {
+		b.Reset()
+		for i, c := range r {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			b.WriteString(c)
+			if i < len(r)-1 {
+				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+			}
+		}
+		if _, err := fmt.Fprintln(t.w, b.String()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // defaultTracer is the process-default tracer consulted by pipeline stages

@@ -79,9 +79,6 @@ func TestTracerRecordsPhasesAndCounters(t *testing.T) {
 	if mat.Min > mat.Max || mat.Total < mat.Max {
 		t.Fatalf("inconsistent min/max/total: %v/%v/%v", mat.Min, mat.Max, mat.Total)
 	}
-	if got := mat.Latency.Count(); got != 1 {
-		t.Fatalf("materialize histogram count = %d, want 1", got)
-	}
 	if v := snap.Counter(CounterPoolTasks); v != 5 {
 		t.Fatalf("pool tasks counter = %d, want 5", v)
 	}
@@ -141,9 +138,6 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 	if p.Items != goroutines*iters*3 {
 		t.Fatalf("items = %d, want %d", p.Items, goroutines*iters*3)
-	}
-	if got := p.Latency.Count(); got != goroutines*iters {
-		t.Fatalf("histogram count = %d, want %d", got, goroutines*iters)
 	}
 	if v := snap.Counter(CounterPoolChunks); v != goroutines*iters {
 		t.Fatalf("chunk counter = %d, want %d", v, goroutines*iters)

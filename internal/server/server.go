@@ -464,7 +464,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		m = m.WithWorkers(req.Workers)
 	}
 	// With an active trace span, score against a per-request copy carrying
-	// a fresh phase tracer, so core/matdb phase timings become child spans
+	// a fresh phase tracer, so core/matdb phase timings become attributes
 	// of this request instead of vanishing into the shared model.
 	sp := trace.SpanFrom(r.Context())
 	if sp != nil {
@@ -479,7 +479,14 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		scores, err = scoreChunked(r, m, req.Queries)
 	}
 	if err == nil && sp != nil {
-		emitPhaseSpans(sp, m.Stats())
+		// Phase totals are busy time summed across workers, not intervals
+		// inside the request, so they are attributes rather than child spans.
+		for _, ph := range m.Stats().Phases {
+			key := "phase/" + ph.Name
+			sp.SetAttrInt(key+".busy_us", ph.Total.Microseconds())
+			sp.SetAttrInt(key+".count", ph.Count)
+			sp.SetAttrInt(key+".items", ph.Items)
+		}
 	}
 	if err != nil {
 		if r.Context().Err() != nil {
@@ -557,23 +564,6 @@ func scoreChunkedPruned(r *http.Request, m *lof.Model, queries [][]float64, eps 
 		certified += chunk.Certified
 	}
 	return out, certified, nil
-}
-
-// emitPhaseSpans converts the phase tracer's aggregate timings into
-// synthetic child spans of sp. Phases overlap the request span rather
-// than tiling it — a phase span's duration is summed busy time across all
-// calls (and workers) of that phase, which is the quantity that answers
-// "where did this slow score go".
-func emitPhaseSpans(sp *trace.Span, stats *lof.RunStats) {
-	if stats == nil {
-		return
-	}
-	for _, ph := range stats.Phases {
-		child := sp.Child("phase/" + ph.Name)
-		child.SetAttrInt("count", ph.Count)
-		child.SetAttrInt("items", ph.Items)
-		child.EndIn(ph.Total)
-	}
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {

@@ -172,19 +172,11 @@ func (s *Server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
-		for _, stage := range []struct {
-			name string
-			d    time.Duration
-		}{
-			{"stream/plan", res.Timing.Plan},
-			{"stream/apply", res.Timing.Apply},
-			{"stream/drain", res.Timing.Drain},
-			{"stream/replay", res.Timing.Replay},
-		} {
-			child := sp.Child(stage.name)
-			child.SetAttrInt("epoch", int64(res.Seq))
-			child.EndIn(stage.d)
-		}
+		sp.SetAttrInt("epoch", int64(res.Seq))
+		sp.SetAttrInt("stream/plan_us", res.Timing.Plan.Microseconds())
+		sp.SetAttrInt("stream/apply_us", res.Timing.Apply.Microseconds())
+		sp.SetAttrInt("stream/drain_us", res.Timing.Drain.Microseconds())
+		sp.SetAttrInt("stream/replay_us", res.Timing.Replay.Microseconds())
 		if len(res.Expired) > 0 {
 			sp.SetAttrInt("expired", int64(len(res.Expired)))
 		}
@@ -252,17 +244,17 @@ func (s *Server) handleStreamFreeze(w http.ResponseWriter, r *http.Request) {
 	if pl == nil {
 		return
 	}
-	start := time.Now()
+	sp, _ := trace.StartSpan(r.Context(), "stream/freeze")
 	m, seq, err := s.FreezeStreamInstall()
+	sp.SetAttrInt("epoch", int64(seq))
 	if err != nil {
+		sp.SetError(err.Error())
+		sp.End()
 		front.WriteError(w, r, http.StatusConflict, err.Error())
 		return
 	}
-	if child, _ := trace.StartSpan(r.Context(), "stream/freeze"); child != nil {
-		child.SetAttrInt("epoch", int64(seq))
-		child.SetAttrInt("objects", int64(m.Len()))
-		child.EndIn(time.Since(start))
-	}
+	sp.SetAttrInt("objects", int64(m.Len()))
+	sp.End()
 	front.WriteJSON(w, http.StatusOK, streamFreezeResponse{modelInfo: infoFor(m), Epoch: seq})
 }
 

@@ -17,7 +17,7 @@ import (
 
 // TestScoreTraceSpansAndExemplar drives a traced score request through the
 // full middleware stack and asserts the span tree: the request span
-// continues the inbound traceparent, per-phase work shows up as children,
+// continues the inbound traceparent, per-phase work shows up as attributes,
 // the trace is retrievable over /v1/debug/traces, and /metrics links the
 // route's slowest request to the trace ID.
 func TestScoreTraceSpansAndExemplar(t *testing.T) {
@@ -53,13 +53,9 @@ func TestScoreTraceSpansAndExemplar(t *testing.T) {
 	rootID := root.TraceID.String()
 	spans := col.Spans(trace.Query{TraceID: rootID})
 	var reqSpan *trace.Recorded
-	phases := 0
 	for i := range spans {
-		switch {
-		case spans[i].Name == "http /v1/score":
+		if spans[i].Name == "http /v1/score" {
 			reqSpan = &spans[i]
-		case strings.HasPrefix(spans[i].Name, "phase/"):
-			phases++
 		}
 	}
 	if reqSpan == nil {
@@ -71,13 +67,17 @@ func TestScoreTraceSpansAndExemplar(t *testing.T) {
 	if reqSpan.Attrs["route"] != "/v1/score" || reqSpan.Attrs["status"] != "200" {
 		t.Fatalf("request span attrs %v", reqSpan.Attrs)
 	}
-	if phases == 0 {
-		t.Fatal("no phase/ child spans recorded; per-phase work is invisible in the trace")
-	}
-	for i := range spans {
-		if strings.HasPrefix(spans[i].Name, "phase/") && spans[i].ParentID != reqSpan.SpanID {
-			t.Fatalf("phase span %q parented to %s, want the request span %s", spans[i].Name, spans[i].ParentID, reqSpan.SpanID)
+	// Per-phase work is visible as attributes of the request span.
+	for _, key := range []string{"phase/score.busy_us", "phase/score/knn.busy_us", "phase/score/merge.busy_us"} {
+		if _, ok := reqSpan.Attrs[key]; !ok {
+			t.Fatalf("request span lacks %s; per-phase work is invisible in the trace (attrs %v)", key, reqSpan.Attrs)
 		}
+	}
+	if got := reqSpan.Attrs["phase/score.count"]; got != "3" {
+		t.Fatalf("phase/score.count = %q, want one per query (3)", got)
+	}
+	if len(spans) != 1 {
+		t.Fatalf("score recorded %d spans, want only the request span", len(spans))
 	}
 
 	// The trace is retrievable over the debug endpoint.
@@ -110,6 +110,78 @@ func TestScoreTraceSpansAndExemplar(t *testing.T) {
 		if !strings.Contains(metrics, fam) {
 			t.Fatalf("metrics missing %s", fam)
 		}
+	}
+}
+
+// requireNested fails the test unless every recorded span whose parent was
+// recorded by the same collector lies inside the parent's interval. The
+// 1µs slack absorbs the float round trip of DurationMS.
+func requireNested(t *testing.T, spans []trace.Recorded) {
+	t.Helper()
+	const slack = time.Microsecond
+	end := func(s trace.Recorded) time.Time {
+		return s.Start.Add(time.Duration(s.DurationMS * float64(time.Millisecond)))
+	}
+	byID := make(map[string]trace.Recorded, len(spans))
+	for _, s := range spans {
+		byID[s.SpanID] = s
+	}
+	for _, s := range spans {
+		p, ok := byID[s.ParentID]
+		if !ok {
+			continue
+		}
+		if s.Start.Before(p.Start.Add(-slack)) || end(s).After(end(p).Add(slack)) {
+			t.Errorf("span %q [%v, %v] lies outside its parent %q [%v, %v]",
+				s.Name, s.Start.Sub(p.Start), end(s).Sub(p.Start), p.Name, time.Duration(0), end(p).Sub(p.Start))
+		}
+	}
+}
+
+// TestTraceSpansNestInsideParents records a traced 256-query score over
+// four workers, a stream push, and a stream freeze (successful and
+// refused), and requires every span to lie inside its parent.
+func TestTraceSpansNestInsideParents(t *testing.T) {
+	col := trace.NewCollector(trace.Config{Service: "lofserve", Sample: 1})
+	srv := New(Config{Trace: col, MaxBatch: 1024})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	rng := rand.New(rand.NewSource(31))
+
+	post := func(path string, body interface{}, want int) {
+		t.Helper()
+		if resp, b := postJSON(t, client, ts.URL+path, body); resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d; body %s", path, resp.StatusCode, want, b)
+		}
+	}
+	post("/v1/fit", FitRequest{Config: FitConfig{MinPtsLB: 3, MinPtsUB: 8}, Data: testData(rng, 300)}, http.StatusOK)
+	post("/v1/score", map[string]interface{}{"queries": testData(rng, 256), "workers": 4}, http.StatusOK)
+	post("/v1/stream/init", map[string]interface{}{"config": map[string]interface{}{"dim": 2, "minPts": 4}}, http.StatusOK)
+	post("/v1/stream/freeze", struct{}{}, http.StatusConflict) // window too small
+	post("/v1/stream", map[string]interface{}{"inserts": testData(rng, 40)}, http.StatusOK)
+	post("/v1/stream/freeze", struct{}{}, http.StatusOK)
+
+	spans := col.Spans(trace.Query{})
+	requireNested(t, spans)
+	var push *trace.Recorded
+	freezes, refused := 0, 0
+	for i, s := range spans {
+		switch s.Name {
+		case "http /v1/stream":
+			push = &spans[i]
+		case "stream/freeze":
+			freezes++
+			if s.Error != "" {
+				refused++
+			}
+		}
+	}
+	if push == nil || push.Attrs["stream/apply_us"] == "" || push.Attrs["stream/replay_us"] == "" {
+		t.Fatalf("push span missing stage attributes: %+v", push)
+	}
+	if freezes != 2 || refused != 1 {
+		t.Fatalf("recorded %d stream/freeze spans (%d with an error), want 2 (1)", freezes, refused)
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 	"lof/internal/shard"
 )
 
-// The golden parts under testdata were written by the pre-refactor
-// (version 1, streamed) encoder from a split of the oracle fit the root
-// package's testdata/oracle_prerefactor.json captures. Loading them and
-// re-encoding must produce byte-identical snapshots to a fresh split with
-// today's code: encoding is deterministic, so byte equality proves the
-// entire restored state — ids, coordinates, rows, ranks, halo, metadata —
-// survived both the format migration and the flat-store refactor exactly.
+// The golden parts under testdata are version-2 images of a split of the
+// oracle fit the root package's testdata/oracle_prerefactor.json captures,
+// converted from the original streamed (version 1) goldens. A fresh split
+// with today's code must encode to them byte for byte, and both readers
+// must restore them into parts that re-encode to the same bytes: encoding
+// is deterministic, so byte equality proves the entire state — ids,
+// coordinates, rows, ranks, halo, metadata — survives exactly.
 
 func oracleParts(t *testing.T, distinct bool) []*shard.Part {
 	t.Helper()
@@ -53,13 +53,13 @@ func oracleParts(t *testing.T, distinct bool) []*shard.Part {
 	return parts
 }
 
-func TestGoldenPartV1BitIdentical(t *testing.T) {
+func TestGoldenPartBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		file     string
 		distinct bool
 	}{
-		{"part_v1.bin", false},
-		{"part_v1_distinct.bin", true},
+		{"part_v2.bin", false},
+		{"part_v2_distinct.bin", true},
 	} {
 		tc := tc
 		t.Run(tc.file, func(t *testing.T) {
@@ -67,35 +67,32 @@ func TestGoldenPartV1BitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reading fixture: %v", err)
 			}
-			golden, err := shard.DecodePart(raw)
-			if err != nil {
-				t.Fatalf("DecodePart(v1): %v", err)
-			}
-			// ReadPart must accept the same stream.
-			if _, err := shard.ReadPart(bytes.NewReader(raw)); err != nil {
-				t.Fatalf("ReadPart(v1): %v", err)
-			}
-			fresh := oracleParts(t, tc.distinct)[1]
-			encGolden, err := shard.EncodePart(golden)
-			if err != nil {
-				t.Fatalf("EncodePart(golden): %v", err)
-			}
-			encFresh, err := shard.EncodePart(fresh)
+			fresh, err := shard.EncodePart(oracleParts(t, tc.distinct)[1])
 			if err != nil {
 				t.Fatalf("EncodePart(fresh): %v", err)
 			}
-			if !bytes.Equal(encGolden, encFresh) {
-				t.Fatalf("golden v1 part re-encodes to %d bytes differing from a fresh split's %d",
-					len(encGolden), len(encFresh))
+			if !bytes.Equal(raw, fresh) {
+				t.Fatalf("fresh split encodes to %d bytes differing from the golden %d", len(fresh), len(raw))
 			}
-			// And the upgraded encoding round-trips through the flat loader.
-			up, err := shard.DecodePart(encGolden)
+			decoded, err := shard.DecodePart(raw)
 			if err != nil {
-				t.Fatalf("DecodePart(v2): %v", err)
+				t.Fatalf("DecodePart: %v", err)
 			}
-			if up.Len() != golden.Len() || up.Version() != golden.Version() ||
-				up.ShardID() != golden.ShardID() || up.Meta().Distinct != tc.distinct {
-				t.Fatalf("upgraded part metadata mismatch: %+v", up.Meta())
+			read, err := shard.ReadPart(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("ReadPart: %v", err)
+			}
+			for _, p := range []*shard.Part{decoded, read} {
+				if p.Meta().Distinct != tc.distinct {
+					t.Fatalf("restored part distinct=%v, want %v", p.Meta().Distinct, tc.distinct)
+				}
+				enc, err := shard.EncodePart(p)
+				if err != nil {
+					t.Fatalf("EncodePart(restored): %v", err)
+				}
+				if !bytes.Equal(enc, raw) {
+					t.Fatal("restored golden part re-encodes to different bytes")
+				}
 			}
 		})
 	}

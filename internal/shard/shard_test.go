@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"lof"
@@ -199,46 +198,6 @@ func TestPartRoundTrip(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestPartCorruption(t *testing.T) {
-	_, pts, db := fitModel(t, true)
-	parts, err := shard.Split(pts, db, shard.Meta{Metric: "euclidean"}, 2, shard.PartitionRange, 1)
-	if err != nil {
-		t.Fatalf("Split: %v", err)
-	}
-	enc, err := shard.EncodePart(parts[0])
-	if err != nil {
-		t.Fatalf("EncodePart: %v", err)
-	}
-	t.Run("bit flip", func(t *testing.T) {
-		bad := append([]byte(nil), enc...)
-		bad[len(bad)/2] ^= 0x40
-		if _, err := shard.DecodePart(bad); err == nil {
-			t.Fatal("corrupt part decoded without error")
-		}
-	})
-	t.Run("truncation", func(t *testing.T) {
-		if _, err := shard.DecodePart(enc[:len(enc)-9]); err == nil {
-			t.Fatal("truncated part decoded without error")
-		}
-	})
-	t.Run("future format version", func(t *testing.T) {
-		bad := append([]byte(nil), enc...)
-		bad[4] = 99 // format version field, little-endian low byte
-		_, err := shard.DecodePart(bad)
-		if err == nil || !strings.Contains(err.Error(), "newer than the supported") {
-			t.Fatalf("future-version part: got %v, want descriptive rejection", err)
-		}
-	})
-	t.Run("bad magic", func(t *testing.T) {
-		bad := append([]byte(nil), enc...)
-		bad[0] = 'X'
-		if _, err := shard.DecodePart(bad); err == nil ||
-			!strings.Contains(err.Error(), "magic") {
-			t.Fatalf("bad magic: got %v", err)
-		}
-	})
 }
 
 func TestEmptyPartition(t *testing.T) {

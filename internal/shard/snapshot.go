@@ -1,11 +1,8 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -60,13 +57,14 @@ import (
 // 64-bit little-endian host reinterprets the pushed buffer in place: the
 // installed part's coordinates, neighbor rows and ranks alias the snapshot
 // bytes, so installation costs one validation sweep plus the local index
-// rebuild, not a decode of the bulk data. The streamed version-1 format
-// remains readable; either way a corrupt or truncated push is a
-// descriptive error on the shard, never a silently wrong partition.
+// rebuild, not a decode of the bulk data. A corrupt or truncated push is a
+// descriptive error on the shard, never a silently wrong partition. Parts
+// travel from coordinator to shard and are not stored long-term, so the
+// retired streamed format (version 1) is refused with a request to re-push
+// from a current coordinator rather than decoded.
 const (
-	partMagic    = "LOFP"
-	partVersion  = 2
-	partVersion1 = 1 // streamed format, still readable
+	partMagic   = "LOFP"
+	partVersion = 2
 
 	partV2HeaderSize = 72
 
@@ -83,19 +81,6 @@ const (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// crcReader hashes the bytes the decoder actually consumes; it sits above
-// any buffering so read-ahead never contaminates the digest.
-type crcReader struct {
-	r   io.Reader
-	sum hash.Hash32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.sum.Write(p[:n])
-	return n, err
-}
 
 // EncodePart serializes a part in the current (version 2) sectioned format
 // — the payload a coordinator pushes over the replication endpoint.
@@ -237,69 +222,60 @@ func EncodePart(p *Part) ([]byte, error) {
 	return buf, nil
 }
 
-// WritePart serializes a part in the current replication format.
-func WritePart(w io.Writer, p *Part) error {
-	b, err := EncodePart(p)
-	if err != nil {
-		return err
+// checkPartHeader vets a part's magic and format version, the first eight
+// bytes of every version.
+func checkPartHeader(head []byte) error {
+	if len(head) < len(partMagic)+4 {
+		return fmt.Errorf("shard: part of %d bytes is too short", len(head))
 	}
-	_, err = w.Write(b)
-	return err
+	if string(head[:len(partMagic)]) != partMagic {
+		return fmt.Errorf("shard: bad part magic %q", head[:len(partMagic)])
+	}
+	switch ver := binary.LittleEndian.Uint32(head[len(partMagic):]); {
+	case ver > partVersion:
+		return fmt.Errorf("shard: part format version %d is newer than the supported %d; upgrade this binary", ver, partVersion)
+	case ver == 1:
+		return fmt.Errorf("shard: part format version 1 is retired; re-push the part from a current coordinator")
+	case ver != partVersion:
+		return fmt.Errorf("shard: unsupported part format version %d", ver)
+	}
+	return nil
 }
 
 // ReadPart restores a part from its replication format, verifying the
 // checksum and every structural invariant the serving path assumes, and
-// rebuilds the local kNN index. Corruption, truncation and
-// newer-than-supported formats all load as descriptive errors. Both format
-// versions are accepted; a sectioned (version 2) stream is slurped and
-// decoded through the flat loader.
+// rebuilds the local kNN index. The header is vetted before the body is
+// read; the body is then read into one exactly sized buffer that the part
+// aliases for its lifetime (see DecodePart).
 func ReadPart(r io.Reader) (*Part, error) {
-	br := bufio.NewReader(r)
 	head := make([]byte, len(partMagic)+4)
-	if _, err := io.ReadFull(br, head); err != nil {
+	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, fmt.Errorf("shard: reading part header: %w", err)
 	}
-	if string(head[:len(partMagic)]) != partMagic {
-		return nil, fmt.Errorf("shard: bad part magic %q", head[:len(partMagic)])
+	if err := checkPartHeader(head); err != nil {
+		return nil, err
 	}
-	ver := binary.LittleEndian.Uint32(head[len(partMagic):])
-	switch {
-	case ver > partVersion:
-		return nil, fmt.Errorf("shard: part format version %d is newer than the supported %d; upgrade this binary", ver, partVersion)
-	case ver == partVersion:
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("shard: reading part snapshot: %w", err)
-		}
-		// Re-assemble into one fresh (8-aligned) allocation so the flat
-		// loader's zero-copy casts apply to streamed reads too.
-		all := make([]byte, 0, len(head)+len(rest))
-		all = append(append(all, head...), rest...)
-		return decodePartV2(all)
-	case ver == partVersion1:
-		return readPartV1(br, head)
-	default:
-		return nil, fmt.Errorf("shard: unsupported part format version %d", ver)
+	rest, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("shard: reading part snapshot: %w", err)
 	}
+	// io.ReadAll leaves slack capacity that the part would pin; copy into
+	// one exactly sized (and 8-aligned) allocation instead.
+	all := make([]byte, len(head)+len(rest))
+	copy(all[copy(all, head):], rest)
+	return DecodePart(all)
 }
 
-// DecodePart restores a part from an encoded byte slice. A version-2
-// snapshot decodes zero-copy where the platform allows: the returned
-// part's coordinates, neighbor rows and ranks alias b, so the caller must
-// not modify or recycle b for the part's lifetime. Version-1 snapshots
-// decode by copy and do not retain b.
+// DecodePart restores a part from an encoded byte slice, reinterpreting
+// the bulk sections in place when alignment and byte order allow: the
+// returned part's coordinates, neighbor rows and ranks alias b, so the
+// caller must not modify or recycle b for the part's lifetime. Corruption,
+// truncation, retired and newer-than-supported formats all return
+// descriptive errors.
 func DecodePart(b []byte) (*Part, error) {
-	if len(b) >= len(partMagic)+4 && string(b[:len(partMagic)]) == partMagic &&
-		binary.LittleEndian.Uint32(b[len(partMagic):]) == partVersion {
-		return decodePartV2(b)
+	if err := checkPartHeader(b); err != nil {
+		return nil, err
 	}
-	return ReadPart(bytes.NewReader(b))
-}
-
-// decodePartV2 restores a part from a sectioned (version 2) snapshot
-// image, reinterpreting the bulk sections in place when alignment and
-// byte order allow.
-func decodePartV2(b []byte) (*Part, error) {
 	le := binary.LittleEndian
 	if len(b) < partV2HeaderSize+4 {
 		return nil, fmt.Errorf("shard: truncated part header (%d bytes)", len(b))
@@ -484,181 +460,11 @@ func decodePartV2(b []byte) (*Part, error) {
 	return p, nil
 }
 
-// readPartV1 decodes the streamed version-1 format with explicit
-// little-endian field reads. head is the already-consumed magic and
-// version, which seed the checksum.
-func readPartV1(br *bufio.Reader, head []byte) (*Part, error) {
-	cr := &crcReader{r: br, sum: crc32.New(crcTable)}
-	cr.sum.Write(head)
-	fr := flatbin.NewReader(cr)
-	p := &Part{}
-	p.version = fr.U64()
-	p.shardID = int(fr.U32())
-	p.numShards = int(fr.U32())
-	p.parter = Partitioner(fr.U8())
-	total := fr.U64()
-	k := fr.U32()
-	distinct := fr.U8()
-	dim := fr.U32()
-	if err := fr.Context("shard: reading part header"); err != nil {
-		return nil, err
-	}
-	if distinct > 1 {
-		return nil, fmt.Errorf("shard: invalid distinct flag %d", distinct)
-	}
-	if dim == 0 {
-		return nil, fmt.Errorf("shard: part has zero-dimensional points")
-	}
-	const maxPoints = 1 << 40
-	if total > maxPoints {
-		return nil, fmt.Errorf("shard: implausible total point count %d", total)
-	}
-	p.meta = Meta{Total: int(total), K: int(k), Distinct: distinct == 1}
-	nameLen := fr.U16()
-	nameBuf := make([]byte, nameLen)
-	fr.Full(nameBuf)
-	if err := fr.Context("shard: reading metric name"); err != nil {
-		return nil, err
-	}
-	p.meta.Metric = string(nameBuf)
-	wcount := fr.U32()
-	if err := fr.Context("shard: reading weights"); err != nil {
-		return nil, err
-	}
-	if wcount > 0 {
-		// Grow with parsed data, not header claims, so a corrupt count cannot
-		// trigger a huge allocation before the checksum is checked.
-		p.meta.Weights = make([]float64, 0, minU64(uint64(wcount), 1024))
-		for i := uint32(0); i < wcount; i++ {
-			p.meta.Weights = append(p.meta.Weights, fr.F64())
-			if err := fr.Context("shard: reading weight %d", i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	owned := fr.U64()
-	if err := fr.Context("shard: reading owned count"); err != nil {
-		return nil, err
-	}
-	if owned > total {
-		return nil, fmt.Errorf("shard: part claims %d owned points of %d total", owned, total)
-	}
-	p.ids = make([]uint32, 0, minU64(owned, 1<<16))
-	for i := uint64(0); i < owned; i++ {
-		p.ids = append(p.ids, fr.U32())
-		if err := fr.Context("shard: reading owned id %d", i); err != nil {
-			return nil, err
-		}
-	}
-	p.pts = geom.NewPoints(int(dim), int(minU64(owned, 1<<16)))
-	row := make([]float64, dim)
-	for i := uint64(0); i < owned; i++ {
-		for j := range row {
-			row[j] = fr.F64()
-		}
-		if err := fr.Context("shard: reading point %d", i); err != nil {
-			return nil, err
-		}
-		if err := p.pts.Append(geom.Point(row)); err != nil {
-			return nil, fmt.Errorf("shard: point %d: %w", i, err)
-		}
-	}
-	p.rows = make([][]index.Neighbor, 0, minU64(owned, 1<<16))
-	if p.meta.Distinct {
-		p.rks = make([][]int32, 0, minU64(owned, 1<<16))
-	}
-	for i := uint64(0); i < owned; i++ {
-		cnt := fr.U32()
-		if err := fr.Context("shard: reading row %d", i); err != nil {
-			return nil, err
-		}
-		nn := make([]index.Neighbor, 0, minU64(uint64(cnt), 1<<12))
-		for j := uint32(0); j < cnt; j++ {
-			id := fr.U32()
-			d := fr.F64()
-			if err := fr.Context("shard: reading row %d", i); err != nil {
-				return nil, err
-			}
-			if uint64(id) >= total {
-				return nil, fmt.Errorf("shard: row %d references neighbor id %d outside total %d", i, id, total)
-			}
-			if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-				return nil, fmt.Errorf("shard: row %d has invalid neighbor distance %v", i, d)
-			}
-			nn = append(nn, index.Neighbor{Index: int(id), Dist: d})
-		}
-		p.rows = append(p.rows, nn)
-		if p.meta.Distinct {
-			rc := fr.U32()
-			if err := fr.Context("shard: reading row %d ranks", i); err != nil {
-				return nil, err
-			}
-			rk := make([]int32, 0, minU64(uint64(rc), 1<<12))
-			for j := uint32(0); j < rc; j++ {
-				v := fr.I32()
-				if err := fr.Context("shard: reading row %d ranks", i); err != nil {
-					return nil, err
-				}
-				if v < 0 || int(v) >= len(nn) {
-					return nil, fmt.Errorf("shard: row %d rank %d outside its %d neighbors", i, v, len(nn))
-				}
-				rk = append(rk, v)
-			}
-			p.rks = append(p.rks, rk)
-		}
-	}
-	if p.meta.Distinct {
-		hcount := fr.U64()
-		if err := fr.Context("shard: reading halo count"); err != nil {
-			return nil, err
-		}
-		if hcount > total {
-			return nil, fmt.Errorf("shard: part claims %d halo points of %d total", hcount, total)
-		}
-		p.halo = make(map[uint32]geom.Point, minU64(hcount, 1<<16))
-		for i := uint64(0); i < hcount; i++ {
-			id := fr.U32()
-			pt := make(geom.Point, dim)
-			for j := range pt {
-				pt[j] = fr.F64()
-			}
-			if err := fr.Context("shard: reading halo point %d", i); err != nil {
-				return nil, err
-			}
-			if !pt.Valid() {
-				return nil, fmt.Errorf("shard: halo point %d has non-finite coordinates", id)
-			}
-			p.halo[id] = pt
-		}
-	}
-	// The trailer bypasses the hashing reader: it is the checksum of
-	// everything before it.
-	var trailer [4]byte
-	if _, err := io.ReadFull(br, trailer[:]); err != nil {
-		return nil, fmt.Errorf("shard: reading part checksum: %w", err)
-	}
-	want := binary.LittleEndian.Uint32(trailer[:])
-	if got := cr.sum.Sum32(); got != want {
-		return nil, fmt.Errorf("shard: part checksum mismatch (stored %08x, computed %08x): corrupt or truncated snapshot", want, got)
-	}
-	if err := p.finish(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 func boolByte(b bool) uint8 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func sortU32(s []uint32) {

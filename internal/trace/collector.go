@@ -294,9 +294,9 @@ func (s *Span) End() {
 	s.EndIn(time.Since(s.start))
 }
 
-// EndIn finishes the span with an explicit duration — how synthetic spans
-// (scoring phases, stream pipeline stages) report busy time measured
-// elsewhere.
+// EndIn finishes the span as if it had lasted d. End is EndIn with the
+// elapsed wall time; an explicit d lets tests pin durations against the
+// slow threshold.
 func (s *Span) EndIn(d time.Duration) {
 	if s == nil {
 		return

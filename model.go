@@ -1,17 +1,16 @@
 package lof
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 
 	"lof/internal/core"
-	"lof/internal/flatbin"
 	"lof/internal/geom"
 	"lof/internal/index"
 	"lof/internal/matdb"
@@ -24,8 +23,8 @@ import (
 // Definitions 5–7 — each score equals the LOF the query would receive from
 // a full refit on data ∪ {query} at the same MinPts — without mutating or
 // refitting anything. A Model is safe for concurrent use, and can be
-// serialized with WriteTo and shipped to serving replicas that restore it
-// with LoadModel.
+// serialized with WriteTo or WriteFile and shipped to serving replicas that
+// restore it with LoadModel, LoadModelBytes or OpenModelFile.
 type Model struct {
 	cfg    Config
 	metric geom.Metric
@@ -61,7 +60,7 @@ func (r *Result) Model() (*Model, error) {
 // fit was untraced or the model was restored from a snapshot. Scoring
 // phases from concurrent queries overlap in time, so their totals are busy
 // time rather than wall time.
-func (m *Model) Stats() *RunStats { return statsFromTracer(m.tracer) }
+func (m *Model) Stats() *RunStats { return m.tracer.Snapshot() }
 
 // WithWorkers returns a model that shares this model's fitted state but
 // scores over its own pool of the given width: n > 1 sets that many
@@ -230,8 +229,8 @@ func (m *Model) Fitted() (*geom.Points, *matdb.DB) { return m.pts, m.db }
 // database. The index is rebuilt on load (it is derived state and its
 // in-memory layout is not worth freezing into a format).
 //
-// The current format (version 3) is sectioned and flat: a fixed header, a
-// section table, then 8-byte-aligned sections whose bytes are exactly the
+// The format (version 3) is sectioned and flat: a fixed header, a section
+// table, then 8-byte-aligned sections whose bytes are exactly the
 // in-memory layout of the serving structures — packed row-major float64
 // coordinates, 16-byte {index u64, dist f64} neighbor entries, u64 prefix
 // offsets — followed by a CRC-32C (Castagnoli) trailer over every preceding
@@ -239,18 +238,19 @@ func (m *Model) Fitted() (*geom.Points, *matdb.DB) { return m.pts, m.db }
 // reinterpret an mmap'd snapshot in place and serve from the mapping; see
 // model_v3.go for the exact layout.
 //
-// Versions 1 (streamed, no checksum) and 2 (streamed, CRC trailer) remain
-// loadable; versions above the current one are rejected up front so an old
-// replica fails a new snapshot cleanly. The checksum makes corruption — a
-// truncated download, a flipped bit in a replicated snapshot — a
-// descriptive load error instead of a decode panic or, worse, a silently
-// wrong model on a serving replica.
+// Version 3 is the only format the loaders read. The retired streamed
+// formats (versions 1 and 2) are refused with an error naming
+// `lofcli migrate`, which converts such a file once: it refits the stored
+// configuration and coordinates and writes version 3 only when the refit's
+// database equals the stored one entry for entry. Versions above the
+// current one are rejected up front so an old replica fails a new snapshot
+// cleanly. The checksum makes corruption — a truncated download, a flipped
+// bit in a replicated snapshot — a descriptive load error instead of a
+// decode panic or, worse, a silently wrong model on a serving replica.
 
 const (
-	modelMagic    = "LOFS"
-	modelVersion  = 3
-	modelVersion2 = 2 // streamed format with CRC trailer, still readable
-	modelVersion1 = 1 // pre-checksum streamed format, still readable
+	modelMagic   = "LOFS"
+	modelVersion = 3
 )
 
 // maxSnapshotPoints bounds header-claimed sizes so a corrupt header cannot
@@ -265,134 +265,82 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// LoadModel restores a model written by WriteTo (or Result.WriteModel),
-// rebuilding the k-NN index from the stored coordinates. All snapshot
-// versions are accepted: the current sectioned format (which is slurped and
-// handed to LoadModelBytes) and the streamed formats 1 and 2. Checksummed
-// snapshots are verified before the model is returned; newer-than-supported
-// versions are rejected up front.
-func LoadModel(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(modelMagic)+4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("lof: reading model header: %w", err)
+// WriteFile saves the model as a snapshot file at path without ever
+// rewriting the bytes of an existing file: it writes a temp file in the
+// same directory, syncs it, and renames it over path. A process serving
+// the old file by mmap keeps its mapping of the old inode and its answers,
+// and a concurrent loader sees either the old snapshot or the new one,
+// never a torn mix.
+func (m *Model) WriteFile(path string) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("lof: writing snapshot %s: %w", path, err)
 	}
-	if string(head[:len(modelMagic)]) != modelMagic {
-		return nil, fmt.Errorf("lof: bad model magic %q", head[:len(modelMagic)])
+	// CreateTemp opens 0600, but serving processes under other users read
+	// snapshots too.
+	err = f.Chmod(0o644)
+	if err == nil {
+		_, err = f.Write(m.encodeV3())
 	}
-	ver := binary.LittleEndian.Uint32(head[len(modelMagic):])
-	switch {
-	case ver > modelVersion:
-		return nil, fmt.Errorf("lof: snapshot format version %d is newer than the supported %d; upgrade this binary", ver, modelVersion)
-	case ver == modelVersion:
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("lof: reading snapshot: %w", err)
-		}
-		// Re-assemble into one 8-aligned allocation so the flat loader's
-		// zero-copy casts apply to streamed loads too.
-		all := make([]byte, 0, len(head)+len(rest))
-		all = append(append(all, head...), rest...)
-		return LoadModelBytes(all)
-	case ver == modelVersion2 || ver == modelVersion1:
-		return loadModelStreamed(br, head, ver)
-	default:
-		return nil, fmt.Errorf("lof: unsupported model version %d", ver)
+	if err == nil {
+		err = f.Sync()
 	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("lof: writing snapshot %s: %w", path, err)
+	}
+	return nil
 }
 
-// loadModelStreamed decodes the streamed formats (versions 1 and 2) with
-// explicit little-endian field reads.
-func loadModelStreamed(br *bufio.Reader, head []byte, ver uint32) (*Model, error) {
-	// For checksummed snapshots every payload byte consumed from here on is
-	// hashed, seeded with the header already read; the trailer itself is
-	// read around the hash at the end.
-	var payload io.Reader = br
-	var cr *crcReader
-	if ver >= 2 {
-		cr = &crcReader{r: br, sum: crc32.New(crcTable)}
-		cr.sum.Write(head)
-		payload = cr
+// checkModelHeader vets a snapshot's magic and format version, the first
+// eight bytes of every version.
+func checkModelHeader(head []byte) error {
+	if len(head) < len(modelMagic)+4 {
+		return fmt.Errorf("lof: snapshot of %d bytes is too short", len(head))
 	}
-	fr := flatbin.NewReader(payload)
-	lb := fr.U32()
-	ub := fr.U32()
-	agg := fr.U8()
-	distinct := fr.U8()
-	kind := fr.U8()
-	if err := fr.Context("lof: reading model header"); err != nil {
+	if string(head[:len(modelMagic)]) != modelMagic {
+		return fmt.Errorf("lof: bad model magic %q", head[:len(modelMagic)])
+	}
+	switch ver := binary.LittleEndian.Uint32(head[len(modelMagic):]); {
+	case ver > modelVersion:
+		return fmt.Errorf("lof: snapshot format version %d is newer than the supported %d; upgrade this binary", ver, modelVersion)
+	case ver == 1 || ver == 2:
+		return fmt.Errorf("lof: snapshot format version %d is retired; convert it once with `lofcli migrate -in old.bin -out new.bin`", ver)
+	case ver != modelVersion:
+		return fmt.Errorf("lof: unsupported model version %d", ver)
+	}
+	return nil
+}
+
+// LoadModel restores a model written by WriteTo (or Result.WriteModel),
+// rebuilding the k-NN index from the stored coordinates. The stream is
+// read into one exactly sized buffer and handed to LoadModelBytes; the
+// model aliases that buffer for its lifetime. The header is vetted before
+// the body is read, so a retired or newer-than-supported snapshot fails
+// without draining the stream.
+func LoadModel(r io.Reader) (*Model, error) {
+	head := make([]byte, len(modelMagic)+4)
+	if _, err := io.ReadFull(r, head); err != nil {
+		return nil, fmt.Errorf("lof: reading model header: %w", err)
+	}
+	if err := checkModelHeader(head); err != nil {
 		return nil, err
 	}
-	if distinct > 1 {
-		return nil, fmt.Errorf("lof: invalid distinct flag %d", distinct)
-	}
-	nameLen := fr.U16()
-	nameBuf := make([]byte, nameLen)
-	fr.Full(nameBuf)
-	if err := fr.Context("lof: reading metric name"); err != nil {
-		return nil, err
-	}
-	wcount := fr.U32()
-	var weights []float64
-	if wcount > 0 {
-		weights = make([]float64, 0, min(uint64(wcount), 1024))
-		for i := uint32(0); i < wcount; i++ {
-			weights = append(weights, fr.F64())
-			if err := fr.Context("lof: reading weight %d", i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	dim := fr.U32()
-	n := fr.U64()
-	if err := fr.Context("lof: reading model dimensions"); err != nil {
-		return nil, err
-	}
-	if dim == 0 {
-		return nil, fmt.Errorf("lof: model has zero-dimensional points")
-	}
-	if n > maxSnapshotPoints {
-		return nil, fmt.Errorf("lof: implausible point count %d", n)
-	}
-	// Grow with parsed data, not with header claims, so a corrupt header
-	// cannot trigger a huge allocation.
-	coords := make([]float64, 0, min(n*uint64(dim), 1<<16))
-	for i := uint64(0); i < n; i++ {
-		for j := uint32(0); j < dim; j++ {
-			coords = append(coords, fr.F64())
-		}
-		if err := fr.Context("lof: reading point %d", i); err != nil {
-			return nil, err
-		}
-	}
-	pts, err := geom.FromSlice(coords, int(dim))
+	rest, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("lof: model coordinates: %w", err)
+		return nil, fmt.Errorf("lof: reading snapshot: %w", err)
 	}
-	db, err := matdb.Read(payload)
-	if err != nil {
-		return nil, fmt.Errorf("lof: model database: %w", err)
-	}
-	if cr != nil {
-		var trailer [4]byte
-		if _, err := io.ReadFull(br, trailer[:]); err != nil {
-			return nil, fmt.Errorf("lof: reading snapshot checksum: %w", err)
-		}
-		want := binary.LittleEndian.Uint32(trailer[:])
-		if got := cr.sum.Sum32(); got != want {
-			return nil, fmt.Errorf("lof: snapshot checksum mismatch (stored %08x, computed %08x): corrupt or truncated snapshot", want, got)
-		}
-	}
-	cfg := Config{
-		MinPtsLB:    int(lb),
-		MinPtsUB:    int(ub),
-		Aggregation: Aggregation(agg),
-		Metric:      string(nameBuf),
-		Weights:     weights,
-		Index:       IndexKind(kind),
-		Distinct:    distinct == 1,
-	}
-	return assembleModel(cfg, pts, db)
+	// io.ReadAll leaves slack capacity that the model would pin; copy into
+	// one exactly sized (and 8-aligned) allocation instead.
+	all := make([]byte, len(head)+len(rest))
+	copy(all[copy(all, head):], rest)
+	return LoadModelBytes(all)
 }
 
 // assembleModel performs the load-time consistency checks shared by every
@@ -443,17 +391,3 @@ func boolByte(b bool) uint8 {
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
 // platforms serving replicas run on.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// crcReader hashes every byte the decoder consumes. It sits above the
-// buffered reader, so read-ahead inside the buffer never contaminates the
-// digest — only bytes actually delivered to the decoder count.
-type crcReader struct {
-	r   io.Reader
-	sum hash.Hash32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.sum.Write(p[:n])
-	return n, err
-}

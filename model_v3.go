@@ -1,8 +1,6 @@
 package lof
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -165,28 +163,16 @@ func (m *Model) encodeV3() []byte {
 }
 
 // LoadModelBytes restores a model from an in-memory snapshot image — file
-// bytes read or mmap'd by the caller. Version-3 snapshots load zero-copy
-// where the platform allows: the returned model's coordinates and
-// materialized rows alias b, so b must stay valid (and unmodified) for the
-// model's lifetime. Streamed snapshots (versions 1 and 2) are decoded by
-// copy and do not retain b. Corruption, truncation, misaligned or
-// overlapping sections, and newer-than-supported versions all return
-// descriptive errors.
+// bytes read or mmap'd by the caller. Snapshots load zero-copy where the
+// platform allows: the returned model's coordinates and materialized rows
+// alias b, so b must stay valid (and unmodified) for the model's lifetime.
+// Corruption, truncation, misaligned or overlapping sections, retired and
+// newer-than-supported versions all return descriptive errors.
 func LoadModelBytes(b []byte) (*Model, error) {
-	if len(b) < len(modelMagic)+4 {
-		return nil, fmt.Errorf("lof: snapshot of %d bytes is too short", len(b))
-	}
-	if string(b[:len(modelMagic)]) != modelMagic {
-		return nil, fmt.Errorf("lof: bad model magic %q", b[:len(modelMagic)])
+	if err := checkModelHeader(b); err != nil {
+		return nil, err
 	}
 	le := binary.LittleEndian
-	ver := le.Uint32(b[len(modelMagic):])
-	if ver > modelVersion {
-		return nil, fmt.Errorf("lof: snapshot format version %d is newer than the supported %d; upgrade this binary", ver, modelVersion)
-	}
-	if ver != modelVersion {
-		return loadModelStreamedBytes(b, ver)
-	}
 	if len(b) < v3HeaderSize+4 {
 		return nil, fmt.Errorf("lof: truncated snapshot header (%d bytes)", len(b))
 	}
@@ -311,14 +297,4 @@ func LoadModelBytes(b []byte) (*Model, error) {
 		Distinct:    distinct,
 	}
 	return assembleModel(cfg, pts, db)
-}
-
-// loadModelStreamedBytes routes an in-memory streamed snapshot (version 1
-// or 2) through the streaming loader.
-func loadModelStreamedBytes(b []byte, ver uint32) (*Model, error) {
-	if ver != modelVersion1 && ver != modelVersion2 {
-		return nil, fmt.Errorf("lof: unsupported model version %d", ver)
-	}
-	head := b[:len(modelMagic)+4]
-	return loadModelStreamed(bufio.NewReader(bytes.NewReader(b[len(head):])), head, ver)
 }

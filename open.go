@@ -14,19 +14,18 @@ type SnapshotLoadInfo struct {
 	// Mapped reports whether the model's bulk sections (coordinates,
 	// neighbor rows) alias a live mmap of the file. When true the mapping is
 	// retained for the life of the process; the file must not be truncated
-	// or rewritten in place while the model serves (replace snapshots by
-	// rename instead).
+	// or rewritten in place while the model serves (Model.WriteFile
+	// replaces snapshots by rename).
 	Mapped bool
 	// Bytes is the snapshot's size on disk.
 	Bytes int64
 }
 
 // OpenModelFile restores a model from a snapshot file, memory-mapping it
-// when the platform and format allow so a version-3 snapshot serves
-// zero-copy straight out of the page cache. Streamed snapshots (versions 1
-// and 2) and platforms without mmap fall back to reading the file; the
-// loaded model is identical either way. The returned info reports which
-// path was taken.
+// where the platform allows so the snapshot serves zero-copy straight out
+// of the page cache. Platforms without mmap fall back to reading the file;
+// the loaded model is identical either way. The returned info reports
+// which path was taken.
 func OpenModelFile(path string) (*Model, SnapshotLoadInfo, error) {
 	var info SnapshotLoadInfo
 	f, err := os.Open(path)
@@ -46,8 +45,6 @@ func OpenModelFile(path string) (*Model, SnapshotLoadInfo, error) {
 		}
 	}
 	info.Bytes = int64(len(data))
-	info.Version = snapshotVersion(data)
-
 	m, err := LoadModelBytes(data)
 	if err != nil {
 		if mapped {
@@ -55,28 +52,10 @@ func OpenModelFile(path string) (*Model, SnapshotLoadInfo, error) {
 		}
 		return nil, info, err
 	}
-	if mapped {
-		if info.Version == modelVersion {
-			// The model aliases the mapping; keep it for the life of the
-			// process. Intentionally no munmap: models have no Close, and
-			// serving processes load a handful of snapshots, not thousands.
-			info.Mapped = true
-		} else {
-			// Streamed formats decode by copy, so the mapping is done.
-			if err := unmap(); err != nil {
-				return nil, info, err
-			}
-		}
-	}
+	// The model aliases the mapping; keep it for the life of the process.
+	// Intentionally no munmap: models have no Close, and serving processes
+	// load a handful of snapshots, not thousands.
+	info.Version = modelVersion
+	info.Mapped = mapped
 	return m, info, nil
-}
-
-// snapshotVersion extracts the format version from a snapshot image, zero
-// when the image is too short to carry one.
-func snapshotVersion(b []byte) int {
-	if len(b) < len(modelMagic)+4 {
-		return 0
-	}
-	return int(uint32(b[len(modelMagic)]) | uint32(b[len(modelMagic)+1])<<8 |
-		uint32(b[len(modelMagic)+2])<<16 | uint32(b[len(modelMagic)+3])<<24)
 }

@@ -65,7 +65,7 @@ func (r *Result) Scores() []float64 {
 // the detector was configured without Trace. The snapshot reflects all
 // phases recorded so far — including aggregations triggered by Scores —
 // and can be taken repeatedly.
-func (r *Result) Stats() *RunStats { return statsFromTracer(r.tracer) }
+func (r *Result) Stats() *RunStats { return r.tracer.Snapshot() }
 
 // Score returns object i's aggregated LOF.
 func (r *Result) Score(i int) float64 { return r.Scores()[i] }

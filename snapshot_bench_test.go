@@ -2,56 +2,13 @@ package lof_test
 
 import (
 	"bytes"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"lof"
-	"lof/internal/flatbin"
 )
-
-// encodeV2Legacy re-creates the streamed version-2 encoding from a model's
-// exported surface, so benchmarks and tests can compare today's loader
-// against the format the current writer no longer emits.
-func encodeV2Legacy(tb testing.TB, m *lof.Model) []byte {
-	tb.Helper()
-	cfg := m.Config()
-	pts, db := m.Fitted()
-	var body bytes.Buffer
-	w := flatbin.NewWriter(&body)
-	body.WriteString("LOFS")
-	w.U32(2)
-	w.U32(uint32(cfg.MinPtsLB))
-	w.U32(uint32(cfg.MinPtsUB))
-	w.U8(uint8(cfg.Aggregation))
-	if cfg.Distinct {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-	w.U8(uint8(cfg.Index))
-	w.U16(uint16(len(cfg.Metric)))
-	w.String(cfg.Metric)
-	w.U32(uint32(len(cfg.Weights)))
-	for _, wt := range cfg.Weights {
-		w.F64(wt)
-	}
-	w.U32(uint32(pts.Dim()))
-	w.U64(uint64(pts.Len()))
-	for _, c := range pts.Coords() {
-		w.F64(c)
-	}
-	if _, err := db.WriteTo(&body); err != nil {
-		tb.Fatalf("encoding database: %v", err)
-	}
-	if err := w.Err(); err != nil {
-		tb.Fatalf("encoding v2 snapshot: %v", err)
-	}
-	sum := crc32.Checksum(body.Bytes(), crc32.MakeTable(crc32.Castagnoli))
-	return flatbin.AppendU32(body.Bytes(), sum)
-}
 
 // benchModel fits a model big enough that load time is dominated by the
 // snapshot itself rather than index construction (linear index: no build
@@ -83,25 +40,10 @@ func benchModel(tb testing.TB) *lof.Model {
 	return m
 }
 
-// TestLegacyV2EncoderAgreesWithLoader pins the test-only v2 encoder to the
-// real decoder, so the load benchmarks compare genuine formats.
-func TestLegacyV2EncoderAgreesWithLoader(t *testing.T) {
-	orc := loadOracle(t)
-	m := fitOracleModel(t, orc, false)
-	v2 := encodeV2Legacy(t, m)
-	m2, err := lof.LoadModelBytes(v2)
-	if err != nil {
-		t.Fatalf("loading synthesized v2 snapshot: %v", err)
-	}
-	checkOracleScores(t, m2, orc, orc.ScoreBits)
-}
-
-// BenchmarkSnapshotLoad compares restoring one model from the streamed
-// version-2 format (eager field-by-field decode) against the sectioned
+// BenchmarkSnapshotLoad measures restoring one model from the sectioned
 // version-3 format, from memory and from an mmap'd file.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	m := benchModel(b)
-	v2 := encodeV2Legacy(b, m)
 	var v3buf bytes.Buffer
 	if _, err := m.WriteTo(&v3buf); err != nil {
 		b.Fatal(err)
@@ -113,15 +55,6 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.Run("v2stream", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(v2)))
-		for i := 0; i < b.N; i++ {
-			if _, err := lof.LoadModel(bytes.NewReader(v2)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("v3flat", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(v3)))

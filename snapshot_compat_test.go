@@ -3,7 +3,6 @@ package lof_test
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,12 +13,12 @@ import (
 	"lof"
 )
 
-// The golden snapshots under testdata/snapshots were written by the
-// pre-refactor (streamed) encoder from a fit of the oracle dataset; the
-// oracle JSON carries the Float64bits of the scores that fit produced. The
-// tests here require today's loaders to restore those bytes into models
-// that score bit-identically — the backward-compatibility claim of the
-// format migration, checked exactly.
+// The golden snapshots under testdata/snapshots are version-3 images of a
+// fit of the oracle dataset; the oracle JSON carries the Float64bits of the
+// scores that fit produced. They were converted from the original streamed
+// goldens (now in cmd/lofcli/testdata), whose migration the lofcli tests
+// pin to these bytes exactly. The tests here require every loader to
+// restore them into models that score bit-identically.
 
 func checkOracleScores(t *testing.T, m *lof.Model, orc prerefactorOracle, want []uint64) {
 	t.Helper()
@@ -34,25 +33,43 @@ func checkOracleScores(t *testing.T, m *lof.Model, orc prerefactorOracle, want [
 	}
 }
 
+// TestGoldenSnapshotsBitIdentical walks each original streamed golden
+// through every loader: the streamed file itself must be refused with an
+// error naming lofcli migrate, and the version-3 image it migrates to must
+// load (mapped, on linux) and score the oracle bits.
 func TestGoldenSnapshotsBitIdentical(t *testing.T) {
 	orc := loadOracle(t)
 	cases := []struct {
-		file string
-		bits []uint64
+		legacy string // streamed golden, in cmd/lofcli/testdata
+		file   string // its version-3 image, in testdata/snapshots
+		bits   []uint64
 	}{
-		{"model_v1.bin", orc.ScoreBits},
-		{"model_v2.bin", orc.ScoreBits},
-		{"model_v2_distinct.bin", orc.DistinctScoreBits},
+		{"model_v1.bin", "model_v3.bin", orc.ScoreBits},
+		{"model_v2.bin", "model_v3.bin", orc.ScoreBits},
+		{"model_v2_distinct.bin", "model_v3_distinct.bin", orc.DistinctScoreBits},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.file, func(t *testing.T) {
+		t.Run(tc.legacy, func(t *testing.T) {
+			legacyPath := filepath.Join("cmd", "lofcli", "testdata", tc.legacy)
+			legacy, err := os.ReadFile(legacyPath)
+			if err != nil {
+				t.Fatalf("reading legacy fixture: %v", err)
+			}
 			path := filepath.Join("testdata", "snapshots", tc.file)
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("reading fixture: %v", err)
 			}
+			refused := func(t *testing.T, route string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "lofcli migrate") {
+					t.Fatalf("%s(%s): got %v, want an error naming lofcli migrate", route, tc.legacy, err)
+				}
+			}
 			t.Run("LoadModel", func(t *testing.T) {
+				_, err := lof.LoadModel(bytes.NewReader(legacy))
+				refused(t, "LoadModel", err)
 				m, err := lof.LoadModel(bytes.NewReader(raw))
 				if err != nil {
 					t.Fatalf("LoadModel: %v", err)
@@ -60,6 +77,8 @@ func TestGoldenSnapshotsBitIdentical(t *testing.T) {
 				checkOracleScores(t, m, orc, tc.bits)
 			})
 			t.Run("LoadModelBytes", func(t *testing.T) {
+				_, err := lof.LoadModelBytes(legacy)
+				refused(t, "LoadModelBytes", err)
 				m, err := lof.LoadModelBytes(raw)
 				if err != nil {
 					t.Fatalf("LoadModelBytes: %v", err)
@@ -67,52 +86,21 @@ func TestGoldenSnapshotsBitIdentical(t *testing.T) {
 				checkOracleScores(t, m, orc, tc.bits)
 			})
 			t.Run("OpenModelFile", func(t *testing.T) {
+				_, _, err := lof.OpenModelFile(legacyPath)
+				refused(t, "OpenModelFile", err)
 				m, info, err := lof.OpenModelFile(path)
 				if err != nil {
 					t.Fatalf("OpenModelFile: %v", err)
 				}
-				if info.Mapped {
-					t.Fatalf("streamed snapshot reported as mapped: %+v", info)
+				if runtime.GOOS == "linux" && !info.Mapped {
+					t.Fatalf("golden snapshot not mmap'd on linux: %+v", info)
 				}
-				if info.Bytes != int64(len(raw)) {
-					t.Fatalf("info.Bytes = %d, file has %d", info.Bytes, len(raw))
+				if info.Version != 3 || info.Bytes != int64(len(raw)) {
+					t.Fatalf("load info %+v, want version 3, %d bytes", info, len(raw))
 				}
 				checkOracleScores(t, m, orc, tc.bits)
 			})
 		})
-	}
-}
-
-// TestGoldenUpgradeRoundTrip rewrites each golden streamed snapshot in the
-// current sectioned format and requires the upgraded snapshot to score
-// bit-identically — the migration a replica performs when it re-persists an
-// old model.
-func TestGoldenUpgradeRoundTrip(t *testing.T) {
-	orc := loadOracle(t)
-	for _, tc := range []struct {
-		file string
-		bits []uint64
-	}{
-		{"model_v2.bin", orc.ScoreBits},
-		{"model_v2_distinct.bin", orc.DistinctScoreBits},
-	} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "snapshots", tc.file))
-		if err != nil {
-			t.Fatalf("reading fixture: %v", err)
-		}
-		m, err := lof.LoadModelBytes(raw)
-		if err != nil {
-			t.Fatalf("LoadModelBytes: %v", err)
-		}
-		var v3 bytes.Buffer
-		if n, err := m.WriteTo(&v3); err != nil || n != int64(v3.Len()) {
-			t.Fatalf("WriteTo: n=%d err=%v", n, err)
-		}
-		up, err := lof.LoadModelBytes(v3.Bytes())
-		if err != nil {
-			t.Fatalf("loading upgraded snapshot: %v", err)
-		}
-		checkOracleScores(t, up, orc, tc.bits)
 	}
 }
 
@@ -164,6 +152,13 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatal("encoding is not deterministic")
 		}
+		golden := "model_v3.bin"
+		if distinct {
+			golden = "model_v3_distinct.bin"
+		}
+		if raw, err := os.ReadFile(filepath.Join("testdata", "snapshots", golden)); err != nil || !bytes.Equal(raw, buf.Bytes()) {
+			t.Fatalf("fresh fit does not encode to %s byte for byte (read err %v)", golden, err)
+		}
 
 		m2, err := lof.LoadModelBytes(buf.Bytes())
 		if err != nil {
@@ -193,82 +188,4 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 		}
 		checkOracleScores(t, m4, orc, want)
 	}
-}
-
-// TestSnapshotV3Rejection corrupts a valid v3 snapshot every way the loader
-// claims to detect and requires a descriptive error for each.
-func TestSnapshotV3Rejection(t *testing.T) {
-	orc := loadOracle(t)
-	m := fitOracleModel(t, orc, false)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
-
-	reject := func(t *testing.T, b []byte, wantSub string) {
-		t.Helper()
-		_, err := lof.LoadModelBytes(b)
-		if err == nil {
-			t.Fatal("corrupt snapshot loaded without error")
-		}
-		if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
-			t.Fatalf("error %q does not mention %q", err, wantSub)
-		}
-	}
-
-	t.Run("truncated", func(t *testing.T) {
-		for _, n := range []int{0, 3, 8, 40, len(enc) / 2, len(enc) - 1} {
-			reject(t, enc[:n], "")
-		}
-	})
-	t.Run("bit flip", func(t *testing.T) {
-		for _, pos := range []int{6, 30, 100, len(enc) / 2, len(enc) - 10} {
-			bad := append([]byte(nil), enc...)
-			bad[pos] ^= 0x10
-			reject(t, bad, "")
-		}
-	})
-	t.Run("bad magic", func(t *testing.T) {
-		bad := append([]byte(nil), enc...)
-		bad[0] = 'X'
-		reject(t, bad, "magic")
-	})
-	t.Run("future version", func(t *testing.T) {
-		bad := append([]byte(nil), enc...)
-		binary.LittleEndian.PutUint32(bad[4:], 99)
-		reject(t, bad, "newer than the supported")
-	})
-	t.Run("misaligned section", func(t *testing.T) {
-		// Nudge the first section's offset off 8-byte alignment and re-seal
-		// the checksum, so the alignment check itself must fire.
-		bad := append([]byte(nil), enc...)
-		off := binary.LittleEndian.Uint64(bad[48+8:])
-		binary.LittleEndian.PutUint64(bad[48+8:], off+1)
-		reseal(bad)
-		reject(t, bad, "aligned")
-	})
-	t.Run("overlapping sections", func(t *testing.T) {
-		// Point the row-offsets section at the coordinate section's offset;
-		// both are non-empty, so they genuinely collide.
-		bad := append([]byte(nil), enc...)
-		coordOff := binary.LittleEndian.Uint64(bad[48+2*24+8:])
-		binary.LittleEndian.PutUint64(bad[48+3*24+8:], coordOff)
-		reseal(bad)
-		reject(t, bad, "")
-	})
-	t.Run("bad section length", func(t *testing.T) {
-		bad := append([]byte(nil), enc...)
-		ln := binary.LittleEndian.Uint64(bad[48+16:])
-		binary.LittleEndian.PutUint64(bad[48+16:], ln+8)
-		reseal(bad)
-		reject(t, bad, "")
-	})
-}
-
-// reseal recomputes a v3 snapshot's CRC-32C trailer after a deliberate
-// header mutation, so tests reach the structural checks behind it.
-func reseal(b []byte) {
-	sum := crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli))
-	binary.LittleEndian.PutUint32(b[len(b)-4:], sum)
 }

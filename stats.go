@@ -1,213 +1,17 @@
 package lof
 
-import (
-	"fmt"
-	"io"
-	"strings"
-	"time"
-
-	"lof/internal/obs"
-)
-
-// PhaseStat reports the aggregated timings of one pipeline phase. Phase
-// names containing '/' (such as "sweep/lrd") are nested inside parallel
-// regions: their totals are busy time summed across workers and may exceed
-// the wall-clock time of their enclosing phase. Top-level phases run
-// serially on the coordinating goroutine, so their totals sum to the
-// pipeline's wall-clock time.
-type PhaseStat struct {
-	// Name identifies the phase: ingest, index_build, materialize, sweep,
-	// sweep/lrd, sweep/lof, aggregate, score, score/knn, score/merge.
-	Name string `json:"name"`
-	// Count is the number of times the phase ran.
-	Count int64 `json:"count"`
-	// Items is the total work items processed (points, MinPts values or
-	// queries, depending on the phase); zero when not applicable.
-	Items int64 `json:"items,omitempty"`
-	// Total, Min and Max are span durations in nanoseconds.
-	Total time.Duration `json:"totalNS"`
-	Min   time.Duration `json:"minNS"`
-	Max   time.Duration `json:"maxNS"`
-}
-
-// Nested reports whether the phase ran inside a parallel region, making
-// Total a busy-time figure rather than wall-clock time.
-func (p PhaseStat) Nested() bool { return obs.Nested(p.Name) }
-
-// CounterStat reports one pipeline counter.
-type CounterStat struct {
-	// Name identifies the counter, e.g. knn_queries_total or
-	// pool_chunks_total.
-	Name string `json:"name"`
-	// Value is the accumulated count.
-	Value int64 `json:"value"`
-}
+import "lof/internal/obs"
 
 // RunStats is the observability record of a traced run: per-phase timings
 // in pipeline order followed by pipeline counters. Obtain it from
-// Result.Stats or Model.Stats after fitting with Config.Trace set.
-type RunStats struct {
-	Phases   []PhaseStat   `json:"phases"`
-	Counters []CounterStat `json:"counters,omitempty"`
-}
+// Result.Stats or Model.Stats after fitting with Config.Trace set; its
+// WriteTable method renders the table behind lofcli -stats, and its JSON
+// form is the "stats" object of lofcli -json.
+type RunStats = obs.RunStats
 
-// statsFromTracer converts a tracer snapshot to the public representation;
-// nil in, nil out.
-func statsFromTracer(tr *obs.Tracer) *RunStats {
-	snap := tr.Snapshot()
-	if snap == nil {
-		return nil
-	}
-	out := &RunStats{
-		Phases:   make([]PhaseStat, len(snap.Phases)),
-		Counters: make([]CounterStat, len(snap.Counters)),
-	}
-	for i, p := range snap.Phases {
-		out.Phases[i] = PhaseStat{
-			Name: p.Name, Count: p.Count, Items: p.Items,
-			Total: p.Total, Min: p.Min, Max: p.Max,
-		}
-	}
-	for i, c := range snap.Counters {
-		out.Counters[i] = CounterStat{Name: c.Name, Value: c.Value}
-	}
-	return out
-}
+// PhaseStat reports the aggregated timings of one pipeline phase; see
+// obs.PhaseStat for the phase names and the nested (busy-time) convention.
+type PhaseStat = obs.PhaseStat
 
-// Phase returns the named phase, if recorded.
-func (s *RunStats) Phase(name string) (PhaseStat, bool) {
-	if s == nil {
-		return PhaseStat{}, false
-	}
-	for _, p := range s.Phases {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return PhaseStat{}, false
-}
-
-// Counter returns the named counter's value, zero when never counted.
-func (s *RunStats) Counter(name string) int64 {
-	if s == nil {
-		return 0
-	}
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// TopLevelTotal sums the durations of the top-level phases — the traced
-// pipeline's wall-clock time, excluding nested busy-time phases.
-func (s *RunStats) TopLevelTotal() time.Duration {
-	if s == nil {
-		return 0
-	}
-	var sum time.Duration
-	for _, p := range s.Phases {
-		if !p.Nested() {
-			sum += p.Total
-		}
-	}
-	return sum
-}
-
-// WriteTable renders the stats as an aligned text table: one row per phase
-// with share-of-total for top-level phases, then the counters. It is the
-// output behind lofcli -stats.
-func (s *RunStats) WriteTable(w io.Writer) error {
-	if s == nil {
-		_, err := fmt.Fprintln(w, "no run stats (fit without Trace)")
-		return err
-	}
-	total := s.TopLevelTotal()
-	tw := &tableWriter{w: w}
-	tw.row("PHASE", "COUNT", "ITEMS", "TOTAL", "SHARE", "RATE")
-	for _, p := range s.Phases {
-		share := "-"
-		if !p.Nested() && total > 0 {
-			share = fmt.Sprintf("%5.1f%%", 100*float64(p.Total)/float64(total))
-		}
-		rate := "-"
-		if p.Items > 0 && p.Total > 0 {
-			rate = fmt.Sprintf("%.0f items/s", float64(p.Items)/p.Total.Seconds())
-		}
-		name := p.Name
-		if p.Nested() {
-			name = "  " + name // indent under the enclosing top-level phase
-		}
-		tw.row(name, fmt.Sprint(p.Count), fmt.Sprint(p.Items), fmtDuration(p.Total), share, rate)
-	}
-	tw.row("total", "", "", fmtDuration(total), "100.0%", "")
-	if err := tw.flush(); err != nil {
-		return err
-	}
-	if len(s.Counters) > 0 {
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-		ct := &tableWriter{w: w}
-		ct.row("COUNTER", "VALUE")
-		for _, c := range s.Counters {
-			ct.row(c.Name, fmt.Sprint(c.Value))
-		}
-		return ct.flush()
-	}
-	return nil
-}
-
-// fmtDuration rounds durations to a readable precision without losing the
-// sub-millisecond phases entirely.
-func fmtDuration(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return d.Round(time.Millisecond).String()
-	case d >= time.Millisecond:
-		return d.Round(time.Microsecond).String()
-	default:
-		return d.String()
-	}
-}
-
-// tableWriter accumulates rows and renders them with per-column alignment;
-// small enough that text/tabwriter would be overkill.
-type tableWriter struct {
-	w    io.Writer
-	rows [][]string
-}
-
-func (t *tableWriter) row(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *tableWriter) flush() error {
-	widths := make([]int, 0, 8)
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i >= len(widths) {
-				widths = append(widths, 0)
-			}
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	for _, r := range t.rows {
-		b.Reset()
-		for i, c := range r {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(r)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		if _, err := fmt.Fprintln(t.w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// CounterStat reports one pipeline counter.
+type CounterStat = obs.CounterStat
