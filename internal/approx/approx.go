@@ -416,28 +416,160 @@ func PruneSweep(ctx context.Context, db *matdb.DB, lb, ub int, eps float64, agg 
 	return res, nil
 }
 
+// Summaries is the per-point state QueryBounds reads, built once per
+// fitted model (NewSummaries) so that bounding a query touches only the
+// query's own neighbors, never their neighborhoods. For every fitted point
+// o and every bounding segment [lb_s, ub_s] of the model's range it holds
+// one section:
+//
+//   - o's own k-distance envelope [kd_{lb_s−1}(o), kd_{ub_s}(o)]
+//     (kd_0 := 0, ceiling per kdCeiling), which brackets o's merged
+//     k-distance;
+//   - the minimum low and maximum high prefix mean over o's stored
+//     reach-dist brackets (shape A of storedBracket), which do not
+//     involve q at all (+Inf and −Inf when no stored prefix is
+//     admissible);
+//   - the stored reach-dist prefix sums that shape B adds the query's
+//     reach-dist bracket [loQ, hiQ] to: one (low, high) pair per merged
+//     neighborhood size k = lb_s, …, |N_{ub_s}(o)|+1, each summing the
+//     first k−1 stored brackets.
+//
+// The summaries are computed with the very expressions the per-query
+// derivation evaluates, in the same order, so QueryBounds is bit-identical
+// to folding o's stored row afresh for every query (DESIGN.md §12). A
+// Summaries is read-only after construction and safe for concurrent use.
+type Summaries struct {
+	lb, ub int
+	segs   [][2]int
+	// The section of point o for segment s is
+	// sections[at[b]:at[b+1]] with b = o·len(segs)+s, laid out as
+	// floor, ceiling, shape-A low, shape-A high, then the prefix pairs.
+	sections []float64
+	at       []int
+	// inv[k] is 1/float64(k), the prefix-mean multiplier for size k.
+	inv []float64
+}
+
+// sectionHeader is the number of floats before a section's prefix pairs.
+const sectionHeader = 4
+
+// NewSummaries builds the QueryBounds summaries of db for the MinPts range
+// [lb, ub], parallelized over p (nil for sequential). It costs one pass
+// per bounding segment over the stored rows, O(n·k·log(ub/lb)), and
+// holds 2·(ub_s−lb_s+4) floats per point per segment (plus ties).
+func NewSummaries(db *matdb.DB, lb, ub int, p *pool.Pool) (*Summaries, error) {
+	if lb > ub {
+		return nil, fmt.Errorf("approx: MinPtsLB=%d exceeds MinPtsUB=%d", lb, ub)
+	}
+	if err := db.CheckMinPts(lb); err != nil {
+		return nil, err
+	}
+	if err := db.CheckMinPts(ub); err != nil {
+		return nil, err
+	}
+	segs := segments(lb, ub)
+	ns, n := len(segs), db.Len()
+	s := &Summaries{lb: lb, ub: ub, segs: segs, at: make([]int, n*ns+1)}
+	maxLen := 0
+	for o := 0; o < n; o++ {
+		for si, seg := range segs {
+			rl := len(db.Neighborhood(o, seg[1]))
+			maxLen = max(maxLen, rl)
+			b := o*ns + si
+			s.at[b+1] = s.at[b] + sectionHeader + 2*max(rl+2-seg[0], 0)
+		}
+	}
+	s.sections = make([]float64, s.at[n*ns])
+	s.inv = make([]float64, maxLen+2)
+	for k := 1; k < len(s.inv); k++ {
+		s.inv[k] = 1 / float64(k)
+	}
+	kdFloor := make([]float64, n)
+	kdUB := make([]float64, n)
+	for si, seg := range segs {
+		lbS, ubS := seg[0], seg[1]
+		p.Chunks(n, func(start, end int) {
+			for o := start; o < end; o++ {
+				kdFloor[o] = 0
+				if lbS >= 2 {
+					kdFloor[o] = db.KDistance(o, lbS-1)
+				}
+				kdUB[o] = kdCeiling(db, o, ubS)
+			}
+		})
+		p.Chunks(n, func(start, end int) {
+			for o := start; o < end; o++ {
+				b := o*ns + si
+				sec := s.sections[s.at[b]:s.at[b+1]]
+				out := sec[sectionHeader:]
+				mnLow, mxHigh := math.Inf(1), math.Inf(-1)
+				var loSum, hiSum float64
+				for t, r := range db.Neighborhood(o, ubS) {
+					lo := core.ReachDist(kdFloor[r.Index], r.Dist)
+					hi := core.ReachDist(kdUB[r.Index], r.Dist)
+					// Admissible sizes: merged neighborhoods have at least
+					// lb members and at most |N_ub(o)|+1 (the stored
+					// ub-neighborhood plus q).
+					if t+1 >= lbS {
+						out[0], out[1] = loSum, hiSum // shape B: first t stored entries + q
+						out = out[2:]
+						inv := s.inv[t+1]
+						if m := (loSum + lo) * inv; m < mnLow { // shape A: first t+1 stored entries
+							mnLow = m
+						}
+						if m := (hiSum + hi) * inv; m > mxHigh {
+							mxHigh = m
+						}
+					}
+					loSum += lo
+					hiSum += hi
+				}
+				if len(out) == 2 {
+					out[0], out[1] = loSum, hiSum // shape B at full width
+				}
+				sec[0], sec[1], sec[2], sec[3] = kdFloor[o], kdUB[o], mnLow, mxHigh
+			}
+		})
+	}
+	return s, nil
+}
+
+// kdCeiling is the upper end of o's merged k-distance envelope: its stored
+// ub-distance, which no insertion can grow — unless o's distinct-mode row
+// holds fewer than ub distinct positions. Then the stored value is clamped
+// to the farthest position there is, a query at a new position can sit
+// beyond it, and no finite ceiling holds.
+func kdCeiling(db *matdb.DB, o, ub int) float64 {
+	if row := db.Row(o); row.IsDistinct() && len(row.Ranks()) < ub {
+		return math.Inf(1)
+	}
+	return db.KDistance(o, ub)
+}
+
 // QueryBounds computes an interval containing the out-of-sample LOF of a
-// query — the score of q in data ∪ {q} — for every MinPts in [lb, ub],
-// using only the query's probed row (which IS q's exact merged-world
-// neighborhood) and the STORED rows and k-distances of the fitted
-// database. The inserted point shifts stored neighborhoods by at most one
-// rank, so for any stored point o and m ∈ [lb, ub]:
+// query — the score of q in data ∪ {q} — for every MinPts in the
+// summaries' range, using only the query's probed row (which IS q's exact
+// merged-world neighborhood) and the summaries of the STORED rows of the
+// fitted database. The inserted point shifts stored neighborhoods by at
+// most one rank, so for any stored point o and m ∈ [lb, ub]:
 //
 //	kd'_m(o) ∈ [kd_{lb-1}(o), kd_ub(o)]   (kd_0 := 0)
 //
 // where kd' is the k-distance in data ∪ {q}: the upper end because adding
 // a point never grows a k-distance and kd is monotone in m; the lower end
 // because removing the inserted point restores at least the (m−1)-th
-// stored distance. The merged m-neighborhood of a stored o is a prefix of
-// its stored row with q possibly spliced in, so prefix means over both
-// splice shapes bracket o's merged density. Certified queries skip
-// merged-row assembly and per-MinPts evaluation entirely and report 1.
-func QueryBounds(db *matdb.DB, qRow matdb.Row, lb, ub int) (lower, upper float64) {
-	if len(qRow.Neighborhood(ub)) == 0 {
+// stored distance. (A distinct-mode row with fewer than ub distinct
+// positions has no finite upper end; see kdCeiling.) The merged
+// m-neighborhood of a stored o is a prefix of its stored row with q
+// possibly spliced in, so prefix means over both splice shapes bracket o's
+// merged density. Certified queries skip merged-row assembly and
+// evaluation entirely and report 1.
+func QueryBounds(s *Summaries, qRow matdb.Row) (lower, upper float64) {
+	if len(qRow.Neighborhood(s.ub)) == 0 {
 		return 1, 1 // isolated query scores exactly 1 at every MinPts
 	}
-	for si, seg := range segments(lb, ub) {
-		segLower, segUpper := queryBoundsSegment(db, qRow, seg[0], seg[1])
+	for si := range s.segs {
+		segLower, segUpper := s.querySegment(qRow, si)
 		if si == 0 {
 			lower, upper = segLower, segUpper
 			continue
@@ -448,17 +580,12 @@ func QueryBounds(db *matdb.DB, qRow matdb.Row, lb, ub int) (lower, upper float64
 	return lower, upper
 }
 
-// queryBoundsSegment is the QueryBounds body for one subrange [lb, ub].
-func queryBoundsSegment(db *matdb.DB, qRow matdb.Row, lb, ub int) (lower, upper float64) {
+// querySegment is the QueryBounds body for bounding segment si.
+func (s *Summaries) querySegment(qRow matdb.Row, si int) (lower, upper float64) {
+	lb, ub := s.segs[si][0], s.segs[si][1]
 	nn := qRow.Neighborhood(ub)
 	if len(nn) == 0 {
 		return 1, 1
-	}
-	kdFloor := func(o int) float64 {
-		if lb >= 2 {
-			return db.KDistance(o, lb-1)
-		}
-		return 0
 	}
 	kdqLB, kdqUB := qRow.KDistance(lb), qRow.KDistance(ub)
 	// Direct side: qRow is exact, so its prefixes are the true merged
@@ -466,8 +593,10 @@ func queryBoundsSegment(db *matdb.DB, qRow matdb.Row, lb, ub int) (lower, upper 
 	direct := newPrefixBracket(len(qRow.Neighborhood(lb)))
 	num := newPrefixBracket(len(qRow.Neighborhood(lb)))
 	for _, o := range nn {
-		direct.add(core.ReachDist(kdFloor(o.Index), o.Dist), core.ReachDist(db.KDistance(o.Index, ub), o.Dist))
-		oLow, oHigh := storedLRDBracket(db, o.Index, core.ReachDist(kdqLB, o.Dist), core.ReachDist(kdqUB, o.Dist), lb, ub, kdFloor)
+		b := o.Index*len(s.segs) + si
+		sec := s.sections[s.at[b]:s.at[b+1]]
+		direct.add(core.ReachDist(sec[0], o.Dist), core.ReachDist(sec[1], o.Dist))
+		oLow, oHigh := s.storedBracket(sec, lb, core.ReachDist(kdqLB, o.Dist), core.ReachDist(kdqUB, o.Dist))
 		num.add(oLow, oHigh)
 	}
 	meanLow, meanHigh := direct.bounds()
@@ -475,48 +604,24 @@ func queryBoundsSegment(db *matdb.DB, qRow matdb.Row, lb, ub int) (lower, upper 
 	return boundRatio(numLow, numHigh, 1/meanHigh, 1/meanLow)
 }
 
-// storedLRDBracket brackets the merged-world density lrd'_m(o) of a stored
-// point o for every m ∈ [lb, ub], from o's stored row plus the inserted
-// query's reachability bracket [loQ, hiQ]. Each merged m-neighborhood is
-// either a stored-row prefix or a stored-row prefix with its last slot
-// taken by q, so both shapes are folded into the prefix extremes.
-func storedLRDBracket(db *matdb.DB, o int, loQ, hiQ float64, lb, ub int, kdFloor func(int) float64) (lrdLow, lrdHigh float64) {
-	row := db.Neighborhood(o, ub)
-	mnLow, mxHigh := math.Inf(1), math.Inf(-1)
-	any := false
-	consider := func(lo, hi float64, n int) {
-		inv := 1 / float64(n)
-		if m := lo * inv; !any || m < mnLow {
-			mnLow = m
-		}
-		if m := hi * inv; !any || m > mxHigh {
-			mxHigh = m
-		}
-		any = true
-	}
-	var loSum, hiSum float64
-	// Shape B with zero stored entries: the neighborhood is {q} alone —
-	// only admissible when lb == 1.
-	if lb == 1 {
-		consider(loQ, hiQ, 1)
-	}
-	for n, r := range row {
-		lo := core.ReachDist(kdFloor(r.Index), r.Dist)
-		hi := core.ReachDist(db.KDistance(r.Index, ub), r.Dist)
-		// Admissible sizes: merged neighborhoods have at least lb members
-		// and at most |N_ub(o)|+1 (the stored ub-neighborhood plus q).
-		if n+1 >= lb {
-			consider(loSum+lo, hiSum+hi, n+1)   // shape A: first n+1 stored entries
-			consider(loSum+loQ, hiSum+hiQ, n+1) // shape B: first n stored entries + q
-		}
-		loSum += lo
-		hiSum += hi
-	}
-	if n := len(row); n+1 >= lb {
-		consider(loSum+loQ, hiSum+hiQ, n+1) // shape B at full width
-	}
-	if !any {
+// storedBracket brackets the merged-world density lrd'_m(o) of a stored
+// point o for every m of a segment starting at lb, from o's section sec
+// and the inserted query's reachability bracket [loQ, hiQ]. Each merged
+// m-neighborhood is either a stored-row prefix (shape A, summarized by its
+// extremes) or a stored-row prefix with its last slot taken by q (shape B,
+// the stored prefix sums plus the query's bracket). No value folded here
+// is NaN or −0 — every term is a non-negative distance — so the builtin
+// min and max agree with the per-query fold's comparisons and the
+// extremes do not depend on folding order.
+func (s *Summaries) storedBracket(sec []float64, lb int, loQ, hiQ float64) (lrdLow, lrdHigh float64) {
+	sums := sec[sectionHeader:]
+	if len(sums) == 0 {
 		return 0, math.Inf(1) // no admissible neighborhood: uninformative
+	}
+	mnLow, mxHigh := sec[2], sec[3]
+	for k, inv := range s.inv[lb : lb+len(sums)/2] {
+		mnLow = min(mnLow, (sums[2*k]+loQ)*inv)
+		mxHigh = max(mxHigh, (sums[2*k+1]+hiQ)*inv)
 	}
 	return 1 / mxHigh, 1 / mnLow
 }

@@ -207,11 +207,15 @@ func TestQueryBoundsContainSeries(t *testing.T) {
 		// ... and far field (outlying).
 		queries = append(queries, geom.Point{rng.Float64()*300 - 150, rng.Float64()*300 - 150})
 	}
+	sum, err := NewSummaries(db, lb, ub, nil)
+	if err != nil {
+		t.Fatalf("NewSummaries: %v", err)
+	}
 	const slack = 1e-12
 	certified := 0
 	for qi, q := range queries {
 		qRow := scorer.QueryRow(q)
-		lower, upper := QueryBounds(db, qRow, lb, ub)
+		lower, upper := QueryBounds(sum, qRow)
 		series, err := scorer.ScoreSeries(q)
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)

@@ -13,7 +13,7 @@
 //	round 3  the rows of those rows' neighbors — the two-hop closure the
 //	         LOF arithmetic touches — are fetched the same way
 //
-// Evaluation then runs core.EvalAt over the fetched rows: literally the
+// Evaluation then runs core.EvalRange over the fetched rows: literally the
 // code path the in-process scorer uses, which is what makes a distributed
 // score bit-identical to a single-node one.
 //
@@ -707,9 +707,9 @@ func (c *Coordinator) gatherFirstHop(ctx context.Context, st *state, queries [][
 	return &gathered{qRows: qRows, first: first, rows: rows}, nil
 }
 
-// evalInto evaluates every query not marked in skip — the same core.EvalAt
-// the in-process scorer runs — writing scores into out. A nil skip
-// evaluates everything.
+// evalInto evaluates every query not marked in skip — one core.EvalRange
+// per query, the evaluation the in-process scorer runs — writing scores
+// into out. A nil skip evaluates everything.
 func (c *Coordinator) evalInto(ctx context.Context, st *state, g *gathered, out []float64, skip []bool) error {
 	esp, _ := trace.StartSpan(ctx, "coord/eval")
 	defer esp.End()
@@ -729,9 +729,7 @@ func (c *Coordinator) evalInto(ctx context.Context, st *state, g *gathered, out 
 			return r
 		}
 		series := make([]float64, st.ub-st.lb+1)
-		for j := range series {
-			series[j] = core.EvalAt(qIdx, g.qRows[qi], rowOf, st.lb+j)
-		}
+		core.EvalRange(qIdx, g.qRows[qi], rowOf, st.lb, st.ub, series)
 		if missing >= 0 {
 			evalErrs[qi] = fmt.Errorf("coord: query %d: merged row %d missing from the fetched closure", qi, missing)
 			return

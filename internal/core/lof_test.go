@@ -54,6 +54,28 @@ func TestReachDist(t *testing.T) {
 	}
 }
 
+// TestReachDistMatchesMathMax pins ReachDist's builtin max to math.Max bit
+// for bit on every pair of special and ordinary values without a NaN, and
+// to NaN whenever an input is NaN.
+func TestReachDistMatchesMathMax(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 3.5}
+	for _, a := range vals {
+		for _, b := range vals {
+			got := ReachDist(a, b)
+			if math.IsNaN(a) || math.IsNaN(b) {
+				if !math.IsNaN(got) {
+					t.Errorf("ReachDist(%v, %v) = %v, want NaN", a, b, got)
+				}
+				continue
+			}
+			if want := math.Max(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("ReachDist(%v, %v) = %v (%#x), math.Max gives %v (%#x)",
+					a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestLOFUniformLineIsOne(t *testing.T) {
 	// Evenly spaced points on a line: every interior point has identical
 	// neighborhood geometry, so LOF must be 1 exactly for points far from

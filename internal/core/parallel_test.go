@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"lof/internal/geom"
 	"lof/internal/index/linear"
 	"lof/internal/matdb"
 	"lof/internal/pool"
@@ -78,51 +77,6 @@ func TestSweepPoolSingleMinPts(t *testing.T) {
 	for i := range want.Values[0] {
 		if !equalBits(got.Values[0][i], want.Values[0][i]) {
 			t.Fatalf("LOF[%d] = %v, want %v", i, got.Values[0][i], want.Values[0][i])
-		}
-	}
-}
-
-// TestScorerWithPoolMatchesSequential pins the scoring hot path: a pooled
-// scorer returns bit-identical series to the sequential scorer for every
-// query, for plain and distinct modes.
-func TestScorerWithPoolMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, distinct := range []bool{false, true} {
-		pts := scoreTestData(rng, 200, true)
-		var opts []matdb.Option
-		if distinct {
-			opts = append(opts, matdb.Distinct())
-		}
-		metric := geom.Euclidean{}
-		ix := linear.New(pts, metric)
-		db, err := matdb.Materialize(pts, ix, 20, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := NewScorer(pts, ix, db, metric, 4, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par := seq.WithPool(pool.New(6))
-		for trial := 0; trial < 25; trial++ {
-			q := geom.Point{rng.Float64()*24 - 2, rng.Float64()*24 - 2}
-			if trial == 0 {
-				q = pts.At(0).Clone() // exact duplicate of the cloned block
-			}
-			want, err := seq.ScoreSeries(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := par.ScoreSeries(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range want {
-				if !equalBits(got[j], want[j]) {
-					t.Fatalf("distinct=%v trial %d: series[%d] = %v, want %v (not bit-identical)",
-						distinct, trial, j, got[j], want[j])
-				}
-			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"lof/internal/index"
 	"lof/internal/matdb"
 	"lof/internal/obs"
-	"lof/internal/pool"
 )
 
 // Scorer computes out-of-sample LOF values against a fitted model: the
@@ -21,7 +20,8 @@ import (
 // scorer re-derives the affected quantities from merged rows — the stored
 // neighborhoods with q spliced in — rather than reusing the fitted lrds.
 // All state is read-only after construction; a Scorer is safe for
-// concurrent use.
+// concurrent use. One query runs on one goroutine: callers scoring many
+// queries parallelize across queries (Model.ScoreBatch).
 type Scorer struct {
 	pts    *geom.Points
 	ix     index.Index
@@ -31,13 +31,11 @@ type Scorer struct {
 	// go through it instead of per-call metric dispatch.
 	kern   geom.Kernel
 	lb, ub int
-	// pool, when non-nil, parallelizes ScoreSeries across MinPts values.
-	pool *pool.Pool
 	// tr, when non-nil, records score phases; nil is a no-op.
 	tr *obs.Tracer
 	// cursors recycles index cursors across ScoreSeries calls, so each
 	// query's kNN probe reuses heap and traversal scratch instead of
-	// allocating. Held by pointer so WithPool/WithTracer copies share it.
+	// allocating. Held by pointer so WithTracer copies share it.
 	cursors *sync.Pool
 }
 
@@ -68,15 +66,6 @@ func NewScorer(pts *geom.Points, ix index.Index, db *matdb.DB, metric geom.Metri
 // MinPtsRange returns the swept [lb, ub].
 func (s *Scorer) MinPtsRange() (lb, ub int) { return s.lb, s.ub }
 
-// WithPool returns a copy of the scorer whose ScoreSeries parallelizes its
-// per-MinPts computations over p. A nil pool keeps the sequential path;
-// either way the results are bit-identical.
-func (s *Scorer) WithPool(p *pool.Pool) *Scorer {
-	c := *s
-	c.pool = p
-	return &c
-}
-
 // WithTracer returns a copy of the scorer that records score phases on t.
 // A nil t disables recording; the scores themselves are unaffected.
 func (s *Scorer) WithTracer(t *obs.Tracer) *Scorer {
@@ -89,20 +78,15 @@ func (s *Scorer) WithTracer(t *obs.Tracer) *Scorer {
 // scorer's range, in ascending MinPts order — the out-of-sample analogue
 // of Sweep restricted to one point. q must have the model's
 // dimensionality; coordinate validation is the caller's concern.
-//
-// Merged rows are MinPts-independent and every row the computation touches
-// lies within two hops of q, so the cache is built once up front; the
-// per-MinPts values are then independent of each other and run across the
-// scorer's pool, each writing only its own output slot.
 func (s *Scorer) ScoreSeries(q geom.Point) ([]float64, error) {
 	return s.ScoreSeriesCtx(nil, q)
 }
 
 // ScoreSeriesCtx is ScoreSeries under cooperative cancellation: ctx is
-// polled between the kNN probe, the merged-row construction and the
-// per-MinPts evaluations, and a cancelled query returns ctx's error with no
-// series. A nil ctx disables cancellation; an uncancelled query is
-// bit-identical to ScoreSeries.
+// polled before the kNN probe and again before the closure is built and
+// evaluated, and a cancelled query returns ctx's error with no series. A
+// nil ctx disables cancellation; an uncancelled query is bit-identical to
+// ScoreSeries.
 func (s *Scorer) ScoreSeriesCtx(ctx context.Context, q geom.Point) ([]float64, error) {
 	if len(q) != s.pts.Dim() {
 		return nil, fmt.Errorf("core: query has %d dimensions, model has %d", len(q), s.pts.Dim())
@@ -138,16 +122,11 @@ func (s *Scorer) QueryRow(q geom.Point) matdb.Row {
 // ScoreSeriesFromRow is ScoreSeriesCtx for a caller that already probed
 // the query's merged row with QueryRow (e.g. to test pruning bounds before
 // committing to a full evaluation): the kNN probe is skipped, everything
-// downstream — merged-row closure, per-MinPts evaluation — is identical,
-// so the series is bit-identical to ScoreSeriesCtx on the same q.
+// downstream — merged-row closure and evaluation — is identical, so the
+// series is bit-identical to ScoreSeriesCtx on the same q.
 func (s *Scorer) ScoreSeriesFromRow(ctx context.Context, q geom.Point, qRow matdb.Row) ([]float64, error) {
 	if len(q) != s.pts.Dim() {
 		return nil, fmt.Errorf("core: query has %d dimensions, model has %d", len(q), s.pts.Dim())
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 	}
 	tr := obs.Resolve(s.tr)
 	total := tr.Phase(obs.PhaseScore)
@@ -158,153 +137,261 @@ func (s *Scorer) ScoreSeriesFromRow(ctx context.Context, q geom.Point, qRow matd
 }
 
 // seriesFromRow runs the post-probe pipeline shared by ScoreSeriesCtx and
-// ScoreSeriesFromRow: merged-row closure, then per-MinPts evaluation.
+// ScoreSeriesFromRow: EvalRange over the query's two-hop closure, whose
+// rows come straight from the database where q cannot change them.
 func (s *Scorer) seriesFromRow(ctx context.Context, tr *obs.Tracer, q geom.Point, qRow matdb.Row) ([]float64, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 	qIdx := s.pts.Len() // the row number q would receive in a refit
-	sp := tr.Phase(obs.PhaseScoreMerge)
-	rows, err := s.mergedRows(ctx, q, qIdx, qRow)
-	sp.End()
-	if err != nil {
-		return nil, err
+	sc := scratchPool.Get().(*evalScratch)
+	// rowOf resolves i's merged row in data ∪ {q}. When q lies strictly
+	// beyond i's ub-distance, inserting q changes none of i's
+	// neighborhoods or k-distances at MinPts ≤ ub, so the stored row
+	// answers every lookup as is. In distinct mode that also needs ub
+	// distinct ranks already stored: with fewer, q can add a distinct
+	// position and move them. Every other row is spliced into the
+	// scratch arena, which EvalRange's contract lets the next call reuse.
+	rowOf := func(i int) matdb.Row {
+		stored := s.db.Row(i)
+		d := s.kern.Dist(i, q)
+		if stored.KDistance(s.ub) < d && (!stored.IsDistinct() || len(stored.Ranks()) >= s.ub) {
+			return stored
+		}
+		if need := len(stored.Neighbors) + 1; cap(sc.arena) < need {
+			sc.arena = make([]index.Neighbor, 0, need)
+		}
+		return s.db.MergedRowInto(sc.arena[:0], s.pts, i, q, qIdx, d)
 	}
 	out := make([]float64, s.ub-s.lb+1)
-	eval := func(j int) {
-		out[j] = s.scoreAt(q, qIdx, qRow, rows, s.lb+j)
-	}
-	if ctx != nil {
-		err = s.pool.EachCtx(ctx, len(out), eval)
-	} else {
-		s.pool.Each(len(out), eval)
-	}
-	if err != nil {
-		return nil, err
-	}
+	sc.evalRange(tr, qIdx, qRow, rowOf, s.lb, s.ub, out)
+	scratchPool.Put(sc)
 	return out, nil
 }
 
-// mergedRows builds the merged-row cache for q: the rows of q's
-// ub-neighborhood (whose densities enter q's LOF) and of their merged
-// neighbors (whose k-distances enter those densities). Neighborhoods at
-// MinPts ≤ ub are subsets of the ub-neighborhood, so this closure covers
-// every MinPts value in the range. Row computations are independent and
-// run across the pool into write-indexed slots; the map itself is
-// assembled sequentially and read-only afterwards.
-func (s *Scorer) mergedRows(ctx context.Context, q geom.Point, qIdx int, qRow matdb.Row) (map[int]matdb.Row, error) {
-	// The closure is the ub-neighborhood plus its neighborhoods, but the
-	// second hop overlaps the first heavily in any clustered data, so a
-	// linear hint covers the common case without the bucket bloat a
-	// worst-case quadratic hint would carry on every query.
-	closureHint := 2 * (s.ub + 2)
-	rows := make(map[int]matdb.Row, closureHint)
-	seen := make(map[int]bool, closureHint)
-	var cancelled error
-	fill := func(need []int) []matdb.Row {
-		got := make([]matdb.Row, len(need))
-		// One arena holds every merged neighbor list of this wave; row j
-		// splices into its precomputed [offs[j], offs[j+1]) slot, so the
-		// parallel computes never contend and the wave costs two
-		// allocations instead of one per row.
-		offs := make([]int, len(need)+1)
-		for j, i := range need {
-			offs[j+1] = offs[j] + len(s.db.Neighbors[i]) + 1
-		}
-		arena := make([]index.Neighbor, offs[len(need)])
-		compute := func(j int) {
-			i := need[j]
-			dst := arena[offs[j]:offs[j]:offs[j+1]]
-			got[j] = s.db.MergedRowInto(dst, s.pts, i, q, qIdx, s.kern.Dist(i, q))
-		}
-		if ctx != nil {
-			if err := s.pool.EachCtx(ctx, len(need), compute); err != nil {
-				cancelled = err
-				return nil
-			}
-		} else {
-			s.pool.Each(len(need), compute)
-		}
-		for j, i := range need {
-			rows[i] = got[j]
-		}
-		return got
-	}
-	collect := func(need []int, nn []index.Neighbor) []int {
-		for _, nb := range nn {
-			if nb.Index != qIdx && !seen[nb.Index] {
-				seen[nb.Index] = true
-				need = append(need, nb.Index)
-			}
-		}
-		return need
-	}
-	first := collect(make([]int, 0, s.ub+2), qRow.Neighborhood(s.ub))
-	hop1 := fill(first)
-	if cancelled != nil {
-		return nil, cancelled
-	}
-	second := make([]int, 0, len(hop1)*(s.ub+2))
-	for _, r := range hop1 {
-		second = collect(second, r.Neighborhood(s.ub))
-	}
-	fill(second)
-	if cancelled != nil {
-		return nil, cancelled
-	}
-	return rows, nil
+// EvalRange computes the LOF of a query point at every MinPts in [lb, ub]
+// into out (which must have ub−lb+1 slots) from merged rows alone: qRow is
+// the row the query occupies in data ∪ {q}, qIdx is its virtual index
+// (larger than every stored index), and rowOf resolves the merged row of
+// any point within two hops of it. rowOf is never asked for qIdx, is
+// called once per point of the closure, and its result is consumed before
+// the next call, so it may return rows backed by one reused buffer.
+//
+// This is the single out-of-sample evaluation: the in-process scorer's
+// rowOf reads the database, the scatter-gather coordinator's reads rows
+// fetched from shards, so a distributed score is bit-identical to a
+// single-node one by construction. The closure is laid out densely — local
+// ids, one flat table of merged k-distances for MinPts lb..ub — and one
+// pass evaluates the whole range with Definitions 5–7's arithmetic in the
+// order a per-MinPts evaluation would use, so every value is bit-identical
+// to EvalAt at that MinPts.
+func EvalRange(qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, lb, ub int, out []float64) {
+	sc := scratchPool.Get().(*evalScratch)
+	sc.evalRange(nil, qIdx, qRow, rowOf, lb, ub, out)
+	scratchPool.Put(sc)
 }
 
-// scoreAt computes q's LOF at one MinPts value from the precomputed cache —
-// the same arithmetic, in the same order, as a sequential evaluation.
-func (s *Scorer) scoreAt(q geom.Point, qIdx int, qRow matdb.Row, rows map[int]matdb.Row, minPts int) float64 {
-	// rowOf falls back to an on-the-fly computation for rows outside the
-	// precomputed closure; this cannot happen for well-formed databases but
-	// keeps a cache miss a slowdown instead of a wrong answer.
-	rowOf := func(i int) matdb.Row {
-		if r, ok := rows[i]; ok {
-			return r
-		}
-		return s.db.MergedRow(s.pts, i, q, qIdx, s.kern.Dist(i, q))
-	}
-	return EvalAt(qIdx, qRow, rowOf, minPts)
-}
-
-// EvalAt computes the LOF of a query point at one MinPts value from merged
-// rows alone: qRow is the row the query occupies in data ∪ {q} and rowOf
-// resolves the merged row of any point within two hops of it (it is never
-// asked for qIdx). This is the single evaluation both the in-process scorer
-// and the scatter-gather coordinator run — the coordinator's rowOf reads
-// rows fetched from shards, the scorer's reads its local cache — so a
-// distributed score is bit-identical to a single-node one by construction.
+// EvalAt computes the LOF of a query point at one MinPts value; it is
+// EvalRange over the one-value range [minPts, minPts].
 func EvalAt(qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, minPts int) float64 {
-	kdistAt := func(i int) float64 {
-		if i == qIdx {
-			return qRow.KDistance(minPts)
+	var out [1]float64
+	EvalRange(qIdx, qRow, rowOf, minPts, minPts, out[:])
+	return out[0]
+}
+
+// scratchPool recycles evaluation scratch across queries, so a worker
+// scoring query after query reuses one set of closure tables.
+var scratchPool = sync.Pool{New: func() interface{} { return new(evalScratch) }}
+
+// evalScratch is one goroutine's working memory for EvalRange: a query's
+// two-hop closure in dense form. Local id 0 is the query, ids 1..h its
+// ub-neighbors in row order (the first hop), and the rest the second hop.
+type evalScratch struct {
+	// stamps maps a stored index to its local id for the current query:
+	// an entry is valid only when its epoch equals the scratch's, so
+	// starting a query is one increment rather than a clear.
+	stamps []stamp
+	epoch  uint32
+	// ids is the stored index of each local id (qIdx for local 0).
+	ids []int
+	// kd[l*w+j] is the merged (lb+j)-distance of local l.
+	kd []float64
+	// Rows 0..h — the query and its first hop — keep their merged
+	// ub-neighborhoods: row r's entries are ents[offs[r]:offs[r+1]], and
+	// its (lb+j)-neighborhood is the prefix of nlen[r*w+j] entries.
+	ents []localNeighbor
+	offs []int32
+	nlen []int32
+	// lrd[r*w+j] is row r's density at MinPts lb+j; acc holds w running
+	// sums.
+	lrd, acc []float64
+	// arena backs rows the scorer splices q into.
+	arena []index.Neighbor
+}
+
+type stamp struct {
+	epoch uint32
+	local int32
+}
+
+// localNeighbor is one closure-row entry: the neighbor's local id and its
+// distance.
+type localNeighbor struct {
+	local int32
+	dist  float64
+}
+
+// evalRange is EvalRange on this scratch, recording the closure build as
+// score/merge and the evaluation pass as score/eval on tr (nil-safe).
+func (sc *evalScratch) evalRange(tr *obs.Tracer, qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, lb, ub int, out []float64) {
+	w := ub - lb + 1
+	sp := tr.Phase(obs.PhaseScoreMerge)
+	sc.reset(qIdx)
+	sc.ids = append(sc.ids, qIdx)
+	sc.addKD(qRow, lb, ub)
+	sc.addRow(qIdx, qRow, lb, ub)
+	h := len(sc.ids) - 1
+	for l := 1; l < len(sc.ids); l++ {
+		row := rowOf(sc.ids[l])
+		sc.addKD(row, lb, ub)
+		if l <= h {
+			sc.addRow(qIdx, row, lb, ub)
 		}
-		return rowOf(i).KDistance(minPts)
 	}
-	// lrdOf computes Definition 6 over a row in data ∪ {q}.
-	lrdOf := func(nn []index.Neighbor) float64 {
-		if len(nn) == 0 {
-			return math.Inf(1)
+	sp.End()
+	sp = tr.Phase(obs.PhaseScoreEval)
+	sc.eval(h, w, out)
+	sp.End()
+}
+
+// reset starts a new closure over stored indices below n.
+func (sc *evalScratch) reset(n int) {
+	if len(sc.stamps) < n {
+		sc.stamps = make([]stamp, n)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could collide, so clear them
+		clear(sc.stamps)
+		sc.epoch = 1
+	}
+	sc.ids = sc.ids[:0]
+	sc.kd = sc.kd[:0]
+	sc.ents = sc.ents[:0]
+	sc.offs = append(sc.offs[:0], 0)
+	sc.nlen = sc.nlen[:0]
+}
+
+// local returns i's local id, assigning the next one on first sight. The
+// query's own index is always local 0. An index outside the stored range
+// (possible only in rows from a faulty peer) gets a fresh id each time;
+// rowOf then reports it missing.
+func (sc *evalScratch) local(qIdx, i int) int32 {
+	if i == qIdx {
+		return 0
+	}
+	if uint(i) >= uint(len(sc.stamps)) {
+		sc.ids = append(sc.ids, i)
+		return int32(len(sc.ids) - 1)
+	}
+	st := &sc.stamps[i]
+	if st.epoch != sc.epoch {
+		st.epoch = sc.epoch
+		st.local = int32(len(sc.ids))
+		sc.ids = append(sc.ids, i)
+	}
+	return st.local
+}
+
+// addKD appends row's merged k-distances at MinPts lb..ub.
+func (sc *evalScratch) addKD(row matdb.Row, lb, ub int) {
+	if !row.IsDistinct() && len(row.Neighbors) >= ub {
+		// Plain rows at least ub long: KDistance(m) is entry m−1.
+		for _, nb := range row.Neighbors[lb-1 : ub] {
+			sc.kd = append(sc.kd, nb.Dist)
 		}
-		var sum float64
-		for _, nb := range nn {
-			sum += ReachDist(kdistAt(nb.Index), nb.Dist)
+		return
+	}
+	for m := lb; m <= ub; m++ {
+		sc.kd = append(sc.kd, row.KDistance(m))
+	}
+}
+
+// addRow appends row's ub-neighborhood with local ids (assigning ids to
+// points first seen here) and its neighborhood sizes at MinPts lb..ub.
+func (sc *evalScratch) addRow(qIdx int, row matdb.Row, lb, ub int) {
+	for _, nb := range row.Neighborhood(ub) {
+		sc.ents = append(sc.ents, localNeighbor{local: sc.local(qIdx, nb.Index), dist: nb.Dist})
+	}
+	sc.offs = append(sc.offs, int32(len(sc.ents)))
+	for m := lb; m <= ub; m++ {
+		sc.nlen = append(sc.nlen, int32(len(row.Neighborhood(m))))
+	}
+}
+
+// eval runs Definitions 6 and 7 over the closure for every MinPts at once.
+// Neighborhoods grow with MinPts, so entry t of a row belongs to the
+// (lb+j)-neighborhood exactly for j ≥ the first j whose size exceeds t;
+// walking entries in row order and adding each into every such j's running
+// sum performs, per MinPts, the same additions in the same order as a
+// single-MinPts evaluation.
+func (sc *evalScratch) eval(h, w int, out []float64) {
+	sc.lrd = grow(sc.lrd, (h+1)*w)
+	sc.acc = grow(sc.acc, w)
+	acc := sc.acc
+	for r := 0; r <= h; r++ {
+		nl := sc.nlen[r*w : r*w+w]
+		clear(acc)
+		j0 := 0
+		for t, e := range sc.ents[sc.offs[r]:sc.offs[r+1]] {
+			for int(nl[j0]) <= t {
+				j0++
+			}
+			kd := sc.kd[int(e.local)*w : int(e.local)*w+w]
+			for j := j0; j < w; j++ {
+				acc[j] += ReachDist(kd[j], e.dist)
+			}
 		}
-		if sum == 0 {
-			return math.Inf(1)
+		lrd := sc.lrd[r*w : r*w+w]
+		for j := range lrd {
+			switch {
+			case nl[j] == 0, acc[j] == 0:
+				lrd[j] = math.Inf(1)
+			default:
+				lrd[j] = float64(nl[j]) / acc[j]
+			}
 		}
-		return float64(len(nn)) / sum
 	}
-	nq := qRow.Neighborhood(minPts)
-	if len(nq) == 0 {
-		return 1 // isolated by construction
+	nq := sc.nlen[:w]
+	lrdQ := sc.lrd[:w]
+	clear(acc)
+	j0 := 0
+	for t, e := range sc.ents[:sc.offs[1]] {
+		for int(nq[j0]) <= t {
+			j0++
+		}
+		lrd := sc.lrd[int(e.local)*w : int(e.local)*w+w]
+		for j := j0; j < w; j++ {
+			acc[j] += densityRatio(lrd[j], lrdQ[j])
+		}
 	}
-	lrdQ := lrdOf(nq)
-	var sum float64
-	for _, nb := range nq {
-		sum += densityRatio(lrdOf(rowOf(nb.Index).Neighborhood(minPts)), lrdQ)
+	for j := range out[:w] {
+		if nq[j] == 0 {
+			out[j] = 1 // isolated by construction
+			continue
+		}
+		out[j] = acc[j] / float64(nq[j])
 	}
-	return sum / float64(len(nq))
+}
+
+// grow returns s resized to n, reallocating only when its capacity is short.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // ScoreAggregate folds a ScoreSeries into one score with the given

@@ -222,6 +222,9 @@ type ApproxGateResult struct {
 	// path over exact; FitSpeedup compares the pruned sweep to the exact
 	// sweep (materialization included in both).
 	PrunedSpeedup, CoresetSpeedup, FitSpeedup float64
+	// ExactUSPerQuery and PrunedUSPerQuery are the two sides of
+	// PrunedSpeedup: wall-clock µs per re-scored point.
+	ExactUSPerQuery, PrunedUSPerQuery float64
 }
 
 // RunApproxGate runs the recall gate workload: the synthetic cluster
@@ -235,12 +238,14 @@ func RunApproxGate(seed int64, n int) (*ApproxGateResult, error) {
 	}
 	return &ApproxGateResult{
 		N: row.N, TopN: topn, Eps: lof.DefaultPruneEps,
-		CertifiedFrac:  row.CertifiedFrac,
-		PrunedRecall:   row.PrunedRecall,
-		CoresetRecall:  row.CoresetRecall,
-		PrunedSpeedup:  row.ScoreExactMS / row.ScorePrunedMS,
-		CoresetSpeedup: row.ScoreExactMS / row.ScoreCoresetMS,
-		FitSpeedup:     row.FitExactMS / row.FitPrunedMS,
+		CertifiedFrac:    row.CertifiedFrac,
+		PrunedRecall:     row.PrunedRecall,
+		CoresetRecall:    row.CoresetRecall,
+		PrunedSpeedup:    row.ScoreExactMS / row.ScorePrunedMS,
+		CoresetSpeedup:   row.ScoreExactMS / row.ScoreCoresetMS,
+		FitSpeedup:       row.FitExactMS / row.FitPrunedMS,
+		ExactUSPerQuery:  1000 * row.ScoreExactMS / float64(row.N),
+		PrunedUSPerQuery: 1000 * row.ScorePrunedMS / float64(row.N),
 	}, nil
 }
 
@@ -254,6 +259,8 @@ func (r *ApproxGateResult) Table() *Table {
 	t.AddRow("certified%", fmt.Sprintf("%.1f", 100*r.CertifiedFrac))
 	t.AddRow("pruned recall@50", f(r.PrunedRecall))
 	t.AddRow("pruned score speedup", fmt.Sprintf("%.2fx", r.PrunedSpeedup))
+	t.AddRow("exact µs/query", fmt.Sprintf("%.1f", r.ExactUSPerQuery))
+	t.AddRow("pruned µs/query", fmt.Sprintf("%.1f", r.PrunedUSPerQuery))
 	t.AddRow("coreset recall@50", f(r.CoresetRecall))
 	t.AddRow("coreset score speedup", fmt.Sprintf("%.2fx", r.CoresetSpeedup))
 	t.AddRow("fit speedup", fmt.Sprintf("%.2fx", r.FitSpeedup))

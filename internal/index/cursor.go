@@ -35,18 +35,24 @@ func NewCursor(ix Index) Cursor { return ix.NewCursor() }
 // of the paper) to dst and returns the extended slice: every point whose
 // distance from q is at most the k-th smallest distance, so more than k
 // points when several tie at the k-distance, and none when k is not
-// positive. The intermediate kNN result is staged in dst itself and
-// replaced by the range expansion, so the call allocates only when dst
-// must grow.
+// positive. The search asks for k+1 neighbors: when the extra one lies
+// strictly beyond the k-th distance no point ties it, and the first k are
+// the neighborhood exactly as a range query would list them (both sort by
+// (distance, index) and measure with the same kernel). Only a tie costs
+// the range expansion. Intermediate results are staged in dst itself, so
+// the call allocates only when dst must grow.
 func KNNWithTiesInto(c Cursor, dst []Neighbor, q geom.Point, k int, exclude int) []Neighbor {
 	if k <= 0 {
 		return dst
 	}
 	start := len(dst)
-	dst = c.KNNInto(dst, q, k, exclude)
-	if len(dst)-start < k {
-		return dst // fewer than k candidates: no tie expansion possible
+	dst = c.KNNInto(dst, q, k+1, exclude)
+	if len(dst)-start <= k {
+		return dst // at most k candidates: all of them are the neighborhood
 	}
-	kdist := dst[len(dst)-1].Dist
+	kdist := dst[start+k-1].Dist
+	if dst[start+k].Dist > kdist {
+		return dst[:start+k]
+	}
 	return c.RangeInto(dst[:start], q, kdist, exclude)
 }

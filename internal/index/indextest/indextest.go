@@ -162,6 +162,12 @@ func Run(t *testing.T, build Builder) {
 				if len(ties) < len(want) {
 					t.Fatalf("trial %d: ties %d < knn %d", trial, len(ties), len(want))
 				}
+				// By definition the neighborhood is the range query at the
+				// k-distance, bit for bit, whichever way it is computed.
+				if byRange := cur.RangeInto(nil, q, ties[len(want)-1].Dist, exclude); !exactEqual(ties, byRange) {
+					t.Fatalf("trial %d query %d: KNNWithTiesInto(k=%d) differs from the range query at the k-distance\n got %v\nwant %v",
+						trial, qi, k, ties, byRange)
+				}
 			}
 		}
 	}

@@ -49,8 +49,12 @@ const (
 	PhaseScore = "score"
 	// PhaseScoreKNN is the query point's own neighborhood lookup.
 	PhaseScoreKNN = "score/knn"
-	// PhaseScoreMerge is the merged-row cache construction around the query.
+	// PhaseScoreMerge is the construction of the query's two-hop merged-row
+	// closure.
 	PhaseScoreMerge = "score/merge"
+	// PhaseScoreEval is the one-pass evaluation of the query's LOF at every
+	// MinPts in the range over that closure.
+	PhaseScoreEval = "score/eval"
 )
 
 // Canonical counter names.
@@ -197,7 +201,8 @@ func (s *Span) End() {
 // pipeline's wall-clock time.
 type PhaseStat struct {
 	// Name identifies the phase: ingest, index_build, materialize, sweep,
-	// sweep/lrd, sweep/lof, aggregate, score, score/knn, score/merge.
+	// sweep/lrd, sweep/lof, aggregate, score, score/knn, score/merge,
+	// score/eval.
 	Name string `json:"name"`
 	// Count is the number of times the phase ran.
 	Count int64 `json:"count"`

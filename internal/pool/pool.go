@@ -1,10 +1,11 @@
 // Package pool provides the bounded worker pool shared by every parallel
 // stage of the LOF pipeline: k-NN materialization (matdb.Materialize), the
 // MinPts sweep and its per-point scans (core.SweepPool), and out-of-sample
-// scoring (Model.ScoreBatch, core.Scorer). Sharing one pool across stages
-// bounds the total goroutine fan-out, so nested parallel regions — a batch
-// of queries each sweeping a MinPts range, or a sweep whose per-value scans
-// also chunk — cannot oversubscribe the configured worker count.
+// scoring, which fans out per query in Model.ScoreBatch and nowhere else —
+// one query is scored start to finish on one worker. Sharing one pool
+// across stages bounds the total goroutine fan-out, so nested parallel
+// regions — a sweep whose per-value scans also chunk — cannot
+// oversubscribe the configured worker count.
 //
 // The pool hands out "spare worker" tokens. Every parallel region runs on
 // the calling goroutine plus however many spare workers it can lend at that

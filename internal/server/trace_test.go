@@ -68,7 +68,7 @@ func TestScoreTraceSpansAndExemplar(t *testing.T) {
 		t.Fatalf("request span attrs %v", reqSpan.Attrs)
 	}
 	// Per-phase work is visible as attributes of the request span.
-	for _, key := range []string{"phase/score.busy_us", "phase/score/knn.busy_us", "phase/score/merge.busy_us"} {
+	for _, key := range []string{"phase/score.busy_us", "phase/score/knn.busy_us", "phase/score/merge.busy_us", "phase/score/eval.busy_us"} {
 		if _, ok := reqSpan.Attrs[key]; !ok {
 			t.Fatalf("request span lacks %s; per-phase work is invisible in the trace (attrs %v)", key, reqSpan.Attrs)
 		}

@@ -19,7 +19,7 @@
 //
 // Everything the LOF arithmetic consumes — k-distances, reachability
 // distances, neighborhood sizes — derives from those two answers, so the
-// coordinator's evaluation (core.EvalAt) is bit-identical to a single-node
+// coordinator's evaluation (core.EvalRange) is bit-identical to a single-node
 // model's.
 package shard
 

@@ -9,7 +9,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 
+	"lof/internal/approx"
 	"lof/internal/core"
 	"lof/internal/geom"
 	"lof/internal/index"
@@ -32,12 +34,33 @@ type Model struct {
 	ix     index.Index
 	db     *matdb.DB
 	scorer *core.Scorer
-	// pool bounds the combined fan-out of ScoreBatch's per-query workers
-	// and the scorer's per-MinPts workers.
+	// pool runs ScoreBatch's per-query workers — the only parallel region
+	// on the scoring path — and builds the pruned path's summaries.
 	pool *pool.Pool
 	// tracer records scoring phases when the model descends from a traced
 	// fit; nil (the default, and always for loaded snapshots) disables it.
 	tracer *obs.Tracer
+	// bounds holds the pruned path's bound summaries, built on the first
+	// pruned request and shared by every WithWorkers/WithTrace copy.
+	bounds *lazySummaries
+}
+
+// lazySummaries builds a model's approx.Summaries at most once.
+type lazySummaries struct {
+	once sync.Once
+	sum  *approx.Summaries
+	err  error
+}
+
+// summaries returns the model's bound summaries, building them on the
+// model's pool on first use. A model that only scores exactly never pays
+// for them.
+func (m *Model) summaries() (*approx.Summaries, error) {
+	b := m.bounds
+	b.once.Do(func() {
+		b.sum, b.err = approx.NewSummaries(m.db, m.cfg.MinPtsLB, m.cfg.MinPtsUB, m.pool)
+	})
+	return b.sum, b.err
 }
 
 // Model returns the fitted model behind this result. The model shares the
@@ -50,8 +73,8 @@ func (r *Result) Model() (*Model, error) {
 	}
 	return &Model{
 		cfg: r.cfg, metric: r.metric, pts: r.pts, ix: r.ix, db: r.db,
-		scorer: sc.WithPool(r.pool).WithTracer(r.tracer), pool: r.pool,
-		tracer: r.tracer,
+		scorer: sc.WithTracer(r.tracer), pool: r.pool,
+		tracer: r.tracer, bounds: new(lazySummaries),
 	}, nil
 }
 
@@ -65,17 +88,18 @@ func (m *Model) Stats() *RunStats { return m.tracer.Snapshot() }
 // WithWorkers returns a model that shares this model's fitted state but
 // scores over its own pool of the given width: n > 1 sets that many
 // workers, n == 1 forces sequential scoring, and n <= 0 means GOMAXPROCS.
-// The receiver is unchanged, so serving code can derive per-request pools
+// The width bounds how many queries of one ScoreBatch (or
+// ScoreBatchPruned) call are scored at once; each query runs on a single
+// worker, so a single Score uses one core whatever the width. The
+// receiver is unchanged, so serving code can derive per-request pools
 // from one shared model.
 func (m *Model) WithWorkers(n int) *Model {
 	if n <= 0 {
 		n = effectiveWorkers(0)
 	}
-	p := pool.New(n)
 	c := *m
 	c.cfg.Workers = n
-	c.pool = p
-	c.scorer = m.scorer.WithPool(p)
+	c.pool = pool.New(n)
 	return &c
 }
 
@@ -171,11 +195,10 @@ func (m *Model) ScoreSeries(query []float64) (minPts []int, lofs []float64, err 
 
 // ScoreBatch scores many query points over the model's bounded worker pool
 // and returns one aggregated LOF per query, in input order. The pool size
-// is Config.Workers (GOMAXPROCS when zero); per-query workers and each
-// query's per-MinPts workers draw from the same pool, so nested fan-out
-// never exceeds that bound. Every query is validated before any scoring
-// starts, so an invalid row fails the whole batch with a descriptive error
-// instead of poisoning part of the output.
+// is Config.Workers (GOMAXPROCS when zero); the batch fans out per query
+// only, each query scored start to finish on one worker. Every query is
+// validated before any scoring starts, so an invalid row fails the whole
+// batch with a descriptive error instead of poisoning part of the output.
 func (m *Model) ScoreBatch(queries [][]float64) ([]float64, error) {
 	return m.ScoreBatchContext(context.Background(), queries)
 }
@@ -377,7 +400,7 @@ func assembleModel(cfg Config, pts *geom.Points, db *matdb.DB) (*Model, error) {
 	// WithWorkers.
 	return &Model{
 		cfg: cfg, metric: det.metric, pts: pts, ix: ix, db: db,
-		scorer: sc.WithPool(det.pool), pool: det.pool,
+		scorer: sc, pool: det.pool, bounds: new(lazySummaries),
 	}, nil
 }
 
