@@ -25,6 +25,7 @@ import (
 
 	"lof/internal/front"
 	"lof/internal/server"
+	"lof/internal/shard"
 	"lof/internal/trace"
 )
 
@@ -237,7 +238,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out i
 }
 
 // doTyped is do with an explicit request content type; the shard snapshot
-// push sends raw bytes, everything else JSON.
+// push and the shard data frames send raw bytes, everything else JSON.
 func (c *Client) doTyped(ctx context.Context, method, path string, body []byte, contentType string, out interface{}) error {
 	c.requests.Add(1)
 	c.earn()
@@ -253,8 +254,8 @@ func (c *Client) doTyped(ctx context.Context, method, path string, body []byte, 
 		c.attempts.Add(1)
 		sp, sctx := trace.StartSpan(ctx, "rpc "+path)
 		sp.SetAttrInt("attempt", int64(attempt))
-		resp, err := c.attempt(sctx, method, path, body, contentType)
-		retry, done := c.finish(resp, err, out)
+		resp, data, err := c.attempt(sctx, method, path, body, contentType)
+		retry, done := c.finish(resp, data, err, out)
 		if resp != nil {
 			sp.SetAttrInt("status", int64(resp.StatusCode))
 		}
@@ -286,8 +287,9 @@ func (c *Client) doTyped(ctx context.Context, method, path string, body []byte, 
 	return fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
 }
 
-// attempt issues one HTTP attempt under the per-attempt timeout.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, contentType string) (*http.Response, error) {
+// attempt issues one HTTP attempt under the per-attempt timeout and returns
+// the response with its whole body.
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, contentType string) (*http.Response, []byte, error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.PerAttemptTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -296,7 +298,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	req, err := http.NewRequestWithContext(actx, method, c.cfg.BaseURL+path, rd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", contentType)
@@ -307,23 +309,23 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	trace.Inject(ctx, req.Header)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Read the whole body under the attempt timeout, then detach it from
 	// the cancelled context.
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
 	resp.Body.Close()
 	if err != nil {
-		return nil, fmt.Errorf("client: reading response: %w", err)
+		return nil, nil, fmt.Errorf("client: reading response: %w", err)
 	}
-	resp.Body = io.NopCloser(bytes.NewReader(data))
-	return resp, nil
+	return resp, data, nil
 }
 
 // finish classifies one attempt's outcome. retry > 0 means try again after
 // at least that wait (a nominal 1ns when no Retry-After hint applies);
-// retry == 0 with err == nil means success (out is decoded).
-func (c *Client) finish(resp *http.Response, err error, out interface{}) (retry time.Duration, _ error) {
+// retry == 0 with err == nil means success (out is decoded: a **shard.Frame
+// from a binary frame body, anything else from JSON).
+func (c *Client) finish(resp *http.Response, data []byte, err error, out interface{}) (retry time.Duration, _ error) {
 	const again = time.Nanosecond
 	if err != nil {
 		// Transport-level failure: severed connection, injected fault,
@@ -332,11 +334,18 @@ func (c *Client) finish(resp *http.Response, err error, out interface{}) (retry 
 		return again, err
 	}
 	if resp.StatusCode == http.StatusOK {
-		if out == nil {
-			return 0, nil
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return again, fmt.Errorf("client: decoding response: %w", err)
+		switch out := out.(type) {
+		case nil:
+		case **shard.Frame:
+			f, err := shard.DecodeFrame(data)
+			if err != nil {
+				return again, fmt.Errorf("client: decoding response: %w", err)
+			}
+			*out = f
+		default:
+			if err := json.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
+				return again, fmt.Errorf("client: decoding response: %w", err)
+			}
 		}
 		return 0, nil
 	}
@@ -344,7 +353,7 @@ func (c *Client) finish(resp *http.Response, err error, out interface{}) (retry 
 		Error     string `json:"error"`
 		RequestID string `json:"requestId"`
 	}
-	_ = json.NewDecoder(resp.Body).Decode(&body)
+	_ = json.Unmarshal(data, &body)
 	serr := &apiError{Status: resp.StatusCode, Message: body.Error, RequestID: body.RequestID}
 	if !retryableStatus(resp.StatusCode) {
 		return 0, serr

@@ -30,32 +30,28 @@ func (c *Client) PushSnapshot(ctx context.Context, encoded []byte) (*shard.Snaps
 	return &out, nil
 }
 
-// Candidates fetches per-partition kNN candidates for a batch of queries,
-// pinned to the given snapshot version.
-func (c *Client) Candidates(ctx context.Context, version uint64, queries [][]float64) (*shard.CandidatesResponse, error) {
-	body, err := json.Marshal(shard.CandidatesRequest{Version: version, Queries: queries})
-	if err != nil {
-		return nil, err
-	}
-	var out shard.CandidatesResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/shard/candidates", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+// Candidates posts a candidates request frame and returns the shard's
+// answer, checked against the request (shard.CheckReply).
+func (c *Client) Candidates(ctx context.Context, req *shard.Frame) (*shard.Frame, error) {
+	return c.frame(ctx, "/v1/shard/candidates", req)
 }
 
-// Rows fetches merged rows of owned points, pinned to the given snapshot
-// version.
-func (c *Client) Rows(ctx context.Context, version uint64, queries []shard.RowsQuery) (*shard.RowsResponse, error) {
-	body, err := json.Marshal(shard.RowsRequest{Version: version, Queries: queries})
-	if err != nil {
+// Rows posts a rows or k-distances request frame and returns the shard's
+// answer, checked against the request.
+func (c *Client) Rows(ctx context.Context, req *shard.Frame) (*shard.Frame, error) {
+	return c.frame(ctx, "/v1/shard/rows", req)
+}
+
+// frame runs one frame round trip on path.
+func (c *Client) frame(ctx context.Context, path string, req *shard.Frame) (*shard.Frame, error) {
+	var out *shard.Frame
+	if err := c.doTyped(ctx, http.MethodPost, path, req.Encode(), "application/octet-stream", &out); err != nil {
 		return nil, err
 	}
-	var out shard.RowsResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/shard/rows", body, &out); err != nil {
-		return nil, err
+	if err := shard.CheckReply(req, out); err != nil {
+		return nil, fmt.Errorf("client: %s: %w", path, err)
 	}
-	return &out, nil
+	return out, nil
 }
 
 // KDists fetches the stored k-distance envelope of owned points at two

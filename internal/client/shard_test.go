@@ -72,20 +72,33 @@ func TestShardClientRoundTrip(t *testing.T) {
 		t.Fatalf("readyz after snapshot: %+v, %v", info, err)
 	}
 
-	cresp, err := c.Candidates(ctx, 3, [][]float64{{0.4, 0.4}})
+	cresp, err := c.Candidates(ctx, candidatesReq(3))
 	if err != nil {
 		t.Fatalf("Candidates: %v", err)
 	}
-	if len(cresp.Candidates) != 1 || len(cresp.Candidates[0]) == 0 {
+	if len(cresp.Counts) != 1 || len(cresp.Entries) == 0 {
 		t.Fatalf("candidates = %+v", cresp)
 	}
 
-	rresp, err := c.Rows(ctx, 3, []shard.RowsQuery{{Query: []float64{0.4, 0.4}, IDs: []uint32{0}}})
-	if err != nil {
-		t.Fatalf("Rows: %v", err)
+	for _, kind := range []shard.Kind{shard.KindRowsRequest, shard.KindKDistsRequest} {
+		req := &shard.Frame{
+			Kind: kind, Version: 3, Dim: 2, LB: 2, UB: 4,
+			Queries: []float64{0.4, 0.4}, Counts: []uint32{1}, IDs: []uint32{0},
+		}
+		rresp, err := c.Rows(ctx, req)
+		if err != nil {
+			t.Fatalf("Rows(%v): %v", kind, err)
+		}
+		if rresp.Kind != kind.Reply() || len(rresp.Lens)+len(rresp.KDists) == 0 {
+			t.Fatalf("rows(%v) = %+v", kind, rresp)
+		}
 	}
-	if len(rresp.Rows) != 1 || len(rresp.Rows[0]) != 1 {
-		t.Fatalf("rows = %+v", rresp)
+
+	// A frame body a shard does not accept is the caller's error, not
+	// retried; a JSON body is one.
+	var out struct{}
+	if err := c.do(ctx, http.MethodPost, "/v1/shard/rows", []byte(`{"version":3}`), &out); StatusCode(err) != http.StatusBadRequest {
+		t.Fatalf("JSON body on /v1/shard/rows: %v, want a 400", err)
 	}
 
 	// A stale pin exhausts retries with the server's 503 as the cause.
@@ -95,9 +108,14 @@ func TestShardClientRoundTrip(t *testing.T) {
 	}
 	ctxShort, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	if _, err := short.Candidates(ctxShort, 99, [][]float64{{0, 0}}); err == nil {
+	if _, err := short.Candidates(ctxShort, candidatesReq(99)); err == nil {
 		t.Fatal("stale-version candidates succeeded")
 	}
+}
+
+// candidatesReq is a one-query candidates request pinned to version.
+func candidatesReq(version uint64) *shard.Frame {
+	return &shard.Frame{Kind: shard.KindCandidatesRequest, Version: version, Dim: 2, Queries: []float64{0.4, 0.4}}
 }
 
 func TestHedgedFailover(t *testing.T) {
@@ -120,13 +138,13 @@ func TestHedgedFailover(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Hedged push over dead primary: %v", err)
 	}
-	got, err := Hedged(ctx, rs, 50*time.Millisecond, func(ctx context.Context, c *Client) (*shard.CandidatesResponse, error) {
-		return c.Candidates(ctx, 3, [][]float64{{0.4, 0.4}})
+	got, err := Hedged(ctx, rs, 50*time.Millisecond, func(ctx context.Context, c *Client) (*shard.Frame, error) {
+		return c.Candidates(ctx, candidatesReq(3))
 	})
 	if err != nil {
 		t.Fatalf("Hedged candidates: %v", err)
 	}
-	if len(got.Candidates) != 1 {
+	if len(got.Counts) != 1 {
 		t.Fatalf("hedged candidates = %+v", got)
 	}
 }

@@ -3,19 +3,23 @@
 // globally, splits the fitted state into per-shard sub-snapshots
 // (shard.Split), replicates them to lofserve shard processes, and answers
 // score requests by a three-round scatter-gather that reassembles exact
-// global LOF:
+// global LOF, one binary frame (shard.Frame) per shard and round:
 //
 //	round 1  every shard returns its partition's kNN candidates for the
 //	         query batch; the coordinator merges them into each query's
 //	         exact global row (matdb.MergeCandidates)
-//	round 2  the merged rows of each query's neighborhood are fetched from
-//	         their owning shards (matdb.SpliceRow applied shard-side)
-//	round 3  the rows of those rows' neighbors — the two-hop closure the
-//	         LOF arithmetic touches — are fetched the same way
+//	round 2  the merged rows of each query's neighborhood (the first hop)
+//	         are fetched from their owning shards
+//	round 3  for every point those rows reach (the second hop), only its
+//	         merged k-distances at MinPts lb..ub are fetched — the one
+//	         thing LOF reads of it, inside reach-dist
 //
-// Evaluation then runs core.EvalRange over the fetched rows: literally the
-// code path the in-process scorer uses, which is what makes a distributed
-// score bit-identical to a single-node one.
+// Each query's closure is kept densely (closure): its row, its first-hop
+// rows and its second-hop k-distance vectors, addressed by position.
+// Evaluation then runs core.EvalRange over them: literally the code path
+// the in-process scorer uses, fed by shards that build rows and
+// k-distances with the scorer's own matdb helper, which is what makes a
+// distributed score bit-identical to a single-node one.
 //
 // Failure policy: per-shard calls hedge across replicas (first success
 // wins); when a whole shard is unreachable, a request that opted into
@@ -28,9 +32,8 @@
 //
 // Approximate modes ride the same scatter-gather machinery:
 //
-//	?mode=pruned   rounds 1 and 2 run as usual, but instead of fetching
-//	               the full second-hop row closure, the coordinator
-//	               fetches lightweight stored k-distance envelopes
+//	?mode=pruned   rounds 1 and 2 run as usual, but instead of round 3
+//	               the coordinator fetches stored k-distance envelopes
 //	               (POST /v1/shard/kdists) and certifies queries whose
 //	               LOF interval (approx.MergedQueryBounds) lies inside
 //	               the 1±eps band as exactly 1; only uncertain queries
@@ -439,121 +442,129 @@ func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode strin
 
 // shardCall runs op against a shard's replica set with hedging, records
 // per-shard latency and failures, and traces the whole hedged call as one
-// named span (replica attempts appear as its children).
-func shardCall[T any](ctx context.Context, c *Coordinator, s int, name string, op func(context.Context, *client.Client) (T, error)) (T, error) {
+// named span (replica attempts appear as its children) carrying the
+// scatter-gather round (when positive) and, for frame answers, their size
+// in bytes — per-round transport, readable in /debug/traces.
+func shardCall[T any](ctx context.Context, c *Coordinator, s int, name string, round int, op func(context.Context, *client.Client) (T, error)) (T, error) {
 	sp, sctx := trace.StartSpan(ctx, name)
 	sp.SetAttrInt("shard", int64(s))
+	if round > 0 {
+		sp.SetAttrInt("round", int64(round))
+	}
 	start := time.Now()
 	v, err := client.Hedged(sctx, c.replicas[s], c.cfg.Hedge, op)
 	c.shardLatency[s].Observe(time.Since(start))
 	if err != nil {
 		c.shardFails[s].Add(1)
 		sp.SetError(err.Error())
+	} else if f, ok := any(v).(*shard.Frame); ok && sp != nil {
+		sp.SetAttrInt("bytes", int64(f.Size()))
 	}
 	sp.End()
 	return v, err
 }
 
-// gathered is the product of scatter-gather rounds 1 and 2, shared by the
-// exact and pruned scoring paths: each query's merged global row, its
-// first-hop neighbor ids, and the merged rows fetched so far.
-type gathered struct {
-	qRows []matdb.Row
-	first [][]int
-	rows  []map[int]matdb.Row
+// closure is one query's scatter-gather state in dense form: its merged
+// row (round 1), the merged rows of its first hop (round 2) and the merged
+// k-distances of its second hop (round 3). slot maps a global id to its
+// position: i < len(first) for first-hop points, len(first)+j for
+// second-hop point j.
+type closure struct {
+	row    matdb.Row
+	first  []int
+	rows   []matdb.Row // parallel to first
+	second []int
+	kd     []float64 // w per second-hop id, parallel to second
+	slot   map[int]int32
 }
 
-// secondHopIDs returns the ids of query qi's second-hop closure — the
-// neighbors of its first-hop rows not yet fetched — deduplicated.
-func (g *gathered) secondHopIDs(st *state, qi int) []int {
-	var second []int
-	seen := make(map[int]bool)
-	for _, id := range g.first[qi] {
-		for _, nid := range neighborIDs(g.rows[qi][id], st.ub, st.meta.Total, g.rows[qi]) {
-			if !seen[nid] {
-				seen[nid] = true
-				second = append(second, nid)
+// rowOf returns the merged row of first-hop point i.
+func (cl *closure) rowOf(i int) (matdb.Row, bool) {
+	p, ok := cl.slot[i]
+	if !ok || int(p) >= len(cl.first) {
+		return matdb.Row{}, false
+	}
+	return cl.rows[p], true
+}
+
+// addSecondHop lists the ids the first-hop rows' ub-neighborhoods reach
+// that are neither the query nor first-hop points, in first-seen order —
+// the points the evaluation reads only through their k-distances.
+func (cl *closure) addSecondHop(ub, qIdx int) {
+	for _, row := range cl.rows {
+		for _, nb := range row.Neighborhood(ub) {
+			if _, seen := cl.slot[nb.Index]; seen || nb.Index == qIdx {
+				continue
 			}
+			cl.slot[nb.Index] = int32(len(cl.first) + len(cl.second))
+			cl.second = append(cl.second, nb.Index)
 		}
 	}
-	return second
 }
 
 // scoreExact runs the three-round scatter-gather and evaluation.
 func (c *Coordinator) scoreExact(ctx context.Context, st *state, queries [][]float64) ([]float64, error) {
-	g, err := c.gatherFirstHop(ctx, st, queries)
+	cls, err := c.gatherFirstHop(ctx, st, queries)
 	if err != nil {
 		return nil, err
 	}
-	need := make([][]int, len(queries))
-	for qi := range need {
-		need[qi] = g.secondHopIDs(st, qi)
-	}
-	if err := c.fetchRowsSpan(ctx, st, queries, need, g.rows, 3); err != nil {
+	if err := c.fetchRound(ctx, st, queries, cls, shard.KindKDistsRequest, nil); err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(queries))
-	if err := c.evalInto(ctx, st, g, out, nil); err != nil {
+	if err := c.evalInto(ctx, st, cls, out, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // scorePruned is the band-certified scoring path: rounds 1 and 2 run as in
-// the exact path, then — instead of the round-3 row closure — the
-// coordinator fetches stored k-distance envelopes for the second-hop ids
-// and brackets every query's whole LOF series (approx.MergedQueryBounds).
-// A query whose interval lies inside 1±eps is certified ≈1 and answered 1
-// on the spot; the uncertain remainder pays for round 3 and evaluates
-// exactly, bit-identical to scoreExact.
+// the exact path, then — instead of round 3 — the coordinator fetches
+// stored k-distance envelopes for the second-hop ids and brackets every
+// query's whole LOF series (approx.MergedQueryBounds). A query whose
+// interval lies inside 1±eps is certified ≈1 and answered 1 on the spot;
+// the uncertain remainder pays for round 3 and evaluates exactly,
+// bit-identical to scoreExact.
 func (c *Coordinator) scorePruned(ctx context.Context, st *state, queries [][]float64) ([]float64, int, error) {
-	g, err := c.gatherFirstHop(ctx, st, queries)
+	cls, err := c.gatherFirstHop(ctx, st, queries)
 	if err != nil {
 		return nil, 0, err
 	}
 	nq := len(queries)
 	qIdx := st.meta.Total
-	second := make([][]int, nq)
 	var union []int
 	inUnion := make(map[int]bool)
-	for qi := range second {
-		second[qi] = g.secondHopIDs(st, qi)
-		for _, id := range second[qi] {
+	for qi := range cls {
+		for _, id := range cls[qi].second {
 			if !inUnion[id] {
 				inUnion[id] = true
 				union = append(union, id)
 			}
 		}
 	}
-	env, err := c.fetchKDists(ctx, st, union)
+	env, err := c.fetchEnvelopes(ctx, st, union)
 	if err != nil {
 		return nil, 0, err
 	}
 	eps := c.cfg.PruneEps
 	out := make([]float64, nq)
 	skip := make([]bool, nq)
-	uncertain := make([][]int, nq)
 	c.pool.Each(nq, func(qi int) {
-		rowOf := func(i int) (matdb.Row, bool) {
-			r, ok := g.rows[qi][i]
-			return r, ok
-		}
+		cl := &cls[qi]
 		kdEnv := func(i int) (lo, hi float64, ok bool) {
-			// First-hop rows are merged (the query already spliced in), so
-			// their k-distances are exact at both range ends; everything
-			// else uses the stored envelope from the kdists round.
-			if r, found := g.rows[qi][i]; found {
+			// First-hop rows are merged rows, so their k-distances are
+			// exact at both range ends; everything else uses the stored
+			// envelope from the kdists round.
+			if r, found := cl.rowOf(i); found {
 				return r.KDistance(st.lb), r.KDistance(st.ub), true
 			}
 			e, found := env[i]
 			return e[0], e[1], found
 		}
-		lower, upper := approx.MergedQueryBounds(g.qRows[qi], qIdx, rowOf, kdEnv, st.lb, st.ub)
+		lower, upper := approx.MergedQueryBounds(cl.row, qIdx, cl.rowOf, kdEnv, st.lb, st.ub)
 		if approx.Certified(lower, upper, eps) {
 			out[qi] = 1
 			skip[qi] = true
-		} else {
-			uncertain[qi] = second[qi]
 		}
 	})
 	certified := 0
@@ -563,22 +574,21 @@ func (c *Coordinator) scorePruned(ctx context.Context, st *state, queries [][]fl
 		}
 	}
 	if certified < nq {
-		if err := c.fetchRowsSpan(ctx, st, queries, uncertain, g.rows, 3); err != nil {
+		if err := c.fetchRound(ctx, st, queries, cls, shard.KindKDistsRequest, skip); err != nil {
 			return nil, 0, err
 		}
-		if err := c.evalInto(ctx, st, g, out, skip); err != nil {
+		if err := c.evalInto(ctx, st, cls, out, skip); err != nil {
 			return nil, 0, err
 		}
 	}
 	return out, certified, nil
 }
 
-// fetchKDists fetches the stored k-distance envelopes [kd_{lb-1}, kd_ub]
-// of ids from their owning shards — the lightweight substitute for the
-// round-3 row closure on the pruned path. The lower rank is lb-1 because
-// splicing the query into a stored neighborhood can shift every rank down
-// by at most one.
-func (c *Coordinator) fetchKDists(ctx context.Context, st *state, ids []int) (map[int][2]float64, error) {
+// fetchEnvelopes fetches the stored k-distance envelopes [kd_{lb-1}, kd_ub]
+// of ids from their owning shards — the lightweight substitute for round 3
+// on the pruned path. The lower rank is lb-1 because splicing the query
+// into a stored neighborhood can shift every rank down by at most one.
+func (c *Coordinator) fetchEnvelopes(ctx context.Context, st *state, ids []int) (map[int][2]float64, error) {
 	sp, sctx := trace.StartSpan(ctx, "coord/kdists")
 	sp.SetAttrInt("ids", int64(len(ids)))
 	defer sp.End()
@@ -593,7 +603,7 @@ func (c *Coordinator) fetchKDists(ctx context.Context, st *state, ids []int) (ma
 		if len(byShard[s]) == 0 {
 			return nil
 		}
-		resp, err := shardCall(sctx, c, s, "rpc/kdists", func(ctx context.Context, cl *client.Client) (*shard.KDistsResponse, error) {
+		resp, err := shardCall(sctx, c, s, "rpc/kdists", 0, func(ctx context.Context, cl *client.Client) (*shard.KDistsResponse, error) {
 			return cl.KDists(ctx, st.version, byShard[s], st.lb-1, st.ub)
 		})
 		if err != nil {
@@ -606,7 +616,7 @@ func (c *Coordinator) fetchKDists(ctx context.Context, st *state, ids []int) (ma
 		mu.Lock()
 		defer mu.Unlock()
 		for i, id := range byShard[s] {
-			env[int(id)] = [2]float64{resp.Lo[i], resp.Hi[i]}
+			env[int(id)] = [2]float64{resp.Lo[i], float64(resp.Hi[i])}
 		}
 		return nil
 	})
@@ -619,27 +629,27 @@ func (c *Coordinator) fetchKDists(ctx context.Context, st *state, ids []int) (ma
 
 // gatherFirstHop runs scatter-gather rounds 1 and 2: merge every query's
 // global row from per-shard candidates, then fetch the merged rows of its
-// first-hop neighborhood.
-func (c *Coordinator) gatherFirstHop(ctx context.Context, st *state, queries [][]float64) (*gathered, error) {
+// first-hop neighborhood, and list its second hop.
+func (c *Coordinator) gatherFirstHop(ctx context.Context, st *state, queries [][]float64) ([]closure, error) {
 	nq := len(queries)
 	qIdx := st.meta.Total
+	dim := st.dim
 
 	// Round 1: per-partition candidates from every shard, in parallel.
-	candsByShard := make([][][]shard.WireCandidate, len(c.replicas))
+	req := &shard.Frame{Kind: shard.KindCandidatesRequest, Distinct: st.meta.Distinct, Version: st.version, Dim: dim}
+	req.Queries = make([]float64, 0, nq*dim)
+	for _, q := range queries {
+		req.Queries = append(req.Queries, q...)
+	}
+	answers := make([]*shard.Frame, len(c.replicas))
 	csp, cctx := trace.StartSpan(ctx, "coord/candidates")
 	csp.SetAttrInt("queries", int64(nq))
 	err := c.eachShard(cctx, func(s int) error {
-		resp, err := shardCall(cctx, c, s, "rpc/candidates", func(ctx context.Context, cl *client.Client) (*shard.CandidatesResponse, error) {
-			return cl.Candidates(ctx, st.version, queries)
+		f, err := shardCall(cctx, c, s, "rpc/candidates", 1, func(ctx context.Context, cl *client.Client) (*shard.Frame, error) {
+			return cl.Candidates(ctx, req)
 		})
-		if err != nil {
-			return err
-		}
-		if len(resp.Candidates) != nq {
-			return fmt.Errorf("shard %d returned %d candidate lists for %d queries", s, len(resp.Candidates), nq)
-		}
-		candsByShard[s] = resp.Candidates
-		return nil
+		answers[s] = f
+		return err
 	})
 	if err != nil {
 		csp.SetError(err.Error())
@@ -652,35 +662,49 @@ func (c *Coordinator) gatherFirstHop(ctx context.Context, st *state, queries [][
 	// Merge each query's global row locally; coordinate lookups for
 	// distinct-rank recomputation come from the candidate payloads.
 	msp, _ := trace.StartSpan(ctx, "coord/merge")
-	qRows := make([]matdb.Row, nq)
-	coords := make([]map[int]geom.Point, nq)
+	starts := make([][]int, len(answers)) // starts[s][qi]: query qi's first entry in shard s's answer
+	for s, f := range answers {
+		starts[s] = make([]int, nq+1)
+		for qi, n := range f.Counts {
+			starts[s][qi+1] = starts[s][qi] + int(n)
+		}
+	}
+	cls := make([]closure, nq)
 	mergeErrs := make([]error, nq)
 	c.pool.Each(nq, func(qi int) {
 		var cands []index.Neighbor
 		var at func(int) geom.Point
+		var cm map[int]geom.Point
 		if st.meta.Distinct {
-			cm := make(map[int]geom.Point)
-			for s := range candsByShard {
-				for _, cand := range candsByShard[s][qi] {
-					cands = append(cands, cand.Neighbor())
-					cm[int(cand.ID)] = cand.Point
-				}
-			}
-			coords[qi] = cm
+			cm = make(map[int]geom.Point)
 			at = func(i int) geom.Point {
 				if i == qIdx {
 					return queries[qi]
 				}
 				return cm[i]
 			}
-		} else {
-			for s := range candsByShard {
-				for _, cand := range candsByShard[s][qi] {
-					cands = append(cands, cand.Neighbor())
+		}
+		for s, f := range answers {
+			lo, hi := starts[s][qi], starts[s][qi+1]
+			cands = append(cands, f.Entries[lo:hi]...)
+			if cm != nil {
+				for k := lo; k < hi; k++ {
+					cm[f.Entries[k].Index] = f.Coords[k*dim : (k+1)*dim]
 				}
 			}
 		}
-		qRows[qi], mergeErrs[qi] = matdb.MergeCandidates(cands, at, st.meta.K, st.meta.Distinct)
+		cl := &cls[qi]
+		cl.row, mergeErrs[qi] = matdb.MergeCandidates(cands, at, st.meta.K, st.meta.Distinct)
+		nn := cl.row.Neighborhood(st.ub)
+		// The second hop is typically about five times the first.
+		cl.slot = make(map[int]int32, 6*len(nn))
+		for _, nb := range nn {
+			if _, seen := cl.slot[nb.Index]; !seen && nb.Index != qIdx {
+				cl.slot[nb.Index] = int32(len(cl.first))
+				cl.first = append(cl.first, nb.Index)
+			}
+		}
+		cl.rows = make([]matdb.Row, len(cl.first))
 	})
 	for qi, err := range mergeErrs {
 		if err != nil {
@@ -692,46 +716,54 @@ func (c *Coordinator) gatherFirstHop(ctx context.Context, st *state, queries [][
 	msp.End()
 
 	// Round 2: fetch the merged rows of each query's first-hop
-	// neighborhood.
-	rows := make([]map[int]matdb.Row, nq)
-	for qi := range rows {
-		rows[qi] = make(map[int]matdb.Row)
-	}
-	first := make([][]int, nq)
-	for qi := range first {
-		first[qi] = neighborIDs(qRows[qi], st.ub, qIdx, rows[qi])
-	}
-	if err := c.fetchRowsSpan(ctx, st, queries, first, rows, 2); err != nil {
+	// neighborhood; they name the second hop.
+	if err := c.fetchRound(ctx, st, queries, cls, shard.KindRowsRequest, nil); err != nil {
 		return nil, err
 	}
-	return &gathered{qRows: qRows, first: first, rows: rows}, nil
+	for qi := range cls {
+		cls[qi].addSecondHop(st.ub, qIdx)
+	}
+	return cls, nil
 }
 
 // evalInto evaluates every query not marked in skip — one core.EvalRange
-// per query, the evaluation the in-process scorer runs — writing scores
-// into out. A nil skip evaluates everything.
-func (c *Coordinator) evalInto(ctx context.Context, st *state, g *gathered, out []float64, skip []bool) error {
+// per query over its closure, the evaluation the in-process scorer runs —
+// writing scores into out. A nil skip evaluates everything.
+func (c *Coordinator) evalInto(ctx context.Context, st *state, cls []closure, out []float64, skip []bool) error {
 	esp, _ := trace.StartSpan(ctx, "coord/eval")
 	defer esp.End()
 	nq := len(out)
 	qIdx := st.meta.Total
+	w := st.ub - st.lb + 1
 	evalErrs := make([]error, nq)
 	c.pool.Each(nq, func(qi int) {
 		if skip != nil && skip[qi] {
 			return
 		}
+		cl := &cls[qi]
 		missing := -1
 		rowOf := func(i int) matdb.Row {
-			r, ok := g.rows[qi][i]
+			r, ok := cl.rowOf(i)
 			if !ok && missing < 0 {
 				missing = i
 			}
 			return r
 		}
-		series := make([]float64, st.ub-st.lb+1)
-		core.EvalRange(qIdx, g.qRows[qi], rowOf, st.lb, st.ub, series)
+		kdOf := func(i int, dst []float64) []float64 {
+			p, ok := cl.slot[i]
+			j := int(p) - len(cl.first)
+			if !ok || j < 0 {
+				if missing < 0 {
+					missing = i
+				}
+				return append(dst, make([]float64, w)...)
+			}
+			return append(dst, cl.kd[j*w:(j+1)*w]...)
+		}
+		series := make([]float64, w)
+		core.EvalRange(qIdx, cl.row, rowOf, kdOf, st.lb, st.ub, series)
 		if missing >= 0 {
-			evalErrs[qi] = fmt.Errorf("coord: query %d: merged row %d missing from the fetched closure", qi, missing)
+			evalErrs[qi] = fmt.Errorf("coord: query %d: point %d missing from the fetched closure", qi, missing)
 			return
 		}
 		out[qi] = core.ScoreAggregate(series, st.agg)
@@ -742,6 +774,87 @@ func (c *Coordinator) evalInto(ctx context.Context, st *state, g *gathered, out 
 		}
 	}
 	return nil
+}
+
+// fetchRound runs scatter-gather round 2 (kind KindRowsRequest: the merged
+// rows of every query's first hop) or round 3 (KindKDistsRequest: the
+// merged k-distances at MinPts lb..ub of its second hop) for every query
+// not marked in skip, one request frame per shard covering the whole
+// batch, and stores the answers in the closures.
+func (c *Coordinator) fetchRound(ctx context.Context, st *state, queries [][]float64, cls []closure, kind shard.Kind, skip []bool) error {
+	round := 2
+	if kind == shard.KindKDistsRequest {
+		round = 3
+	}
+	sp, sctx := trace.StartSpan(ctx, "coord/rows")
+	sp.SetAttrInt("round", int64(round))
+	defer sp.End()
+	n := len(c.replicas)
+	w := st.ub - st.lb + 1
+	reqs := make([]*shard.Frame, n)
+	for s := range reqs {
+		reqs[s] = &shard.Frame{Kind: kind, Distinct: st.meta.Distinct, Version: st.version, Dim: st.dim, LB: st.lb, UB: st.ub}
+	}
+	// dests[s][k] is where the answer to shard s's k-th id goes: the query
+	// and the id's position in that query's hop list.
+	type dest struct{ qi, pos int }
+	dests := make([][]dest, n)
+	for qi := range cls {
+		if skip != nil && skip[qi] {
+			continue
+		}
+		ids := cls[qi].first
+		if round == 3 {
+			ids = cls[qi].second
+			cls[qi].kd = make([]float64, len(ids)*w)
+		}
+		for pos, id := range ids {
+			s := c.cfg.Partitioner.Shard(uint32(id), n, st.meta.Total)
+			f := reqs[s]
+			if d := dests[s]; len(d) == 0 || d[len(d)-1].qi != qi {
+				f.Queries = append(f.Queries, queries[qi]...)
+				f.Counts = append(f.Counts, 0)
+			}
+			f.Counts[len(f.Counts)-1]++
+			f.IDs = append(f.IDs, uint32(id))
+			dests[s] = append(dests[s], dest{qi, pos})
+		}
+	}
+	// Shards answer disjoint (query, position) slots, so they store
+	// without a lock.
+	err := c.eachShard(sctx, func(s int) error {
+		if len(reqs[s].IDs) == 0 {
+			return nil
+		}
+		f, err := shardCall(sctx, c, s, "rpc/rows", round, func(ctx context.Context, cl *client.Client) (*shard.Frame, error) {
+			return cl.Rows(ctx, reqs[s])
+		})
+		if err != nil {
+			return err
+		}
+		if round == 3 {
+			for k, d := range dests[s] {
+				copy(cls[d.qi].kd[d.pos*w:(d.pos+1)*w], f.KDists[k*w:(k+1)*w])
+			}
+			return nil
+		}
+		entries, ranks := f.Entries, f.Ranks
+		for k, d := range dests[s] {
+			nn := entries[:f.Lens[k]:f.Lens[k]]
+			entries = entries[f.Lens[k]:]
+			var rk []int32
+			if st.meta.Distinct {
+				rk = ranks[:f.RankLens[k]:f.RankLens[k]]
+				ranks = ranks[f.RankLens[k]:]
+			}
+			cls[d.qi].rows[d.pos] = matdb.NewRow(nn, rk, st.meta.Distinct)
+		}
+		return nil
+	})
+	if err != nil {
+		sp.SetError(err.Error())
+	}
+	return err
 }
 
 // eachShard runs fn for every shard concurrently and returns the first
@@ -768,81 +881,6 @@ func (c *Coordinator) eachShard(ctx context.Context, fn func(s int) error) error
 		}
 	}
 	return nil
-}
-
-// neighborIDs returns the ids in row's ub-neighborhood that are real points
-// (not the query) and not already fetched.
-func neighborIDs(row matdb.Row, ub, qIdx int, have map[int]matdb.Row) []int {
-	var out []int
-	for _, nb := range row.Neighborhood(ub) {
-		if nb.Index == qIdx {
-			continue
-		}
-		if _, ok := have[nb.Index]; ok {
-			continue
-		}
-		out = append(out, nb.Index)
-	}
-	return out
-}
-
-// fetchRowsSpan wraps one fetchRows round in a "coord/rows" span labeled
-// with its scatter-gather round number.
-func (c *Coordinator) fetchRowsSpan(ctx context.Context, st *state, queries [][]float64, need [][]int, rows []map[int]matdb.Row, round int) error {
-	sp, sctx := trace.StartSpan(ctx, "coord/rows")
-	sp.SetAttrInt("round", int64(round))
-	err := c.fetchRows(sctx, st, queries, need, rows)
-	if err != nil {
-		sp.SetError(err.Error())
-	}
-	sp.End()
-	return err
-}
-
-// fetchRows fetches the merged rows of need[qi] for every query, grouped by
-// owning shard, and records them in rows[qi]. One Rows RPC per shard covers
-// the whole batch.
-func (c *Coordinator) fetchRows(ctx context.Context, st *state, queries [][]float64, need [][]int, rows []map[int]matdb.Row) error {
-	reqs := make([][]shard.RowsQuery, len(c.replicas))
-	backRefs := make([][]int, len(c.replicas)) // request entry → query index
-	for qi, ids := range need {
-		if len(ids) == 0 {
-			continue
-		}
-		byShard := make(map[int][]uint32)
-		for _, id := range ids {
-			s := c.cfg.Partitioner.Shard(uint32(id), len(c.replicas), st.meta.Total)
-			byShard[s] = append(byShard[s], uint32(id))
-		}
-		for s, sids := range byShard {
-			reqs[s] = append(reqs[s], shard.RowsQuery{Query: queries[qi], IDs: sids})
-			backRefs[s] = append(backRefs[s], qi)
-		}
-	}
-	var mu sync.Mutex
-	return c.eachShard(ctx, func(s int) error {
-		if len(reqs[s]) == 0 {
-			return nil
-		}
-		resp, err := shardCall(ctx, c, s, "rpc/rows", func(ctx context.Context, cl *client.Client) (*shard.RowsResponse, error) {
-			return cl.Rows(ctx, st.version, reqs[s])
-		})
-		if err != nil {
-			return err
-		}
-		if len(resp.Rows) != len(reqs[s]) {
-			return fmt.Errorf("shard %d returned %d row lists for %d requests", s, len(resp.Rows), len(reqs[s]))
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for e, wireRows := range resp.Rows {
-			qi := backRefs[s][e]
-			for _, wr := range wireRows {
-				rows[qi][int(wr.ID)] = wr.Row(st.meta.Distinct)
-			}
-		}
-		return nil
-	})
 }
 
 // Repair runs one repair sweep: every replica reporting unreachable,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -87,6 +88,26 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	if names["replica"] < shards {
 		t.Fatalf("coordinator recorded %d replica spans, want at least one per shard (have %v)", names["replica"], names)
 	}
+	// Every shard RPC span carries its round and its answer's size, so
+	// per-round transport is readable from the trace alone.
+	roundBytes := map[string]int64{}
+	for _, sp := range coordSpans {
+		if sp.Name != "rpc/candidates" && sp.Name != "rpc/rows" {
+			continue
+		}
+		round := sp.Attrs["round"]
+		n, err := strconv.ParseInt(sp.Attrs["bytes"], 10, 64)
+		if err != nil || n <= 0 {
+			t.Fatalf("%s span (round %q) has bytes attribute %q", sp.Name, round, sp.Attrs["bytes"])
+		}
+		if ok := map[string]bool{"1": sp.Name == "rpc/candidates", "2": sp.Name == "rpc/rows", "3": sp.Name == "rpc/rows"}[round]; !ok {
+			t.Fatalf("%s span has round %q", sp.Name, round)
+		}
+		roundBytes[round] += n
+	}
+	if len(roundBytes) != 3 {
+		t.Fatalf("answer bytes by round %v, want rounds 1, 2 and 3", roundBytes)
+	}
 
 	for s, col := range shardCols {
 		// The Install snapshot push precedes the scored request and roots its
@@ -116,7 +137,8 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		Traces []struct {
 			TraceID string `json:"traceId"`
 			Spans   []struct {
-				Name string `json:"name"`
+				Name  string            `json:"name"`
+				Attrs map[string]string `json:"attrs"`
 			} `json:"spans"`
 		} `json:"traces"`
 	}
@@ -125,6 +147,15 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 	if len(dbg.Traces) != 1 || dbg.Traces[0].TraceID != rootID || len(dbg.Traces[0].Spans) < 5 {
 		t.Fatalf("debug endpoint returned %+v, want the root trace with its span tree", dbg)
+	}
+	sized := 0
+	for _, sp := range dbg.Traces[0].Spans {
+		if sp.Name == "rpc/rows" && sp.Attrs["bytes"] != "" {
+			sized++
+		}
+	}
+	if sized == 0 {
+		t.Fatal("debug endpoint shows no rpc/rows span with its answer's bytes")
 	}
 }
 

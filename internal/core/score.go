@@ -99,10 +99,14 @@ func (s *Scorer) ScoreSeriesCtx(ctx context.Context, q geom.Point) ([]float64, e
 	tr := obs.Resolve(s.tr)
 	total := tr.Phase(obs.PhaseScore)
 	total.AddItems(1)
+	sc := scratchPool.Get().(*evalScratch)
 	sp := tr.Phase(obs.PhaseScoreKNN)
-	qRow := s.QueryRow(q)
+	cur := s.cursors.Get().(index.Cursor)
+	qRow := s.db.QueryRowInto(&sc.query, s.pts, cur, q)
+	s.cursors.Put(cur)
 	sp.End()
-	out, err := s.seriesFromRow(ctx, tr, q, qRow)
+	out, err := s.series(ctx, tr, sc, q, qRow)
+	scratchPool.Put(sc)
 	total.End()
 	return out, err
 }
@@ -131,73 +135,73 @@ func (s *Scorer) ScoreSeriesFromRow(ctx context.Context, q geom.Point, qRow matd
 	tr := obs.Resolve(s.tr)
 	total := tr.Phase(obs.PhaseScore)
 	total.AddItems(1)
-	out, err := s.seriesFromRow(ctx, tr, q, qRow)
+	sc := scratchPool.Get().(*evalScratch)
+	out, err := s.series(ctx, tr, sc, q, qRow)
+	scratchPool.Put(sc)
 	total.End()
 	return out, err
 }
 
-// seriesFromRow runs the post-probe pipeline shared by ScoreSeriesCtx and
+// series runs the post-probe pipeline shared by ScoreSeriesCtx and
 // ScoreSeriesFromRow: EvalRange over the query's two-hop closure, whose
-// rows come straight from the database where q cannot change them.
-func (s *Scorer) seriesFromRow(ctx context.Context, tr *obs.Tracer, q geom.Point, qRow matdb.Row) ([]float64, error) {
+// rows and k-distances come from RowBuf.Merge — the stored row wherever q
+// cannot change it, a splice into sc's buffer otherwise — which is the
+// helper a shard answers the coordinator's row rounds with.
+func (s *Scorer) series(ctx context.Context, tr *obs.Tracer, sc *evalScratch, q geom.Point, qRow matdb.Row) ([]float64, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
 	qIdx := s.pts.Len() // the row number q would receive in a refit
-	sc := scratchPool.Get().(*evalScratch)
-	// rowOf resolves i's merged row in data ∪ {q}. When q lies strictly
-	// beyond i's ub-distance, inserting q changes none of i's
-	// neighborhoods or k-distances at MinPts ≤ ub, so the stored row
-	// answers every lookup as is. In distinct mode that also needs ub
-	// distinct ranks already stored: with fewer, q can add a distinct
-	// position and move them. Every other row is spliced into the
-	// scratch arena, which EvalRange's contract lets the next call reuse.
 	rowOf := func(i int) matdb.Row {
-		stored := s.db.Row(i)
-		d := s.kern.Dist(i, q)
-		if stored.KDistance(s.ub) < d && (!stored.IsDistinct() || len(stored.Ranks()) >= s.ub) {
-			return stored
-		}
-		if need := len(stored.Neighbors) + 1; cap(sc.arena) < need {
-			sc.arena = make([]index.Neighbor, 0, need)
-		}
-		return s.db.MergedRowInto(sc.arena[:0], s.pts, i, q, qIdx, d)
+		return sc.splice.Merge(s.db.Row(i), q, qIdx, s.kern.Dist(i, q), s.pts.At, s.db.K, s.ub)
+	}
+	kdOf := func(i int, dst []float64) []float64 {
+		return rowOf(i).AppendKDistances(dst, s.lb, s.ub)
 	}
 	out := make([]float64, s.ub-s.lb+1)
-	sc.evalRange(tr, qIdx, qRow, rowOf, s.lb, s.ub, out)
-	scratchPool.Put(sc)
+	sc.evalRange(tr, qIdx, qRow, rowOf, kdOf, s.lb, s.ub, out)
 	return out, nil
 }
 
 // EvalRange computes the LOF of a query point at every MinPts in [lb, ub]
-// into out (which must have ub−lb+1 slots) from merged rows alone: qRow is
-// the row the query occupies in data ∪ {q}, qIdx is its virtual index
-// (larger than every stored index), and rowOf resolves the merged row of
-// any point within two hops of it. rowOf is never asked for qIdx, is
-// called once per point of the closure, and its result is consumed before
-// the next call, so it may return rows backed by one reused buffer.
+// into out (which must have ub−lb+1 slots) from its merged two-hop closure:
+// qRow is the row the query occupies in data ∪ {q}, qIdx is its virtual
+// index (larger than every stored index), rowOf resolves the merged row of
+// each point in the query's ub-neighborhood (the first hop), and kdOf
+// appends to dst the ub−lb+1 merged k-distances at MinPts lb..ub of every
+// other point the first-hop rows reach (the second hop). A second-hop
+// point enters the LOF only through reach-dist(o, p) = max(k-distance(p),
+// d(o, p)) (Definitions 5–6), and d(o, p) is already in o's row, so its
+// k-distances are all the evaluation needs of it. Neither resolver is asked
+// for qIdx; each is called once per point of its hop, and a row rowOf
+// returns is consumed before the next call, so it may be backed by one
+// reused buffer.
 //
 // This is the single out-of-sample evaluation: the in-process scorer's
-// rowOf reads the database, the scatter-gather coordinator's reads rows
-// fetched from shards, so a distributed score is bit-identical to a
-// single-node one by construction. The closure is laid out densely — local
-// ids, one flat table of merged k-distances for MinPts lb..ub — and one
-// pass evaluates the whole range with Definitions 5–7's arithmetic in the
-// order a per-MinPts evaluation would use, so every value is bit-identical
-// to EvalAt at that MinPts.
-func EvalRange(qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, lb, ub int, out []float64) {
+// resolvers read the database, the scatter-gather coordinator's read rows
+// and k-distances fetched from shards, so a distributed score is
+// bit-identical to a single-node one by construction. The closure is laid
+// out densely — local ids, one flat table of merged k-distances for MinPts
+// lb..ub — and one pass evaluates the whole range with Definitions 5–7's
+// arithmetic in the order a per-MinPts evaluation would use, so every value
+// is bit-identical to EvalAt at that MinPts.
+func EvalRange(qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, kdOf func(i int, dst []float64) []float64, lb, ub int, out []float64) {
 	sc := scratchPool.Get().(*evalScratch)
-	sc.evalRange(nil, qIdx, qRow, rowOf, lb, ub, out)
+	sc.evalRange(nil, qIdx, qRow, rowOf, kdOf, lb, ub, out)
 	scratchPool.Put(sc)
 }
 
-// EvalAt computes the LOF of a query point at one MinPts value; it is
-// EvalRange over the one-value range [minPts, minPts].
+// EvalAt computes the LOF of a query point at one MinPts value from merged
+// rows alone; it is EvalRange over the one-value range [minPts, minPts],
+// reading second-hop k-distances from the rows rowOf returns.
 func EvalAt(qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, minPts int) float64 {
 	var out [1]float64
-	EvalRange(qIdx, qRow, rowOf, minPts, minPts, out[:])
+	kdOf := func(i int, dst []float64) []float64 {
+		return rowOf(i).AppendKDistances(dst, minPts, minPts)
+	}
+	EvalRange(qIdx, qRow, rowOf, kdOf, minPts, minPts, out[:])
 	return out[0]
 }
 
@@ -227,8 +231,9 @@ type evalScratch struct {
 	// lrd[r*w+j] is row r's density at MinPts lb+j; acc holds w running
 	// sums.
 	lrd, acc []float64
-	// arena backs rows the scorer splices q into.
-	arena []index.Neighbor
+	// query backs the scorer's probed query row, splice the closure rows it
+	// splices q into.
+	query, splice matdb.RowBuf
 }
 
 type stamp struct {
@@ -245,20 +250,21 @@ type localNeighbor struct {
 
 // evalRange is EvalRange on this scratch, recording the closure build as
 // score/merge and the evaluation pass as score/eval on tr (nil-safe).
-func (sc *evalScratch) evalRange(tr *obs.Tracer, qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, lb, ub int, out []float64) {
+func (sc *evalScratch) evalRange(tr *obs.Tracer, qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, kdOf func(int, []float64) []float64, lb, ub int, out []float64) {
 	w := ub - lb + 1
 	sp := tr.Phase(obs.PhaseScoreMerge)
 	sc.reset(qIdx)
 	sc.ids = append(sc.ids, qIdx)
-	sc.addKD(qRow, lb, ub)
+	sc.kd = qRow.AppendKDistances(sc.kd, lb, ub)
 	sc.addRow(qIdx, qRow, lb, ub)
 	h := len(sc.ids) - 1
-	for l := 1; l < len(sc.ids); l++ {
+	for l := 1; l <= h; l++ {
 		row := rowOf(sc.ids[l])
-		sc.addKD(row, lb, ub)
-		if l <= h {
-			sc.addRow(qIdx, row, lb, ub)
-		}
+		sc.kd = row.AppendKDistances(sc.kd, lb, ub)
+		sc.addRow(qIdx, row, lb, ub)
+	}
+	for _, i := range sc.ids[h+1:] {
+		sc.kd = kdOf(i, sc.kd)
 	}
 	sp.End()
 	sp = tr.Phase(obs.PhaseScoreEval)
@@ -303,20 +309,6 @@ func (sc *evalScratch) local(qIdx, i int) int32 {
 		sc.ids = append(sc.ids, i)
 	}
 	return st.local
-}
-
-// addKD appends row's merged k-distances at MinPts lb..ub.
-func (sc *evalScratch) addKD(row matdb.Row, lb, ub int) {
-	if !row.IsDistinct() && len(row.Neighbors) >= ub {
-		// Plain rows at least ub long: KDistance(m) is entry m−1.
-		for _, nb := range row.Neighbors[lb-1 : ub] {
-			sc.kd = append(sc.kd, nb.Dist)
-		}
-		return
-	}
-	for m := lb; m <= ub; m++ {
-		sc.kd = append(sc.kd, row.KDistance(m))
-	}
 }
 
 // addRow appends row's ub-neighborhood with local ids (assigning ids to

@@ -126,7 +126,7 @@ func Materialize(pts *geom.Points, ix index.Index, k int, opts ...Option) (*DB, 
 			}
 			start := len(arena)
 			if cfg.distinct {
-				arena, db.distinctAt[i] = distinctNeighborhoodInto(cur, pts, arena, pts.At(i), i, k)
+				arena, db.distinctAt[i] = distinctNeighborhoodInto(cur, pts, arena, nil, pts.At(i), i, k)
 			} else {
 				arena = index.KNNWithTiesInto(cur, arena, pts.At(i), k, i)
 			}
@@ -175,11 +175,11 @@ func (db *DB) compact() {
 // contains want neighbors at pairwise-distinct coordinates, then appends
 // all neighbors within the k-distinct-distance to dst and returns the
 // extended slice together with the positions of the first `want` distinct
-// coordinates within the appended suffix. exclude is the index of q itself
-// for in-sample rows, or index.ExcludeNone for out-of-sample query points.
-// Every retry round restages over the same dst suffix, so the search
-// allocates only when dst must grow.
-func distinctNeighborhoodInto(cur index.Cursor, pts *geom.Points, dst []index.Neighbor, q geom.Point, exclude, want int) ([]index.Neighbor, []int32) {
+// coordinates within the appended suffix, appended to ranks. exclude is the
+// index of q itself for in-sample rows, or index.ExcludeNone for
+// out-of-sample query points. Every retry round restages over the same dst
+// suffix and ranks, so the search allocates only when they must grow.
+func distinctNeighborhoodInto(cur index.Cursor, pts *geom.Points, dst []index.Neighbor, ranks []int32, q geom.Point, exclude, want int) ([]index.Neighbor, []int32) {
 	maxCand := pts.Len()
 	if exclude != index.ExcludeNone {
 		maxCand--
@@ -189,17 +189,18 @@ func distinctNeighborhoodInto(cur index.Cursor, pts *geom.Points, dst []index.Ne
 	for {
 		dst = cur.KNNInto(dst[:start], q, k, exclude)
 		nn := dst[start:]
-		cut := distinctRanks(pts, nn, want)
+		cut := appendDistinctRanks(ranks, pts.At, nn, want)
 		if len(cut) == want {
 			kdist := nn[cut[want-1]].Dist
 			dst = cur.RangeInto(dst[:start], q, kdist, exclude)
-			return dst, distinctRanks(pts, dst[start:], want)
+			return dst, appendDistinctRanks(cut[:0], pts.At, dst[start:], want)
 		}
 		if len(nn) >= maxCand {
 			// The whole dataset holds fewer than want distinct positions;
 			// the full neighborhood is the best possible answer.
 			return dst, cut
 		}
+		ranks = cut[:0]
 		k *= 2
 		if k > maxCand {
 			k = maxCand
@@ -207,26 +208,23 @@ func distinctNeighborhoodInto(cur index.Cursor, pts *geom.Points, dst []index.Ne
 	}
 }
 
-// distinctRanks returns the positions of the first `want` neighbors that
-// introduce a new distinct coordinate, fewer if nn does not contain that
-// many distinct positions.
-func distinctRanks(pts *geom.Points, nn []index.Neighbor, want int) []int32 {
-	return distinctRanksAt(pts.At, nn, want)
-}
-
-// distinctRanksAt is distinctRanks over an arbitrary index→point accessor,
+// appendDistinctRanks appends to dst the positions of the first `want`
+// neighbors that introduce a new distinct coordinate, fewer if nn does not
+// contain that many distinct positions. at resolves indices to points,
 // which lets merged rows resolve the virtual index of a query point.
-func distinctRanksAt(at func(int) geom.Point, nn []index.Neighbor, want int) []int32 {
-	ranks := make([]int32, 0, want)
+func appendDistinctRanks(dst []int32, at func(int) geom.Point, nn []index.Neighbor, want int) []int32 {
+	if dst == nil {
+		dst = make([]int32, 0, want)
+	}
 	for j := range nn {
 		if !duplicateOfEarlier(at, nn, j) {
-			ranks = append(ranks, int32(j))
-			if len(ranks) == want {
+			dst = append(dst, int32(j))
+			if len(dst) == want {
 				break
 			}
 		}
 	}
-	return ranks
+	return dst
 }
 
 // duplicateOfEarlier reports whether nn[j] shares coordinates with an

@@ -15,12 +15,12 @@ import (
 //
 //   - MergeCandidates turns the union of per-shard kNN candidate lists into
 //     the exact row a query point would occupy in the full database, and
-//   - SpliceRow turns a stored global row into the merged row of
+//   - RowBuf.Merge turns a stored global row into the merged row of
 //     data ∪ {q}, the same computation MergedRow performs in-process.
 //
-// Both functions are the single implementation the in-process scoring path
-// also runs through, so a scatter-gather evaluation is bit-identical to a
-// single-node one by construction, not by parallel maintenance.
+// Both are the single implementation the in-process scoring path also runs
+// through, so a scatter-gather evaluation is bit-identical to a single-node
+// one by construction, not by parallel maintenance.
 
 // NewRow assembles a Row from its serialized parts: a neighbor list sorted
 // by (distance, index) and, for distinct-semantics databases, the positions
@@ -41,28 +41,73 @@ func (r Row) Ranks() []int32 { return r.ranks }
 // IsDistinct reports whether the row carries k-distinct-distance semantics.
 func (r Row) IsDistinct() bool { return r.distinct }
 
-// SpliceRow computes the row point's merged row in data ∪ {q}: the stored
-// (global) row with the query point spliced in at distance d, under the
-// virtual index qIdx. Callers pass the total dataset size as qIdx — every
-// stored index is smaller, which fixes q's position among distance ties.
-// at resolves stored neighbor indices to coordinates and is consulted only
-// for distinct-mode rows, where the distinct ranks must be recomputed with
-// q in place; the resolver never sees qIdx. k is the materialized K of the
-// database the row came from.
-//
-// DB.MergedRow is this function applied to an in-process row; a shard
-// applies it to its partition's rows with a resolver backed by its halo of
-// neighbor coordinates.
-func SpliceRow(stored Row, q geom.Point, qIdx int, d float64, at func(int) geom.Point, k int) Row {
-	return SpliceRowInto(make([]index.Neighbor, 0, len(stored.Neighbors)+1), stored, q, qIdx, d, at, k)
+// AppendKDistances appends the row's k-distances at MinPts lb..ub to dst —
+// everything a point two hops from a query contributes to the query's LOF
+// (Definition 5 reads a neighbor only through its k-distance).
+func (r Row) AppendKDistances(dst []float64, lb, ub int) []float64 {
+	if !r.distinct && len(r.Neighbors) >= ub {
+		// Plain rows at least ub long: KDistance(m) is entry m−1.
+		for _, nb := range r.Neighbors[lb-1 : ub] {
+			dst = append(dst, nb.Dist)
+		}
+		return dst
+	}
+	for m := lb; m <= ub; m++ {
+		dst = append(dst, r.KDistance(m))
+	}
+	return dst
 }
 
-// SpliceRowInto is SpliceRow building the merged neighbor list in dst
-// (which must be empty with capacity for len(stored.Neighbors)+1 entries),
-// so a scorer filling many rows can carve them out of one arena instead of
-// allocating per row.
-func SpliceRowInto(dst []index.Neighbor, stored Row, q geom.Point, qIdx int, d float64, at func(int) geom.Point, k int) Row {
+// RowBuf is reusable storage for one row at a time: the neighbor list and
+// distinct ranks of the last row built in it, so a caller building many
+// rows — a scorer's closure, a shard's batch answer — allocates only when a
+// row outgrows the buffers. The zero value is ready to use. A row returned
+// by a RowBuf method aliases the buffers and is valid until the next call
+// on the same RowBuf.
+type RowBuf struct {
+	nn    []index.Neighbor
+	ranks []int32
+}
+
+// keep records r's backing arrays, which may have grown, for the next row.
+func (b *RowBuf) keep(r Row) Row {
+	b.nn = r.Neighbors[:0]
+	if r.distinct {
+		b.ranks = r.ranks[:0]
+	}
+	return r
+}
+
+// Merge returns the row of a stored point in data ∪ {q} as every
+// MinPts ≤ ub sees it: q at distance d under the virtual index qIdx
+// (callers pass the total dataset size, so q sorts after every stored tie).
+// When q lies strictly beyond the stored ub-distance, inserting it changes
+// none of the row's neighborhoods or k-distances at MinPts ≤ ub, so the
+// stored row itself answers; in distinct mode that also needs ub distinct
+// ranks already stored, since with fewer q can add a distinct position and
+// move them. Every other row is spliced: the stored row with q inserted,
+// and in distinct mode its ranks recomputed with q in place. at resolves
+// stored neighbor indices to coordinates and is consulted only for that
+// recomputation; it never sees qIdx. k is the materialized K of the
+// database the row came from.
+//
+// The scorer's closure rows and a shard's answers both come from here, so
+// an in-process and a scatter-gather evaluation read the same rows.
+func (b *RowBuf) Merge(stored Row, q geom.Point, qIdx int, d float64, at func(int) geom.Point, k, ub int) Row {
+	if stored.KDistance(ub) < d && (!stored.distinct || len(stored.ranks) >= ub) {
+		return stored
+	}
+	return b.keep(splice(b.nn[:0], b.ranks[:0], stored, q, qIdx, d, at, k))
+}
+
+// splice computes the merged row of stored in data ∪ {q} (see Merge),
+// building its neighbor list in dst and its distinct ranks in ranks, both
+// of which must be empty.
+func splice(dst []index.Neighbor, ranks []int32, stored Row, q geom.Point, qIdx int, d float64, at func(int) geom.Point, k int) Row {
 	nn := stored.Neighbors
+	if need := len(nn) + 1; cap(dst) < need {
+		dst = make([]index.Neighbor, 0, need)
+	}
 	// q sorts after every stored tie at distance d: stored indexes are all
 	// smaller than the virtual index.
 	pos := 0
@@ -80,23 +125,29 @@ func SpliceRowInto(dst []index.Neighbor, stored Row, q geom.Point, qIdx int, d f
 			}
 			return at(idx)
 		}
-		r.ranks = distinctRanksAt(resolve, merged, k)
+		r.ranks = appendDistinctRanks(ranks, resolve, merged, k)
 	}
 	return r
 }
 
 // QueryCandidates returns q's k-nearest neighborhood (with ties, under the
 // given duplicate semantics) among the indexed points — the per-partition
-// candidate set a shard contributes to a scatter-gather query. Indices in
-// the result are positions within pts; the caller maps them to global ids.
-// It is exactly the neighbor list QueryRow computes, detached from a DB so
-// a shard can serve candidates without rematerializing one.
-func QueryCandidates(cur index.Cursor, pts *geom.Points, q geom.Point, k int, distinct bool) []index.Neighbor {
+// candidate set a shard contributes to a scatter-gather query — built in
+// buf. Indices in the result are positions within pts; the caller maps them
+// to global ids. It is exactly the neighbor list QueryRow computes,
+// detached from a DB so a shard can serve candidates without
+// rematerializing one.
+func (b *RowBuf) QueryCandidates(cur index.Cursor, pts *geom.Points, q geom.Point, k int, distinct bool) []index.Neighbor {
+	return b.query(cur, pts, q, k, distinct).Neighbors
+}
+
+// query probes q's row among the indexed points into the buffers.
+func (b *RowBuf) query(cur index.Cursor, pts *geom.Points, q geom.Point, k int, distinct bool) Row {
 	if !distinct {
-		return index.KNNWithTiesInto(cur, nil, q, k, index.ExcludeNone)
+		return b.keep(Row{Neighbors: index.KNNWithTiesInto(cur, b.nn[:0], q, k, index.ExcludeNone)})
 	}
-	nn, _ := distinctNeighborhoodInto(cur, pts, nil, q, index.ExcludeNone, k)
-	return nn
+	nn, ranks := distinctNeighborhoodInto(cur, pts, b.nn[:0], b.ranks[:0], q, index.ExcludeNone, k)
+	return b.keep(Row{Neighbors: nn, ranks: ranks, distinct: true})
 }
 
 // MergeCandidates merges per-shard candidate lists into the exact row q
@@ -129,7 +180,7 @@ func MergeCandidates(cands []index.Neighbor, at func(int) geom.Point, k int, dis
 		}
 		return Row{Neighbors: cands[:hi]}, nil
 	}
-	ranks := distinctRanksAt(at, cands, k)
+	ranks := appendDistinctRanks(nil, at, cands, k)
 	if len(ranks) < k {
 		// Fewer than k distinct positions exist in the whole dataset; the
 		// full candidate union is the best possible neighborhood, matching
@@ -142,5 +193,5 @@ func MergeCandidates(cands []index.Neighbor, at func(int) geom.Point, k int, dis
 		hi++
 	}
 	cut := cands[:hi]
-	return Row{Neighbors: cut, ranks: distinctRanksAt(at, cut, k), distinct: true}, nil
+	return Row{Neighbors: cut, ranks: appendDistinctRanks(ranks[:0], at, cut, k), distinct: true}, nil
 }

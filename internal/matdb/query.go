@@ -94,11 +94,14 @@ func (db *DB) QueryRow(pts *geom.Points, ix index.Index, q geom.Point) Row {
 // returned row's neighbor list is freshly allocated (rows outlive the call),
 // but the queries behind it run allocation-free on the cursor.
 func (db *DB) QueryRowCursor(pts *geom.Points, cur index.Cursor, q geom.Point) Row {
-	if db.distinctAt == nil {
-		return Row{Neighbors: index.KNNWithTiesInto(cur, nil, q, db.K, index.ExcludeNone)}
-	}
-	nn, ranks := distinctNeighborhoodInto(cur, pts, nil, q, index.ExcludeNone, db.K)
-	return Row{Neighbors: nn, ranks: ranks, distinct: true}
+	return db.QueryRowInto(new(RowBuf), pts, cur, q)
+}
+
+// QueryRowInto is QueryRowCursor building the row in buf, so a scorer
+// probing query after query allocates only when a row outgrows the buffer.
+// The row is valid until buf's next use.
+func (db *DB) QueryRowInto(buf *RowBuf, pts *geom.Points, cur index.Cursor, q geom.Point) Row {
+	return buf.query(cur, pts, q, db.K, db.distinctAt != nil)
 }
 
 // MergedRow computes the row point i would occupy in data ∪ {q}: its stored
@@ -106,14 +109,16 @@ func (db *DB) QueryRowCursor(pts *geom.Points, cur index.Cursor, q geom.Point) R
 // virtual index qIdx (callers pass pts.Len(), matching the row number q
 // would receive in a refit). The result is valid for MinPts values up to K:
 // inserting a point can only shrink k-distances, so every neighbor relevant
-// at MinPts ≤ K is already present in the stored row. The splice itself is
-// SpliceRow, the exported entry point sharded serving applies to rows that
-// crossed a process boundary.
+// at MinPts ≤ K is already present in the stored row. The result is freshly
+// allocated; RowBuf.Merge is the same splice into reused buffers, skipping
+// rows q cannot change.
 func (db *DB) MergedRow(pts *geom.Points, i int, q geom.Point, qIdx int, d float64) Row {
-	return SpliceRow(db.Row(i), q, qIdx, d, pts.At, db.K)
+	return db.MergedRowInto(nil, pts, i, q, qIdx, d)
 }
 
-// MergedRowInto is MergedRow splicing into dst; see SpliceRowInto.
+// MergedRowInto is MergedRow building the merged neighbor list in dst,
+// which must be empty; a dst without room for len(stored row)+1 entries is
+// replaced by a fresh allocation.
 func (db *DB) MergedRowInto(dst []index.Neighbor, pts *geom.Points, i int, q geom.Point, qIdx int, d float64) Row {
-	return SpliceRowInto(dst, db.Row(i), q, qIdx, d, pts.At, db.K)
+	return splice(dst, nil, db.Row(i), q, qIdx, d, pts.At, db.K)
 }

@@ -224,10 +224,10 @@ func TestShardKDists(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range ids {
-		if out.Lo[i] != wantLo[i] || out.Hi[i] != wantHi[i] {
+		if out.Lo[i] != wantLo[i] || float64(out.Hi[i]) != wantHi[i] {
 			t.Fatalf("id %d: got [%v, %v], want [%v, %v]", ids[i], out.Lo[i], out.Hi[i], wantLo[i], wantHi[i])
 		}
-		if out.Lo[i] > out.Hi[i] {
+		if out.Lo[i] > float64(out.Hi[i]) {
 			t.Fatalf("id %d: inverted envelope [%v, %v]", ids[i], out.Lo[i], out.Hi[i])
 		}
 	}

@@ -17,8 +17,10 @@
 //	                          under load)
 //	GET  /v1/model            current model summary
 //	POST /v1/shard/snapshot   install a pushed shard partition (octet-stream)
-//	POST /v1/shard/candidates per-partition kNN candidates (shard role)
-//	POST /v1/shard/rows       merged rows of owned points (shard role)
+//	POST /v1/shard/candidates per-partition kNN candidates (shard role,
+//	                          binary frames)
+//	POST /v1/shard/rows       merged rows or merged k-distances of owned
+//	                          points (shard role, binary frames)
 //	POST /v1/shard/kdists     stored k-distance envelopes (shard role)
 //	POST /v1/stream/init      create (or replace) the streaming pipeline
 //	POST /v1/stream           apply one ingestion batch (inserts/deletes/expiry)

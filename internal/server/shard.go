@@ -3,7 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 
 	"lof/internal/front"
 	"lof/internal/shard"
@@ -18,9 +20,14 @@ import (
 //
 //	POST /v1/shard/snapshot    octet-stream shard.Part; atomic install
 //	POST /v1/shard/candidates  per-partition kNN candidates for a batch
-//	POST /v1/shard/rows        merged rows of owned points for a batch
+//	POST /v1/shard/rows        merged rows, or merged k-distances, of owned
+//	                           points for a batch
+//	POST /v1/shard/kdists      stored k-distance envelopes (pruned mode)
 //	GET  /readyz               readiness: 503 while no state is installed
 //	                           or a snapshot swap is in flight
+//
+// Candidates and rows requests and answers are binary frames
+// (shard.Frame), not JSON; error answers are the front end's JSON bodies.
 //
 // Version pinning is the consistency contract: every data request carries
 // the snapshot version the caller routed against, and a shard holding a
@@ -83,82 +90,69 @@ func (s *Server) shardPart(w http.ResponseWriter, r *http.Request, version uint6
 }
 
 func (s *Server) handleShardCandidates(w http.ResponseWriter, r *http.Request) {
-	var req shard.CandidatesRequest
-	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if len(req.Queries) == 0 {
-		front.WriteError(w, r, http.StatusBadRequest, "candidates requires a non-empty queries array")
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		front.WriteError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
-		return
-	}
-	p := s.shardPart(w, r, req.Version)
-	if p == nil {
-		return
-	}
-	front.SetBatch(r.Context(), len(req.Queries))
-	if sp := trace.SpanFrom(r.Context()); sp != nil {
-		sp.SetAttrInt("queries", int64(len(req.Queries)))
-		sp.SetAttrInt("version", int64(p.Version()))
-		sp.SetAttrInt("shard", int64(p.ShardID()))
-	}
-	out := make([][]shard.WireCandidate, len(req.Queries))
-	for i, q := range req.Queries {
-		cs, err := p.Candidates(q)
-		if err != nil {
-			front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("query %d: %v", i, err))
-			return
-		}
-		out[i] = cs
-	}
-	front.WriteJSON(w, http.StatusOK, shard.CandidatesResponse{
-		Version: p.Version(), Shard: p.ShardID(), Candidates: out,
-	})
+	s.serveFrame(w, r, shard.KindCandidatesRequest)
 }
 
 func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) {
-	var req shard.RowsRequest
-	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
+	s.serveFrame(w, r, shard.KindRowsRequest, shard.KindKDistsRequest)
+}
+
+// serveFrame answers one shard data request: it reads the body under
+// MaxBodyBytes (413 beyond), decodes the request frame (400 when it is not
+// a well-formed frame of one of the kinds this route serves, a JSON body
+// included), bounds its query count by MaxBatch (413), pins the installed
+// part (409, or 503 + Retry-After for a stale version), and writes the
+// part's answer frame. Errors stay the front end's JSON bodies.
+func (s *Server) serveFrame(w http.ResponseWriter, r *http.Request, kinds ...shard.Kind) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			front.WriteError(w, r, http.StatusRequestEntityTooLarge, "request body too large")
+			return
+		}
+		front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
 		return
 	}
-	if len(req.Queries) == 0 {
-		front.WriteError(w, r, http.StatusBadRequest, "rows requires a non-empty queries array")
+	req, err := shard.DecodeFrame(body)
+	if err != nil {
+		front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("invalid request frame: %v", err))
 		return
 	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		front.WriteError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch))
+	if !slices.Contains(kinds, req.Kind) {
+		front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("a %v frame does not belong on %s", req.Kind, r.URL.Path))
+		return
+	}
+	n := req.Groups()
+	if n == 0 {
+		front.WriteError(w, r, http.StatusBadRequest, "request frame carries no queries")
+		return
+	}
+	if n > s.cfg.MaxBatch {
+		front.WriteError(w, r, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d exceeds limit %d", n, s.cfg.MaxBatch))
 		return
 	}
 	p := s.shardPart(w, r, req.Version)
 	if p == nil {
 		return
 	}
-	front.SetBatch(r.Context(), len(req.Queries))
+	front.SetBatch(r.Context(), n)
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
-		sp.SetAttrInt("queries", int64(len(req.Queries)))
+		sp.SetAttrInt("queries", int64(n))
 		sp.SetAttrInt("version", int64(p.Version()))
 		sp.SetAttrInt("shard", int64(p.ShardID()))
 	}
-	out := make([][]shard.WireRow, len(req.Queries))
-	for i, rq := range req.Queries {
-		rows, err := p.MergedRows(rq.Query, rq.IDs)
-		if err != nil {
-			// An unowned id means the caller's routing disagrees with the
-			// installed layout — a permanent error for this request, not a
-			// transient one; the coordinator re-resolves, it does not retry.
-			front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("rows request %d: %v", i, err))
-			return
-		}
-		out[i] = rows
+	out, err := p.Reply(req)
+	if err != nil {
+		// Bad coordinates or an unowned id mean the caller disagrees with
+		// the installed layout — a permanent error for this request, not a
+		// transient one; the coordinator re-resolves, it does not retry.
+		front.WriteError(w, r, http.StatusBadRequest, err.Error())
+		return
 	}
-	front.WriteJSON(w, http.StatusOK, shard.RowsResponse{
-		Version: p.Version(), Shard: p.ShardID(), Rows: out,
-	})
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out.Encode()) // the status is sent; a failed body write has no one to report to
 }
 
 func (s *Server) handleShardKDists(w http.ResponseWriter, r *http.Request) {
@@ -193,7 +187,7 @@ func (s *Server) handleShardKDists(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	front.WriteJSON(w, http.StatusOK, shard.KDistsResponse{
-		Version: p.Version(), Shard: p.ShardID(), Lo: lo, Hi: hi,
+		Version: p.Version(), Shard: p.ShardID(), Lo: lo, Hi: front.Floats(hi),
 	})
 }
 

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"lof"
@@ -67,11 +70,49 @@ func getReady(t *testing.T, c *http.Client, base string) (int, ReadyInfo) {
 	return resp.StatusCode, info
 }
 
+// postFrame posts a shard frame body and returns the status, the
+// Retry-After header and the raw response body.
+func postFrame(t *testing.T, c *http.Client, url string, body []byte) (int, string, []byte) {
+	t.Helper()
+	resp, err := c.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading %s response: %v", url, err)
+	}
+	return resp.StatusCode, resp.Header.Get("Retry-After"), raw
+}
+
+// TestShardRole pins the shard endpoints' contract over binary frames:
+// readiness, install, answers pinned to the installed version, and the
+// error statuses — 409 before any part, 503 + Retry-After for a stale pin,
+// 400 for anything that is not a well-formed request for this layout, 413
+// for oversized bodies and batches — whose bodies stay the front end's
+// JSON.
 func TestShardRole(t *testing.T) {
-	srv := New(Config{})
+	srv := New(Config{MaxBodyBytes: 4 << 10, MaxBatch: 3})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := ts.Client()
+	cands := ts.URL + "/v1/shard/candidates"
+	rows := ts.URL + "/v1/shard/rows"
+	candReq := func(version uint64, queries ...float64) *shard.Frame {
+		return &shard.Frame{Kind: shard.KindCandidatesRequest, Version: version, Dim: 2, Queries: queries}
+	}
+	rowReq := func(kind shard.Kind, version uint64, q []float64, ids ...uint32) *shard.Frame {
+		return &shard.Frame{Kind: kind, Version: version, Dim: 2, LB: 2, UB: 4, Queries: q, Counts: []uint32{uint32(len(ids))}, IDs: ids}
+	}
+	expect := func(label, url string, body []byte, status int) []byte {
+		t.Helper()
+		code, _, raw := postFrame(t, c, url, body)
+		if code != status {
+			t.Fatalf("%s: status %d, want %d (body %s)", label, code, status, raw)
+		}
+		return raw
+	}
 
 	// Not ready before any state: 503, but liveness stays 200.
 	if code, info := getReady(t, c, ts.URL); code != http.StatusServiceUnavailable || info.Ready {
@@ -84,10 +125,8 @@ func TestShardRole(t *testing.T) {
 	}
 
 	// Data requests before a snapshot: 409, not retriable.
-	body, _ := json.Marshal(shard.CandidatesRequest{Version: 1, Queries: [][]float64{{0, 0}}})
-	if resp := postBytes(t, c, ts.URL+"/v1/shard/candidates", "application/json", body, nil); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("candidates before snapshot: status %d", resp.StatusCode)
-	}
+	expect("candidates before snapshot", cands, candReq(1, 0, 0).Encode(), http.StatusConflict)
+	expect("rows before snapshot", rows, rowReq(shard.KindRowsRequest, 1, []float64{0, 0}, 0).Encode(), http.StatusConflict)
 
 	// Push shard 0 of 2 at version 7.
 	parts := splitParts(t, 2, 7)
@@ -107,42 +146,92 @@ func TestShardRole(t *testing.T) {
 		t.Fatalf("readyz after install: code=%d info=%+v", code, info)
 	}
 
-	// Candidates pinned to the installed version answer.
-	body, _ = json.Marshal(shard.CandidatesRequest{Version: 7, Queries: [][]float64{{0.4, 0.4}, {10.5, 10.5}}})
-	var cresp shard.CandidatesResponse
-	if resp := postBytes(t, c, ts.URL+"/v1/shard/candidates", "application/json", body, &cresp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("candidates: status %d", resp.StatusCode)
-	}
-	if cresp.Version != 7 || len(cresp.Candidates) != 2 || len(cresp.Candidates[0]) == 0 {
-		t.Fatalf("candidates = %+v", cresp)
+	// Answers pinned to the installed version: each is the part's own
+	// answer, byte for byte.
+	ownedID := uint32(0) // range partitioning: low ids live on shard 0
+	for _, tc := range []struct {
+		url string
+		req *shard.Frame
+	}{
+		{cands, candReq(7, 0.4, 0.4, 10.5, 10.5)},
+		{rows, rowReq(shard.KindRowsRequest, 7, []float64{0.4, 0.4}, ownedID, 1)},
+		{rows, rowReq(shard.KindKDistsRequest, 7, []float64{0.4, 0.4}, ownedID, 1)},
+	} {
+		raw := expect(tc.req.Kind.String(), tc.url, tc.req.Encode(), http.StatusOK)
+		got, err := shard.DecodeFrame(raw)
+		if err != nil {
+			t.Fatalf("%v answer: %v", tc.req.Kind, err)
+		}
+		if err := shard.CheckReply(tc.req, got); err != nil {
+			t.Fatalf("%v answer: %v", tc.req.Kind, err)
+		}
+		want, err := parts[0].Reply(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, want.Encode()) {
+			t.Fatalf("%v answer differs from the part's", tc.req.Kind)
+		}
 	}
 
 	// A stale version pin is refused with a retriable 503 + Retry-After.
-	body, _ = json.Marshal(shard.CandidatesRequest{Version: 6, Queries: [][]float64{{0, 0}}})
-	resp, err := c.Post(ts.URL+"/v1/shard/candidates", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("stale candidates: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("stale pin: status %d Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	for _, tc := range []struct {
+		url  string
+		body []byte
+	}{
+		{cands, candReq(6, 0, 0).Encode()},
+		{rows, rowReq(shard.KindKDistsRequest, 6, []float64{0, 0}, ownedID).Encode()},
+	} {
+		code, retry, _ := postFrame(t, c, tc.url, tc.body)
+		if code != http.StatusServiceUnavailable || retry == "" {
+			t.Fatalf("stale pin on %s: status %d Retry-After %q", tc.url, code, retry)
+		}
 	}
 
-	// Merged rows for an owned id; an unowned id is a 400.
-	ownedID := uint32(0) // range partitioning: low ids live on shard 0
-	body, _ = json.Marshal(shard.RowsRequest{Version: 7, Queries: []shard.RowsQuery{{Query: []float64{0.4, 0.4}, IDs: []uint32{ownedID}}}})
-	var rresp shard.RowsResponse
-	if resp := postBytes(t, c, ts.URL+"/v1/shard/rows", "application/json", body, &rresp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("rows: status %d", resp.StatusCode)
+	// 400: an unowned id, a truncated frame, a wrong magic or format
+	// version, a JSON body, and a frame kind the route does not serve.
+	good := candReq(7, 0, 0).Encode()
+	badMagic := append([]byte(nil), good...)
+	badMagic[0] = 'X'
+	badVersion := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(badVersion[4:], 9)
+	jsonBody, _ := json.Marshal(map[string]interface{}{"version": 7, "queries": [][]float64{{0, 0}}})
+	for _, tc := range []struct {
+		label, url string
+		body       []byte
+	}{
+		{"unowned row", rows, rowReq(shard.KindRowsRequest, 7, []float64{0, 0}, 9).Encode()},
+		{"unowned k-distances", rows, rowReq(shard.KindKDistsRequest, 7, []float64{0, 0}, 9).Encode()},
+		{"truncated", cands, good[:len(good)-4]},
+		{"magic", cands, badMagic},
+		{"format version", cands, badVersion},
+		{"json", cands, jsonBody},
+		{"json rows", rows, jsonBody},
+		{"rows frame on candidates", cands, rowReq(shard.KindRowsRequest, 7, []float64{0, 0}, ownedID).Encode()},
+		{"answer frame", rows, (&shard.Frame{Kind: shard.KindKDists, Version: 7, LB: 2, UB: 4}).Encode()},
+		{"no queries", cands, candReq(7).Encode()},
+		{"dimension", cands, (&shard.Frame{Kind: shard.KindCandidatesRequest, Version: 7, Dim: 3, Queries: []float64{0, 0, 0}}).Encode()},
+	} {
+		raw := expect(tc.label, tc.url, tc.body, http.StatusBadRequest)
+		var body struct {
+			Error     string `json:"error"`
+			RequestID string `json:"requestId"`
+		}
+		if err := json.Unmarshal(raw, &body); err != nil || body.Error == "" || body.RequestID == "" {
+			t.Fatalf("%s: error body %q is not the front end's JSON", tc.label, raw)
+		}
 	}
-	if len(rresp.Rows) != 1 || len(rresp.Rows[0]) != 1 || rresp.Rows[0][0].ID != ownedID {
-		t.Fatalf("rows = %+v", rresp)
+
+	// 413: a body over MaxBodyBytes, and more queries than MaxBatch.
+	expect("oversized body", cands, candReq(7, make([]float64, 600)...).Encode(), http.StatusRequestEntityTooLarge)
+	raw := expect("oversized batch", cands, candReq(7, make([]float64, 8)...).Encode(), http.StatusRequestEntityTooLarge)
+	if !strings.Contains(string(raw), "batch of 4 exceeds limit 3") {
+		t.Fatalf("oversized batch body %s", raw)
 	}
-	unowned := uint32(9)
-	body, _ = json.Marshal(shard.RowsRequest{Version: 7, Queries: []shard.RowsQuery{{Query: []float64{0, 0}, IDs: []uint32{unowned}}}})
-	if resp := postBytes(t, c, ts.URL+"/v1/shard/rows", "application/json", body, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unowned rows request: status %d", resp.StatusCode)
-	}
+	expect("oversized rows batch", rows, (&shard.Frame{
+		Kind: shard.KindRowsRequest, Version: 7, Dim: 2, LB: 2, UB: 4,
+		Queries: make([]float64, 8), Counts: []uint32{1, 0, 0, 0}, IDs: []uint32{ownedID},
+	}).Encode(), http.StatusRequestEntityTooLarge)
 
 	// A corrupt push is rejected descriptively and leaves the old part live.
 	bad := append([]byte(nil), enc...)

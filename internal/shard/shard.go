@@ -1,30 +1,35 @@
 // Package shard implements the data plane of the sharded LOF serving tier:
 // the partitioning of a globally fitted model into per-shard sub-snapshots,
-// the binary snapshot format those sub-models replicate as, and the
-// shard-side query primitives (kNN candidates and merged rows) a
-// coordinator scatter-gathers into exact global LOF.
+// the binary snapshot format those sub-models replicate as, the binary
+// frames the shard data endpoints exchange (frame.go), and the shard-side
+// answers a coordinator scatter-gathers into exact global LOF.
 //
 // The correctness hinge is that a Part carries its points' *global*
 // materialized rows — the neighborhoods computed by the one global fit —
 // not rows recomputed against the partition. A shard can therefore answer
-// two questions exactly:
+// three questions exactly (Part.Reply):
 //
-//   - "who are q's nearest neighbors among YOUR points?" (Candidates):
-//     a partition's k-distance is never smaller than the global one, so the
+//   - "who are q's nearest neighbors among YOUR points?" (candidates): a
+//     partition's k-distance is never smaller than the global one, so the
 //     union of per-shard candidate lists always contains the global
 //     neighborhood, which matdb.MergeCandidates then cuts exactly;
-//   - "what row would YOUR point i occupy in data ∪ {q}?" (MergedRows):
-//     matdb.SpliceRow over the stored global row, with a halo of neighbor
-//     coordinates covering the distinct-mode rank recomputation.
+//   - "what row would YOUR point i occupy in data ∪ {q}?" (rows):
+//     matdb.RowBuf.Merge over the stored global row, with a halo of
+//     neighbor coordinates covering the distinct-mode rank recomputation;
+//   - "what are its k-distances at MinPts lb..ub in data ∪ {q}?"
+//     (k-distances): the same row, reduced to the only values LOF reads of
+//     a point two hops from the query.
 //
 // Everything the LOF arithmetic consumes — k-distances, reachability
-// distances, neighborhood sizes — derives from those two answers, so the
-// coordinator's evaluation (core.EvalRange) is bit-identical to a single-node
-// model's.
+// distances, neighborhood sizes — derives from those answers, and the
+// in-process scorer computes them with the same matdb helper, so the
+// coordinator's evaluation (core.EvalRange) is bit-identical to a
+// single-node model's.
 package shard
 
 import (
 	"fmt"
+	"math"
 
 	"lof/internal/geom"
 	"lof/internal/index"
@@ -192,6 +197,10 @@ func (p *Part) finish() error {
 	if p.meta.K < 1 {
 		return fmt.Errorf("shard: materialized K must be positive, got %d", p.meta.K)
 	}
+	if p.meta.Total >= 1<<32 {
+		// Frames carry ids, and the query's virtual id Total, as u32.
+		return fmt.Errorf("shard: %d points exceed the u32 id space", p.meta.Total)
+	}
 	if len(p.ids) != p.pts.Len() || len(p.ids) != len(p.rows) {
 		return fmt.Errorf("shard: %d ids, %d points, %d rows", len(p.ids), p.pts.Len(), len(p.rows))
 	}
@@ -258,64 +267,106 @@ func (p *Part) validateQuery(q []float64) error {
 	return nil
 }
 
-// Candidates returns q's k-nearest neighborhood among this part's points —
-// the shard's contribution to the global candidate set. Ids are global; in
-// distinct mode each candidate carries its coordinates so the coordinator
-// can recompute distinct ranks across shards.
-func (p *Part) Candidates(q []float64) ([]WireCandidate, error) {
-	if err := p.validateQuery(q); err != nil {
-		return nil, err
-	}
-	if p.ix == nil {
-		return nil, nil // empty partition contributes nothing
-	}
-	cur := index.NewCursor(p.ix)
-	nn := matdb.QueryCandidates(cur, p.pts, geom.Point(q), p.meta.K, p.meta.Distinct)
-	out := make([]WireCandidate, len(nn))
-	for i, nb := range nn {
-		c := WireCandidate{ID: p.ids[nb.Index], Dist: nb.Dist}
-		if p.meta.Distinct {
-			c.Point = append([]float64(nil), p.pts.At(nb.Index)...)
-		}
-		out[i] = c
-	}
-	return out, nil
-}
-
-// MergedRows computes, for each requested owned id, the row that point
-// would occupy in data ∪ {q} — the stored global row with q spliced in —
-// via matdb.SpliceRow, the same entry point the in-process scorer uses.
+// Reply answers a request frame against the part, in query order:
+//
+//   - KindCandidatesRequest: each query's k-nearest neighborhood among
+//     this part's points — the shard's contribution to the global
+//     candidate set — with global ids and, in distinct mode, coordinates,
+//     so the coordinator can recompute distinct ranks across shards;
+//   - KindRowsRequest: for each requested owned id, the row that point
+//     occupies in data ∪ {q} (matdb.RowBuf.Merge over the stored global
+//     row, the helper the in-process scorer uses);
+//   - KindKDistsRequest: for each requested owned id, the k-distances at
+//     MinPts lb..ub of that same row, which is all the evaluation reads of
+//     a second-hop point.
+//
 // Requesting an id this part does not own is an error: it means the
-// caller's routing disagrees with the snapshot layout.
-func (p *Part) MergedRows(q []float64, ids []uint32) ([]WireRow, error) {
-	if err := p.validateQuery(q); err != nil {
-		return nil, err
+// caller's routing disagrees with the snapshot layout. Version pinning is
+// the caller's concern.
+func (p *Part) Reply(req *Frame) (*Frame, error) {
+	out := &Frame{
+		Kind: req.Kind.Reply(), Distinct: p.meta.Distinct, Version: p.version,
+		Shard: p.shardID, Dim: p.pts.Dim(), LB: req.LB, UB: req.UB,
 	}
-	out := make([]WireRow, len(ids))
-	for i, id := range ids {
-		pos, ok := p.local[id]
-		if !ok {
-			return nil, fmt.Errorf("shard: point %d is not owned by shard %d/%d", id, p.shardID, p.numShards)
+	if req.Dim != p.pts.Dim() {
+		return nil, fmt.Errorf("shard: queries have %d dimensions, part has %d", req.Dim, p.pts.Dim())
+	}
+	var buf matdb.RowBuf
+	switch req.Kind {
+	case KindCandidatesRequest:
+		var cur index.Cursor
+		if p.ix != nil {
+			cur = index.NewCursor(p.ix)
 		}
-		var ranks []int32
-		if p.meta.Distinct {
-			ranks = p.rks[pos]
+		out.Counts = make([]uint32, 0, req.Groups())
+		for g := 0; g < req.Groups(); g++ {
+			q := req.Query(g)
+			if err := p.validateQuery(q); err != nil {
+				return nil, fmt.Errorf("query %d: %w", g, err)
+			}
+			if cur == nil {
+				out.Counts = append(out.Counts, 0) // empty partition contributes nothing
+				continue
+			}
+			nn := buf.QueryCandidates(cur, p.pts, q, p.meta.K, p.meta.Distinct)
+			for _, nb := range nn {
+				out.Entries = append(out.Entries, index.Neighbor{Index: int(p.ids[nb.Index]), Dist: nb.Dist})
+				if p.meta.Distinct {
+					out.Coords = append(out.Coords, p.pts.At(nb.Index)...)
+				}
+			}
+			out.Counts = append(out.Counts, uint32(len(nn)))
 		}
-		stored := matdb.NewRow(p.rows[pos], ranks, p.meta.Distinct)
-		d := p.kern.Dist(int(pos), q)
-		row := matdb.SpliceRow(stored, q, p.meta.Total, d, p.at, p.meta.K)
-		out[i] = encodeRow(id, row)
+	case KindRowsRequest, KindKDistsRequest:
+		if req.UB > p.meta.K {
+			return nil, fmt.Errorf("shard: MinPts range [%d, %d] exceeds materialized K=%d", req.LB, req.UB, p.meta.K)
+		}
+		at := p.at
+		ids := req.IDs
+		for g, n := range req.Counts {
+			q := req.Query(g)
+			if err := p.validateQuery(q); err != nil {
+				return nil, fmt.Errorf("rows request %d: %w", g, err)
+			}
+			for _, id := range ids[:n] {
+				pos, ok := p.local[id]
+				if !ok {
+					return nil, fmt.Errorf("rows request %d: shard: point %d is not owned by shard %d/%d", g, id, p.shardID, p.numShards)
+				}
+				var ranks []int32
+				if p.meta.Distinct {
+					ranks = p.rks[pos]
+				}
+				stored := matdb.NewRow(p.rows[pos], ranks, p.meta.Distinct)
+				row := buf.Merge(stored, q, p.meta.Total, p.kern.Dist(int(pos), q), at, p.meta.K, req.UB)
+				if req.Kind == KindKDistsRequest {
+					out.KDists = row.AppendKDistances(out.KDists, req.LB, req.UB)
+					continue
+				}
+				out.Lens = append(out.Lens, uint32(len(row.Neighbors)))
+				out.Entries = append(out.Entries, row.Neighbors...)
+				if p.meta.Distinct {
+					out.RankLens = append(out.RankLens, uint32(len(row.Ranks())))
+					out.Ranks = append(out.Ranks, row.Ranks()...)
+				}
+			}
+			ids = ids[n:]
+		}
+	default:
+		return nil, fmt.Errorf("shard: a %v frame is not a request", req.Kind)
 	}
 	return out, nil
 }
 
 // KDists reads the stored k-distances of the requested owned ids at ranks
 // lo and hi — O(1) per id from the materialized global rows, no splicing.
-// Rank 0 is the defined floor kd_0 = 0. It backs the coordinator's pruned
-// scoring path, whose certificate only needs a k-distance envelope
-// [kd_lo, kd_hi] for second-hop points, not their full merged rows; the
-// rank-shift argument in internal/approx absorbs the inserted query.
-// Requesting an unowned id is a routing error, as in MergedRows.
+// Rank 0 is the defined floor kd_0 = 0, and the ceiling is +Inf for a
+// distinct-mode row holding fewer than hi distinct positions. It backs the
+// coordinator's pruned scoring path, whose certificate only needs a
+// k-distance envelope [kd_lo, kd_hi] for second-hop points, not their
+// merged k-distances; the rank-shift argument in internal/approx absorbs
+// the inserted query. Requesting an unowned id is a routing error, as in
+// Reply.
 func (p *Part) KDists(ids []uint32, lo, hi int) (loD, hiD []float64, err error) {
 	if lo < 0 || hi < 1 || lo > hi || hi > p.meta.K {
 		return nil, nil, fmt.Errorf("shard: k-distance ranks [%d, %d] outside [0, %d]", lo, hi, p.meta.K)
@@ -336,6 +387,13 @@ func (p *Part) KDists(ids []uint32, lo, hi int) (loD, hiD []float64, err error) 
 			loD[i] = row.KDistance(lo)
 		}
 		hiD[i] = row.KDistance(hi)
+		if p.meta.Distinct && len(ranks) < hi {
+			// Fewer than hi distinct positions: the stored value is clamped
+			// to the farthest position there is, a query at a new position
+			// can sit beyond it, and no finite ceiling holds — the rule
+			// approx.kdCeiling applies on the single-node path.
+			hiD[i] = math.Inf(1)
+		}
 	}
 	return loD, hiD, nil
 }

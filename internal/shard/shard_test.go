@@ -80,6 +80,25 @@ func rowsEqual(t *testing.T, ctxt string, got, want matdb.Row) {
 	}
 }
 
+// candidates asks one part for q's candidates through a one-query frame.
+func candidates(t *testing.T, p *shard.Part, q geom.Point) *shard.Frame {
+	t.Helper()
+	out, err := p.Reply(&shard.Frame{Kind: shard.KindCandidatesRequest, Distinct: p.Meta().Distinct, Version: p.Version(), Dim: len(q), Queries: q})
+	if err != nil {
+		t.Fatalf("candidates: %v", err)
+	}
+	return out
+}
+
+// rowFrame is a one-query rows or k-distances request for ids at MinPts
+// lb..ub.
+func rowFrame(p *shard.Part, kind shard.Kind, q geom.Point, lb, ub int, ids ...uint32) *shard.Frame {
+	return &shard.Frame{
+		Kind: kind, Distinct: p.Meta().Distinct, Version: p.Version(), Dim: len(q), LB: lb, UB: ub,
+		Queries: q, Counts: []uint32{uint32(len(ids))}, IDs: ids,
+	}
+}
+
 // gatherMerged scatter-gathers q's candidates across the parts and merges
 // them — the coordinator's round 1, run in-process.
 func gatherMerged(t *testing.T, parts []*shard.Part, db *matdb.DB, q geom.Point) matdb.Row {
@@ -87,14 +106,11 @@ func gatherMerged(t *testing.T, parts []*shard.Part, db *matdb.DB, q geom.Point)
 	var cands []index.Neighbor
 	coords := make(map[int]geom.Point)
 	for _, p := range parts {
-		cs, err := p.Candidates(q)
-		if err != nil {
-			t.Fatalf("Candidates: %v", err)
-		}
-		for _, c := range cs {
-			cands = append(cands, c.Neighbor())
-			if db.IsDistinct() {
-				coords[int(c.ID)] = c.Point
+		f := candidates(t, p, q)
+		cands = append(cands, f.Entries...)
+		if db.IsDistinct() {
+			for k, e := range f.Entries {
+				coords[e.Index] = f.Coords[k*f.Dim : (k+1)*f.Dim]
 			}
 		}
 	}
@@ -111,6 +127,7 @@ func testSplitExact(t *testing.T, distinct bool) {
 	metric, _ := geom.MetricByName("euclidean")
 	ix := linear.New(pts, metric)
 	meta := shard.Meta{Metric: "euclidean"}
+	lb, ub := 3, db.K
 	for _, n := range []int{1, 2, 3, 5} {
 		for _, parter := range []shard.Partitioner{shard.PartitionHash, shard.PartitionRange} {
 			parts, err := shard.Split(pts, db, meta, n, parter, 42)
@@ -127,21 +144,46 @@ func testSplitExact(t *testing.T, distinct bool) {
 			if total != pts.Len() {
 				t.Fatalf("Split(n=%d): parts own %d points, want %d", n, total, pts.Len())
 			}
-			for qi, q := range testQueries(pts) {
+			for _, q := range testQueries(pts) {
 				want := db.QueryRow(pts, ix, q)
 				got := gatherMerged(t, parts, db, q)
 				rowsEqual(t, "merged query row", got, want)
-				_ = qi
-				// Round 2: merged rows of the query's neighborhood, fetched
-				// from their owning shards, must match the in-process splice.
-				for _, nb := range want.Neighborhood(db.K) {
-					owner := parter.Shard(uint32(nb.Index), n, pts.Len())
-					rows, err := parts[owner].MergedRows(q, []uint32{uint32(nb.Index)})
+				// Rounds 2 and 3: every point's merged row and merged
+				// k-distances, fetched from its owning shard, must match the
+				// in-process splice wherever an evaluation can tell. A point
+				// q cannot change may come back as its stored row, so
+				// compare what the evaluation reads: the ub-neighborhood,
+				// and the k-distances at lb..ub.
+				for i := 0; i < pts.Len(); i++ {
+					owner := parts[parter.Shard(uint32(i), n, pts.Len())]
+					wantRow := db.MergedRow(pts, i, q, pts.Len(), metric.Distance(pts.At(i), q))
+					rows, err := owner.Reply(rowFrame(owner, shard.KindRowsRequest, q, lb, ub, uint32(i)))
 					if err != nil {
-						t.Fatalf("MergedRows(%d): %v", nb.Index, err)
+						t.Fatalf("rows(%d): %v", i, err)
 					}
-					wantRow := db.MergedRow(pts, nb.Index, q, pts.Len(), metric.Distance(pts.At(nb.Index), q))
-					rowsEqual(t, "merged neighbor row", rows[0].Row(distinct), wantRow)
+					gotRow := matdb.NewRow(rows.Entries, rows.Ranks, distinct)
+					gotNN, wantNN := gotRow.Neighborhood(ub), wantRow.Neighborhood(ub)
+					if len(gotNN) != len(wantNN) {
+						t.Fatalf("point %d: %d-neighborhood has %d entries, want %d", i, ub, len(gotNN), len(wantNN))
+					}
+					for k := range gotNN {
+						if gotNN[k] != wantNN[k] {
+							t.Fatalf("point %d: neighbor %d = %+v, want %+v", i, k, gotNN[k], wantNN[k])
+						}
+					}
+					kd, err := owner.Reply(rowFrame(owner, shard.KindKDistsRequest, q, lb, ub, uint32(i)))
+					if err != nil {
+						t.Fatalf("kdists(%d): %v", i, err)
+					}
+					wantKD := wantRow.AppendKDistances(nil, lb, ub)
+					for m, v := range kd.KDists {
+						if math.Float64bits(v) != math.Float64bits(wantKD[m]) {
+							t.Fatalf("point %d: merged %d-distance %v, want %v", i, lb+m, v, wantKD[m])
+						}
+						if v2 := gotRow.KDistance(lb + m); math.Float64bits(v2) != math.Float64bits(v) {
+							t.Fatalf("point %d: rows answer %d-distance %v, k-distances answer %v", i, lb+m, v2, v)
+						}
+					}
 				}
 			}
 		}
@@ -174,21 +216,9 @@ func TestPartRoundTrip(t *testing.T) {
 			}
 			// The decoded part must serve identical answers.
 			for _, q := range testQueries(pts)[:4] {
-				a, err := p.Candidates(q)
-				if err != nil {
-					t.Fatalf("Candidates: %v", err)
-				}
-				b, err := dec.Candidates(q)
-				if err != nil {
-					t.Fatalf("decoded Candidates: %v", err)
-				}
-				if len(a) != len(b) {
-					t.Fatalf("decoded part: %d candidates, want %d", len(b), len(a))
-				}
-				for i := range a {
-					if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
-						t.Fatalf("decoded candidate %d: %+v vs %+v", i, b[i], a[i])
-					}
+				a, b := candidates(t, p, q).Encode(), candidates(t, dec, q).Encode()
+				if !bytes.Equal(a, b) {
+					t.Fatalf("decoded part answers candidates differently")
 				}
 			}
 			// Encoding is deterministic: same part, same bytes.
@@ -234,12 +264,9 @@ func TestEmptyPartition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodePart of %d-point part: %v", p.Len(), err)
 		}
-		cs, err := dec.Candidates(geom.Point{0.5, 0.5})
-		if err != nil {
-			t.Fatalf("Candidates: %v", err)
-		}
-		if p.Len() == 0 && len(cs) != 0 {
-			t.Fatalf("empty partition returned %d candidates", len(cs))
+		cs := candidates(t, dec, geom.Point{0.5, 0.5})
+		if len(cs.Counts) != 1 || p.Len() == 0 && len(cs.Entries) != 0 {
+			t.Fatalf("%d-point partition answered counts %v for one query", p.Len(), cs.Counts)
 		}
 	}
 	if !sawEmpty {
@@ -253,9 +280,16 @@ func TestMergedRowsRejectsUnowned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	// Range partitioning: id 0 lives on shard 0, so shard 1 must refuse it.
-	if _, err := parts[1].MergedRows(geom.Point{0, 0}, []uint32{0}); err == nil {
-		t.Fatal("MergedRows served a point the shard does not own")
+	// Range partitioning: id 0 lives on shard 0, so shard 1 must refuse it,
+	// for merged rows and merged k-distances alike.
+	for _, kind := range []shard.Kind{shard.KindRowsRequest, shard.KindKDistsRequest} {
+		if _, err := parts[1].Reply(rowFrame(parts[1], kind, geom.Point{0, 0}, 3, 9, 0)); err == nil {
+			t.Fatalf("%v served a point the shard does not own", kind)
+		}
+	}
+	// MinPts beyond the materialized K is refused too.
+	if _, err := parts[0].Reply(rowFrame(parts[0], shard.KindKDistsRequest, geom.Point{0, 0}, 3, 10, 0)); err == nil {
+		t.Fatal("k-distances served beyond the materialized K")
 	}
 }
 
@@ -265,11 +299,17 @@ func TestQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	if _, err := parts[0].Candidates(geom.Point{1}); err == nil {
-		t.Fatal("wrong-dimension query accepted")
-	}
-	if _, err := parts[0].Candidates(geom.Point{math.NaN(), 0}); err == nil {
-		t.Fatal("non-finite query accepted")
+	p := parts[0]
+	for _, req := range []*shard.Frame{
+		{Kind: shard.KindCandidatesRequest, Version: 1, Dim: 1, Queries: []float64{1}},
+		{Kind: shard.KindCandidatesRequest, Version: 1, Dim: 2, Queries: []float64{math.NaN(), 0}},
+		rowFrame(p, shard.KindRowsRequest, geom.Point{math.Inf(1), 0}, 3, 9, 0),
+		rowFrame(p, shard.KindKDistsRequest, geom.Point{0, math.NaN()}, 3, 9, 0),
+		{Kind: shard.KindRows, Version: 1, Dim: 2},
+	} {
+		if _, err := p.Reply(req); err == nil {
+			t.Fatalf("%v with queries %v accepted", req.Kind, req.Queries)
+		}
 	}
 }
 

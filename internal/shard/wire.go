@@ -1,68 +1,11 @@
 package shard
 
-import (
-	"lof/internal/index"
-	"lof/internal/matdb"
-)
+import "lof/internal/front"
 
-// Wire types: the JSON shapes the shard-role HTTP endpoints exchange with
-// the coordinator. They live here — next to the Part methods that produce
-// them — so server handlers and client methods share one definition.
-// Distances and coordinates are finite by construction (fits reject
-// non-finite input and metrics preserve finiteness), so plain float64
-// JSON encoding is loss-free: Go marshals the shortest representation that
-// round-trips to the identical bit pattern.
-
-// WireNeighbor is one (global id, distance) pair of a neighbor list.
-type WireNeighbor struct {
-	ID   uint32  `json:"id"`
-	Dist float64 `json:"dist"`
-}
-
-// WireCandidate is one entry of a shard's candidate response. Point is the
-// candidate's coordinates, present only under distinct semantics, where the
-// coordinator must recompute distinct ranks across shard boundaries.
-type WireCandidate struct {
-	ID    uint32    `json:"id"`
-	Dist  float64   `json:"dist"`
-	Point []float64 `json:"point,omitempty"`
-}
-
-// WireRow is a merged row crossing a process boundary: the neighbor list
-// sorted by (distance, id) and, under distinct semantics, the distinct
-// ranks. ID is the owned point the row belongs to.
-type WireRow struct {
-	ID        uint32         `json:"id"`
-	Neighbors []WireNeighbor `json:"neighbors"`
-	Ranks     []int32        `json:"ranks,omitempty"`
-}
-
-// encodeRow flattens a matdb.Row for transport.
-func encodeRow(id uint32, r matdb.Row) WireRow {
-	w := WireRow{ID: id, Neighbors: make([]WireNeighbor, len(r.Neighbors))}
-	for i, nb := range r.Neighbors {
-		w.Neighbors[i] = WireNeighbor{ID: uint32(nb.Index), Dist: nb.Dist}
-	}
-	if r.IsDistinct() {
-		w.Ranks = r.Ranks()
-	}
-	return w
-}
-
-// Row reassembles the transported row under the model's duplicate
-// semantics — the inverse of the shard-side encoding.
-func (w WireRow) Row(distinct bool) matdb.Row {
-	nn := make([]index.Neighbor, len(w.Neighbors))
-	for i, nb := range w.Neighbors {
-		nn[i] = index.Neighbor{Index: int(nb.ID), Dist: nb.Dist}
-	}
-	return matdb.NewRow(nn, w.Ranks, distinct)
-}
-
-// Neighbor views the candidate as an index.Neighbor with its global id.
-func (c WireCandidate) Neighbor() index.Neighbor {
-	return index.Neighbor{Index: int(c.ID), Dist: c.Dist}
-}
+// JSON types of the shard endpoints that are not frames: the snapshot
+// push acknowledgement and the pruned path's k-distance envelopes. They
+// live here, next to the Part methods that produce them, so server
+// handlers and client methods share one definition.
 
 // SnapshotInfo is the acknowledgement a shard returns after installing a
 // snapshot, and the layout portion of its readiness report.
@@ -71,42 +14,6 @@ type SnapshotInfo struct {
 	Shard   int    `json:"shard"`
 	Shards  int    `json:"shards"`
 	Points  int    `json:"points"`
-}
-
-// CandidatesRequest asks a shard for the per-partition kNN candidates of a
-// batch of query points. Version pins the snapshot the caller merged its
-// routing against; a shard holding a different version must refuse rather
-// than answer from a layout the caller did not ask about.
-type CandidatesRequest struct {
-	Version uint64      `json:"version"`
-	Queries [][]float64 `json:"queries"`
-}
-
-// CandidatesResponse carries one candidate list per request query.
-type CandidatesResponse struct {
-	Version    uint64            `json:"version"`
-	Shard      int               `json:"shard"`
-	Candidates [][]WireCandidate `json:"candidates"`
-}
-
-// RowsQuery names one query point and the owned ids whose merged rows the
-// coordinator needs from this shard.
-type RowsQuery struct {
-	Query []float64 `json:"query"`
-	IDs   []uint32  `json:"ids"`
-}
-
-// RowsRequest is a batch of merged-row fetches pinned to a snapshot version.
-type RowsRequest struct {
-	Version uint64      `json:"version"`
-	Queries []RowsQuery `json:"queries"`
-}
-
-// RowsResponse carries one row list per request entry, in request order.
-type RowsResponse struct {
-	Version uint64      `json:"version"`
-	Shard   int         `json:"shard"`
-	Rows    [][]WireRow `json:"rows"`
 }
 
 // KDistsRequest asks a shard for the stored k-distances of owned points at
@@ -122,10 +29,11 @@ type KDistsRequest struct {
 }
 
 // KDistsResponse carries the two per-id k-distance arrays, in request
-// order.
+// order. Hi is +Inf where no finite ceiling holds (see Part.KDists), which
+// front.Float carries through JSON.
 type KDistsResponse struct {
-	Version uint64    `json:"version"`
-	Shard   int       `json:"shard"`
-	Lo      []float64 `json:"lo"`
-	Hi      []float64 `json:"hi"`
+	Version uint64        `json:"version"`
+	Shard   int           `json:"shard"`
+	Lo      []float64     `json:"lo"`
+	Hi      []front.Float `json:"hi"`
 }

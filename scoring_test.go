@@ -53,9 +53,9 @@ func TestScoreBatchWorkersBitIdentical(t *testing.T) {
 }
 
 // TestScoreBatchAllocsPerQuery bounds ScoreBatch's allocations per query
-// by a constant that does not grow with MinPtsUB: a query's closure
-// tables live in pooled scratch, so only its probed row and its series
-// are allocated.
+// by a constant that does not grow with MinPtsUB: a query's probed row and
+// closure tables live in pooled scratch — in distinct mode its spliced
+// rows' ranks too — so only its series is allocated.
 func TestScoreBatchAllocsPerQuery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race, so pooled scratch reallocates")
@@ -67,26 +67,38 @@ func TestScoreBatchAllocsPerQuery(t *testing.T) {
 	for i := range queries {
 		queries[i] = []float64{rng.Float64()*25 - 5, rng.Float64()*25 - 5}
 	}
-	for _, ub := range []int{20, 60} {
-		det, err := New(Config{MinPtsLB: 10, MinPtsUB: ub, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
+	for _, distinct := range []bool{false, true} {
+		fit, qs := data, queries
+		if distinct {
+			// A duplicate pile, and a query on it, give the distinct ranks
+			// work to do.
+			fit = append([][]float64(nil), data...)
+			for i := 1; i < 8; i++ {
+				fit[i] = data[0]
+			}
+			qs = append(queries[:len(queries):len(queries)], data[0])
 		}
-		res, err := det.Fit(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := res.Model()
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := m.ScoreBatch(queries); err != nil {
+		for _, ub := range []int{20, 60} {
+			det, err := New(Config{MinPtsLB: 10, MinPtsUB: ub, Workers: 2, Distinct: distinct})
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if got := allocs / float64(len(queries)); got > perQuery {
-			t.Errorf("MinPtsUB=%d: %.2f allocations per query, want at most %d", ub, got, perQuery)
+			res, err := det.Fit(fit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := res.Model()
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := m.ScoreBatch(qs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got := allocs / float64(len(qs)); got > perQuery {
+				t.Errorf("distinct=%v MinPtsUB=%d: %.2f allocations per query, want at most %d", distinct, ub, got, perQuery)
+			}
 		}
 	}
 }
