@@ -21,7 +21,6 @@
 //	                          binary frames)
 //	POST /v1/shard/rows       merged rows or merged k-distances of owned
 //	                          points (shard role, binary frames)
-//	POST /v1/shard/kdists     stored k-distance envelopes (shard role)
 //	POST /v1/stream/init      create (or replace) the streaming pipeline
 //	POST /v1/stream           apply one ingestion batch (inserts/deletes/expiry)
 //	POST /v1/stream/score     score queries against the published stream epoch

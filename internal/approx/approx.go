@@ -625,73 +625,3 @@ func (s *Summaries) storedBracket(sec []float64, lb int, loQ, hiQ float64) (lrdL
 	}
 	return 1 / mxHigh, 1 / mnLow
 }
-
-// MergedQueryBounds is QueryBounds for the coordinator's scatter-gather
-// world: the caller holds the query's merged candidate row, the MERGED
-// rows of its ub-neighborhood (so those prefixes are the true merged
-// neighborhoods and no splice-shape folding is needed), and stored
-// k-distance envelopes [kd_{lb-1}, kd_ub] for second-hop points fetched
-// with a lightweight RPC instead of full rows. rowOf resolves a first-hop
-// global id to its merged row; kdEnv resolves a second-hop id to its
-// envelope; qIdx is the virtual index of the query in merged rows. A
-// failed lookup widens to the uninformative [0, +Inf] — the caller falls
-// back to the exact path.
-func MergedQueryBounds(qRow matdb.Row, qIdx int, rowOf func(int) (matdb.Row, bool), kdEnv func(int) (lo, hi float64, ok bool), lb, ub int) (lower, upper float64) {
-	if len(qRow.Neighborhood(ub)) == 0 {
-		return 1, 1
-	}
-	for si, seg := range segments(lb, ub) {
-		segLower, segUpper := mergedQuerySegment(qRow, qIdx, rowOf, kdEnv, seg[0], seg[1])
-		if si == 0 {
-			lower, upper = segLower, segUpper
-			continue
-		}
-		lower = math.Min(lower, segLower)
-		upper = math.Max(upper, segUpper)
-	}
-	return lower, upper
-}
-
-// mergedQuerySegment is the MergedQueryBounds body for one subrange
-// [lb, ub]. The kdEnv envelopes the caller fetched cover the FULL swept
-// range, so they stay sound (if looser than necessary) on every subrange.
-func mergedQuerySegment(qRow matdb.Row, qIdx int, rowOf func(int) (matdb.Row, bool), kdEnv func(int) (lo, hi float64, ok bool), lb, ub int) (lower, upper float64) {
-	nn := qRow.Neighborhood(ub)
-	if len(nn) == 0 {
-		return 1, 1
-	}
-	kdqLB, kdqUB := qRow.KDistance(lb), qRow.KDistance(ub)
-	direct := newPrefixBracket(len(qRow.Neighborhood(lb)))
-	num := newPrefixBracket(len(qRow.Neighborhood(lb)))
-	for _, o := range nn {
-		row, ok := rowOf(o.Index)
-		if !ok {
-			return 0, math.Inf(1)
-		}
-		// The merged row's own k-distances are exact at both range ends.
-		direct.add(core.ReachDist(row.KDistance(lb), o.Dist), core.ReachDist(row.KDistance(ub), o.Dist))
-		ob := newPrefixBracket(len(row.Neighborhood(lb)))
-		degenerate := false
-		for _, r := range row.Neighborhood(ub) {
-			var lo, hi float64
-			if r.Index == qIdx {
-				lo, hi = kdqLB, kdqUB
-			} else {
-				var found bool
-				if lo, hi, found = kdEnv(r.Index); !found {
-					degenerate = true
-					break
-				}
-			}
-			ob.add(core.ReachDist(lo, r.Dist), core.ReachDist(hi, r.Dist))
-		}
-		if degenerate {
-			return 0, math.Inf(1)
-		}
-		oMeanLow, oMeanHigh := ob.bounds()
-		num.add(1/oMeanHigh, 1/oMeanLow)
-	}
-	meanLow, meanHigh := direct.bounds()
-	numLow, numHigh := num.bounds()
-	return boundRatio(numLow, numHigh, 1/meanHigh, 1/meanLow)
-}

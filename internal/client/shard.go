@@ -54,20 +54,6 @@ func (c *Client) frame(ctx context.Context, path string, req *shard.Frame) (*sha
 	return out, nil
 }
 
-// KDists fetches the stored k-distance envelope of owned points at two
-// neighborhood ranks, pinned to the given snapshot version.
-func (c *Client) KDists(ctx context.Context, version uint64, ids []uint32, lo, hi int) (*shard.KDistsResponse, error) {
-	body, err := json.Marshal(shard.KDistsRequest{Version: version, Lo: lo, Hi: hi, IDs: ids})
-	if err != nil {
-		return nil, err
-	}
-	var out shard.KDistsResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/shard/kdists", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Readyz reports the server's readiness state with a single un-retried GET:
 // an unready 503 still decodes into a meaningful report, and a transport
 // error means "not reachable, hence not ready" to a polling coordinator.

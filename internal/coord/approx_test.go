@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"lof"
@@ -16,58 +19,240 @@ import (
 	"lof/internal/shard"
 )
 
-// TestPrunedMode: the coordinator's pruned path certifies a meaningful
-// share of clustered queries as ≈1 from the k-distance envelopes alone,
-// answers every uncertain query bit-identically to the exact path, and
-// never certifies a genuine outlier into the band.
+// prunedQueries is testQueries plus 200 more, drawn from a fixed seed:
+// three in four are training points jittered by 0.3, the queries a
+// certificate should answer, and the rest are scattered over the whole
+// training range.
+func prunedQueries() [][]float64 {
+	rng := rand.New(rand.NewSource(17))
+	data := trainData()
+	qs := testQueries()
+	for i := 0; i < 200; i++ {
+		if i%4 == 3 {
+			qs = append(qs, []float64{rng.Float64()*100 - 45, rng.Float64()*110 - 45})
+			continue
+		}
+		b := data[rng.Intn(len(data))]
+		qs = append(qs, []float64{b[0] + 0.3*rng.NormFloat64(), b[1] + 0.3*rng.NormFloat64()})
+	}
+	return qs
+}
+
+// fuzzSeedData returns the 28 points of FuzzQueryBounds' seed
+// cb90fd120c2d7d02 (internal/approx), whose distinct-mode rows mostly hold
+// fewer than MinPtsUB=26 distinct positions, and 200 queries of the
+// fuzzer's four kinds drawn from the same stream.
+func fuzzSeedData() (data, queries [][]float64) {
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 28; i++ {
+		switch rng.Intn(10) {
+		case 0:
+			data = append(data, []float64{rng.Float64()*200 - 100, rng.Float64()*200 - 100})
+		case 1:
+			p := []float64{0, 0}
+			if len(data) > 0 {
+				p = append([]float64(nil), data[rng.Intn(len(data))]...)
+			}
+			data = append(data, p)
+		default:
+			c := float64(rng.Intn(3)) * 10
+			data = append(data, []float64{c + rng.NormFloat64(), c + rng.NormFloat64()})
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		switch trial % 4 {
+		case 0:
+			queries = append(queries, append([]float64(nil), data[rng.Intn(len(data))]...))
+		case 1:
+			b := data[rng.Intn(len(data))]
+			queries = append(queries, []float64{b[0] + 0.3*rng.NormFloat64(), b[1] + 0.3*rng.NormFloat64()})
+		case 2:
+			queries = append(queries, []float64{rng.Float64()*400 - 200, rng.Float64()*400 - 200})
+		default:
+			queries = append(queries, []float64{rng.Float64()*30 - 5, rng.Float64()*30 - 5})
+		}
+	}
+	return data, queries
+}
+
+// TestPrunedMode: lofcoord's pruned mode answers as lofserve's does. For
+// every query its score is the one lof.Model.ScoreBatchPruned returns, bit
+// for bit, with the same certified count, over 2, 3 and 5 shards and both
+// partitioners, for plain, distinct and mean-aggregated models and on the
+// data of FuzzQueryBounds' seed cb90fd120c2d7d02. A certified query's
+// exact score lies in the 1±eps band, and every other answer is exact.
+// Nothing certifies on the seed data, whose distinct rows mostly have no
+// finite k-distance ceiling; it replays the uncertain path over a joined
+// distinct database.
 func TestPrunedMode(t *testing.T) {
-	queries := testQueries()
-	// A narrow MinPts range keeps the stored k-distance envelope
-	// [kd_{lb-1}, kd_ub] tight enough to certify; see DESIGN.md §12.
-	m := fitModel(t, lof.Config{MinPtsLB: 8, MinPtsUB: 12})
-	want, err := m.ScoreBatchContext(context.Background(), queries)
-	if err != nil {
-		t.Fatalf("single-node scores: %v", err)
-	}
-	for _, shards := range []int{2, 3} {
-		c := newCoord(t, startShards(t, shards, nil), shard.PartitionRange)
-		if _, err := c.Install(context.Background(), m); err != nil {
-			t.Fatalf("shards=%d: Install: %v", shards, err)
-		}
-		got, mode, certified, err := c.Score(context.Background(), queries, "pruned")
-		if err != nil {
-			t.Fatalf("shards=%d: pruned Score: %v", shards, err)
-		}
-		if mode != "pruned" {
-			t.Fatalf("shards=%d: served mode %q, want pruned", shards, mode)
-		}
-		if certified == 0 {
-			t.Fatalf("shards=%d: no query certified; clustered queries should fast-path", shards)
-		}
-		eps := lof.DefaultPruneEps
-		pruned := 0
-		for i, v := range got {
-			if v == 1 && math.Float64bits(want[i]) != math.Float64bits(1.0) {
-				pruned++
-				if want[i] < 1/(1+eps)*(1-1e-9) || want[i] > (1+eps)*(1+1e-9) {
-					t.Fatalf("shards=%d query %d: certified but exact %v outside 1±%v", shards, i, want[i], eps)
+	seedData, seedQueries := fuzzSeedData()
+	for _, tc := range []struct {
+		name      string
+		data      [][]float64
+		queries   [][]float64
+		cfg       lof.Config
+		certifies bool
+	}{
+		{"8..12", trainData(), prunedQueries(), lof.Config{MinPtsLB: 8, MinPtsUB: 12}, true},
+		{"10..30", trainData(), prunedQueries(), lof.Config{MinPtsLB: 10, MinPtsUB: 30}, true},
+		{"distinct-5..15", trainData(), prunedQueries(), lof.Config{MinPtsLB: 5, MinPtsUB: 15, Distinct: true}, true},
+		{"mean-agg", trainData(), prunedQueries(), lof.Config{MinPtsLB: 8, MinPtsUB: 12, Aggregation: lof.AggregateMean}, true},
+		{"cb90fd120c2d7d02", seedData, seedQueries, lof.Config{MinPtsLB: 12, MinPtsUB: 26, Distinct: true}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			det, err := lof.New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := det.Fit(tc.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := res.Model()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.ScoreBatchPruned(tc.queries, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (want.Certified > 0) != tc.certifies {
+				t.Fatalf("lofserve certifies %d of %d queries", want.Certified, len(tc.queries))
+			}
+			exact, err := m.ScoreBatch(tc.queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps := lof.DefaultPruneEps
+			for i, pruned := range want.Pruned {
+				if pruned && (exact[i] < 1/(1+eps)*(1-1e-9) || exact[i] > (1+eps)*(1+1e-9)) {
+					t.Fatalf("query %d certified but exact %v outside 1±%v", i, exact[i], eps)
 				}
-				continue
+				if !pruned && math.Float64bits(want.Scores[i]) != math.Float64bits(exact[i]) {
+					t.Fatalf("query %d: uncertain score %v != exact %v", i, want.Scores[i], exact[i])
+				}
 			}
-			if math.Float64bits(v) != math.Float64bits(want[i]) {
-				t.Fatalf("shards=%d query %d: uncertain score %v != exact %v", shards, i, v, want[i])
+			for _, shards := range []int{2, 3, 5} {
+				for _, part := range []shard.Partitioner{shard.PartitionHash, shard.PartitionRange} {
+					label := fmt.Sprintf("shards=%d part=%v", shards, part)
+					c := newCoord(t, startShards(t, shards, nil), part)
+					if _, err := c.Install(context.Background(), m); err != nil {
+						t.Fatalf("%s: Install: %v", label, err)
+					}
+					got, mode, certified, err := c.Score(context.Background(), tc.queries, "pruned")
+					if err != nil {
+						t.Fatalf("%s: pruned Score: %v", label, err)
+					}
+					if mode != "pruned" || certified != want.Certified {
+						t.Fatalf("%s: mode %q certified %d, lofserve certifies %d", label, mode, certified, want.Certified)
+					}
+					assertBitIdentical(t, got, want.Scores, label)
+				}
+			}
+		})
+	}
+}
+
+// TestPrunedSummariesLazyAndOnce: the coordinator builds its pruned-mode
+// summaries on a version's first pruned request, never for other traffic;
+// concurrent first pruned requests share one build; Install builds
+// nothing, and the next version's first pruned request builds afresh, for
+// that version's model. A build that fails fails the pruned request with
+// an explicit error, and exact scoring goes on.
+func TestPrunedSummariesLazyAndOnce(t *testing.T) {
+	ctx := context.Background()
+	c := newCoord(t, startShards(t, 3, nil), shard.PartitionHash)
+	builds := func() string {
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "lof_coord_pruned_summary_builds_total "); ok {
+				return v
 			}
 		}
-		if pruned > certified {
-			t.Fatalf("shards=%d: %d scores snapped to 1 but only %d reported certified", shards, pruned, certified)
-		}
-		// The planted outliers (queries 4 and 7) must never be certified.
-		for _, oi := range []int{4, 7} {
-			if got[oi] < 1.5 {
-				t.Fatalf("shards=%d: outlier query %d scored %v in pruned mode", shards, oi, got[oi])
-			}
+		t.Fatal("metrics lack lof_coord_pruned_summary_builds_total")
+		return ""
+	}
+	queries := prunedQueries()
+	m := fitModel(t, lof.Config{MinPtsLB: 8, MinPtsUB: 12})
+	if _, err := c.Install(ctx, m); err != nil {
+		t.Fatalf("Install: %v", err)
+	}
+	for _, mode := range []string{"", "full", "degraded", "coreset"} {
+		if _, _, _, err := c.Score(ctx, queries, mode); err != nil {
+			t.Fatalf("mode %q: %v", mode, err)
 		}
 	}
+	if got := builds(); got != "0" {
+		t.Fatalf("exact and coreset traffic built summaries %s times", got)
+	}
+
+	want, err := m.ScoreBatchPruned(queries, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 24; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, _, certified, err := c.Score(ctx, queries, "pruned")
+			if err != nil {
+				t.Errorf("concurrent pruned Score: %v", err)
+				return
+			}
+			if certified != want.Certified {
+				t.Errorf("certified %d, want %d", certified, want.Certified)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want.Scores[i]) {
+					t.Errorf("query %d: %v, want %v", i, got[i], want.Scores[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := builds(); got != "1" {
+		t.Fatalf("24 concurrent first pruned requests built summaries %s times, want once", got)
+	}
+
+	m2 := fitModel(t, lof.Config{MinPtsLB: 10, MinPtsUB: 30})
+	if _, err := c.Install(ctx, m2); err != nil {
+		t.Fatalf("re-Install: %v", err)
+	}
+	if got := builds(); got != "1" {
+		t.Fatalf("Install built summaries (%s builds)", got)
+	}
+	want2, err := m2.ScoreBatchPruned(queries, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, certified, err := c.Score(ctx, queries, "pruned")
+	if err != nil || certified != want2.Certified {
+		t.Fatalf("pruned Score after re-Install: certified %d (want %d), %v", certified, want2.Certified, err)
+	}
+	assertBitIdentical(t, got, want2.Scores, "re-installed")
+	if got := builds(); got != "2" {
+		t.Fatalf("the new version's first pruned request left %s builds, want 2", got)
+	}
+
+	if _, err := c.Install(ctx, m); err != nil {
+		t.Fatalf("third Install: %v", err)
+	}
+	coord.CorruptKeptPart(c, 1)
+	if _, _, _, err := c.Score(ctx, queries, "pruned"); err == nil || !strings.Contains(err.Error(), "pruning summaries") {
+		t.Fatalf("pruned Score over a corrupt kept part: %v, want a pruning summaries error", err)
+	}
+	exact, err := m.ScoreBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err = c.Score(ctx, queries, "")
+	if err != nil {
+		t.Fatalf("exact Score after a failed build: %v", err)
+	}
+	assertBitIdentical(t, got, exact, "exact after a failed build")
 }
 
 // TestCoresetMode: coreset requests serve from the locally derived

@@ -32,12 +32,13 @@
 //
 // Approximate modes ride the same scatter-gather machinery:
 //
-//	?mode=pruned   rounds 1 and 2 run as usual, but instead of round 3
-//	               the coordinator fetches stored k-distance envelopes
-//	               (POST /v1/shard/kdists) and certifies queries whose
-//	               LOF interval (approx.MergedQueryBounds) lies inside
-//	               the 1±eps band as exactly 1; only uncertain queries
-//	               pay for round 3 and exact evaluation
+//	?mode=pruned   right after round 1, each query's merged row is
+//	               bounded with lofserve's certificate (approx.QueryBounds
+//	               over per-point approx.Summaries, built from the kept
+//	               parts on the version's first pruned request); a query
+//	               whose LOF interval lies inside 1±eps answers exactly 1
+//	               and skips rounds 2 and 3, so every answer equals
+//	               lof.Model.ScoreBatchPruned's bit for bit
 //	?mode=coreset  answered from a local sensitivity-sampled coreset
 //	               model derived at fit time (lof.Model.Coreset), no
 //	               shard RPCs at all; falls back to exact when disabled
@@ -88,10 +89,6 @@ type Config struct {
 	// outages. Zero means 2048; negative disables it, and both modes then
 	// answer exactly or fail.
 	CoresetSample int
-	// PruneEps is the ?mode=pruned certification band half-width: queries
-	// whose LOF interval lies inside [1/(1+eps), 1+eps] are answered 1
-	// without exact evaluation. Zero means lof.DefaultPruneEps.
-	PruneEps float64
 	// Workers bounds the coordinator-side merge/eval parallelism per batch.
 	// Zero means GOMAXPROCS.
 	Workers int
@@ -116,6 +113,11 @@ type state struct {
 	info    ModelInfo
 	encoded [][]byte // per-shard snapshots, kept for repair re-pushes
 	coreset *lof.Model
+	// summaries returns the pruned-mode certificate's per-point summaries,
+	// built from encoded on the first call (the version's first pruned
+	// request) and shared by every later one. Exact traffic never calls
+	// it, so it never pays their memory (DESIGN.md §12).
+	summaries func() (*approx.Summaries, error)
 }
 
 // ModelInfo mirrors the single-node server's model summary, so the same
@@ -150,9 +152,10 @@ type Coordinator struct {
 	scorePoints  *atomic.Int64
 	// scoreModes counts score requests by the mode that actually served
 	// them; certified counts pruned-mode queries certified without exact
-	// evaluation.
-	scoreModes map[string]*atomic.Int64
-	certified  *atomic.Int64
+	// evaluation, and summaryBuilds the versions whose summaries were built.
+	scoreModes    map[string]*atomic.Int64
+	certified     *atomic.Int64
+	summaryBuilds *atomic.Int64
 
 	front *front.Front
 }
@@ -164,9 +167,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.CoresetSample == 0 {
 		cfg.CoresetSample = 2048
-	}
-	if cfg.PruneEps == 0 {
-		cfg.PruneEps = lof.DefaultPruneEps
 	}
 	if cfg.RepairInterval <= 0 {
 		cfg.RepairInterval = 2 * time.Second
@@ -311,7 +311,30 @@ func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 			st.coreset = cs
 		}
 	}
+	st.summaries = sync.OnceValues(func() (*approx.Summaries, error) {
+		c.summaryBuilds.Add(1)
+		return joinSummaries(st.encoded, st.lb, st.ub, c.pool)
+	})
 	return st, nil
+}
+
+// joinSummaries derives the pruned-mode summaries from the encoded parts:
+// it decodes them, reassembles the fitted database (shard.Join) and
+// summarizes it as lof.Model.ScoreBatchPruned summarizes its own. Only the
+// summaries outlive the call.
+func joinSummaries(encoded [][]byte, lb, ub int, p *pool.Pool) (*approx.Summaries, error) {
+	parts := make([]*shard.Part, len(encoded))
+	for s, b := range encoded {
+		var err error
+		if parts[s], err = shard.DecodePart(b); err != nil {
+			return nil, fmt.Errorf("decoding shard %d: %w", s, err)
+		}
+	}
+	db, err := shard.Join(parts)
+	if err != nil {
+		return nil, err
+	}
+	return approx.NewSummaries(db, lb, ub, p)
 }
 
 // distribute pushes every shard's snapshot to all of its replicas in
@@ -375,7 +398,8 @@ func (e *shardError) Unwrap() error { return e.err }
 //	"degraded" exact, but a shard outage is absorbed by the local
 //	           coreset model, the return marked "degraded"
 //	"pruned"   band-certified: queries whose LOF interval lies inside
-//	           1±eps answer 1 without round 3; the rest answer exactly
+//	           1±eps answer 1 without rounds 2 and 3; the rest answer
+//	           exactly
 //	"coreset"  served from the local coreset model; exact when disabled
 //
 // The returned mode is what actually served ("" for exact), and certified
@@ -402,19 +426,15 @@ func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode strin
 		c.scoreModes[front.ModeCoreset].Add(1)
 		return scores, "coreset", 0, nil
 	}
-	if mode == "pruned" {
-		scores, certified, err := c.scorePruned(ctx, st, queries)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		c.scorePoints.Add(int64(len(queries)))
-		c.scoreModes[front.ModePruned].Add(1)
-		c.certified.Add(int64(certified))
-		return scores, "pruned", certified, nil
-	}
-	scores, err := c.scoreExact(ctx, st, queries)
+	pruned := mode == "pruned"
+	scores, certified, err := c.score(ctx, st, queries, pruned)
 	if err == nil {
 		c.scorePoints.Add(int64(len(queries)))
+		if pruned {
+			c.scoreModes[front.ModePruned].Add(1)
+			c.certified.Add(int64(certified))
+			return scores, "pruned", certified, nil
+		}
 		c.scoreModes[front.ModeFull].Add(1)
 		return scores, "", 0, nil
 	}
@@ -502,135 +522,65 @@ func (cl *closure) addSecondHop(ub, qIdx int) {
 	}
 }
 
-// scoreExact runs the three-round scatter-gather and evaluation.
-func (c *Coordinator) scoreExact(ctx context.Context, st *state, queries [][]float64) ([]float64, error) {
-	cls, err := c.gatherFirstHop(ctx, st, queries)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.fetchRound(ctx, st, queries, cls, shard.KindKDistsRequest, nil); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(queries))
-	if err := c.evalInto(ctx, st, cls, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scorePruned is the band-certified scoring path: rounds 1 and 2 run as in
-// the exact path, then — instead of round 3 — the coordinator fetches
-// stored k-distance envelopes for the second-hop ids and brackets every
-// query's whole LOF series (approx.MergedQueryBounds). A query whose
-// interval lies inside 1±eps is certified ≈1 and answered 1 on the spot;
-// the uncertain remainder pays for round 3 and evaluates exactly,
-// bit-identical to scoreExact.
-func (c *Coordinator) scorePruned(ctx context.Context, st *state, queries [][]float64) ([]float64, int, error) {
-	cls, err := c.gatherFirstHop(ctx, st, queries)
+// score runs the scatter-gather for a batch. Round 1 merges every query's
+// global row. With pruned set, a query whose LOF interval over that row
+// lies inside 1±lof.DefaultPruneEps answers 1 and leaves the batch: the
+// interval is approx.QueryBounds over the version's summaries, the
+// certificate lof.Model.ScoreBatchPruned computes from the same row and
+// the same summaries. Rounds 2 and 3 and the exact evaluation run for the
+// rest. It returns the scores and the number of certified queries.
+func (c *Coordinator) score(ctx context.Context, st *state, queries [][]float64, pruned bool) ([]float64, int, error) {
+	cls, err := c.mergeQueryRows(ctx, st, queries)
 	if err != nil {
 		return nil, 0, err
 	}
 	nq := len(queries)
-	qIdx := st.meta.Total
-	var union []int
-	inUnion := make(map[int]bool)
-	for qi := range cls {
-		for _, id := range cls[qi].second {
-			if !inUnion[id] {
-				inUnion[id] = true
-				union = append(union, id)
+	out := make([]float64, nq)
+	var skip []bool
+	certified := 0
+	if pruned {
+		csp, _ := trace.StartSpan(ctx, "coord/certify")
+		sum, err := st.summaries()
+		if err != nil {
+			csp.SetError(err.Error())
+			csp.End()
+			return nil, 0, fmt.Errorf("coord: pruning summaries: %w", err)
+		}
+		skip = make([]bool, nq)
+		c.pool.Each(nq, func(qi int) {
+			lower, upper := approx.QueryBounds(sum, cls[qi].row)
+			skip[qi] = approx.Certified(lower, upper, lof.DefaultPruneEps)
+		})
+		csp.End()
+		for qi, ok := range skip {
+			if ok {
+				out[qi] = 1
+				certified++
 			}
 		}
+		if certified == nq {
+			return out, certified, nil
+		}
 	}
-	env, err := c.fetchEnvelopes(ctx, st, union)
-	if err != nil {
+	if err := c.fetchRound(ctx, st, queries, cls, shard.KindRowsRequest, skip); err != nil {
 		return nil, 0, err
 	}
-	eps := c.cfg.PruneEps
-	out := make([]float64, nq)
-	skip := make([]bool, nq)
-	c.pool.Each(nq, func(qi int) {
-		cl := &cls[qi]
-		kdEnv := func(i int) (lo, hi float64, ok bool) {
-			// First-hop rows are merged rows, so their k-distances are
-			// exact at both range ends; everything else uses the stored
-			// envelope from the kdists round.
-			if r, found := cl.rowOf(i); found {
-				return r.KDistance(st.lb), r.KDistance(st.ub), true
-			}
-			e, found := env[i]
-			return e[0], e[1], found
-		}
-		lower, upper := approx.MergedQueryBounds(cl.row, qIdx, cl.rowOf, kdEnv, st.lb, st.ub)
-		if approx.Certified(lower, upper, eps) {
-			out[qi] = 1
-			skip[qi] = true
-		}
-	})
-	certified := 0
-	for _, s := range skip {
-		if s {
-			certified++
-		}
+	// A certified query fetched no rows, so it lists no second hop.
+	for qi := range cls {
+		cls[qi].addSecondHop(st.ub, st.meta.Total)
 	}
-	if certified < nq {
-		if err := c.fetchRound(ctx, st, queries, cls, shard.KindKDistsRequest, skip); err != nil {
-			return nil, 0, err
-		}
-		if err := c.evalInto(ctx, st, cls, out, skip); err != nil {
-			return nil, 0, err
-		}
+	if err := c.fetchRound(ctx, st, queries, cls, shard.KindKDistsRequest, skip); err != nil {
+		return nil, 0, err
+	}
+	if err := c.evalInto(ctx, st, cls, out, skip); err != nil {
+		return nil, 0, err
 	}
 	return out, certified, nil
 }
 
-// fetchEnvelopes fetches the stored k-distance envelopes [kd_{lb-1}, kd_ub]
-// of ids from their owning shards — the lightweight substitute for round 3
-// on the pruned path. The lower rank is lb-1 because splicing the query
-// into a stored neighborhood can shift every rank down by at most one.
-func (c *Coordinator) fetchEnvelopes(ctx context.Context, st *state, ids []int) (map[int][2]float64, error) {
-	sp, sctx := trace.StartSpan(ctx, "coord/kdists")
-	sp.SetAttrInt("ids", int64(len(ids)))
-	defer sp.End()
-	byShard := make([][]uint32, len(c.replicas))
-	for _, id := range ids {
-		s := c.cfg.Partitioner.Shard(uint32(id), len(c.replicas), st.meta.Total)
-		byShard[s] = append(byShard[s], uint32(id))
-	}
-	env := make(map[int][2]float64, len(ids))
-	var mu sync.Mutex
-	err := c.eachShard(sctx, func(s int) error {
-		if len(byShard[s]) == 0 {
-			return nil
-		}
-		resp, err := shardCall(sctx, c, s, "rpc/kdists", 0, func(ctx context.Context, cl *client.Client) (*shard.KDistsResponse, error) {
-			return cl.KDists(ctx, st.version, byShard[s], st.lb-1, st.ub)
-		})
-		if err != nil {
-			return err
-		}
-		if len(resp.Lo) != len(byShard[s]) || len(resp.Hi) != len(byShard[s]) {
-			return fmt.Errorf("shard %d returned %d/%d envelopes for %d ids",
-				s, len(resp.Lo), len(resp.Hi), len(byShard[s]))
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for i, id := range byShard[s] {
-			env[int(id)] = [2]float64{resp.Lo[i], float64(resp.Hi[i])}
-		}
-		return nil
-	})
-	if err != nil {
-		sp.SetError(err.Error())
-		return nil, err
-	}
-	return env, nil
-}
-
-// gatherFirstHop runs scatter-gather rounds 1 and 2: merge every query's
-// global row from per-shard candidates, then fetch the merged rows of its
-// first-hop neighborhood, and list its second hop.
-func (c *Coordinator) gatherFirstHop(ctx context.Context, st *state, queries [][]float64) ([]closure, error) {
+// mergeQueryRows runs scatter-gather round 1: it merges every query's
+// global row from per-shard candidates and lists its first hop.
+func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][]float64) ([]closure, error) {
 	nq := len(queries)
 	qIdx := st.meta.Total
 	dim := st.dim
@@ -714,15 +664,6 @@ func (c *Coordinator) gatherFirstHop(ctx context.Context, st *state, queries [][
 		}
 	}
 	msp.End()
-
-	// Round 2: fetch the merged rows of each query's first-hop
-	// neighborhood; they name the second hop.
-	if err := c.fetchRound(ctx, st, queries, cls, shard.KindRowsRequest, nil); err != nil {
-		return nil, err
-	}
-	for qi := range cls {
-		cls[qi].addSecondHop(st.ub, qIdx)
-	}
 	return cls, nil
 }
 
@@ -959,6 +900,7 @@ func (c *Coordinator) declareMetrics(reg *obs.Registry) {
 	c.scorePoints = reg.Counter("lof_coord_score_points_total", "Query points answered, in every score mode.")
 	c.scoreModes = reg.CounterVec("lof_coord_score_mode_total", "Score requests by the mode that served them.", "mode", front.Modes...)
 	c.certified = reg.Counter("lof_coord_pruned_certified_total", "Pruned-mode queries certified without exact evaluation.")
+	c.summaryBuilds = reg.Counter("lof_coord_pruned_summary_builds_total", "Pruned-mode summary builds: one per installed version, on its first pruned request.")
 	c.repairPushes = reg.Counter("lof_coord_repair_pushes_total", "Snapshot re-pushes performed by the repair loop.")
 	reg.Gauge("lof_coord_snapshot_version", "Installed snapshot version.", func() (float64, bool) { return float64(c.Version()), true })
 	reg.Family("lof_coord_shard_failures_total", "counter", "Failed shard RPC rounds by shard.", func(p *obs.PromWriter) {

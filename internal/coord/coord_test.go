@@ -231,9 +231,10 @@ func TestOracleHTTP(t *testing.T) {
 }
 
 // TestChaosFaultyShard keeps one shard behind a 15%% fault profile (a mix
-// of dropped connections and injected 503s). Every answered request must
-// still be exact: retries absorb the faults, and a wrong score — rather
-// than an error — is the one unacceptable outcome.
+// of dropped connections and injected 503s), in exact and in pruned mode.
+// Every answered request must still be the single-node answer, bit for
+// bit, with pruned mode's certified count: retries absorb the faults, and
+// a wrong score — rather than an error — is the one unacceptable outcome.
 func TestChaosFaultyShard(t *testing.T) {
 	inj := faults.New(faults.Config{
 		Seed:       42,
@@ -257,22 +258,38 @@ func TestChaosFaultyShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single-node scores: %v", err)
 	}
-	answered := 0
-	for round := 0; round < 25; round++ {
-		got, mode, _, err := c.Score(context.Background(), queries, "")
-		if err != nil {
-			// A shard exhausting its retries is an acceptable, explicit
-			// outcome; a silent wrong answer is not.
-			continue
-		}
-		if mode != "" {
-			t.Fatalf("round %d: exact request served mode %q", round, mode)
-		}
-		assertBitIdentical(t, got, want, "chaos")
-		answered++
+	wantPruned, err := m.ScoreBatchPruned(queries, 0)
+	if err != nil {
+		t.Fatalf("single-node pruned scores: %v", err)
 	}
-	if answered == 0 {
-		t.Fatal("no round survived a 15% fault rate; retries are not engaging")
+	if wantPruned.Certified == 0 || wantPruned.Certified == len(queries) {
+		t.Fatalf("%d of %d queries certify; pruned mode would skip a path", wantPruned.Certified, len(queries))
+	}
+	answered := map[string]int{}
+	for round := 0; round < 25; round++ {
+		for _, mode := range []string{"", "pruned"} {
+			got, served, certified, err := c.Score(context.Background(), queries, mode)
+			if err != nil {
+				// A shard exhausting its retries is an acceptable, explicit
+				// outcome; a silent wrong answer is not.
+				continue
+			}
+			if served != mode {
+				t.Fatalf("round %d: %q request served mode %q", round, mode, served)
+			}
+			if mode == "" {
+				assertBitIdentical(t, got, want, "chaos")
+			} else {
+				if certified != wantPruned.Certified {
+					t.Fatalf("round %d: pruned certified %d, want %d", round, certified, wantPruned.Certified)
+				}
+				assertBitIdentical(t, got, wantPruned.Scores, "chaos pruned")
+			}
+			answered[mode]++
+		}
+	}
+	if answered[""] == 0 || answered["pruned"] == 0 {
+		t.Fatalf("answered by mode %v: some mode never survived a 15%% fault rate; retries are not engaging", answered)
 	}
 	if st := inj.Stats(); st.Drops+st.Errors == 0 {
 		t.Fatal("fault injector never fired; the chaos test tested nothing")

@@ -8,6 +8,7 @@ import (
 	"lof/internal/client"
 	"lof/internal/front"
 	"lof/internal/server"
+	"lof/internal/trace"
 )
 
 // The coordinator's HTTP surface speaks the same JSON protocol as the
@@ -83,6 +84,9 @@ func (c *Coordinator) handleScore(w http.ResponseWriter, r *http.Request) {
 			front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		}
 		return
+	}
+	if servedMode == front.ModePruned {
+		trace.SpanFrom(r.Context()).SetAttrInt("certified", int64(certified))
 	}
 	front.WriteJSON(w, http.StatusOK, front.ScoreResponse{Scores: front.Floats(scores), Mode: servedMode, Certified: certified})
 }

@@ -22,7 +22,9 @@ import (
 // whole request is one trace: every span in all four processes' collectors
 // carries the root trace ID, the coordinator's tree covers the
 // scatter-gather rounds and per-shard RPCs, each shard recorded its
-// handler spans, and the trace is retrievable over /v1/debug/traces.
+// handler spans, and the trace is retrievable over /v1/debug/traces. A
+// pruned batch whose queries all certify then shows only round-1 RPCs,
+// with the certified count on its request span.
 func TestTracePropagationEndToEnd(t *testing.T) {
 	const shards = 3
 	shardCols := make([]*trace.Collector, shards)
@@ -156,6 +158,45 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 	if sized == 0 {
 		t.Fatal("debug endpoint shows no rpc/rows span with its answer's bytes")
+	}
+
+	// A pruned batch whose queries all certify is answered after round 1:
+	// its request span carries the certified count, and its only RPCs are
+	// round 1's candidates calls.
+	certifying := testQueries()[:4]
+	if pb, err := m.ScoreBatchPruned(certifying, 0); err != nil || pb.Certified != len(certifying) {
+		t.Fatalf("lofserve certifies %+v (%v) of the chosen batch, want all %d", pb, err, len(certifying))
+	}
+	proot := trace.SpanContext{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID(), Sampled: true}
+	body, _ = json.Marshal(map[string]interface{}{"queries": certifying})
+	req, _ = http.NewRequest(http.MethodPost, front.URL+"/v1/score?mode=pruned", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(trace.Header, trace.Format(proot))
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("pruned score: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pruned score status %d", resp.StatusCode)
+	}
+	names = map[string]int{}
+	for _, sp := range coordCol.Spans(trace.Query{TraceID: proot.TraceID.String()}) {
+		names[sp.Name]++
+		if sp.Name == "http /v1/score" && sp.Attrs["certified"] != strconv.Itoa(len(certifying)) {
+			t.Fatalf("pruned request span has certified=%q, want %d", sp.Attrs["certified"], len(certifying))
+		}
+		if sp.Name == "rpc/candidates" && sp.Attrs["round"] != "1" {
+			t.Fatalf("rpc/candidates span has round %q", sp.Attrs["round"])
+		}
+	}
+	if names["http /v1/score"] != 1 || names["rpc/candidates"] != shards || names["coord/certify"] != 1 {
+		t.Fatalf("pruned spans %v, want the request span, one coord/certify and one rpc/candidates per shard", names)
+	}
+	for _, name := range []string{"rpc/rows", "coord/rows", "coord/eval"} {
+		if names[name] != 0 {
+			t.Fatalf("a fully certified batch recorded %d %q spans (have %v)", names[name], name, names)
+		}
 	}
 }
 

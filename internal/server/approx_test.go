@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"lof"
-	"lof/internal/shard"
 )
 
 // approxModel fits a clustered model big enough for the approximate
@@ -189,68 +188,6 @@ func TestDegradedPrefersCoreset(t *testing.T) {
 				t.Fatalf("%s query %d scored %v, want the coreset's %v", mode, i, out.Scores[i], want[i])
 			}
 		}
-	}
-}
-
-// TestShardKDists: the kdists endpoint returns stored k-distance envelopes
-// matching the part's database, enforces the version pin, and rejects
-// unowned ids.
-func TestShardKDists(t *testing.T) {
-	parts := splitParts(t, 2, 7)
-	srv := New(Config{})
-	srv.part.Store(parts[0])
-	srv.version.Store(parts[0].Version())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := ts.Client()
-
-	ids := make([]uint32, 0, 4)
-	for id := uint32(0); len(ids) < 4 && id < 10; id++ {
-		if parts[0].Partitioner().Shard(id, 2, 10) == 0 {
-			ids = append(ids, id)
-		}
-	}
-	req := shard.KDistsRequest{Version: 7, Lo: 2, Hi: 4, IDs: ids}
-	body, _ := json.Marshal(req)
-	var out shard.KDistsResponse
-	if resp := postBytes(t, c, ts.URL+"/v1/shard/kdists", "application/json", body, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("kdists status %d", resp.StatusCode)
-	}
-	if len(out.Lo) != len(ids) || len(out.Hi) != len(ids) {
-		t.Fatalf("kdists returned %d/%d entries for %d ids", len(out.Lo), len(out.Hi), len(ids))
-	}
-	wantLo, wantHi, err := parts[0].KDists(ids, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		if out.Lo[i] != wantLo[i] || float64(out.Hi[i]) != wantHi[i] {
-			t.Fatalf("id %d: got [%v, %v], want [%v, %v]", ids[i], out.Lo[i], out.Hi[i], wantLo[i], wantHi[i])
-		}
-		if out.Lo[i] > float64(out.Hi[i]) {
-			t.Fatalf("id %d: inverted envelope [%v, %v]", ids[i], out.Lo[i], out.Hi[i])
-		}
-	}
-
-	// Version pin: a mismatched version is 503 + Retry-After.
-	req.Version = 6
-	body, _ = json.Marshal(req)
-	if resp := postBytes(t, c, ts.URL+"/v1/shard/kdists", "application/json", body, nil); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("stale kdists status %d, want 503", resp.StatusCode)
-	}
-
-	// Unowned id: permanent 400.
-	other := uint32(0)
-	for ; other < 10; other++ {
-		if parts[0].Partitioner().Shard(other, 2, 10) == 1 {
-			break
-		}
-	}
-	req.Version = 7
-	req.IDs = []uint32{other}
-	body, _ = json.Marshal(req)
-	if resp := postBytes(t, c, ts.URL+"/v1/shard/kdists", "application/json", body, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unowned kdists status %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -21,7 +21,6 @@
 //	                          binary frames)
 //	POST /v1/shard/rows       merged rows or merged k-distances of owned
 //	                          points (shard role, binary frames)
-//	POST /v1/shard/kdists     stored k-distance envelopes (shard role)
 //	POST /v1/stream/init      create (or replace) the streaming pipeline
 //	POST /v1/stream           apply one ingestion batch (inserts/deletes/expiry)
 //	POST /v1/stream/score     score queries against the published stream epoch
@@ -76,10 +75,6 @@ type Config struct {
 	// answers ?mode=coreset and ?mode=degraded. Zero means 2048; negative
 	// disables it, and both modes then answer from the full model.
 	CoresetSample int
-	// PruneEps is the certification half-width of ?mode=pruned serving:
-	// queries whose LOF provably lies in [1/(1+eps), 1+eps] answer 1 without
-	// a full evaluation. Zero means lof.DefaultPruneEps.
-	PruneEps float64
 	// DegradedMaxInFlight sizes the reserve concurrency pool that admits
 	// ?mode=degraded and ?mode=coreset score requests after the main limiter
 	// is full, so clients that opt into approximate answers are served
@@ -114,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CoresetSample == 0 {
 		c.CoresetSample = 2048
-	}
-	if c.PruneEps == 0 {
-		c.PruneEps = lof.DefaultPruneEps
 	}
 	if c.DegradedMaxInFlight <= 0 {
 		c.DegradedMaxInFlight = c.MaxInFlight / 8
@@ -209,7 +201,6 @@ func New(cfg Config) *Server {
 	f.Handle("POST /v1/shard/snapshot", s.handleShardSnapshot)
 	f.Handle("POST /v1/shard/candidates", s.handleShardCandidates)
 	f.Handle("POST /v1/shard/rows", s.handleShardRows)
-	f.Handle("POST /v1/shard/kdists", s.handleShardKDists)
 	f.Handle("POST /v1/stream/init", s.handleStreamInit)
 	f.Handle("POST /v1/stream", s.handleStreamPush)
 	f.Handle("POST /v1/stream/score", s.handleStreamScore)
@@ -476,7 +467,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var certified int
 	var err error
 	if served == front.ModePruned {
-		scores, certified, err = scoreChunkedPruned(r, m, req.Queries, s.cfg.PruneEps)
+		scores, certified, err = scoreChunkedPruned(r, m, req.Queries)
 	} else {
 		scores, err = scoreChunked(r, m, req.Queries)
 	}
@@ -504,6 +495,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	resp := front.ScoreResponse{Scores: front.Floats(scores), Certified: certified}
 	if served != front.ModeFull {
 		resp.Mode = served
+	}
+	if served == front.ModePruned {
+		sp.SetAttrInt("certified", int64(certified))
 	}
 	front.WriteJSON(w, http.StatusOK, resp)
 }
@@ -543,7 +537,7 @@ func scoreChunked(r *http.Request, m *lof.Model, queries [][]float64) ([]float64
 // certified queries answer 1 from the pruning bounds alone, uncertain ones
 // are evaluated exactly. Returns the total certified count alongside the
 // scores.
-func scoreChunkedPruned(r *http.Request, m *lof.Model, queries [][]float64, eps float64) ([]float64, int, error) {
+func scoreChunkedPruned(r *http.Request, m *lof.Model, queries [][]float64) ([]float64, int, error) {
 	ctx := r.Context()
 	out := make([]float64, 0, len(queries))
 	certified := 0
@@ -555,7 +549,7 @@ func scoreChunkedPruned(r *http.Request, m *lof.Model, queries [][]float64, eps 
 		if end > len(queries) {
 			end = len(queries)
 		}
-		chunk, err := m.ScoreBatchPrunedContext(ctx, queries[off:end], eps)
+		chunk, err := m.ScoreBatchPrunedContext(ctx, queries[off:end], 0)
 		if err != nil {
 			if ctx.Err() != nil || off == 0 {
 				return nil, 0, err

@@ -22,7 +22,6 @@ import (
 //	POST /v1/shard/candidates  per-partition kNN candidates for a batch
 //	POST /v1/shard/rows        merged rows, or merged k-distances, of owned
 //	                           points for a batch
-//	POST /v1/shard/kdists      stored k-distance envelopes (pruned mode)
 //	GET  /readyz               readiness: 503 while no state is installed
 //	                           or a snapshot swap is in flight
 //
@@ -154,48 +153,6 @@ func (s *Server) serveFrame(w http.ResponseWriter, r *http.Request, kinds ...sha
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(out.Encode()) // the status is sent; a failed body write has no one to report to
 }
-
-func (s *Server) handleShardKDists(w http.ResponseWriter, r *http.Request) {
-	var req shard.KDistsRequest
-	if !front.Decode(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	if len(req.IDs) == 0 {
-		front.WriteError(w, r, http.StatusBadRequest, "kdists requires a non-empty ids array")
-		return
-	}
-	if len(req.IDs) > s.cfg.MaxBatch*maxKDistsPerQuery {
-		front.WriteError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d ids exceeds limit %d", len(req.IDs), s.cfg.MaxBatch*maxKDistsPerQuery))
-		return
-	}
-	p := s.shardPart(w, r, req.Version)
-	if p == nil {
-		return
-	}
-	front.SetBatch(r.Context(), len(req.IDs))
-	if sp := trace.SpanFrom(r.Context()); sp != nil {
-		sp.SetAttrInt("ids", int64(len(req.IDs)))
-		sp.SetAttrInt("version", int64(p.Version()))
-		sp.SetAttrInt("shard", int64(p.ShardID()))
-	}
-	lo, hi, err := p.KDists(req.IDs, req.Lo, req.Hi)
-	if err != nil {
-		// Unowned ids and out-of-range ranks mean the caller disagrees with
-		// the installed layout — permanent for this request, like rows.
-		front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("kdists request: %v", err))
-		return
-	}
-	front.WriteJSON(w, http.StatusOK, shard.KDistsResponse{
-		Version: p.Version(), Shard: p.ShardID(), Lo: lo, Hi: front.Floats(hi),
-	})
-}
-
-// maxKDistsPerQuery scales the kdists id limit relative to MaxBatch: each
-// scored query contributes at most its candidate closure (~K ids), so the
-// id batch for a full query batch is legitimately much larger than the
-// query batch itself.
-const maxKDistsPerQuery = 64
 
 // ReadyInfo is the /readyz body: whether this process should receive
 // routed traffic, and the snapshot version its answers would be pinned to.

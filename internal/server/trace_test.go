@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -79,6 +80,9 @@ func TestScoreTraceSpansAndExemplar(t *testing.T) {
 	if len(spans) != 1 {
 		t.Fatalf("score recorded %d spans, want only the request span", len(spans))
 	}
+	if v, ok := reqSpan.Attrs["certified"]; ok {
+		t.Fatalf("exact request span carries certified=%s", v)
+	}
 
 	// The trace is retrievable over the debug endpoint.
 	var dbg struct {
@@ -110,6 +114,30 @@ func TestScoreTraceSpansAndExemplar(t *testing.T) {
 		if !strings.Contains(metrics, fam) {
 			t.Fatalf("metrics missing %s", fam)
 		}
+	}
+
+	// A pruned request's span carries how many queries the certificate
+	// answered, the count the response reports.
+	pruned := trace.SpanContext{TraceID: trace.NewTraceID(), SpanID: trace.NewSpanID(), Sampled: true}
+	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/score?mode=pruned", bytes.NewReader(b))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(trace.Header, trace.Format(pruned))
+	presp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Certified int `json:"certified"`
+	}
+	if err := json.Unmarshal([]byte(readBody(t, presp)), &out); err != nil || presp.StatusCode != http.StatusOK {
+		t.Fatalf("pruned score: status %d, %v", presp.StatusCode, err)
+	}
+	if out.Certified == 0 {
+		t.Fatal("no query certified; the attribute check would be vacuous")
+	}
+	pspans := col.Spans(trace.Query{TraceID: pruned.TraceID.String()})
+	if len(pspans) != 1 || pspans[0].Attrs["certified"] != strconv.Itoa(out.Certified) {
+		t.Fatalf("pruned request spans %+v, want one request span with certified=%d", pspans, out.Certified)
 	}
 }
 

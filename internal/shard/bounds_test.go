@@ -13,19 +13,20 @@ import (
 	"lof/internal/shard"
 )
 
-// TestKDistsEnvelopeContainsMerged holds the pruned path's k-distance
-// envelope to its contract on the data of FuzzQueryBounds' seed
-// cb90fd120c2d7d02: 28 points at MinPts 12..26 in distinct mode, where 24
-// stored rows hold fewer than 26 distinct positions. For any query and any
-// stored point o, Part.KDists(o, lb−1, ub) must bracket o's merged
-// k-distances at every MinPts in [lb, ub] — the answer round 3 ships — and
-// approx.MergedQueryBounds over those envelopes must contain the exact
-// series, over 1, 2, 3 and 5 shards. A clamped stored ceiling breaks both
-// for queries beyond a row's farthest distinct position.
+// TestKDistsEnvelopeContainsMerged holds the pruned certificate to its
+// contract on the data of FuzzQueryBounds' seed cb90fd120c2d7d02: 28
+// points at MinPts 12..26 in distinct mode, where 24 stored rows hold
+// fewer than 26 distinct positions. Over 1, 2, 3 and 5 shard.Split parts:
 //
-// lofcoord itself reads first-hop k-distances from merged rows, and on this
-// data every point is first-hop, so its own interval was never wrong here;
-// the envelope is the part that must hold wherever it is used.
+//   - every point's merged k-distances at MinPts lb..ub, the answer round
+//     3 ships, lie inside its stored envelope [kd_{lb−1}, kd_ub] read from
+//     the database (kd_ub is +Inf for a distinct row with fewer than ub
+//     distinct positions, which a query at a new position can exceed);
+//   - approx.QueryBounds over summaries built from shard.Join(parts), on
+//     the query row round 1 merges, equals QueryBounds over summaries of
+//     the original database, on the single-node query row, bit for bit:
+//     lofcoord's certificate is lofserve's;
+//   - that interval contains the exact series.
 func TestKDistsEnvelopeContainsMerged(t *testing.T) {
 	const lb, ub, num = 12, 26, 28
 	rng := rand.New(rand.NewSource(26))
@@ -57,12 +58,30 @@ func TestKDistsEnvelopeContainsMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := approx.NewSummaries(db, lb, ub, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envLo, envHi := make([]float64, num), make([]float64, num)
+	for i := range envLo {
+		envLo[i], envHi[i] = db.KDistance(i, lb-1), db.KDistance(i, ub)
+		if len(db.RanksOf(i)) < ub {
+			envHi[i] = math.Inf(1)
+		}
+	}
 	for _, n := range []int{1, 2, 3, 5} {
 		parts, err := shard.Split(pts, db, shard.Meta{Metric: "euclidean"}, n, shard.PartitionHash, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		owner := func(id int) *shard.Part { return parts[shard.PartitionHash.Shard(uint32(id), n, num)] }
+		joined, err := shard.Join(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := approx.NewSummaries(joined, lb, ub, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for trial := 0; trial < 200; trial++ {
 			var q geom.Point
 			switch trial % 4 { // FuzzQueryBounds' query kinds
@@ -76,37 +95,23 @@ func TestKDistsEnvelopeContainsMerged(t *testing.T) {
 			default:
 				q = geom.Point{rng.Float64()*30 - 5, rng.Float64()*30 - 5}
 			}
-			env := make(map[int][2]float64, num)
 			for i := 0; i < num; i++ {
-				p := owner(i)
-				lo, hi, err := p.KDists([]uint32{uint32(i)}, lb-1, ub)
-				if err != nil {
-					t.Fatal(err)
-				}
-				env[i] = [2]float64{lo[0], hi[0]}
+				p := parts[shard.PartitionHash.Shard(uint32(i), n, num)]
 				merged, err := p.Reply(rowFrame(p, shard.KindKDistsRequest, q, lb, ub, uint32(i)))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for m, kd := range merged.KDists {
-					if kd < lo[0] || kd > hi[0] {
-						t.Fatalf("shards=%d query %v point %d: merged %d-distance %v outside envelope [%v, %v]", n, q, i, lb+m, kd, lo[0], hi[0])
+					if kd < envLo[i] || kd > envHi[i] {
+						t.Fatalf("shards=%d query %v point %d: merged %d-distance %v outside envelope [%v, %v]", n, q, i, lb+m, kd, envLo[i], envHi[i])
 					}
 				}
 			}
-			qRow := gatherMerged(t, parts, db, q)
-			rows := make(map[int]matdb.Row)
-			for _, nb := range qRow.Neighborhood(ub) {
-				p := owner(nb.Index)
-				f, err := p.Reply(rowFrame(p, shard.KindRowsRequest, q, lb, ub, uint32(nb.Index)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows[nb.Index] = matdb.NewRow(f.Entries, f.Ranks, true)
+			lower, upper := approx.QueryBounds(sum, gatherMerged(t, parts, db, q))
+			wantLower, wantUpper := approx.QueryBounds(want, scorer.QueryRow(q))
+			if math.Float64bits(lower) != math.Float64bits(wantLower) || math.Float64bits(upper) != math.Float64bits(wantUpper) {
+				t.Fatalf("shards=%d query %v: joined summaries give [%v, %v], the database's [%v, %v]", n, q, lower, upper, wantLower, wantUpper)
 			}
-			rowOf := func(i int) (matdb.Row, bool) { r, ok := rows[i]; return r, ok }
-			kdEnv := func(i int) (lo, hi float64, ok bool) { e, ok := env[i]; return e[0], e[1], ok }
-			lower, upper := approx.MergedQueryBounds(qRow, num, rowOf, kdEnv, lb, ub)
 			series, err := scorer.ScoreSeries(q)
 			if err != nil {
 				t.Fatal(err)

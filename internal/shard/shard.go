@@ -1,8 +1,9 @@
 // Package shard implements the data plane of the sharded LOF serving tier:
-// the partitioning of a globally fitted model into per-shard sub-snapshots,
-// the binary snapshot format those sub-models replicate as, the binary
-// frames the shard data endpoints exchange (frame.go), and the shard-side
-// answers a coordinator scatter-gathers into exact global LOF.
+// the partitioning of a globally fitted model into per-shard sub-snapshots
+// (Split, with Join reassembling the fitted rows), the binary snapshot
+// format those sub-models replicate as, the binary frames the shard data
+// endpoints exchange (frame.go), and the shard-side answers a coordinator
+// scatter-gathers into exact global LOF.
 //
 // The correctness hinge is that a Part carries its points' *global*
 // materialized rows — the neighborhoods computed by the one global fit —
@@ -29,7 +30,6 @@ package shard
 
 import (
 	"fmt"
-	"math"
 
 	"lof/internal/geom"
 	"lof/internal/index"
@@ -358,46 +358,6 @@ func (p *Part) Reply(req *Frame) (*Frame, error) {
 	return out, nil
 }
 
-// KDists reads the stored k-distances of the requested owned ids at ranks
-// lo and hi — O(1) per id from the materialized global rows, no splicing.
-// Rank 0 is the defined floor kd_0 = 0, and the ceiling is +Inf for a
-// distinct-mode row holding fewer than hi distinct positions. It backs the
-// coordinator's pruned scoring path, whose certificate only needs a
-// k-distance envelope [kd_lo, kd_hi] for second-hop points, not their
-// merged k-distances; the rank-shift argument in internal/approx absorbs
-// the inserted query. Requesting an unowned id is a routing error, as in
-// Reply.
-func (p *Part) KDists(ids []uint32, lo, hi int) (loD, hiD []float64, err error) {
-	if lo < 0 || hi < 1 || lo > hi || hi > p.meta.K {
-		return nil, nil, fmt.Errorf("shard: k-distance ranks [%d, %d] outside [0, %d]", lo, hi, p.meta.K)
-	}
-	loD = make([]float64, len(ids))
-	hiD = make([]float64, len(ids))
-	for i, id := range ids {
-		pos, ok := p.local[id]
-		if !ok {
-			return nil, nil, fmt.Errorf("shard: point %d is not owned by shard %d/%d", id, p.shardID, p.numShards)
-		}
-		var ranks []int32
-		if p.meta.Distinct {
-			ranks = p.rks[pos]
-		}
-		row := matdb.NewRow(p.rows[pos], ranks, p.meta.Distinct)
-		if lo > 0 {
-			loD[i] = row.KDistance(lo)
-		}
-		hiD[i] = row.KDistance(hi)
-		if p.meta.Distinct && len(ranks) < hi {
-			// Fewer than hi distinct positions: the stored value is clamped
-			// to the farthest position there is, a query at a new position
-			// can sit beyond it, and no finite ceiling holds — the rule
-			// approx.kdCeiling applies on the single-node path.
-			hiD[i] = math.Inf(1)
-		}
-	}
-	return loD, hiD, nil
-}
-
 // Split partitions a globally fitted model — its points and materialization
 // database — into n parts under the given assignment, stamped with the
 // snapshot version. Each part receives its points' global rows verbatim
@@ -461,4 +421,61 @@ func Split(pts *geom.Points, db *matdb.DB, meta Meta, n int, parter Partitioner,
 		parts[s] = p
 	}
 	return parts, nil
+}
+
+// Join reassembles the global materialization database from every part of
+// one layout, given in shard order — the inverse of Split's row copy. Each
+// point's stored row and distinct ranks are copied verbatim into global id
+// order, so the joined database equals the one Split was given, entry for
+// entry.
+func Join(parts []*Part) (*matdb.DB, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("shard: no parts to join")
+	}
+	first := parts[0]
+	n, distinct := first.meta.Total, first.meta.Distinct
+	rows := make([][]index.Neighbor, n)
+	rks := make([][]int32, n)
+	owned, entries, rankEntries := 0, 0, 0
+	for s, p := range parts {
+		if p.shardID != s || p.numShards != len(parts) || p.version != first.version || p.parter != first.parter ||
+			p.meta.Total != n || p.meta.K != first.meta.K || p.meta.Distinct != distinct {
+			return nil, fmt.Errorf("shard: part %d (shard %d of %d, version %d) is not shard %d of the %d-part version %d layout",
+				s, p.shardID, p.numShards, p.version, s, len(parts), first.version)
+		}
+		// Ids rise strictly within a part and the partitioner gives each id
+		// one owner, so parts owning n ids in total own every id once.
+		for i, id := range p.ids {
+			if p.parter.Shard(id, len(parts), n) != s {
+				return nil, fmt.Errorf("shard: part %d holds point %d, which its partitioner assigns elsewhere", s, id)
+			}
+			rows[id] = p.rows[i]
+			entries += len(p.rows[i])
+			if distinct {
+				rks[id] = p.rks[i]
+				rankEntries += len(p.rks[i])
+			}
+		}
+		owned += p.Len()
+	}
+	if owned != n {
+		return nil, fmt.Errorf("shard: parts own %d of %d points", owned, n)
+	}
+	flat := make([]index.Neighbor, 0, entries)
+	rowOffs := make([]uint64, n+1)
+	var ranks []int32
+	var rankOffs []uint64
+	if distinct {
+		ranks = make([]int32, 0, rankEntries)
+		rankOffs = make([]uint64, n+1)
+	}
+	for i, r := range rows {
+		flat = append(flat, r...)
+		rowOffs[i+1] = uint64(len(flat))
+		if distinct {
+			ranks = append(ranks, rks[i]...)
+			rankOffs[i+1] = uint64(len(ranks))
+		}
+	}
+	return matdb.FromFlat(first.meta.K, n, flat, rowOffs, ranks, rankOffs, distinct)
 }

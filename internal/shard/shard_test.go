@@ -144,6 +144,19 @@ func testSplitExact(t *testing.T, distinct bool) {
 			if total != pts.Len() {
 				t.Fatalf("Split(n=%d): parts own %d points, want %d", n, total, pts.Len())
 			}
+			// Join inverts the split: the reassembled database equals the
+			// original entry for entry.
+			joined, err := shard.Join(parts)
+			if err != nil {
+				t.Fatalf("Join(Split(n=%d, %v)): %v", n, parter, err)
+			}
+			if joined.Len() != db.Len() || joined.K != db.K || joined.IsDistinct() != distinct {
+				t.Fatalf("Join(Split(n=%d, %v)): %d rows at K=%d distinct=%v, want %d at K=%d distinct=%v",
+					n, parter, joined.Len(), joined.K, joined.IsDistinct(), db.Len(), db.K, distinct)
+			}
+			for i := 0; i < db.Len(); i++ {
+				rowsEqual(t, "joined row", joined.Row(i), db.Row(i))
+			}
 			for _, q := range testQueries(pts) {
 				want := db.QueryRow(pts, ix, q)
 				got := gatherMerged(t, parts, db, q)
@@ -357,5 +370,29 @@ func TestSplitValidation(t *testing.T) {
 	}
 	if _, err := shard.Split(pts, db, shard.Meta{Metric: "warp"}, 2, shard.PartitionHash, 1); err == nil {
 		t.Fatal("unknown metric accepted")
+	}
+	// Join takes exactly one layout's parts, in shard order.
+	parts, err := shard.Split(pts, db, shard.Meta{}, 3, shard.PartitionHash, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := shard.Split(pts, db, shard.Meta{}, 3, shard.PartitionHash, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranged, err := shard.Split(pts, db, shard.Meta{}, 3, shard.PartitionRange, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]*shard.Part{
+		"no parts":          nil,
+		"missing part":      parts[:2],
+		"shuffled parts":    {parts[1], parts[0], parts[2]},
+		"mixed versions":    {parts[0], other[1], parts[2]},
+		"mixed partitioner": {parts[0], ranged[1], parts[2]},
+	} {
+		if _, err := shard.Join(bad); err == nil {
+			t.Fatalf("Join accepted %s", name)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 #!/bin/sh
 # shard_smoke.sh is the end-to-end smoke test of the sharded serving tier:
 # three lofserve shard processes fronted by one lofcoord, fit over HTTP,
-# exact scatter-gather scoring, then a shard is killed outright — the tier
-# must fail loudly (502 exact / explicit degraded), and after the shard
-# restarts empty, the coordinator's repair loop must re-push its partition
-# until scoring returns the exact pre-kill bytes. Finally lofload drives
-# the coordinator and writes the machine-readable JSON report.
+# exact scatter-gather scoring, and ?mode=pruned answers byte-identical to
+# a single lofserve fitted with the same data. Then a shard is killed
+# outright — the tier must fail loudly (502 exact / explicit degraded), and
+# after the shard restarts empty, the coordinator's repair loop must
+# re-push its partition until scoring returns the exact pre-kill bytes.
+# Finally lofload drives the coordinator and writes the machine-readable
+# JSON report.
 #
 # Usage: ./scripts/shard_smoke.sh
 set -eu
@@ -121,6 +123,30 @@ while [ "$i" -lt 3 ]; do
 	i=$((i + 1))
 done
 echo "trace $trace_id spans the coordinator and all 3 shards"
+
+echo "== pruned mode: lofcoord answers as a single lofserve does"
+# A single-role lofserve fitted with the same data must return the
+# byte-identical ?mode=pruned body, and the body must certify at least one
+# query, so the check cannot pass on exact answers alone.
+"$tmpdir/lofserve" -addr 127.0.0.1:0 >"$tmpdir/single.log" 2>&1 &
+pids="$pids $!"
+single=http://$(wait_addr "$tmpdir/single.log")
+curl -fsS -X POST -H 'Content-Type: application/json' \
+	--data-binary @"$tmpdir/fit.json" "$single/v1/fit" >/dev/null
+code=$(score "$tmpdir/pruned_coord.json" "?mode=pruned")
+curl -fsS -o "$tmpdir/pruned_single.json" -X POST -H 'Content-Type: application/json' \
+	-d "$queries" "$single/v1/score?mode=pruned"
+certified=$(sed -n 's/.*"certified":\([0-9]*\).*/\1/p' "$tmpdir/pruned_coord.json")
+if [ "$code" != 200 ] || [ "${certified:-0}" -lt 1 ] ||
+	! cmp -s "$tmpdir/pruned_coord.json" "$tmpdir/pruned_single.json"; then
+	echo "pruned answers differ across tiers or certify nothing (lofcoord status $code):" >&2
+	echo "-- lofcoord:" >&2
+	cat "$tmpdir/pruned_coord.json" >&2
+	echo "-- lofserve:" >&2
+	cat "$tmpdir/pruned_single.json" >&2
+	exit 1
+fi
+echo "pruned: byte-identical bodies on both tiers, $certified of 5 queries certified"
 
 echo "== kill shard 1 mid-serving"
 kill -9 "$shard1_pid"
