@@ -102,17 +102,6 @@ func (d *Detector) FitPrunedContext(ctx context.Context, data [][]float64, eps f
 	}, nil
 }
 
-func (c Config) coreAggregate() core.Aggregate {
-	switch c.Aggregation {
-	case AggregateMean:
-		return core.AggMean
-	case AggregateMin:
-		return core.AggMin
-	default:
-		return core.AggMax
-	}
-}
-
 // PrunedBatch is the outcome of an approximate batch score: exact scores
 // for uncertain queries, certified ≈1 for the rest.
 type PrunedBatch struct {
@@ -178,7 +167,7 @@ func (m *Model) ScoreBatchPrunedContext(ctx context.Context, queries [][]float64
 			errs[i] = err
 			return
 		}
-		out.Scores[i] = core.ScoreAggregate(series, m.coreAggregate())
+		out.Scores[i] = core.ScoreAggregate(series, m.cfg.coreAggregate())
 	}); err != nil {
 		return nil, fmt.Errorf("lof: batch cancelled: %w", err)
 	}

@@ -25,10 +25,10 @@
 // the per-segment intervals are unioned — O(log(ub/lb)) segments of three
 // O(n·k) passes each, still far below the sweep's O(n·k·(ub−lb+1)) scans.
 // Points whose interval fits inside [1/(1+eps), 1+eps] are certified ≈1
-// and pruned; the surviving frontier is evaluated exactly with arithmetic
-// identical, operation for operation, to the full sweep, so unpruned
-// scores match core.Sweep at the Float64bits level (see DESIGN.md §12 for
-// the full argument).
+// and pruned; the surviving frontier is scored with core.LRD and core.LOF,
+// the full sweep's own per-point bodies, and folded with its Aggregate, so
+// unpruned scores match core.Sweep at the Float64bits level (see DESIGN.md
+// §12 for the full argument).
 package approx
 
 import (
@@ -263,11 +263,11 @@ func (r *Result) PrunedCount() int { return len(r.Pruned) - r.Frontier }
 
 // PruneSweep is the approximate counterpart of core.SweepCtx + Aggregate:
 // it certifies dense-core points as LOF ≈ 1 from Bounds and evaluates only
-// the uncertain frontier, per MinPts value, with the sweep's exact
-// arithmetic. Frontier scores are Float64bits-identical to the full
-// sweep's aggregate; pruned scores are 1 with the exact value provably in
-// [1/(1+eps), 1+eps]. A non-positive eps means DefaultEps. The pool
-// parallelizes across MinPts values and within each scan (nil for
+// the uncertain frontier, per MinPts value, with the sweep's per-point
+// bodies core.LRD and core.LOF. Frontier scores are Float64bits-identical
+// to the full sweep's aggregate; pruned scores are 1 with the exact value
+// provably in [1/(1+eps), 1+eps]. A non-positive eps means DefaultEps. The
+// pool parallelizes across MinPts values and within each scan (nil for
 // sequential); ctx cancels between and inside scans (nil never cancels).
 func PruneSweep(ctx context.Context, db *matdb.DB, lb, ub int, eps float64, agg core.Aggregate, p *pool.Pool) (*Result, error) {
 	if eps <= 0 {
@@ -302,10 +302,9 @@ func PruneSweep(ctx context.Context, db *matdb.DB, lb, ub int, eps float64, agg 
 	// Per-MinPts exact evaluation of the frontier. Only densities the
 	// frontier actually reads — the frontier points and their m-neighbors —
 	// are computed, so a scan costs O(n + |frontier|·k²) instead of the full
-	// sweep's O(n·k). The arithmetic (k-distance array, neighbor iteration
-	// order, sum-then-divide shapes) mirrors the unexported sweep scan
-	// bodies exactly; any divergence here breaks the Float64bits oracle in
-	// approx_test.go.
+	// sweep's O(n·k). Densities and LOFs come from core.LRD and core.LOF,
+	// the sweep's own per-point bodies, so frontier values are the sweep's
+	// bit for bit.
 	nm := ub - lb + 1
 	series := make([][]float64, nm)
 	scan := func(j int) {
@@ -339,20 +338,7 @@ func PruneSweep(ctx context.Context, db *matdb.DB, lb, ub int, eps float64, agg 
 					return
 				}
 				i := list[li]
-				nn := db.Neighborhood(i, m)
-				if len(nn) == 0 {
-					lrd[i] = math.Inf(1)
-					continue
-				}
-				var sum float64
-				for _, nb := range nn {
-					sum += core.ReachDist(kd[nb.Index], nb.Dist)
-				}
-				if sum == 0 {
-					lrd[i] = math.Inf(1)
-					continue
-				}
-				lrd[i] = float64(len(nn)) / sum
+				lrd[i] = core.LRD(db.Neighborhood(i, m), kd)
 			}
 		})
 		vals := make([]float64, len(frontier))
@@ -362,16 +348,7 @@ func PruneSweep(ctx context.Context, db *matdb.DB, lb, ub int, eps float64, agg 
 					return
 				}
 				i := frontier[fi]
-				nn := db.Neighborhood(i, m)
-				if len(nn) == 0 {
-					vals[fi] = 1
-					continue
-				}
-				var sum float64
-				for _, nb := range nn {
-					sum += core.DensityRatio(lrd[nb.Index], lrd[i])
-				}
-				vals[fi] = sum / float64(len(nn))
+				vals[fi] = core.LOF(db.Neighborhood(i, m), lrd, lrd[i])
 			}
 		})
 		series[j] = vals
@@ -384,34 +361,8 @@ func PruneSweep(ctx context.Context, db *matdb.DB, lb, ub int, eps float64, agg 
 	if err != nil {
 		return nil, fmt.Errorf("approx: pruned sweep cancelled: %w", err)
 	}
-
-	// Fold per-MinPts frontier values with the same comparison / summation
-	// order as core.SweepResult.Aggregate: series index ascending, so mean
-	// sums in ascending-MinPts order before the single divide.
-	for fi, i := range frontier {
-		var v float64
-		switch agg {
-		case core.AggMin:
-			v = math.Inf(1)
-			for j := 0; j < nm; j++ {
-				if series[j][fi] < v {
-					v = series[j][fi]
-				}
-			}
-		case core.AggMean:
-			for j := 0; j < nm; j++ {
-				v += series[j][fi]
-			}
-			v /= float64(nm)
-		default: // core.AggMax
-			v = math.Inf(-1)
-			for j := 0; j < nm; j++ {
-				if series[j][fi] > v {
-					v = series[j][fi]
-				}
-			}
-		}
-		res.Scores[i] = v
+	for fi, v := range (&core.SweepResult{Values: series}).Aggregate(agg) {
+		res.Scores[frontier[fi]] = v
 	}
 	return res, nil
 }

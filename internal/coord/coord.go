@@ -285,7 +285,7 @@ func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 		dim:     pts.Dim(),
 		lb:      mcfg.MinPtsLB,
 		ub:      mcfg.MinPtsUB,
-		agg:     coreAggregate(mcfg.Aggregation),
+		agg:     core.Aggregate(mcfg.Aggregation),
 		encoded: make([][]byte, len(parts)),
 	}
 	metric := mcfg.Metric
@@ -878,18 +878,6 @@ func (c *Coordinator) Run(ctx context.Context) {
 func (c *Coordinator) log(ctx context.Context, level slog.Level, msg string, attrs ...slog.Attr) {
 	if c.cfg.Logger != nil {
 		c.cfg.Logger.LogAttrs(ctx, level, msg, attrs...)
-	}
-}
-
-// coreAggregate maps the public aggregation enum onto the core one.
-func coreAggregate(a lof.Aggregation) core.Aggregate {
-	switch a {
-	case lof.AggregateMean:
-		return core.AggMean
-	case lof.AggregateMin:
-		return core.AggMin
-	default:
-		return core.AggMax
 	}
 }
 

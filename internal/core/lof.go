@@ -75,54 +75,62 @@ func lrdsChunked(ctx context.Context, db *matdb.DB, minPts int, p *pool.Pool) []
 			if strideCancelled(ctx, i) {
 				return
 			}
-			nn := db.Neighborhood(i, minPts)
-			if len(nn) == 0 {
-				// No neighbors at all (single point): density undefined, use
-				// +Inf so the point never looks outlying.
-				lrds[i] = math.Inf(1)
-				continue
-			}
-			var sum float64
-			for _, nb := range nn {
-				sum += ReachDist(kd[nb.Index], nb.Dist)
-			}
-			if sum == 0 {
-				lrds[i] = math.Inf(1)
-				continue
-			}
-			lrds[i] = float64(len(nn)) / sum
+			lrds[i] = LRD(db.Neighborhood(i, minPts), kd)
 		}
 	})
 	return lrds
 }
 
+// LRD is the local reachability density (Definition 6) of a point with
+// MinPts-neighborhood nn, where kd[o] is the MinPts-distance of neighbor o:
+// |nn| divided by the sum of the reachability distances (Definition 5)
+// over nn. The density is +Inf when that sum is zero — an empty
+// neighborhood, or at least MinPts duplicates — so the point never looks
+// outlying. It is the per-point body of the sweep's first scan, and
+// LRDsRaw, the pruned frontier and the incremental detector call it too.
+func LRD(nn []index.Neighbor, kd []float64) float64 {
+	var sum float64
+	for _, nb := range nn {
+		sum += ReachDist(kd[nb.Index], nb.Dist)
+	}
+	if sum == 0 {
+		return math.Inf(1)
+	}
+	return float64(len(nn)) / sum
+}
+
+// LOF is the local outlier factor (Definition 7) of a point with density
+// lrdP and MinPts-neighborhood nn, where lrd[o] is the density of neighbor
+// o: the mean of the ratios lrd[o]/lrdP over nn, with the natural limits
+// for infinite densities — Inf/Inf = 1 (a duplicate among duplicates is
+// not outlying), finite/Inf = 0, Inf/finite = +Inf. A point with no
+// neighbors is isolated by construction and scores 1. It is the per-point
+// body of the sweep's second scan.
+func LOF(nn []index.Neighbor, lrd []float64, lrdP float64) float64 {
+	if len(nn) == 0 {
+		return 1
+	}
+	var sum float64
+	for _, nb := range nn {
+		sum += densityRatio(lrd[nb.Index], lrdP)
+	}
+	return sum / float64(len(nn))
+}
+
 // LRDsRaw computes local densities like LRDs but from raw distances
 // d(p, o) instead of reachability distances — i.e. without the smoothing
-// of Definition 5. It exists for the ablation study of that design choice:
-// within homogeneous clusters, raw-distance LOF fluctuates more than
-// reach-dist LOF, which is exactly the statistical noise reach-dist is
-// introduced to suppress.
+// of Definition 5, which is reach-dist against a zero k-distance. It
+// exists for the ablation study of that design choice: within homogeneous
+// clusters, raw-distance LOF fluctuates more than reach-dist LOF, which is
+// exactly the statistical noise reach-dist is introduced to suppress.
 func LRDsRaw(db *matdb.DB, minPts int) ([]float64, error) {
 	if err := db.CheckMinPts(minPts); err != nil {
 		return nil, err
 	}
-	n := db.Len()
-	lrds := make([]float64, n)
-	for i := 0; i < n; i++ {
-		nn := db.Neighborhood(i, minPts)
-		if len(nn) == 0 {
-			lrds[i] = math.Inf(1)
-			continue
-		}
-		var sum float64
-		for _, nb := range nn {
-			sum += nb.Dist
-		}
-		if sum == 0 {
-			lrds[i] = math.Inf(1)
-			continue
-		}
-		lrds[i] = float64(len(nn)) / sum
+	zero := make([]float64, db.Len())
+	lrds := make([]float64, db.Len())
+	for i := range lrds {
+		lrds[i] = LRD(db.Neighborhood(i, minPts), zero)
 	}
 	return lrds, nil
 }
@@ -152,30 +160,13 @@ func lofsFromLRDsChunked(ctx context.Context, db *matdb.DB, minPts int, lrds []f
 			if strideCancelled(ctx, i) {
 				return
 			}
-			nn := db.Neighborhood(i, minPts)
-			if len(nn) == 0 {
-				lofs[i] = 1 // isolated by construction; nothing to compare against
-				continue
-			}
-			var sum float64
-			for _, nb := range nn {
-				sum += densityRatio(lrds[nb.Index], lrds[i])
-			}
-			lofs[i] = sum / float64(len(nn))
+			lofs[i] = LOF(db.Neighborhood(i, minPts), lrds, lrds[i])
 		}
 	})
 	return lofs
 }
 
-// DensityRatio returns lrdO / lrdP with the package's infinity semantics
-// (Inf/Inf = 1, finite/Inf = 0, Inf/finite = +Inf). Exported for the
-// approximate frontier evaluator in internal/approx, which must reproduce
-// the sweep's arithmetic bit for bit.
-func DensityRatio(lrdO, lrdP float64) float64 {
-	return densityRatio(lrdO, lrdP)
-}
-
-// densityRatio returns lrdO / lrdP with infinity semantics.
+// densityRatio returns lrdO / lrdP with infinity semantics (see LOF).
 func densityRatio(lrdO, lrdP float64) float64 {
 	oInf, pInf := math.IsInf(lrdO, 1), math.IsInf(lrdP, 1)
 	switch {

@@ -264,6 +264,50 @@ func TestNaiveMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestLRDsRawMatchesDirect pins the ablation's raw-distance densities:
+// on data with duplicate piles (some larger than MinPts, so some sums are
+// zero), LRDsRaw equals |N| divided by the plain sum of d(p, o) over N,
+// +Inf for a zero sum, bit for bit.
+func TestLRDsRawMatchesDirect(t *testing.T) {
+	pts := randomPoints(t, 9, 120, 2)
+	for i := 0; i < 40; i++ {
+		// One pile of 12 equal points, then pairs.
+		src := 0
+		if i >= 11 {
+			src = 1 + (i-11)/2
+		}
+		if err := pts.Append(pts.At(src).Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := buildDB(t, pts, 10)
+	for _, minPts := range []int{1, 4, 10} {
+		got, err := LRDsRaw(db, minPts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		infs := 0
+		for i := range got {
+			nn := db.Neighborhood(i, minPts)
+			var sum float64
+			for _, nb := range nn {
+				sum += nb.Dist
+			}
+			want := float64(len(nn)) / sum
+			if sum == 0 {
+				want = math.Inf(1)
+				infs++
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("minPts=%d point %d: LRDsRaw=%v direct=%v", minPts, i, got[i], want)
+			}
+		}
+		if infs == 0 {
+			t.Fatalf("minPts=%d: no zero-sum neighborhood exercised", minPts)
+		}
+	}
+}
+
 func TestLOFValidation(t *testing.T) {
 	pts := randomPoints(t, 8, 30, 2)
 	db := buildDB(t, pts, 5)

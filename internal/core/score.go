@@ -181,8 +181,9 @@ func (s *Scorer) series(ctx context.Context, tr *obs.Tracer, sc *evalScratch, q 
 //
 // This is the single out-of-sample evaluation: the in-process scorer's
 // resolvers read the database, the scatter-gather coordinator's read rows
-// and k-distances fetched from shards, so a distributed score is
-// bit-identical to a single-node one by construction. The closure is laid
+// and k-distances fetched from shards, and the streaming detector's
+// (through EvalAt) read its maintained neighborhoods, so distributed and
+// stream scores are bit-identical to a single-node one by construction. The closure is laid
 // out densely — local ids, one flat table of merged k-distances for MinPts
 // lb..ub — and one pass evaluates the whole range with Definitions 5–7's
 // arithmetic in the order a per-MinPts evaluation would use, so every value

@@ -17,15 +17,16 @@ import (
 // and discusses why Min and Mean can erase or dilute outlier-ness.
 type Aggregate int
 
-// Aggregation choices for Sweep results.
+// Aggregation choices for Sweep results, in the order of lof.Aggregation's
+// constants, so core.Aggregate(a) converts the public enum to this one.
 const (
 	// AggMax ranks by the maximum LOF over the range (the paper's
 	// recommendation).
 	AggMax Aggregate = iota
-	// AggMin ranks by the minimum LOF over the range.
-	AggMin
 	// AggMean ranks by the mean LOF over the range.
 	AggMean
+	// AggMin ranks by the minimum LOF over the range.
+	AggMin
 )
 
 // String names the aggregate.

@@ -17,6 +17,14 @@
 // maintained upper bound on all live k-distances, so Range(p, maxKdist)
 // plus a per-candidate k-distance check yields the reverse set without a
 // linear scan.
+//
+// Scoring writes no arithmetic of its own. Densities and LOFs are
+// refreshed with core.LRD and core.LOF, the batch sweep's per-point
+// bodies. An out-of-sample score (ScoreAt) is core.EvalAt — the evaluator
+// fitted models score queries with, in process and sharded — over the
+// query's probed neighborhood and the maintained neighborhoods, which
+// matdb.RowBuf.Merge splices the query into exactly as it merges a fitted
+// database's stored rows.
 package incremental
 
 import (
@@ -27,6 +35,7 @@ import (
 	"lof/internal/geom"
 	"lof/internal/index"
 	"lof/internal/index/dynamic"
+	"lof/internal/matdb"
 )
 
 // boundRecomputeEvery is how many updates may pass before the k-distance
@@ -69,21 +78,24 @@ type Detector struct {
 	updatesSince int
 
 	// scratch stages one neighborhood per recomputeNeighborhood call;
-	// rscratch stages reverse-range candidates; icands holds the filtered
-	// reverse-neighbor indices while their neighborhoods are recomputed.
+	// rscratch stages reverse-range candidates.
 	scratch  []index.Neighbor
 	rscratch []index.Neighbor
-	icands   []int
 }
 
+// maxMinPts is the largest MinPts New accepts. A stream's MinPts arrives
+// in a request; capping it keeps the kNN probe's k+1 and the evaluators'
+// MinPts loops far from int overflow.
+const maxMinPts = math.MaxInt32
+
 // New creates an empty incremental detector. dim is the dimensionality of
-// all future points; minPts as in the batch algorithm.
+// all future points; minPts as in the batch algorithm, at most 2^31−1.
 func New(dim, minPts int, m geom.Metric) (*Detector, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("incremental: dim must be positive, got %d", dim)
 	}
-	if minPts < 1 {
-		return nil, fmt.Errorf("incremental: MinPts must be positive, got %d", minPts)
+	if minPts < 1 || minPts > maxMinPts {
+		return nil, fmt.Errorf("incremental: MinPts must be in [1, %d], got %d", maxMinPts, minPts)
 	}
 	if m == nil {
 		m = geom.Euclidean{}
@@ -171,25 +183,10 @@ func (d *Detector) Insert(p geom.Point) (int, error) {
 
 	// 2. Reverse neighbors: points q whose MinPts-distance neighborhood
 	// absorbs p (d(q,p) ≤ kdist(q)). Their neighborhoods — and possibly
-	// k-distances — change. Candidates come from one range query at the
-	// k-distance upper bound; the filter applies each point's own bound.
+	// k-distances — change.
 	kdistChanged := map[int]bool{i: true}
 	neighborhoodChanged := map[int]bool{i: true}
-	d.icands = d.icands[:0]
-	d.rscratch = d.cur.RangeInto(d.rscratch[:0], d.ix.At(i), d.kdistBound, i)
-	for _, nb := range d.rscratch {
-		if nb.Dist <= d.kdist[nb.Index] {
-			d.icands = append(d.icands, nb.Index)
-		}
-	}
-	for _, q := range d.icands {
-		old := d.kdist[q]
-		d.recomputeNeighborhood(q)
-		neighborhoodChanged[q] = true
-		if d.kdist[q] != old {
-			kdistChanged[q] = true
-		}
-	}
+	d.refreshReverse(d.ix.At(i), i, kdistChanged, neighborhoodChanged)
 	d.propagate(kdistChanged, neighborhoodChanged)
 	d.countUpdate()
 	return i, nil
@@ -225,27 +222,37 @@ func (d *Detector) Delete(i int) error {
 	// pre-delete k-distances, which the bound still covers.
 	kdistChanged := map[int]bool{}
 	neighborhoodChanged := map[int]bool{}
-	d.icands = d.icands[:0]
-	d.rscratch = d.cur.RangeInto(d.rscratch[:0], p, d.kdistBound, i)
-	for _, nb := range d.rscratch {
-		if nb.Dist <= d.kdist[nb.Index] {
-			d.icands = append(d.icands, nb.Index)
-		}
-	}
-	for _, q := range d.icands {
-		old := d.kdist[q]
-		d.recomputeNeighborhood(q)
-		neighborhoodChanged[q] = true
-		if d.kdist[q] != old {
-			kdistChanged[q] = true
-		}
-	}
+	d.refreshReverse(p, i, kdistChanged, neighborhoodChanged)
 	d.propagate(kdistChanged, neighborhoodChanged)
 	// Count the removed point itself, mirroring Insert's "including the
 	// inserted point" contract.
 	d.lastAffected++
 	d.countUpdate()
 	return nil
+}
+
+// refreshReverse recomputes the neighborhood of every live point whose
+// neighborhood reaches p — the points o with d(o,p) ≤ kdist(o), judged by
+// their k-distances before this call — marking each in
+// neighborhoodChanged, and in kdistChanged when its k-distance moved.
+// Candidates come from one range query at the k-distance upper bound,
+// excluding slot self; the filter applies each point's own k-distance. A
+// recompute changes only its own point's k-distance, so later candidates
+// are still filtered against their pre-update values.
+func (d *Detector) refreshReverse(p geom.Point, self int, kdistChanged, neighborhoodChanged map[int]bool) {
+	d.rscratch = d.cur.RangeInto(d.rscratch[:0], p, d.kdistBound, self)
+	for _, nb := range d.rscratch {
+		o := nb.Index
+		if nb.Dist > d.kdist[o] {
+			continue
+		}
+		old := d.kdist[o]
+		d.recomputeNeighborhood(o)
+		neighborhoodChanged[o] = true
+		if d.kdist[o] != old {
+			kdistChanged[o] = true
+		}
+	}
 }
 
 // countUpdate ticks the periodic exact recomputation of the k-distance
@@ -305,7 +312,7 @@ func (d *Detector) propagate(kdistChanged, neighborhoodChanged map[int]bool) {
 	lrdChanged := map[int]bool{}
 	for o := range lrdDirty {
 		old := d.lrd[o]
-		d.lrd[o] = d.computeLRD(o)
+		d.lrd[o] = core.LRD(d.nn[o], d.kdist)
 		if d.lrd[o] != old {
 			lrdChanged[o] = true
 		}
@@ -323,7 +330,7 @@ func (d *Detector) propagate(kdistChanged, neighborhoodChanged map[int]bool) {
 		}
 	}
 	for x := range lofDirty {
-		d.lof[x] = d.computeLOF(x)
+		d.lof[x] = core.LOF(d.nn[x], d.lrd, d.lrd[x])
 	}
 	d.lastAffected = len(lofDirty)
 }
@@ -355,48 +362,6 @@ func (d *Detector) recomputeNeighborhood(q int) {
 	}
 }
 
-func (d *Detector) computeLRD(o int) float64 {
-	nn := d.nn[o]
-	if len(nn) == 0 {
-		return math.Inf(1)
-	}
-	var sum float64
-	for _, nb := range nn {
-		sum += core.ReachDist(d.kdist[nb.Index], nb.Dist)
-	}
-	if sum == 0 {
-		return math.Inf(1)
-	}
-	return float64(len(nn)) / sum
-}
-
-func (d *Detector) computeLOF(x int) float64 {
-	nn := d.nn[x]
-	if len(nn) == 0 {
-		return 1
-	}
-	var sum float64
-	for _, nb := range nn {
-		sum += ratio(d.lrd[nb.Index], d.lrd[x])
-	}
-	return sum / float64(len(nn))
-}
-
-// ratio mirrors the batch computation's infinity semantics.
-func ratio(lrdO, lrdP float64) float64 {
-	oInf, pInf := math.IsInf(lrdO, 1), math.IsInf(lrdP, 1)
-	switch {
-	case oInf && pInf:
-		return 1
-	case pInf:
-		return 0
-	case oInf:
-		return math.Inf(1)
-	default:
-		return lrdO / lrdP
-	}
-}
-
 // rebuildAll recomputes every structure from scratch (used while the
 // dataset is still smaller than MinPts+2) and retightens the k-distance
 // bound.
@@ -409,12 +374,12 @@ func (d *Detector) rebuildAll() {
 	}
 	for o := 0; o < n; o++ {
 		if !d.ix.Deleted(o) {
-			d.lrd[o] = d.computeLRD(o)
+			d.lrd[o] = core.LRD(d.nn[o], d.kdist)
 		}
 	}
 	for x := 0; x < n; x++ {
 		if !d.ix.Deleted(x) {
-			d.lof[x] = d.computeLOF(x)
+			d.lof[x] = core.LOF(d.nn[x], d.lrd, d.lrd[x])
 		}
 	}
 	d.recomputeBound()
@@ -479,23 +444,16 @@ func (d *Detector) ScoreAt(q geom.Point) (float64, error) {
 	return d.ScoreAtCursor(d.cur, q)
 }
 
-// mrow is a merged row for out-of-sample scoring: one point's
-// neighborhood and k-distance in live ∪ {q}.
-type mrow struct {
-	nn    []index.Neighbor
-	kdist float64
-}
-
 // ScoreAtCursor is ScoreAt through a caller-owned cursor (see NewCursor).
 // Many goroutines may score concurrently against a quiescent detector,
 // each with its own cursor; scoring must not overlap mutations.
 //
 // The result is bit-identical to what lof.Fit over the live points plus q
-// (in live slot order, q last) would report for q: the query's
-// neighborhood is probed with ties, q is spliced into the neighborhoods
-// of points it would displace — shrinking their k-distances exactly as a
-// refit would — and the Definition 5–7 sums run in the same canonical
-// (distance, index) order.
+// (in live slot order, q last) would report for q, because it is computed
+// the way a fitted model scores a query: core.EvalAt over q's probed
+// neighborhood and the merged rows matdb.RowBuf.Merge splices q into —
+// the detector's maintained neighborhoods standing in for the stored rows
+// of a materialization database with K = MinPts.
 func (d *Detector) ScoreAtCursor(cur index.Cursor, q geom.Point) (float64, error) {
 	if len(q) != d.Dim() {
 		return 0, fmt.Errorf("incremental: query has %d dimensions, detector has %d", len(q), d.Dim())
@@ -503,85 +461,13 @@ func (d *Detector) ScoreAtCursor(cur index.Cursor, q geom.Point) (float64, error
 	if !q.Valid() {
 		return 0, geom.ErrInvalidCoord
 	}
-	// qIdx orders q after every live slot, exactly where a refit over
+	// qIdx orders q after every slot, exactly where a refit over
 	// live ∪ {q} would place it (live slots compact monotonically).
 	qIdx := d.ix.Size()
-	nq := index.KNNWithTiesInto(cur, nil, q, d.minPts, index.ExcludeNone)
-	if len(nq) == 0 {
-		return 1, nil // isolated by construction
+	qRow := matdb.Row{Neighbors: index.KNNWithTiesInto(cur, nil, q, d.minPts, index.ExcludeNone)}
+	var buf matdb.RowBuf
+	rowOf := func(o int) matdb.Row {
+		return buf.Merge(matdb.Row{Neighbors: d.nn[o]}, q, qIdx, d.ix.DistTo(o, q), d.ix.At, d.minPts, d.minPts)
 	}
-	kdistQ := nq[len(nq)-1].Dist
-	if len(nq) >= d.minPts {
-		kdistQ = nq[d.minPts-1].Dist
-	}
-
-	// mergedRow computes o's row in live ∪ {q}: if q lands within o's
-	// current k-distance it is spliced into the neighborhood — at the
-	// position (d(o,q), qIdx) — and the MinPts cut with ties reapplied.
-	// The merged neighborhood is a subset of nn[o] ∪ {q}, so the stored
-	// rows are a sufficient candidate set.
-	rows := map[int]mrow{}
-	mergedRow := func(o int) mrow {
-		if r, ok := rows[o]; ok {
-			return r
-		}
-		doq := d.ix.DistTo(o, q)
-		r := mrow{nn: d.nn[o], kdist: d.kdist[o]}
-		if doq <= d.kdist[o] {
-			old := d.nn[o]
-			cand := make([]index.Neighbor, 0, len(old)+1)
-			at := len(old)
-			for j, nb := range old {
-				// q loses distance ties: qIdx exceeds every live slot.
-				if doq < nb.Dist {
-					at = j
-					break
-				}
-			}
-			cand = append(cand, old[:at]...)
-			cand = append(cand, index.Neighbor{Index: qIdx, Dist: doq})
-			cand = append(cand, old[at:]...)
-			if len(cand) > d.minPts {
-				kd := cand[d.minPts-1].Dist
-				hi := d.minPts
-				for hi < len(cand) && cand[hi].Dist <= kd {
-					hi++
-				}
-				cand = cand[:hi]
-			}
-			r.nn = cand
-			if len(cand) >= d.minPts {
-				r.kdist = cand[d.minPts-1].Dist
-			} else if len(cand) > 0 {
-				r.kdist = cand[len(cand)-1].Dist
-			}
-		}
-		rows[o] = r
-		return r
-	}
-	kdistAt := func(i int) float64 {
-		if i == qIdx {
-			return kdistQ
-		}
-		return mergedRow(i).kdist
-	}
-	lrdOf := func(nn []index.Neighbor) float64 {
-		if len(nn) == 0 {
-			return math.Inf(1)
-		}
-		var sum float64
-		for _, nb := range nn {
-			sum += core.ReachDist(kdistAt(nb.Index), nb.Dist)
-		}
-		if sum == 0 {
-			return math.Inf(1)
-		}
-		return float64(len(nn)) / sum
-	}
-	lrdQ := lrdOf(nq)
-	var sum float64
-	for _, nb := range nq {
-		sum += ratio(lrdOf(mergedRow(nb.Index).nn), lrdQ)
-	}
-	return sum / float64(len(nq)), nil
+	return core.EvalAt(qIdx, qRow, rowOf, d.minPts), nil
 }

@@ -569,7 +569,8 @@ func TestScoreAtMatchesRefit(t *testing.T) {
 }
 
 // TestScoreAtEmptyAndTiny covers the degenerate regimes: no live points
-// (isolated query scores 1) and fewer than MinPts live points.
+// (isolated query scores 1), fewer than MinPts live points, and exactly
+// MinPts.
 func TestScoreAtEmptyAndTiny(t *testing.T) {
 	det, err := New(1, 3, nil)
 	if err != nil {
@@ -597,6 +598,22 @@ func TestScoreAtEmptyAndTiny(t *testing.T) {
 	}
 	if want := det.LOF(s); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("tiny detector: ScoreAt=%v insert-then-LOF=%v", got, want)
+	}
+	// Exactly MinPts live points: a batch fit over live ∪ {q} is defined
+	// and makes every neighborhood the whole dataset, so q joins every
+	// live point's neighborhood however far away it lies.
+	for _, q := range []geom.Point{{10}, {-0.5}, {0.75}} {
+		got, err := det.ScoreAt(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, _ := liveView(t, det)
+		if err := live.Append(q); err != nil {
+			t.Fatal(err)
+		}
+		if want := batchLOFs(t, live, 3)[live.Len()-1]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MinPts live points: ScoreAt(%v)=%v, refit=%v (bits differ)", q, got, want)
+		}
 	}
 }
 

@@ -87,19 +87,17 @@ type Heap struct {
 
 // NewHeap returns a heap that retains the k closest candidates.
 func NewHeap(k int) *Heap {
-	return &Heap{k: k, ns: make([]Neighbor, 0, k)}
+	return &Heap{k: k}
 }
 
 // Reset empties the heap and retargets it to the k closest candidates,
 // keeping the backing storage so cursors can reuse one heap across queries
-// without allocating (storage grows once when a larger k arrives).
+// without allocating. Storage grows with the candidates actually pushed,
+// never with k itself: k comes from callers (a stream's MinPts) and may
+// far exceed the number of indexed points.
 func (h *Heap) Reset(k int) {
 	h.k = k
-	if cap(h.ns) < k {
-		h.ns = make([]Neighbor, 0, k)
-	} else {
-		h.ns = h.ns[:0]
-	}
+	h.ns = h.ns[:0]
 }
 
 // Len returns the number of candidates currently held.

@@ -186,8 +186,8 @@ func exactEqual(a, b []index.Neighbor) bool {
 	return true
 }
 
-// RunEdgeCases exercises empty datasets, k larger than n, zero k, negative
-// radius and single-point datasets.
+// RunEdgeCases exercises empty datasets, k larger than n (up to 2^45),
+// zero k, negative radius and single-point datasets.
 func RunEdgeCases(t *testing.T, build Builder) {
 	t.Helper()
 	m := geom.Euclidean{}
@@ -233,6 +233,24 @@ func RunEdgeCases(t *testing.T, build Builder) {
 	}
 	if got := cur.KNNInto(nil, geom.Point{0, 0}, 5, index.ExcludeNone); len(got) != 1 || got[0].Index != 0 {
 		t.Fatalf("cursor KNN after degenerate queries=%v", got)
+	}
+
+	// A k far beyond the point count (a stream's MinPts reaches cursors
+	// unclamped) answers with every point; cursor storage must follow the
+	// candidates held, not k, or this asks for petabytes.
+	three, err := geom.FromRows([]geom.Point{{0, 0}, {1, 0}, {0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hugeK = 1 << 45
+	big := index.NewCursor(build(three, m))
+	for _, got := range [][]index.Neighbor{
+		big.KNNInto(nil, geom.Point{0, 0}, hugeK, index.ExcludeNone),
+		index.KNNWithTiesInto(big, nil, geom.Point{0, 0}, hugeK, index.ExcludeNone),
+	} {
+		if len(got) != 3 || got[0].Index != 0 || got[1].Index != 1 || got[2].Index != 2 {
+			t.Fatalf("k=2^45 over 3 points: %v", got)
+		}
 	}
 }
 

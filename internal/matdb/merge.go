@@ -81,20 +81,23 @@ func (b *RowBuf) keep(r Row) Row {
 // Merge returns the row of a stored point in data ∪ {q} as every
 // MinPts ≤ ub sees it: q at distance d under the virtual index qIdx
 // (callers pass the total dataset size, so q sorts after every stored tie).
-// When q lies strictly beyond the stored ub-distance, inserting it changes
-// none of the row's neighborhoods or k-distances at MinPts ≤ ub, so the
-// stored row itself answers; in distinct mode that also needs ub distinct
-// ranks already stored, since with fewer q can add a distinct position and
-// move them. Every other row is spliced: the stored row with q inserted,
-// and in distinct mode its ranks recomputed with q in place. at resolves
-// stored neighbor indices to coordinates and is consulted only for that
-// recomputation; it never sees qIdx. k is the materialized K of the
-// database the row came from.
+// When q lies strictly beyond the stored ub-distance of a full row,
+// inserting it changes none of the row's neighborhoods or k-distances at
+// MinPts ≤ ub, so the stored row itself answers. A full row holds ub
+// neighbors, and in distinct mode ub distinct ranks; a shorter one means
+// fewer than ub other points (or positions) exist, so q joins its
+// ub-neighborhood wherever it lies. Every other row is spliced: the stored
+// row with q inserted, and in distinct mode its ranks recomputed with q in
+// place. at resolves stored neighbor indices to coordinates and is
+// consulted only for that recomputation; it never sees qIdx. k is the
+// materialized K of the database the row came from.
 //
-// The scorer's closure rows and a shard's answers both come from here, so
-// an in-process and a scatter-gather evaluation read the same rows.
+// The scorer's closure rows, a shard's answers and the streaming
+// detector's out-of-sample rows all come from here, so every evaluation
+// reads the same rows.
 func (b *RowBuf) Merge(stored Row, q geom.Point, qIdx int, d float64, at func(int) geom.Point, k, ub int) Row {
-	if stored.KDistance(ub) < d && (!stored.distinct || len(stored.ranks) >= ub) {
+	full := len(stored.Neighbors) >= ub && (!stored.distinct || len(stored.ranks) >= ub)
+	if full && stored.KDistance(ub) < d {
 		return stored
 	}
 	return b.keep(splice(b.nn[:0], b.ranks[:0], stored, q, qIdx, d, at, k))

@@ -251,12 +251,16 @@ func TestStreamPushRejectsBadBatches(t *testing.T) {
 		t.Fatalf("freeze of empty window: status %d", resp.StatusCode)
 	}
 
-	// Bad init config is rejected.
-	resp, _ = postJSON(t, client, ts.URL+"/v1/stream/init", map[string]interface{}{
-		"config": map[string]interface{}{"dim": 0, "minPts": 3},
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad init: status %d", resp.StatusCode)
+	// Bad init configs are rejected, among them a MinPts so large that
+	// the evaluators' MinPts arithmetic would overflow.
+	for _, cfg := range []map[string]interface{}{
+		{"dim": 0, "minPts": 3},
+		{"dim": 2, "minPts": math.MaxInt},
+	} {
+		resp, body := postJSON(t, client, ts.URL+"/v1/stream/init", map[string]interface{}{"config": cfg})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad init %v: status %d: %s", cfg, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ const compactMinDead = 256
 type Config struct {
 	// Dim is the dimensionality of all ingested points.
 	Dim int
-	// MinPts as in the batch algorithm.
+	// MinPts as in the batch algorithm, at most 2^31−1.
 	MinPts int
 	// Metric names the distance, as in lof.Config.Metric ("" = euclidean).
 	Metric string
@@ -152,8 +152,9 @@ type entry struct {
 }
 
 // Pipeline is the epoch-based streaming LOF detector. Apply is
-// single-writer (internally serialized); Score, LOFs, Stats and Freeze
-// may run concurrently with each other and with Apply.
+// single-writer (internally serialized); ScoreBatch, LOFs, Stats and
+// Window may run concurrently with each other and with Apply. Freezing a
+// window into a batch model is server.FreezeStream over Window.
 type Pipeline struct {
 	cfg    Config
 	metric geom.Metric
@@ -474,20 +475,10 @@ func (p *Pipeline) bookkeep(ops []op, remap []int, res *Result, ts int64) {
 	}
 }
 
-// Score returns the LOF the query would receive from a batch fit over the
-// current window plus q — served from the published epoch, bit-identical
-// to that refit — along with the epoch sequence it was computed against.
+// ScoreBatch returns the LOF each query would receive from a batch fit
+// over the published window plus that query alone — bit-identical to that
+// refit — along with the epoch sequence every score was computed against.
 // Safe for concurrent use.
-func (p *Pipeline) Score(q geom.Point) (float64, uint64, error) {
-	e := p.acquire()
-	defer e.release()
-	cur := e.cursors.Get().(index.Cursor)
-	v, err := e.det.ScoreAtCursor(cur, q)
-	e.cursors.Put(cur)
-	return v, e.seq, err
-}
-
-// ScoreBatch scores every query against one consistent epoch.
 func (p *Pipeline) ScoreBatch(qs []geom.Point) ([]float64, uint64, error) {
 	e := p.acquire()
 	defer e.release()

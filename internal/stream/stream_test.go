@@ -1,8 +1,10 @@
 package stream_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,16 +12,46 @@ import (
 
 	"lof"
 	"lof/internal/geom"
+	"lof/internal/server"
 	"lof/internal/stream"
 )
 
-// checkOracle compares the published epoch's LOFs against a from-scratch
-// batch fit over the same window at the same MinPts — Float64bits
-// equality, the acceptance bar for the whole pipeline. Windows too small
-// for a batch fit (live ≤ MinPts+1) are skipped.
+// checkOracle compares the published epoch against from-scratch batch
+// fits, Float64bits equality being the acceptance bar for the whole
+// pipeline. Three probes — a live point, the midpoint of two live points
+// and a far point — must score what a fit over the window plus the probe
+// gives it, from live = MinPts on (the smallest window that fit accepts);
+// the maintained LOFs must equal a fit over the window once live exceeds
+// MinPts+1. A concurrent writer can publish between the reads; then the
+// check is skipped rather than compared across epochs (single-writer
+// tests never hit this).
 func checkOracle(t *testing.T, p *stream.Pipeline) {
 	t.Helper()
 	data, seq := p.Window()
+	if len(data) < p.MinPts() {
+		return
+	}
+	a, b := data[0], data[len(data)/2]
+	mid := make(geom.Point, len(a))
+	far := make(geom.Point, len(a))
+	for d := range a {
+		mid[d] = (a[d] + b[d]) / 2
+		far[d] = 1e3 + a[d]
+	}
+	probes := []geom.Point{a, mid, far}
+	scores, sseq, err := p.ScoreBatch(probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sseq != seq {
+		return
+	}
+	for j, q := range probes {
+		if want := refitScore(t, data, q, p.MinPts()); math.Float64bits(scores[j]) != math.Float64bits(want) {
+			t.Fatalf("epoch %d: probe %v scored %v, refit with it %v (bits differ)", seq, q, scores[j], want)
+		}
+	}
+
 	if len(data) <= p.MinPts()+1 {
 		return
 	}
@@ -29,9 +61,6 @@ func checkOracle(t *testing.T, p *stream.Pipeline) {
 	}
 	ids, lofs, lseq := p.LOFs()
 	if lseq != seq {
-		// A concurrent writer published between the two reads; skip this
-		// check rather than compare across epochs. (Single-writer tests
-		// never hit this.)
 		return
 	}
 	if len(lofs) != len(want) {
@@ -42,6 +71,18 @@ func checkOracle(t *testing.T, p *stream.Pipeline) {
 			t.Fatalf("epoch %d: id %d LOF=%v refit=%v (bits differ)", seq, ids[j], lofs[j], want[j])
 		}
 	}
+}
+
+// refitScore is the out-of-sample oracle: the LOF q receives from a batch
+// fit over window ∪ {q}, q last.
+func refitScore(t *testing.T, window [][]float64, q geom.Point, minPts int) float64 {
+	t.Helper()
+	data := append(window[:len(window):len(window)], q)
+	scores, err := lof.Scores(data, minPts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scores[len(scores)-1]
 }
 
 // TestOracleRandomOps drives random batched inserts, explicit deletes and
@@ -125,11 +166,12 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 			var lastSeq uint64
 			for !stop.Load() {
 				q := geom.Point{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
-				v, seq, err := p.Score(q)
+				vs, seq, err := p.ScoreBatch([]geom.Point{q})
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				v := vs[0]
 				if math.IsNaN(v) {
 					t.Errorf("reader got NaN score at epoch %d", seq)
 					return
@@ -208,7 +250,7 @@ func TestScoreMatchesRefitWithQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []geom.Point{{0, 0}, {4, -4}, {0.3, 0.1}} {
-		got, _, err := p.Score(q)
+		got, _, err := p.ScoreBatch([]geom.Point{q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,8 +260,8 @@ func TestScoreMatchesRefitWithQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(got) != math.Float64bits(want[len(want)-1]) {
-			t.Fatalf("Score(%v)=%v, refit=%v (bits differ)", q, got, want[len(want)-1])
+		if math.Float64bits(got[0]) != math.Float64bits(want[len(want)-1]) {
+			t.Fatalf("Score(%v)=%v, refit=%v (bits differ)", q, got[0], want[len(want)-1])
 		}
 	}
 }
@@ -434,4 +476,177 @@ func FuzzStreamOps(f *testing.F) {
 		}
 		flush()
 	})
+}
+
+// TestScoreBatchMatchesRefitOnLattice is the out-of-sample oracle on
+// tie-heavy data: a 300-point count window on a 12×12 integer lattice, so
+// duplicates and equal distances are everywhere, churned by explicit
+// deletes, expiry and at least one compaction. Every one of 250 queries —
+// lattice points, half-offsets, uniform points and far points — must
+// score bit for bit what a batch fit over window ∪ {q} gives q, and what
+// the model server.FreezeStream builds from the same epoch scores it.
+func TestScoreBatchMatchesRefitOnLattice(t *testing.T) {
+	for _, minPts := range []int{3, 5, 10} {
+		t.Run(fmt.Sprintf("MinPts=%d", minPts), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(600 + minPts)))
+			p, err := stream.New(stream.Config{Dim: 2, MinPts: minPts, MaxPoints: 300})
+			if err != nil {
+				t.Fatal(err)
+			}
+			site := func() geom.Point { return geom.Point{float64(rng.Intn(12)), float64(rng.Intn(12))} }
+			var live []uint64
+			for batch := 0; batch < 30 || p.Stats().Live < 300; batch++ {
+				var u stream.Update
+				for n := 0; n < 30; n++ {
+					u.Inserts = append(u.Inserts, site())
+				}
+				for n := rng.Intn(4); n > 0 && len(live) > 0; n-- {
+					j := rng.Intn(len(live))
+					u.Deletes = append(u.Deletes, live[j])
+					live = append(live[:j], live[j+1:]...)
+				}
+				res, err := p.Apply(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, res.Inserted...)
+				dead := map[uint64]bool{}
+				for _, id := range res.Expired {
+					dead[id] = true
+				}
+				kept := live[:0]
+				for _, id := range live {
+					if !dead[id] {
+						kept = append(kept, id)
+					}
+				}
+				live = kept
+			}
+			if st := p.Stats(); st.Deletes == 0 || st.Expired == 0 || st.Compactions == 0 || st.Live != 300 {
+				t.Fatalf("churn did not cover deletes, expiry and compaction: %+v", st)
+			}
+
+			queries := make([]geom.Point, 250)
+			for i := range queries {
+				q := site()
+				switch i % 4 {
+				case 1:
+					q[rng.Intn(2)] += 0.5
+				case 2:
+					q = geom.Point{rng.Float64()*13 - 0.5, rng.Float64()*13 - 0.5}
+				case 3:
+					q = geom.Point{q[0] + 100 + rng.Float64()*100, q[1] - 200}
+				}
+				queries[i] = q
+			}
+			got, seq, err := p.ScoreBatch(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, dseq := p.Window()
+			m, mseq, err := server.FreezeStream(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dseq != seq || mseq != seq {
+				t.Fatalf("epochs differ: score %d, window %d, freeze %d", seq, dseq, mseq)
+			}
+			rows := make([][]float64, len(queries))
+			for i, q := range queries {
+				rows[i] = q
+			}
+			frozen, err := m.ScoreBatch(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range queries {
+				want := refitScore(t, data, q, minPts)
+				if math.Float64bits(got[i]) != math.Float64bits(want) || math.Float64bits(frozen[i]) != math.Float64bits(want) {
+					t.Fatalf("query %d %v: stream %v, frozen model %v, refit %v (bits differ)", i, q, got[i], frozen[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestScoreBatchAllocsPerQuery pins the stream's out-of-sample scoring to
+// at most three allocations per query, the budget Model.ScoreBatch keeps.
+func TestScoreBatchAllocsPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race, so pooled scratch reallocates")
+	}
+	const perQuery = 3
+	rng := rand.New(rand.NewSource(11))
+	// Uniform, not Gaussian: the writer's reverse-neighbor queries run at
+	// the largest live k-distance, which Gaussian tails make wide enough
+	// to stretch this fill from seconds to half a minute.
+	uniform := func(n int) []geom.Point {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+		}
+		return pts
+	}
+	p, err := stream.New(stream.Config{Dim: 4, MinPts: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Apply(stream.Update{Inserts: uniform(2000)}); err != nil {
+		t.Fatal(err)
+	}
+	queries := uniform(64)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := p.ScoreBatch(queries); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := allocs / float64(len(queries)); got > perQuery {
+		t.Errorf("%.2f allocations per query, want at most %d", got, perQuery)
+	}
+}
+
+// TestHugeMinPtsStaysSmall pins that MinPts sizes nothing by itself: the
+// dynamic index's kNN heap grows with the candidates it holds, so a score
+// against an empty window at MinPts 2^22 allocates kilobytes, not the
+// 64 MB a MinPts-sized heap would take, and the largest accepted MinPts,
+// 2^31−1 — a 32 GB heap — still pushes and scores. Above it, where the
+// evaluators' MinPts arithmetic would overflow, New refuses.
+func TestHugeMinPtsStaysSmall(t *testing.T) {
+	p, err := stream.New(stream.Config{Dim: 2, MinPts: 1 << 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	scores, _, err := p.ScoreBatch([]geom.Point{{0, 0}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scores[0] != 1 {
+		t.Errorf("query against an empty window scored %v, want 1", scores[0])
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("one score at MinPts 2^22 allocated %d bytes, want under 64 KB", got)
+	}
+
+	p, err = stream.New(stream.Config{Dim: 2, MinPts: math.MaxInt32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scores, _, err := p.ScoreBatch([]geom.Point{{5, 5}}); err != nil || scores[0] != 1 {
+		t.Fatalf("score against an empty window at MinPts 2^31−1: %v, %v", scores, err)
+	}
+	if _, err := p.Apply(stream.Update{Inserts: []geom.Point{{0, 0}, {1, 0}, {0, 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	if scores, _, err := p.ScoreBatch([]geom.Point{{5, 5}}); err != nil || math.IsNaN(scores[0]) {
+		t.Fatalf("score at MinPts 2^31−1: %v, %v", scores, err)
+	}
+
+	for _, minPts := range []int{math.MaxInt32 + 1, 1 << 45, math.MaxInt} {
+		if _, err := stream.New(stream.Config{Dim: 2, MinPts: minPts}); err == nil {
+			t.Errorf("New accepted MinPts %d", minPts)
+		}
+	}
 }

@@ -141,6 +141,10 @@ func ParseAggregation(name string) (Aggregation, error) {
 	}
 }
 
+// coreAggregate is the configured aggregation as core's enum, whose
+// constants come in the same order.
+func (c Config) coreAggregate() core.Aggregate { return core.Aggregate(c.Aggregation) }
+
 // Config parameterizes a Detector. The zero value is usable: it sweeps
 // MinPts over [DefaultMinPtsLB, DefaultMinPtsUB] with max aggregation,
 // Euclidean distance, and automatic index selection.

@@ -47,6 +47,20 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestAggregationMatchesCore pins that each public aggregation converts to
+// the core aggregate of the same name.
+func TestAggregationMatchesCore(t *testing.T) {
+	for _, name := range []string{"max", "mean", "min"} {
+		a, err := ParseAggregation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (Config{Aggregation: a}).coreAggregate().String(); got != name {
+			t.Errorf("aggregation %q converts to core %q", name, got)
+		}
+	}
+}
+
 func TestFitFindsPlantedOutlier(t *testing.T) {
 	data := clusterPlusOutlier(1, 120)
 	det, err := New(Config{MinPtsLB: 10, MinPtsUB: 20})

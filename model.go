@@ -172,7 +172,7 @@ func (m *Model) ScoreContext(ctx context.Context, query []float64) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	return core.ScoreAggregate(series, m.coreAggregate()), nil
+	return core.ScoreAggregate(series, m.cfg.coreAggregate()), nil
 }
 
 // ScoreSeries returns the query point's LOF at every MinPts value in the
@@ -227,17 +227,6 @@ func (m *Model) ScoreBatchContext(ctx context.Context, queries [][]float64) ([]f
 		}
 	}
 	return out, nil
-}
-
-func (m *Model) coreAggregate() core.Aggregate {
-	switch m.cfg.Aggregation {
-	case AggregateMean:
-		return core.AggMean
-	case AggregateMin:
-		return core.AggMin
-	default:
-		return core.AggMax
-	}
 }
 
 // Fitted exposes the fitted state the sharding subsystem partitions into

@@ -56,7 +56,7 @@ func (r *Result) MinPtsRange() (lb, ub int) {
 func (r *Result) Scores() []float64 {
 	sp := r.tracer.Phase(obs.PhaseAggregate)
 	sp.AddItems(r.Len())
-	out := r.sweep.Aggregate(r.coreAggregate())
+	out := r.sweep.Aggregate(r.cfg.coreAggregate())
 	sp.End()
 	return out
 }
@@ -147,15 +147,4 @@ func (r *Result) NeighborhoodSize(i, minPts int) (int, error) {
 		return 0, err
 	}
 	return len(r.db.Neighborhood(i, minPts)), nil
-}
-
-func (r *Result) coreAggregate() core.Aggregate {
-	switch r.cfg.Aggregation {
-	case AggregateMean:
-		return core.AggMean
-	case AggregateMin:
-		return core.AggMin
-	default:
-		return core.AggMax
-	}
 }

@@ -9,7 +9,7 @@
 #   ./scripts/check.sh metrics-lint   # only the /metrics exposition lint
 #   ./scripts/check.sh coverage       # coverage run with floor enforcement
 #   ./scripts/check.sh shard-smoke    # only the sharded-tier smoke test
-#   ./scripts/check.sh stream-soak    # only the streaming ingest soak
+#   ./scripts/check.sh stream-soak    # only the streaming soak and cross-tier check
 #   ./scripts/check.sh approx-gate    # only the approximate-path recall gate
 set -eu
 
@@ -123,14 +123,81 @@ metrics_lint() {
 # self-hosted lofserve through the retrying client, with client-side
 # faults injected so the non-idempotent push path is exercised under
 # retries. lofload exits non-zero unless every logical request eventually
-# succeeded, which is the gate.
+# succeeded, which is the gate. stream_cross_tier then checks that the
+# stream and a model frozen from it score alike.
 stream_soak() {
 	echo "== stream soak"
 	go run ./cmd/lofload -self -stream \
 		-duration 3s -rps 200 -workers 6 -batch 8 -dim 3 \
 		-score-frac 0.5 -stream-window 600 -stream-minpts 8 -seed 1 \
 		-error-prob 0.05 -drop-prob 0.02 -latency-prob 0.10 -latency 2ms
+	stream_cross_tier
 	echo "stream soak OK"
+}
+
+# stream_cross_tier pushes a fixed batch into one lofserve's stream, scores
+# a fixed query set on /v1/stream/score, freezes the window into the
+# serving model and scores the same queries on /v1/score. Both answers come
+# from one out-of-sample evaluator, so the two scores arrays must be
+# byte-identical; at least one score must differ from 1, so the check
+# cannot pass vacuously.
+stream_cross_tier() {
+	echo "== stream cross-tier"
+	tmpdir=$(mktemp -d)
+	server_pid=
+	trap 'kill "$server_pid" 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
+	go build -o "$tmpdir/lofserve" ./cmd/lofserve
+	"$tmpdir/lofserve" -addr 127.0.0.1:0 -stream-dim 3 -stream-minpts 8 >"$tmpdir/log" 2>&1 &
+	server_pid=$!
+	addr=$(listen_addr "$tmpdir/log")
+
+	# 300 points in three jittered clusters, with ties from the coarse
+	# jitter grid, and 40 queries: cluster points, half-offsets and far
+	# points.
+	awk 'BEGIN {
+		printf "{\"inserts\":["
+		for (i = 0; i < 300; i++) {
+			c = i % 3
+			printf "%s[%g,%g,%g]", (i ? "," : ""), 6 * (c == 1) + (i % 7) / 4, 6 * (c == 2) + (i % 5) / 4, (i % 11) / 4
+		}
+		printf "]}"
+	}' >"$tmpdir/push.json"
+	awk 'BEGIN {
+		printf "{\"queries\":["
+		for (i = 0; i < 40; i++) {
+			c = i % 3
+			x = 6 * (c == 1) + (i % 7) / 4; y = 6 * (c == 2) + (i % 5) / 4; z = (i % 11) / 4
+			if (i % 4 == 1) { x += 0.125 }
+			if (i % 4 == 3) { x += 20 + i }
+			printf "%s[%g,%g,%g]", (i ? "," : ""), x, y, z
+		}
+		printf "]}"
+	}' >"$tmpdir/queries.json"
+
+	curl -fsS -X POST --data-binary @"$tmpdir/push.json" "http://$addr/v1/stream" >/dev/null
+	curl -fsS -X POST --data-binary @"$tmpdir/queries.json" "http://$addr/v1/stream/score" >"$tmpdir/stream.json"
+	curl -fsS -X POST "http://$addr/v1/stream/freeze" >/dev/null
+	curl -fsS -X POST --data-binary @"$tmpdir/queries.json" "http://$addr/v1/score" >"$tmpdir/model.json"
+	sed -n 's/.*"scores":\(\[[^]]*\]\).*/\1/p' "$tmpdir/stream.json" >"$tmpdir/stream.scores"
+	sed -n 's/.*"scores":\(\[[^]]*\]\).*/\1/p' "$tmpdir/model.json" >"$tmpdir/model.scores"
+	if ! cmp "$tmpdir/stream.scores" "$tmpdir/model.scores"; then
+		echo "stream and frozen-model scores differ:" >&2
+		cat "$tmpdir/stream.json" "$tmpdir/model.json" >&2
+		exit 1
+	fi
+	# An element other than exactly 1: a first character that is not 1,
+	# or a 1 followed by more digits, a point or an exponent.
+	if ! grep -Eq '[[,]([^1]|1[^],])' "$tmpdir/stream.scores"; then
+		echo "every stream score is 1 (or none came back):" >&2
+		cat "$tmpdir/stream.json" >&2
+		exit 1
+	fi
+
+	kill "$server_pid"
+	wait "$server_pid" 2>/dev/null || true
+	trap - EXIT
+	rm -rf "$tmpdir"
+	echo "stream cross-tier OK"
 }
 
 # coverage runs the suite with statement coverage, writes coverage.out for
