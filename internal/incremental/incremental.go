@@ -8,15 +8,17 @@
 // values stay exactly equal to a from-scratch batch computation, which the
 // tests verify after every update.
 //
-// Neighborhood and reverse-neighbor queries run through a dynamic spatial
+// Cost model: an update costs one pass over the slots, two over the
+// maintained neighborhoods and one kNN probe per point whose neighborhood
+// changed. The points whose neighborhood absorbs or loses p are the o
+// with d(o,p) ≤ kdist(o): one pass over the slots against the pre-update
+// k-distances finds them, and each is re-probed through a dynamic spatial
 // index (internal/index/dynamic: immutable k-d tree base plus overlay and
-// tombstones), so the cost of one update tracks the size of the affected
-// neighborhood rather than the dataset. Reverse k-nearest-neighbor sets
-// are found exactly with one range query: every point q with
-// d(q,p) ≤ kdist(q) lies within maxKdist of p, where maxKdist is a
-// maintained upper bound on all live k-distances, so Range(p, maxKdist)
-// plus a per-candidate k-distance check yields the reverse set without a
-// linear scan.
+// tombstones). The points whose density or LOF reads a changed k-distance
+// or density are the o with a changed point in nn[o]: one pass over the
+// maintained neighborhoods per kind of change. The passes sweep flat
+// arrays and allocate nothing; the dirty sets are generation-stamped and
+// owned by the detector.
 //
 // Scoring writes no arithmetic of its own. Densities and LOFs are
 // refreshed with core.LRD and core.LOF, the batch sweep's per-point
@@ -37,13 +39,6 @@ import (
 	"lof/internal/index/dynamic"
 	"lof/internal/matdb"
 )
-
-// boundRecomputeEvery is how many updates may pass before the k-distance
-// upper bound is recomputed exactly. Deletions only ever leave the bound
-// stale-high (a correct but looser reverse-query radius), so a periodic
-// exact pass keeps query cost tight at O(Size/boundRecomputeEvery)
-// amortized per update.
-const boundRecomputeEvery = 64
 
 // Detector is a dynamic (insert/delete) LOF maintenance structure. It is
 // not safe for concurrent mutation; read-only scoring against a quiescent
@@ -70,17 +65,43 @@ type Detector struct {
 	// touched, for observability and the locality tests.
 	lastAffected int
 
-	// kdistBound is an upper bound on every live point's current
-	// k-distance — the reverse-query radius. Raised eagerly whenever a
-	// recomputed k-distance exceeds it, tightened exactly every
-	// boundRecomputeEvery updates and on every rebuild.
-	kdistBound   float64
-	updatesSince int
+	// One update's sets: dirty holds the points whose density and LOF
+	// are refreshed, kdistChanged and lrdChanged the points whose
+	// k-distance or density moved.
+	dirty, kdistChanged, lrdChanged stampSet
 
-	// scratch stages one neighborhood per recomputeNeighborhood call;
-	// rscratch stages reverse-range candidates.
-	scratch  []index.Neighbor
-	rscratch []index.Neighbor
+	// scratch stages one neighborhood per recomputeNeighborhood call.
+	scratch []index.Neighbor
+}
+
+// stampSet is a set of slots that empties in O(1): a slot is a member when
+// its stamp equals the current generation.
+type stampSet struct {
+	gen   uint32
+	stamp []uint32
+	list  []int
+}
+
+// reset empties the set and sizes it for slots [0, n).
+func (s *stampSet) reset(n int) {
+	if len(s.stamp) < n {
+		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
+	}
+	s.gen++
+	if s.gen == 0 { // wrapped: old stamps could collide
+		clear(s.stamp)
+		s.gen = 1
+	}
+	s.list = s.list[:0]
+}
+
+func (s *stampSet) has(i int) bool { return s.stamp[i] == s.gen }
+
+func (s *stampSet) add(i int) {
+	if s.stamp[i] != s.gen {
+		s.stamp[i] = s.gen
+		s.list = append(s.list, i)
+	}
 }
 
 // maxMinPts is the largest MinPts New accepts. A stream's MinPts arrives
@@ -179,16 +200,16 @@ func (d *Detector) Insert(p geom.Point) (int, error) {
 	}
 
 	// 1. The new point's neighborhood.
+	d.resetSets()
 	d.recomputeNeighborhood(i)
+	d.dirty.add(i)
+	d.kdistChanged.add(i)
 
-	// 2. Reverse neighbors: points q whose MinPts-distance neighborhood
-	// absorbs p (d(q,p) ≤ kdist(q)). Their neighborhoods — and possibly
+	// 2. Reverse neighbors: points o whose MinPts-distance neighborhood
+	// absorbs p (d(o,p) ≤ kdist(o)). Their neighborhoods — and possibly
 	// k-distances — change.
-	kdistChanged := map[int]bool{i: true}
-	neighborhoodChanged := map[int]bool{i: true}
-	d.refreshReverse(d.ix.At(i), i, kdistChanged, neighborhoodChanged)
-	d.propagate(kdistChanged, neighborhoodChanged)
-	d.countUpdate()
+	d.refreshReverse(d.ix.At(i), i)
+	d.propagate()
 	return i, nil
 }
 
@@ -202,7 +223,6 @@ func (d *Detector) Delete(i int) error {
 	if d.ix.Deleted(i) {
 		return fmt.Errorf("incremental: point %d already deleted", i)
 	}
-	p := d.ix.At(i).Clone()
 	if err := d.ix.Delete(i); err != nil {
 		return err
 	}
@@ -218,121 +238,89 @@ func (d *Detector) Delete(i int) error {
 	}
 
 	// Points that held i in their neighborhood lose a neighbor; their
-	// k-distances can only grow. The candidate range query uses the
-	// pre-delete k-distances, which the bound still covers.
-	kdistChanged := map[int]bool{}
-	neighborhoodChanged := map[int]bool{}
-	d.refreshReverse(p, i, kdistChanged, neighborhoodChanged)
-	d.propagate(kdistChanged, neighborhoodChanged)
+	// k-distances can only grow. The tombstoned slot keeps its
+	// coordinates, so the store still holds p.
+	d.resetSets()
+	d.refreshReverse(d.ix.At(i), i)
+	d.propagate()
 	// Count the removed point itself, mirroring Insert's "including the
 	// inserted point" contract.
 	d.lastAffected++
-	d.countUpdate()
 	return nil
 }
 
+// resetSets empties the update's sets.
+func (d *Detector) resetSets() {
+	n := d.ix.Size()
+	d.dirty.reset(n)
+	d.kdistChanged.reset(n)
+	d.lrdChanged.reset(n)
+}
+
 // refreshReverse recomputes the neighborhood of every live point whose
-// neighborhood reaches p — the points o with d(o,p) ≤ kdist(o), judged by
-// their k-distances before this call — marking each in
-// neighborhoodChanged, and in kdistChanged when its k-distance moved.
-// Candidates come from one range query at the k-distance upper bound,
-// excluding slot self; the filter applies each point's own k-distance. A
-// recompute changes only its own point's k-distance, so later candidates
-// are still filtered against their pre-update values.
-func (d *Detector) refreshReverse(p geom.Point, self int, kdistChanged, neighborhoodChanged map[int]bool) {
-	d.rscratch = d.cur.RangeInto(d.rscratch[:0], p, d.kdistBound, self)
-	for _, nb := range d.rscratch {
-		o := nb.Index
-		if nb.Dist > d.kdist[o] {
+// neighborhood reaches p — the points o ≠ self with d(o,p) ≤ kdist(o),
+// judged by their k-distances before this call — adding each to dirty, and
+// to kdistChanged when its k-distance moved. One pass over the slots finds
+// them. A recompute changes only its own point's k-distance, so later
+// slots are still tested against their pre-update values.
+func (d *Detector) refreshReverse(p geom.Point, self int) {
+	for o := range d.nn {
+		if o == self || d.ix.Deleted(o) || d.ix.DistTo(o, p) > d.kdist[o] {
 			continue
 		}
 		old := d.kdist[o]
 		d.recomputeNeighborhood(o)
-		neighborhoodChanged[o] = true
+		d.dirty.add(o)
 		if d.kdist[o] != old {
-			kdistChanged[o] = true
+			d.kdistChanged.add(o)
 		}
 	}
 }
 
-// countUpdate ticks the periodic exact recomputation of the k-distance
-// upper bound.
-func (d *Detector) countUpdate() {
-	d.updatesSince++
-	if d.updatesSince >= boundRecomputeEvery {
-		d.recomputeBound()
+// dirtyReaders adds to dirty every point outside it with a neighbor in
+// changed: one pass over the maintained neighborhoods. A live point o
+// holds c in nn[o] exactly when d(o,c) ≤ kdist(o), so these are the points
+// whose density or LOF reads c's changed value. Deleted slots hold no
+// neighborhood.
+func (d *Detector) dirtyReaders(changed *stampSet) {
+	if len(changed.list) == 0 {
+		return
 	}
-}
-
-// recomputeBound tightens kdistBound to the exact maximum live
-// k-distance.
-func (d *Detector) recomputeBound() {
-	d.updatesSince = 0
-	bound := 0.0
-	for q := 0; q < d.ix.Size(); q++ {
-		if !d.ix.Deleted(q) && d.kdist[q] > bound {
-			bound = d.kdist[q]
+	for o, row := range d.nn {
+		if d.dirty.has(o) {
+			continue
 		}
-	}
-	d.kdistBound = bound
-}
-
-// reverseDirty marks every live point whose neighborhood contains c. A
-// live point o holds c in its neighborhood exactly when d(o,c) ≤ kdist(o)
-// (neighborhoods are maintained as "all live points within the
-// k-distance"), so one bounded range query around c plus the
-// per-candidate check finds the set without a scan.
-func (d *Detector) reverseDirty(c int, mark map[int]bool) {
-	d.rscratch = d.cur.RangeInto(d.rscratch[:0], d.ix.At(c), d.kdistBound, c)
-	for _, nb := range d.rscratch {
-		if nb.Dist <= d.kdist[nb.Index] {
-			mark[nb.Index] = true
+		for _, nb := range row {
+			if changed.has(nb.Index) {
+				d.dirty.add(o)
+				break
+			}
 		}
 	}
 }
 
-// propagate refreshes densities and LOFs downstream of neighborhood and
-// k-distance changes — the shared tail of Insert and Delete.
-func (d *Detector) propagate(kdistChanged, neighborhoodChanged map[int]bool) {
-
+// propagate refreshes densities and LOFs downstream of the neighborhoods
+// refreshReverse recomputed — the shared tail of Insert and Delete.
+func (d *Detector) propagate() {
 	// Densities to refresh: any point whose neighborhood changed, plus
 	// any point with a kdist-changed neighbor (its reachability distances
 	// shift).
-	lrdDirty := map[int]bool{}
-	for q := range neighborhoodChanged {
-		if !d.ix.Deleted(q) {
-			lrdDirty[q] = true
-		}
-	}
-	for c := range kdistChanged {
-		if !d.ix.Deleted(c) {
-			d.reverseDirty(c, lrdDirty)
-		}
-	}
-	lrdChanged := map[int]bool{}
-	for o := range lrdDirty {
+	d.dirtyReaders(&d.kdistChanged)
+	for _, o := range d.dirty.list {
 		old := d.lrd[o]
 		d.lrd[o] = core.LRD(d.nn[o], d.kdist)
 		if d.lrd[o] != old {
-			lrdChanged[o] = true
+			d.lrdChanged.add(o)
 		}
 	}
 
 	// LOFs to refresh: every density-dirty point, plus points with a
 	// density-changed neighbor.
-	lofDirty := map[int]bool{}
-	for o := range lrdDirty {
-		lofDirty[o] = true
-	}
-	for c := range lrdChanged {
-		if !d.ix.Deleted(c) {
-			d.reverseDirty(c, lofDirty)
-		}
-	}
-	for x := range lofDirty {
+	d.dirtyReaders(&d.lrdChanged)
+	for _, x := range d.dirty.list {
 		d.lof[x] = core.LOF(d.nn[x], d.lrd, d.lrd[x])
 	}
-	d.lastAffected = len(lofDirty)
+	d.lastAffected = len(d.dirty.list)
 }
 
 // recomputeNeighborhood rebuilds point q's neighborhood through the
@@ -357,14 +345,10 @@ func (d *Detector) recomputeNeighborhood(q int) {
 	} else {
 		d.kdist[q] = math.Inf(1)
 	}
-	if d.kdist[q] > d.kdistBound {
-		d.kdistBound = d.kdist[q]
-	}
 }
 
 // rebuildAll recomputes every structure from scratch (used while the
-// dataset is still smaller than MinPts+2) and retightens the k-distance
-// bound.
+// dataset is still smaller than MinPts+2).
 func (d *Detector) rebuildAll() {
 	n := d.ix.Size()
 	for q := 0; q < n; q++ {
@@ -382,7 +366,6 @@ func (d *Detector) rebuildAll() {
 			d.lof[x] = core.LOF(d.nn[x], d.lrd, d.lrd[x])
 		}
 	}
-	d.recomputeBound()
 }
 
 // Compact rebuilds the detector over only its live points, dropping every
@@ -425,7 +408,6 @@ func (d *Detector) Compact() []int {
 	d.ix = nix
 	d.cur = nix.NewCursor()
 	d.nn, d.kdist, d.lrd, d.lof = nn, kdist, lrd, lof
-	d.recomputeBound()
 	return remap
 }
 

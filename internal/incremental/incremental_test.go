@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lof/internal/core"
+	"lof/internal/dataset"
 	"lof/internal/geom"
 	"lof/internal/index/linear"
 	"lof/internal/matdb"
@@ -64,7 +65,7 @@ func TestInsertMatchesBatchExactly(t *testing.T) {
 		want := batchLOFs(t, allPts(t, det), minPts)
 		got := det.LOFs()
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 && !(math.IsInf(got[i], 1) && math.IsInf(want[i], 1)) {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("step %d point %d: incremental=%v batch=%v", step, i, got[i], want[i])
 			}
 		}
@@ -89,10 +90,7 @@ func TestInsertWithDuplicatesMatchesBatch(t *testing.T) {
 		want := batchLOFs(t, allPts(t, det), minPts)
 		got := det.LOFs()
 		for i := range want {
-			same := got[i] == want[i] ||
-				(math.IsInf(got[i], 1) && math.IsInf(want[i], 1)) ||
-				math.Abs(got[i]-want[i]) <= 1e-9
-			if !same {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("step %d point %d: incremental=%v batch=%v", s, i, got[i], want[i])
 			}
 		}
@@ -127,7 +125,7 @@ func TestInsertLocality(t *testing.T) {
 	want := batchLOFs(t, allPts(t, det), minPts)
 	got := det.LOFs()
 	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("point %d: incremental=%v batch=%v", i, got[i], want[i])
 		}
 	}
@@ -232,7 +230,7 @@ func TestDeleteMatchesBatchExactly(t *testing.T) {
 		want := batchLOFs(t, live, minPts)
 		for j, i := range liveIdx {
 			got := det.LOF(i)
-			if math.Abs(got-want[j]) > 1e-9 && !(math.IsInf(got, 1) && math.IsInf(want[j], 1)) {
+			if math.Float64bits(got) != math.Float64bits(want[j]) {
 				t.Fatalf("after deleting %d: point %d incremental=%v batch=%v", victim, i, got, want[j])
 			}
 		}
@@ -296,7 +294,7 @@ func TestDeleteThenInsertReuse(t *testing.T) {
 	}
 	want := batchLOFs(t, live, minPts)
 	for j, i := range liveIdx {
-		if math.Abs(det.LOF(i)-want[j]) > 1e-9 {
+		if math.Float64bits(det.LOF(i)) != math.Float64bits(want[j]) {
 			t.Fatalf("point %d: incremental=%v batch=%v", i, det.LOF(i), want[j])
 		}
 	}
@@ -677,5 +675,41 @@ func TestCompactPreservesValues(t *testing.T) {
 		if math.Float64bits(det.LOF(i)) != math.Float64bits(want[j]) {
 			t.Fatalf("post-compact slot %d: %v != batch %v", i, det.LOF(i), want[j])
 		}
+	}
+}
+
+// TestUpdateAllocs pins that an update allocates almost nothing: the
+// reverse-neighbor and dirty-set passes run over flat arrays with
+// generation-stamped sets, so what remains is the inserted point's
+// neighborhood row, amortized growth of the slot arrays and the dynamic
+// index's periodic rebuild.
+func TestUpdateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	const window, minPts, pairs = 2000, 10, 400
+	src := dataset.RandomClusters(3, window+pairs+1, 4, 5).Points
+	det, err := New(4, minPts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < window; i++ {
+		if _, err := det.Insert(src.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, oldest := window, 0
+	allocs := testing.AllocsPerRun(pairs, func() {
+		if _, err := det.Insert(src.At(next)); err != nil {
+			t.Fatal(err)
+		}
+		if err := det.Delete(oldest); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		oldest++
+	})
+	if allocs > 5 {
+		t.Errorf("%.0f allocations per insert+delete pair, want at most 5", allocs)
 	}
 }

@@ -5,20 +5,20 @@
 // useless under a stream of inserts and deletes. This package composes
 // them into a dynamic structure using the classic base-plus-delta scheme:
 //
-//   - a base: an immutable index (k-d tree) built over a compacted snapshot
-//     of the live points at the last rebuild;
+//   - a base: an immutable k-d tree over the slots that were live at the
+//     last rebuild, built over the index's own point store (no copy);
 //   - an overlay: the points inserted since that rebuild, queried by
 //     sequential scan;
 //   - tombstones: a deleted-bit per slot; deletions never move points, they
-//     only mark them, and queries filter marked results.
+//     only mark them.
 //
-// A query therefore costs one base probe (asking for k plus the number of
-// base points tombstoned since the rebuild, so filtering can never starve
-// the result) plus a scan of the overlay. When the overlay or the tombstone
-// backlog outgrows a fraction of the base, the index rebuilds: the live
-// points are compacted into a fresh base and both deltas reset. Rebuild
-// cost is O(n log n) amortized over the Θ(n) updates that triggered it, so
-// per-update cost tracks the affected neighborhood, not the dataset.
+// A query therefore costs one base probe plus a scan of the overlay. The
+// base probe skips tombstoned slots inside the tree traversal and asks for
+// exactly k, so its cost does not grow with the tombstone backlog beyond
+// the dead points in the leaves it visits. When the overlay or the
+// backlog outgrows a fraction of the base, the index rebuilds the base
+// over the live slots and both deltas reset. Rebuild cost is O(n log n)
+// amortized over the Θ(n) updates that triggered it.
 //
 // Results are exact and bit-identical to a sequential scan over the live
 // points: the base index computes distances with the same metric, and ties
@@ -54,15 +54,11 @@ type Index struct {
 	deleted []bool
 	live    int
 
-	// base indexes basePts, a compacted copy of the points that were live
-	// at the last rebuild; baseIDs maps base positions back to slot
-	// indices, and slotToBase the inverse (-1 for slots not in the base).
-	base       index.Index
-	basePts    *geom.Points
-	baseIDs    []int
-	slotToBase []int32
-	// baseDead counts base points tombstoned since the rebuild; base kNN
-	// queries over-fetch by this amount so filtering cannot starve them.
+	// base indexes the slots that were live at the last rebuild, over pts
+	// itself.
+	base *kdtree.Index
+	// baseDead counts base points tombstoned since the rebuild; it
+	// triggers the next rebuild.
 	baseDead int
 	// overlayStart is the first slot not covered by the base.
 	overlayStart int
@@ -127,55 +123,49 @@ func (ix *Index) Delete(i int) error {
 	}
 	ix.deleted[i] = true
 	ix.live--
-	if i < ix.overlayStart && ix.slotToBase[i] >= 0 {
+	// A live slot below overlayStart was live at the rebuild, so it is in
+	// the base.
+	if i < ix.overlayStart {
 		ix.baseDead++
 	}
 	ix.maybeRebuild()
 	return nil
 }
 
-// maybeRebuild compacts the live points into a fresh base when the overlay
-// or the tombstone backlog has outgrown it. Thresholds are fractions of the
+// maybeRebuild rebuilds the base over the live slots when the overlay or
+// the tombstone backlog has outgrown it. Thresholds are fractions of the
 // base size so rebuild cost amortizes over the updates that caused it.
 func (ix *Index) maybeRebuild() {
 	overlay := ix.pts.Len() - ix.overlayStart
 	if overlay < rebuildMinOverlay && ix.baseDead < rebuildMinOverlay {
 		return
 	}
-	if overlay*4 < len(ix.baseIDs) && ix.baseDead*2 < len(ix.baseIDs) {
+	base := 0
+	if ix.base != nil {
+		base = ix.base.Len()
+	}
+	if overlay*4 < base && ix.baseDead*2 < base {
 		return
 	}
 	ix.Rebuild()
 }
 
-// Rebuild forces compaction: live points are copied into a fresh base
-// index and the overlay and tombstone backlog reset. Queries answer
-// identically before and after.
+// Rebuild forces a rebuild: the live slots are indexed by a fresh base
+// and the overlay and tombstone backlog reset. Queries answer identically
+// before and after.
 func (ix *Index) Rebuild() {
 	n := ix.pts.Len()
-	basePts := geom.NewPoints(ix.pts.Dim(), ix.live)
-	baseIDs := make([]int, 0, ix.live)
-	slotToBase := make([]int32, n)
+	ids := make([]int, 0, ix.live)
 	for i := 0; i < n; i++ {
-		if ix.deleted[i] {
-			slotToBase[i] = -1
-			continue
+		if !ix.deleted[i] {
+			ids = append(ids, i)
 		}
-		slotToBase[i] = int32(len(baseIDs))
-		// Append copies the coordinates, so the base snapshot stays valid
-		// when ix.pts grows and reallocates underneath it.
-		_ = basePts.Append(ix.pts.At(i))
-		baseIDs = append(baseIDs, i)
 	}
-	ix.basePts = basePts
-	ix.baseIDs = baseIDs
-	ix.slotToBase = slotToBase
 	ix.baseDead = 0
 	ix.overlayStart = n
-	if basePts.Len() > 0 {
-		ix.base = kdtree.New(basePts, ix.metric)
-	} else {
-		ix.base = nil
+	ix.base = nil
+	if len(ids) > 0 {
+		ix.base = kdtree.NewSubset(ix.pts, ids, ix.metric)
 	}
 }
 
@@ -193,10 +183,10 @@ type Cursor struct {
 	h       *index.Heap
 	sorter  index.Sorter
 	scratch []index.Neighbor
-	// baseCur is a cursor over the current base; rebuilt lazily when the
-	// base it was created for is replaced.
-	baseCur index.Cursor
-	baseFor index.Index
+	// baseCur is a cursor over baseFor; rebuilt lazily when the index's
+	// base is replaced.
+	baseCur *kdtree.Cursor
+	baseFor *kdtree.Index
 }
 
 // Index returns the cursor's index.
@@ -204,13 +194,13 @@ func (c *Cursor) Index() index.Index { return c.ix }
 
 // cursor returns a cursor over the current base, reusing the previous one
 // while the base is unchanged.
-func (c *Cursor) cursor() index.Cursor {
+func (c *Cursor) cursor() *kdtree.Cursor {
 	base := c.ix.base
 	if base == nil {
 		return nil
 	}
 	if c.baseFor != base {
-		c.baseCur = index.NewCursor(base)
+		c.baseCur = base.NewCursor().(*kdtree.Cursor)
 		c.baseFor = base
 	}
 	return c.baseCur
@@ -226,22 +216,10 @@ func (c *Cursor) KNNInto(dst []index.Neighbor, q geom.Point, k int, exclude int)
 	ix := c.ix
 	c.h.Reset(k)
 	if bc := c.cursor(); bc != nil {
-		// Over-fetch by the tombstone backlog: of the k+baseDead nearest
-		// base points at most baseDead are dead, leaving ≥ k live ones
-		// (when the base holds that many). Self-exclusion happens here when
-		// the excluded slot is a base point, in the overlay scan otherwise.
-		baseK := k + ix.baseDead
-		baseExclude := index.ExcludeNone
-		if exclude >= 0 && exclude < ix.overlayStart && ix.slotToBase[exclude] >= 0 {
-			baseExclude = int(ix.slotToBase[exclude])
-		}
-		c.scratch = bc.KNNInto(c.scratch[:0], q, baseK, baseExclude)
+		// The mask is read here, not kept by the base: appends re-back it.
+		c.scratch = bc.KNNLiveInto(c.scratch[:0], q, k, exclude, ix.deleted)
 		for _, nb := range c.scratch {
-			slot := ix.baseIDs[nb.Index]
-			if ix.deleted[slot] {
-				continue
-			}
-			c.h.Push(index.Neighbor{Index: slot, Dist: nb.Dist})
+			c.h.Push(nb)
 		}
 	}
 	for i := ix.overlayStart; i < ix.pts.Len(); i++ {
@@ -262,18 +240,7 @@ func (c *Cursor) RangeInto(dst []index.Neighbor, q geom.Point, r float64, exclud
 	ix := c.ix
 	start := len(dst)
 	if bc := c.cursor(); bc != nil {
-		baseExclude := index.ExcludeNone
-		if exclude >= 0 && exclude < ix.overlayStart && ix.slotToBase[exclude] >= 0 {
-			baseExclude = int(ix.slotToBase[exclude])
-		}
-		c.scratch = bc.RangeInto(c.scratch[:0], q, r, baseExclude)
-		for _, nb := range c.scratch {
-			slot := ix.baseIDs[nb.Index]
-			if ix.deleted[slot] {
-				continue
-			}
-			dst = append(dst, index.Neighbor{Index: slot, Dist: nb.Dist})
-		}
+		dst = bc.RangeLiveInto(dst, q, r, exclude, ix.deleted)
 	}
 	for i := ix.overlayStart; i < ix.pts.Len(); i++ {
 		if i == exclude || ix.deleted[i] {

@@ -108,8 +108,9 @@ func TestRandomOpsMatchNaive(t *testing.T) {
 	}
 }
 
-// TestTombstoneBacklogOverfetch pins the over-fetch invariant: deleting
-// base points between rebuilds must not starve kNN results.
+// TestTombstoneBacklogOverfetch pins that tombstones cannot starve a kNN
+// result: the base probe skips base points deleted since the rebuild
+// inside the tree traversal, so it still returns k live points.
 func TestTombstoneBacklogOverfetch(t *testing.T) {
 	ix := New(1, nil)
 	for i := 0; i < 100; i++ {
@@ -191,4 +192,95 @@ func TestManhattanMetric(t *testing.T) {
 			t.Fatalf("trial %d: %v != %v", trial, got, want)
 		}
 	}
+}
+
+// FuzzDynamicOps drives insert, delete, Rebuild, kNN and range operations
+// over tie-heavy points — a few integer sites in 1-d or 2-d, so duplicates
+// and equal distances are everywhere — and checks every query against the
+// naive live scan. Each byte is one op: the top three bits pick it (0–2
+// insert), the low five its argument. The seeds grow the store past a
+// reallocation of its slot arrays after a rebuild and then delete base
+// slots: a tombstone mask captured when the base was built would miss
+// those deletes.
+func FuzzDynamicOps(f *testing.F) {
+	const (
+		opDelete   = 3 << 5
+		opRebuild  = 4 << 5
+		opKNN      = 5 << 5
+		opKNNSelf  = 6 << 5
+		opRange    = 7 << 5
+		growInsert = 40 // a rebuild at 32 slots, then appends re-back the arrays
+	)
+	grown := func(tail ...byte) []byte {
+		ops := make([]byte, 0, growInsert+len(tail))
+		for i := 0; i < growInsert; i++ {
+			ops = append(ops, byte(i%32)) // insert at site i%32
+		}
+		return append(ops, tail...)
+	}
+	baseDeletes := []byte{opDelete, opDelete, opDelete, opDelete, opDelete, opDelete}
+	queries := []byte{opKNN, opKNN | 3, opKNN | 17, opKNNSelf | 2, opKNNSelf | 9, opRange, opRange | 5, opRange | 22}
+	f.Add(uint8(0), grown(append(baseDeletes, queries...)...))
+	f.Add(uint8(1), grown(append(baseDeletes, queries...)...))
+	f.Add(uint8(1), grown(append(append([]byte{opRebuild, 1, 2}, baseDeletes...), queries...)...))
+	f.Add(uint8(0), []byte{0, 0, 1, opKNN, opDelete, opKNN, opRebuild, opKNNSelf, opRange | 1})
+	f.Fuzz(func(t *testing.T, dim uint8, ops []byte) {
+		d := 1 + int(dim%2)
+		site := func(arg byte) geom.Point {
+			if d == 1 {
+				return geom.Point{float64(arg % 8)}
+			}
+			return geom.Point{float64(arg & 3), float64(arg >> 2 & 3)}
+		}
+		ix := New(d, nil)
+		cur := ix.NewCursor()
+		var live []int
+		for step, b := range ops {
+			arg := b & 0x1f
+			q, k, exclude := site(arg), 1+int(arg)%5, index.ExcludeNone
+			switch b &^ 0x1f {
+			case opDelete:
+				if len(live) == 0 {
+					continue
+				}
+				j := int(arg) % len(live)
+				if err := ix.Delete(live[j]); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:j], live[j+1:]...)
+				continue
+			case opRebuild:
+				ix.Rebuild()
+				continue
+			case opKNNSelf:
+				if len(live) == 0 {
+					continue
+				}
+				exclude = live[int(arg)%len(live)]
+				q = ix.At(exclude)
+				fallthrough
+			case opKNN:
+				got := cur.KNNInto(nil, q, k, exclude)
+				if want := naiveKNN(ix, q, k, exclude); !equalNeighbors(got, want) {
+					t.Fatalf("op %d: KNN(%v, k=%d, exclude=%d) = %v, want %v", step, q, k, exclude, got, want)
+				}
+				continue
+			case opRange:
+				r := float64(arg%3) / 2
+				got := cur.RangeInto(nil, q, r, exclude)
+				if want := naiveRange(ix, q, r, exclude); !equalNeighbors(got, want) {
+					t.Fatalf("op %d: Range(%v, r=%v) = %v, want %v", step, q, r, got, want)
+				}
+				continue
+			}
+			slot, err := ix.Insert(site(arg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, slot)
+		}
+		if ix.Len() != len(live) {
+			t.Fatalf("Len=%d, want %d", ix.Len(), len(live))
+		}
+	})
 }

@@ -4,6 +4,11 @@
 // descent with splitting-plane pruning, which is valid for every Lp metric
 // because the coordinate distance to the splitting plane lower-bounds the
 // full distance.
+//
+// A tree may index a subset of a store's rows (NewSubset), and its live
+// queries skip rows a caller-owned tombstone mask marks deleted inside the
+// traversal, so a mutable index (internal/index/dynamic) can keep its base
+// over its own growing store without copying coordinates.
 package kdtree
 
 import (
@@ -30,24 +35,33 @@ type node struct {
 type Index struct {
 	pts    *geom.Points
 	metric geom.Metric
-	perm   []int // permutation of point indices, partitioned by the tree
+	perm   []int // indexed point indices, partitioned by the tree
 	root   *node
 }
 
 // New builds a k-d tree over pts with the given metric (Euclidean when nil).
 func New(pts *geom.Points, m geom.Metric) *Index {
+	ids := make([]int, pts.Len()) // Len is nil-safe; NewSubset rejects nil
+	for i := range ids {
+		ids[i] = i
+	}
+	return NewSubset(pts, ids, m)
+}
+
+// NewSubset builds a k-d tree over the rows of pts that ids names, taking
+// ownership of ids. Results carry row indices of pts. The tree reads
+// coordinates through pts on every query, so rows may be appended to pts
+// afterwards; they stay outside the tree.
+func NewSubset(pts *geom.Points, ids []int, m geom.Metric) *Index {
 	if pts == nil {
 		panic("kdtree: nil points")
 	}
 	if m == nil {
 		m = geom.Euclidean{}
 	}
-	ix := &Index{pts: pts, metric: m, perm: make([]int, pts.Len())}
-	for i := range ix.perm {
-		ix.perm[i] = i
-	}
-	if pts.Len() > 0 {
-		ix.root = ix.build(0, pts.Len(), 0)
+	ix := &Index{pts: pts, metric: m, perm: ids}
+	if len(ids) > 0 {
+		ix.root = ix.build(0, len(ids), 0)
 	}
 	return ix
 }
@@ -115,7 +129,7 @@ func (ix *Index) widestAxis(start, end int) int {
 }
 
 // Len returns the number of indexed points.
-func (ix *Index) Len() int { return ix.pts.Len() }
+func (ix *Index) Len() int { return len(ix.perm) }
 
 // Metric returns the index's metric.
 func (ix *Index) Metric() geom.Metric { return ix.metric }
@@ -134,6 +148,9 @@ type Cursor struct {
 	// append without taking the address of a local slice (which would
 	// force a heap escape per query).
 	out []index.Neighbor
+	// deleted is the in-flight query's tombstone mask; nil on every batch
+	// path.
+	deleted []bool
 }
 
 // NewCursor returns a fresh cursor over the index.
@@ -146,19 +163,30 @@ func (c *Cursor) Index() index.Index { return c.ix }
 
 // KNNInto appends the k nearest neighbors of q to dst.
 func (c *Cursor) KNNInto(dst []index.Neighbor, q geom.Point, k int, exclude int) []index.Neighbor {
+	return c.KNNLiveInto(dst, q, k, exclude, nil)
+}
+
+// KNNLiveInto is KNNInto over the indexed points i with deleted[i] false
+// (every point when deleted is nil). Dead points are skipped in the
+// leaves, so the result holds k live points whenever that many exist.
+// deleted must cover every indexed point.
+func (c *Cursor) KNNLiveInto(dst []index.Neighbor, q geom.Point, k int, exclude int, deleted []bool) []index.Neighbor {
 	if k <= 0 || c.ix.root == nil {
 		return dst
 	}
 	c.h.Reset(k)
+	c.deleted = deleted
 	c.knn(c.ix.root, q, exclude)
+	c.deleted = nil
 	return c.h.AppendSorted(dst)
 }
 
 func (c *Cursor) knn(n *node, q geom.Point, exclude int) {
 	ix := c.ix
 	if n.axis < 0 { // leaf
+		dead := c.deleted
 		for _, pi := range ix.perm[n.start:n.end] {
-			if pi == exclude {
+			if pi == exclude || (dead != nil && dead[pi]) {
 				continue
 			}
 			c.h.Push(index.Neighbor{Index: pi, Dist: c.kern.Dist(pi, q)})
@@ -180,14 +208,20 @@ func (c *Cursor) knn(n *node, q geom.Point, exclude int) {
 
 // RangeInto appends all points within distance r of q to dst.
 func (c *Cursor) RangeInto(dst []index.Neighbor, q geom.Point, r float64, exclude int) []index.Neighbor {
+	return c.RangeLiveInto(dst, q, r, exclude, nil)
+}
+
+// RangeLiveInto is RangeInto over the live points, as in KNNLiveInto.
+func (c *Cursor) RangeLiveInto(dst []index.Neighbor, q geom.Point, r float64, exclude int, deleted []bool) []index.Neighbor {
 	if r < 0 || c.ix.root == nil {
 		return dst
 	}
 	start := len(dst)
 	c.out = dst
+	c.deleted = deleted
 	c.rangeQuery(c.ix.root, q, r, exclude)
 	dst = c.out
-	c.out = nil
+	c.out, c.deleted = nil, nil
 	c.sorter.Sort(dst[start:])
 	return dst
 }
@@ -195,8 +229,9 @@ func (c *Cursor) RangeInto(dst []index.Neighbor, q geom.Point, r float64, exclud
 func (c *Cursor) rangeQuery(n *node, q geom.Point, r float64, exclude int) {
 	ix := c.ix
 	if n.axis < 0 {
+		dead := c.deleted
 		for _, pi := range ix.perm[n.start:n.end] {
-			if pi == exclude {
+			if pi == exclude || (dead != nil && dead[pi]) {
 				continue
 			}
 			if d := c.kern.Dist(pi, q); d <= r {

@@ -577,9 +577,6 @@ func TestScoreBatchAllocsPerQuery(t *testing.T) {
 	}
 	const perQuery = 3
 	rng := rand.New(rand.NewSource(11))
-	// Uniform, not Gaussian: the writer's reverse-neighbor queries run at
-	// the largest live k-distance, which Gaussian tails make wide enough
-	// to stretch this fill from seconds to half a minute.
 	uniform := func(n int) []geom.Point {
 		pts := make([]geom.Point, n)
 		for i := range pts {
