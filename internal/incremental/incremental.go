@@ -8,12 +8,16 @@
 // values stay exactly equal to a from-scratch batch computation, which the
 // tests verify after every update.
 //
-// Cost model: an update costs one pass over the slots, two over the
-// maintained neighborhoods and one kNN probe per point whose neighborhood
-// changed. The points whose neighborhood absorbs or loses p are the o
-// with d(o,p) ≤ kdist(o): one pass over the slots against the pre-update
-// k-distances finds them, and each is re-probed through a dynamic spatial
-// index (internal/index/dynamic: immutable k-d tree base plus overlay and
+// Cost model: a batch of updates (Update; Insert and Delete are batches of
+// one) costs one pass over the slots, two over the maintained
+// neighborhoods and one kNN probe per point whose neighborhood changed,
+// however many points it inserts and deletes. The points whose
+// neighborhood loses a deleted point hold a tombstoned slot in their row;
+// the points whose neighborhood absorbs a new point p are the o with
+// d(o,p) ≤ kdist(o) against the pre-batch k-distances. The one pass over
+// the slots flags both, and each flagged point and each new point is
+// re-probed once through a dynamic spatial index
+// (internal/index/dynamic: immutable k-d tree base plus overlay and
 // tombstones). The points whose density or LOF reads a changed k-distance
 // or density are the o with a changed point in nn[o]: one pass over the
 // maintained neighborhoods per kind of change. The passes sweep flat
@@ -149,9 +153,9 @@ func (d *Detector) At(i int) geom.Point { return d.ix.At(i) }
 // points and out-of-range indices both report true.
 func (d *Detector) Deleted(i int) bool { return d.ix.Deleted(i) }
 
-// LastAffected returns how many points the most recent Insert or Delete
-// updated (neighborhood, density or LOF) — including the point inserted
-// or deleted by that update.
+// LastAffected returns how many points the most recent update touched
+// (neighborhood, density or LOF), counting every point it inserted or
+// deleted.
 func (d *Detector) LastAffected() int { return d.lastAffected }
 
 // LOF returns point i's current LOF (NaN for deleted points and
@@ -180,73 +184,101 @@ func (d *Detector) LOFs() []float64 {
 // clones into the detector's storage), so the caller may reuse or mutate
 // p's backing array after Insert returns without affecting any score.
 func (d *Detector) Insert(p geom.Point) (int, error) {
-	i, err := d.ix.Insert(p)
-	if err != nil {
-		return 0, err
-	}
-	d.nn = append(d.nn, nil)
-	d.kdist = append(d.kdist, math.Inf(1))
-	d.lrd = append(d.lrd, math.Inf(1))
-	d.lof = append(d.lof, 1)
-
-	n := d.ix.Len()
-	if n <= d.minPts+1 {
-		// Not enough points for incremental maintenance: either no
-		// MinPts-neighborhood exists yet, or neighborhoods just became
-		// defined for everyone. Rebuild (cheap at these sizes).
-		d.lastAffected = n
-		d.rebuildAll()
-		return i, nil
-	}
-
-	// 1. The new point's neighborhood.
-	d.resetSets()
-	d.recomputeNeighborhood(i)
-	d.dirty.add(i)
-	d.kdistChanged.add(i)
-
-	// 2. Reverse neighbors: points o whose MinPts-distance neighborhood
-	// absorbs p (d(o,p) ≤ kdist(o)). Their neighborhoods — and possibly
-	// k-distances — change.
-	d.refreshReverse(d.ix.At(i), i)
-	d.propagate()
-	return i, nil
+	return d.Update([]geom.Point{p}, nil)
 }
 
 // Delete removes point i, updating all affected LOF values. Deleted slots
 // keep their index (subsequent points do not shift) and report NaN; the
 // raw LOF slot is also set to NaN so no stale pre-delete value survives.
 func (d *Detector) Delete(i int) error {
-	if i < 0 || i >= d.ix.Size() {
-		return fmt.Errorf("incremental: point %d out of range [0, %d)", i, d.ix.Size())
-	}
-	if d.ix.Deleted(i) {
-		return fmt.Errorf("incremental: point %d already deleted", i)
-	}
-	if err := d.ix.Delete(i); err != nil {
-		return err
-	}
-	d.nn[i] = nil
-	d.kdist[i] = math.Inf(1)
-	d.lrd[i] = math.Inf(1)
-	d.lof[i] = math.NaN()
+	_, err := d.Update(nil, []int{i})
+	return err
+}
 
-	if d.ix.Len() <= d.minPts+1 {
-		d.lastAffected = d.ix.Len() + 1
+// Update applies one batch: it appends inserts as slots first, first+1, …
+// (first is Size before the call) and deletes the slots in deletes, each
+// live or inserted by this call. The batch is validated whole before
+// anything changes — coordinates finite and of the detector's dimension,
+// no slot deleted twice — so an error leaves the detector untouched. The
+// coordinates are copied. Afterwards every live value is exactly what a
+// batch fit over the live points gives, as after the same updates one by
+// one, but each changed neighborhood is re-probed once per batch and the
+// density and LOF refresh runs once.
+func (d *Detector) Update(inserts []geom.Point, deletes []int) (first int, err error) {
+	first = d.ix.Size()
+	end := first + len(inserts)
+	for _, p := range inserts {
+		if len(p) != d.Dim() {
+			return 0, fmt.Errorf("incremental: %w: point has %d dimensions, detector has %d", geom.ErrDimension, len(p), d.Dim())
+		}
+		if !p.Valid() {
+			return 0, geom.ErrInvalidCoord
+		}
+	}
+	// dirty doubles as the batch's delete set until the refresh resets it.
+	d.dirty.reset(end)
+	for _, i := range deletes {
+		switch {
+		case i < 0 || i >= end:
+			return 0, fmt.Errorf("incremental: point %d out of range [0, %d)", i, end)
+		case i < first && d.ix.Deleted(i):
+			return 0, fmt.Errorf("incremental: point %d already deleted", i)
+		case d.dirty.has(i):
+			return 0, fmt.Errorf("incremental: point %d deleted twice", i)
+		}
+		d.dirty.add(i)
+	}
+
+	before := d.ix.Len()
+	for _, p := range inserts {
+		if _, err := d.ix.Insert(p); err != nil {
+			panic(fmt.Sprintf("incremental: validated insert: %v", err))
+		}
+		d.nn = append(d.nn, nil)
+		d.kdist = append(d.kdist, math.Inf(1))
+		d.lrd = append(d.lrd, math.Inf(1))
+		d.lof = append(d.lof, 1)
+	}
+	for _, i := range deletes {
+		if err := d.ix.Delete(i); err != nil {
+			panic(fmt.Sprintf("incremental: validated delete: %v", err))
+		}
+		d.nn[i] = nil
+		d.kdist[i] = math.Inf(1)
+		d.lrd[i] = math.Inf(1)
+		d.lof[i] = math.NaN()
+	}
+
+	if after := d.ix.Len(); before <= d.minPts || after <= d.minPts+1 {
+		// Rows are not full (fewer than MinPts neighbors) before or after
+		// the batch, so a k-distance says nothing about which new points
+		// join a row. Rebuild (cheap at these sizes).
+		d.lastAffected = after + len(deletes)
 		d.rebuildAll()
-		return nil
+		return first, nil
 	}
 
-	// Points that held i in their neighborhood lose a neighbor; their
-	// k-distances can only grow. The tombstoned slot keeps its
-	// coordinates, so the store still holds p.
+	// Re-probe every point whose neighborhood changed: pre-batch points
+	// that lose a deleted neighbor or absorb a new point within their
+	// pre-batch k-distance, then the new points. A re-probe changes only
+	// its own point's row and k-distance, so later slots are still tested
+	// against their pre-batch values.
 	d.resetSets()
-	d.refreshReverse(d.ix.At(i), i)
+	for o := 0; o < first; o++ {
+		if !d.ix.Deleted(o) && (d.losesNeighbor(o) || d.absorbs(o, first, end)) {
+			d.reprobe(o)
+		}
+	}
+	for i := first; i < end; i++ {
+		if !d.ix.Deleted(i) {
+			d.recomputeNeighborhood(i)
+			d.dirty.add(i)
+			d.kdistChanged.add(i)
+		}
+	}
 	d.propagate()
-	// Count the removed point itself, mirroring Insert's "including the
-	// inserted point" contract.
-	d.lastAffected++
-	return nil
+	d.lastAffected += len(deletes)
+	return first, nil
 }
 
 // resetSets empties the update's sets.
@@ -257,23 +289,37 @@ func (d *Detector) resetSets() {
 	d.lrdChanged.reset(n)
 }
 
-// refreshReverse recomputes the neighborhood of every live point whose
-// neighborhood reaches p — the points o ≠ self with d(o,p) ≤ kdist(o),
-// judged by their k-distances before this call — adding each to dirty, and
-// to kdistChanged when its k-distance moved. One pass over the slots finds
-// them. A recompute changes only its own point's k-distance, so later
-// slots are still tested against their pre-update values.
-func (d *Detector) refreshReverse(p geom.Point, self int) {
-	for o := range d.nn {
-		if o == self || d.ix.Deleted(o) || d.ix.DistTo(o, p) > d.kdist[o] {
-			continue
+// losesNeighbor reports whether o's row holds a slot the batch deleted:
+// rows of live points name only pre-batch live slots, so a tombstoned
+// member is one this batch removed.
+func (d *Detector) losesNeighbor(o int) bool {
+	for _, nb := range d.nn[o] {
+		if d.ix.Deleted(nb.Index) {
+			return true
 		}
-		old := d.kdist[o]
-		d.recomputeNeighborhood(o)
-		d.dirty.add(o)
-		if d.kdist[o] != old {
-			d.kdistChanged.add(o)
+	}
+	return false
+}
+
+// absorbs reports whether a surviving new point in slots [first, end) lies
+// within o's pre-batch k-distance, so o's row takes it in.
+func (d *Detector) absorbs(o, first, end int) bool {
+	for i := first; i < end; i++ {
+		if !d.ix.Deleted(i) && d.ix.DistTo(o, d.ix.At(i)) <= d.kdist[o] {
+			return true
 		}
+	}
+	return false
+}
+
+// reprobe recomputes o's neighborhood, adding o to dirty and, when its
+// k-distance moved, to kdistChanged.
+func (d *Detector) reprobe(o int) {
+	old := d.kdist[o]
+	d.recomputeNeighborhood(o)
+	d.dirty.add(o)
+	if d.kdist[o] != old {
+		d.kdistChanged.add(o)
 	}
 }
 
@@ -300,7 +346,7 @@ func (d *Detector) dirtyReaders(changed *stampSet) {
 }
 
 // propagate refreshes densities and LOFs downstream of the neighborhoods
-// refreshReverse recomputed — the shared tail of Insert and Delete.
+// Update re-probed.
 func (d *Detector) propagate() {
 	// Densities to refresh: any point whose neighborhood changed, plus
 	// any point with a kdist-changed neighbor (its reachability distances
@@ -376,37 +422,30 @@ func (d *Detector) rebuildAll() {
 // remapping: remap[old] is the new index of old's point, or -1 if old was
 // deleted.
 func (d *Detector) Compact() []int {
-	size := d.ix.Size()
-	remap := make([]int, size)
-	nix := dynamic.New(d.Dim(), d.metric)
-	nn := make([][]index.Neighbor, 0, d.ix.Len())
-	kdist := make([]float64, 0, d.ix.Len())
-	lrd := make([]float64, 0, d.ix.Len())
-	lof := make([]float64, 0, d.ix.Len())
-	for i := 0; i < size; i++ {
+	remap := make([]int, d.ix.Size())
+	live := d.ix.Len()
+	nn := make([][]index.Neighbor, 0, live)
+	kdist := make([]float64, 0, live)
+	lrd := make([]float64, 0, live)
+	lof := make([]float64, 0, live)
+	for i := range remap {
 		if d.ix.Deleted(i) {
 			remap[i] = -1
 			continue
 		}
-		slot, err := nix.Insert(d.ix.At(i))
-		if err != nil {
-			// Stored coordinates were validated on their original insert.
-			panic(fmt.Sprintf("incremental: compact re-insert: %v", err))
-		}
-		remap[i] = slot
+		remap[i] = len(nn)
 		nn = append(nn, d.nn[i])
 		kdist = append(kdist, d.kdist[i])
 		lrd = append(lrd, d.lrd[i])
 		lof = append(lof, d.lof[i])
 	}
-	nix.Rebuild()
 	for _, row := range nn {
 		for j := range row {
 			row[j].Index = remap[row[j].Index]
 		}
 	}
-	d.ix = nix
-	d.cur = nix.NewCursor()
+	d.ix = d.ix.Compacted()
+	d.cur = d.ix.NewCursor()
 	d.nn, d.kdist, d.lrd, d.lof = nn, kdist, lrd, lof
 	return remap
 }

@@ -713,3 +713,213 @@ func TestUpdateAllocs(t *testing.T) {
 		t.Errorf("%.0f allocations per insert+delete pair, want at most 5", allocs)
 	}
 }
+
+// TestUpdateBatchAllocs pins that a batch allocates only the new points'
+// rows: its sets are generation-stamped and owned by the detector, and
+// first comes back by value, so nothing scales with the number of updates
+// or the window.
+func TestUpdateBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	const window, minPts, batch, rounds = 2000, 10, 32, 60
+	src := dataset.RandomClusters(3, window+batch*(rounds+1), 4, 5).Points
+	det, err := New(4, minPts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prime := make([]geom.Point, window)
+	for i := range prime {
+		prime[i] = src.At(i)
+	}
+	if _, err := det.Update(prime, nil); err != nil {
+		t.Fatal(err)
+	}
+	inserts := make([]geom.Point, batch)
+	deletes := make([]int, batch)
+	next, oldest := window, 0
+	allocs := testing.AllocsPerRun(rounds, func() {
+		for j := range inserts {
+			inserts[j] = src.At(next + j)
+			deletes[j] = oldest + j
+		}
+		if _, err := det.Update(inserts, deletes); err != nil {
+			t.Fatal(err)
+		}
+		next += batch
+		oldest += batch
+	})
+	if allocs > batch+4 {
+		t.Errorf("%.0f allocations per batch of %d inserts and %d deletes, want at most %d", allocs, batch, batch, batch+4)
+	}
+}
+
+// TestCompactAllocs pins that Compact builds its index once: the survivors
+// are copied into one store and indexed by one k-d tree build.
+// Re-inserting them one by one would rebuild the tree along the way, at
+// thousands of allocations for these 2,000 live points.
+func TestCompactAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	const n, minPts = 4000, 10
+	src := dataset.RandomClusters(5, n, 4, 5).Points
+	det, err := New(4, minPts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserts := make([]geom.Point, n)
+	deletes := make([]int, 0, n/2)
+	for i := range inserts {
+		inserts[i] = src.At(i)
+		if i%2 == 0 {
+			deletes = append(deletes, i)
+		}
+	}
+	if _, err := det.Update(inserts, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := det.Update(nil, deletes); err != nil {
+		t.Fatal(err)
+	}
+	// The warm-up call compacts 2,000 live of 4,000 slots, the measured one
+	// the 2,000 dense slots it leaves.
+	allocs := testing.AllocsPerRun(1, func() { det.Compact() })
+	if allocs > 32 {
+		t.Errorf("%.0f allocations per Compact of %d live points, want at most 32", allocs, det.Len())
+	}
+}
+
+// TestUpdateMatchesRefit drives random batches of 1–300 inserts and deletes
+// through Update on tie-heavy lattice data and checks every live LOF
+// against a batch fit, bit for bit, after each one. Batches delete slots
+// they insert themselves, empty the window, and cross MinPts+1 live points
+// in both directions, including from 2..MinPts live points, whose rows are
+// not full: there a k-distance says nothing about who a new point joins,
+// and the batch must rebuild.
+func TestUpdateMatchesRefit(t *testing.T) {
+	const minPts = 4
+	rng := rand.New(rand.NewSource(109))
+	det, err := New(2, minPts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := func() geom.Point { return geom.Point{float64(rng.Intn(9)), float64(rng.Intn(9))} }
+	var live []int
+	crossedUp, crossedDown := 0, 0
+	for step := 0; step < 150; step++ {
+		var nIns, nDel int
+		switch step % 5 {
+		case 0: // empty the window, then refill to 0..MinPts points
+			nDel, nIns = len(live), rng.Intn(minPts+1)
+		case 1: // cross MinPts+1 upward
+			nIns = minPts + 2 + rng.Intn(20)
+		case 2: // cross MinPts+1 downward when the window is big enough
+			if len(live) > minPts+1 {
+				nDel = len(live) - minPts + rng.Intn(minPts)
+				if nDel > len(live) {
+					nDel = len(live)
+				}
+			}
+			nIns = rng.Intn(3)
+		default:
+			nIns = 1 + rng.Intn(300)
+			nDel = rng.Intn(min(len(live), 300) + 1)
+		}
+		inserts := make([]geom.Point, nIns)
+		for j := range inserts {
+			inserts[j] = site()
+		}
+		rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
+		deletes := append([]int(nil), live[:nDel]...)
+		live = live[nDel:]
+		first := det.Size()
+		for j := 0; j < nIns; j++ {
+			if rng.Intn(8) == 0 { // inserted and deleted by the same batch
+				deletes = append(deletes, first+j)
+			} else {
+				live = append(live, first+j)
+			}
+		}
+		rng.Shuffle(len(deletes), func(a, b int) { deletes[a], deletes[b] = deletes[b], deletes[a] })
+		before := det.Len()
+		got, err := det.Update(inserts, deletes)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if got != first {
+			t.Fatalf("step %d: first=%d, want %d", step, got, first)
+		}
+		if det.Len() != len(live) {
+			t.Fatalf("step %d: Len=%d, want %d", step, det.Len(), len(live))
+		}
+		if before >= 2 && before <= minPts && det.Len() > minPts+1 {
+			crossedUp++
+		}
+		if before > minPts+1 && det.Len() <= minPts+1 {
+			crossedDown++
+		}
+		for _, i := range deletes {
+			if !math.IsNaN(det.LOF(i)) {
+				t.Fatalf("step %d: deleted slot %d reports %v", step, i, det.LOF(i))
+			}
+		}
+		if det.Len() <= minPts {
+			continue
+		}
+		pts, slots := liveView(t, det)
+		want := batchLOFs(t, pts, minPts)
+		for j, i := range slots {
+			if math.Float64bits(det.LOF(i)) != math.Float64bits(want[j]) {
+				t.Fatalf("step %d (%d → %d live): slot %d LOF %v, batch fit %v", step, before, det.Len(), i, det.LOF(i), want[j])
+			}
+		}
+	}
+	if crossedUp == 0 || crossedDown == 0 {
+		t.Fatalf("crossed MinPts+1 upward from 2..MinPts %d times and downward %d times, want both", crossedUp, crossedDown)
+	}
+}
+
+// TestUpdateValidatesWholeBatch pins that a rejected batch changes
+// nothing: one bad insert or delete anywhere in it refuses all of it.
+func TestUpdateValidatesWholeBatch(t *testing.T) {
+	det, err := New(2, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := det.Insert(geom.Point{float64(i), float64(i % 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := det.Delete(4); err != nil {
+		t.Fatal(err)
+	}
+	before := det.LOFs()
+	ok := []geom.Point{{0.5, 0.5}, {7, 1}}
+	for _, c := range []struct {
+		name    string
+		inserts []geom.Point
+		deletes []int
+	}{
+		{"wrong dimension", []geom.Point{{1, 1}, {1}}, []int{0}},
+		{"non-finite coordinate", []geom.Point{{1, math.Inf(1)}}, nil},
+		{"deleted slot", ok, []int{1, 4}},
+		{"slot past the batch", ok, []int{12}},
+		{"negative slot", ok, []int{-1}},
+		{"slot deleted twice", ok, []int{2, 11, 2}},
+		{"new slot deleted twice", ok, []int{10, 10}},
+	} {
+		if _, err := det.Update(c.inserts, c.deletes); err == nil {
+			t.Errorf("%s: batch accepted", c.name)
+		}
+		if det.Size() != 10 || det.Len() != 9 {
+			t.Fatalf("%s: Size=%d Len=%d after a rejected batch, want 10 and 9", c.name, det.Size(), det.Len())
+		}
+		for i, v := range det.LOFs() {
+			if math.Float64bits(v) != math.Float64bits(before[i]) {
+				t.Fatalf("%s: slot %d LOF %v → %v after a rejected batch", c.name, i, before[i], v)
+			}
+		}
+	}
+}

@@ -132,6 +132,22 @@ func (ix *Index) Delete(i int) error {
 	return nil
 }
 
+// Compacted returns a new index over ix's live points, numbered densely
+// in slot order, with its base built once over all of them. ix is left
+// unchanged.
+func (ix *Index) Compacted() *Index {
+	ids := make([]int, 0, ix.live)
+	for i, dead := range ix.deleted {
+		if !dead {
+			ids = append(ids, i)
+		}
+	}
+	pts := ix.pts.Subset(ids)
+	nix := &Index{pts: pts, metric: ix.metric, kern: geom.NewKernel(pts, ix.metric), deleted: make([]bool, len(ids)), live: len(ids)}
+	nix.Rebuild()
+	return nix
+}
+
 // maybeRebuild rebuilds the base over the live slots when the overlay or
 // the tombstone backlog has outgrown it. Thresholds are fractions of the
 // base size so rebuild cost amortizes over the updates that caused it.

@@ -12,8 +12,6 @@
 package kdtree
 
 import (
-	"sort"
-
 	"lof/internal/geom"
 	"lof/internal/index"
 )
@@ -23,7 +21,8 @@ import (
 const leafSize = 16
 
 // node is one k-d tree node. Leaves hold a [start,end) range into the
-// permuted point order; internal nodes split on axis at value split.
+// permuted point order; internal nodes split on axis at value split. A
+// tree's nodes sit in one array in preorder, which root keeps alive.
 type node struct {
 	axis        int
 	split       float64
@@ -61,66 +60,140 @@ func NewSubset(pts *geom.Points, ids []int, m geom.Metric) *Index {
 	}
 	ix := &Index{pts: pts, metric: m, perm: ids}
 	if len(ids) > 0 {
-		ix.root = ix.build(0, len(ids), 0)
+		dim := pts.Dim()
+		bounds := make([]float64, 2*dim)
+		b := builder{
+			ix: ix, keys: make([]float64, len(ids)), lo: bounds[:dim], hi: bounds[dim:], rng: 1,
+			// Leaves of a median split hold 8 to 16 points, so n/4 nodes
+			// suffice unless duplicates force smaller leaves.
+			nodes: make([]node, 0, len(ids)/4+1),
+		}
+		b.build(0, len(ids))
+		// Link the children once the array has stopped growing: a left
+		// child follows its parent, and build parks the right child's
+		// index in end.
+		for i := range b.nodes {
+			if n := &b.nodes[i]; n.axis >= 0 {
+				n.left, n.right = &b.nodes[i+1], &b.nodes[n.end]
+			}
+		}
+		ix.root = &b.nodes[0]
 	}
 	return ix
 }
 
-// build partitions perm[start:end) and returns the subtree for it.
-func (ix *Index) build(start, end, depth int) *node {
+// builder holds one build's state: the tree's nodes in preorder, the
+// split-axis coordinate of each point in perm (kept aligned with perm
+// while it is partitioned), the lo/hi pair of the spread scan and the
+// pivot generator's state.
+type builder struct {
+	ix     *Index
+	nodes  []node
+	keys   []float64
+	lo, hi []float64
+	rng    uint64
+}
+
+// build partitions perm[start:end), appends its subtree to the node array
+// and returns the index of the subtree's root. An internal node keeps its
+// right child's index in end until NewSubset links the nodes.
+//
+// The split rule: left holds the points below the median coordinate m on
+// the widest axis and right the rest; when no point lies below m, left
+// holds the copies of m and right the points above it, split at the
+// smallest of them. The order of points inside each side is immaterial:
+// leaf scans feed a heap ordered by (distance, index).
+func (b *builder) build(start, end int) int {
+	ix := b.ix
+	id := len(b.nodes)
+	b.nodes = append(b.nodes, node{axis: -1, start: start, end: end})
 	if end-start <= leafSize {
-		return &node{start: start, end: end, axis: -1}
+		return id
 	}
-	axis := ix.widestAxis(start, end)
-	sub := ix.perm[start:end]
-	mid := len(sub) / 2
-	// Median split: full sort is O(m log m) but build is not the hot path.
-	sort.Slice(sub, func(a, b int) bool {
-		return ix.pts.At(sub[a])[axis] < ix.pts.At(sub[b])[axis]
-	})
-	split := ix.pts.At(sub[mid])[axis]
-	// Guard against all-equal coordinates on this axis: fall back to a leaf
-	// when the median does not separate anything.
-	if ix.pts.At(sub[0])[axis] == ix.pts.At(sub[len(sub)-1])[axis] {
-		return &node{start: start, end: end, axis: -1}
+	axis := b.widestAxis(start, end)
+	sub, keys := ix.perm[start:end], b.keys[start:end]
+	for i, pi := range sub {
+		keys[i] = ix.pts.At(pi)[axis]
 	}
-	// Advance mid past duplicates of the split value so the right subtree
-	// holds values >= split and is nonempty.
-	for mid > 0 && ix.pts.At(sub[mid-1])[axis] == split {
-		mid--
-	}
-	if mid == 0 {
-		for mid < len(sub) && ix.pts.At(sub[mid])[axis] == split {
-			mid++
+	lt, gt := b.selectMedian(keys, sub)
+	mid, split := lt, keys[lt]
+	if lt == 0 {
+		if gt == len(keys) {
+			// Every coordinate equal on the widest axis: the points
+			// coincide, so the node stays a leaf.
+			return id
 		}
-		split = ix.pts.At(sub[mid])[axis]
+		mid, split = gt, keys[gt]
+		for _, v := range keys[gt+1:] {
+			split = min(split, v)
+		}
 	}
-	n := &node{axis: axis, split: split}
-	n.left = ix.build(start, start+mid, depth+1)
-	n.right = ix.build(start+mid, end, depth+1)
-	return n
+	b.nodes[id] = node{axis: axis, split: split}
+	b.build(start, start+mid)
+	b.nodes[id].end = b.build(start+mid, end)
+	return id
+}
+
+// selectMedian reorders keys, and ids with them, around the median m (the
+// value of rank len(keys)/2) and returns the bounds of its copies:
+// keys[:lt] < m, keys[lt:gt] == m and keys[gt:] > m. It is a quickselect
+// whose three-way partitions leave exactly that layout, with pseudo-random
+// pivots so no input order makes it quadratic in expectation.
+func (b *builder) selectMedian(keys []float64, ids []int) (lt, gt int) {
+	k := len(keys) / 2
+	lo, hi := 0, len(keys)
+	for {
+		b.rng ^= b.rng << 13
+		b.rng ^= b.rng >> 7
+		b.rng ^= b.rng << 17
+		p := keys[lo+int(b.rng%uint64(hi-lo))]
+		l, i, g := lo, lo, hi
+		for i < g {
+			switch v := keys[i]; {
+			case v < p:
+				keys[l], keys[i] = keys[i], keys[l]
+				ids[l], ids[i] = ids[i], ids[l]
+				l++
+				i++
+			case v > p:
+				g--
+				keys[g], keys[i] = keys[i], keys[g]
+				ids[g], ids[i] = ids[i], ids[g]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < l:
+			hi = l
+		case k >= g:
+			lo = g
+		default:
+			return l, g
+		}
+	}
 }
 
 // widestAxis returns the dimension with the largest coordinate spread over
 // perm[start:end), which gives better-balanced space partitions than
 // cycling axes.
-func (ix *Index) widestAxis(start, end int) int {
-	dim := ix.pts.Dim()
-	lo := ix.pts.At(ix.perm[start]).Clone()
-	hi := lo.Clone()
-	for i := start + 1; i < end; i++ {
-		p := ix.pts.At(ix.perm[i])
-		for d := 0; d < dim; d++ {
-			if p[d] < lo[d] {
-				lo[d] = p[d]
+func (b *builder) widestAxis(start, end int) int {
+	ix := b.ix
+	lo, hi := b.lo, b.hi
+	copy(lo, ix.pts.At(ix.perm[start]))
+	copy(hi, lo)
+	for _, pi := range ix.perm[start+1 : end] {
+		for d, v := range ix.pts.At(pi) {
+			if v < lo[d] {
+				lo[d] = v
 			}
-			if p[d] > hi[d] {
-				hi[d] = p[d]
+			if v > hi[d] {
+				hi[d] = v
 			}
 		}
 	}
 	best, bestSpread := 0, hi[0]-lo[0]
-	for d := 1; d < dim; d++ {
+	for d := 1; d < len(lo); d++ {
 		if s := hi[d] - lo[d]; s > bestSpread {
 			best, bestSpread = d, s
 		}

@@ -3,6 +3,7 @@ package kdtree_test
 import (
 	"testing"
 
+	"lof/internal/dataset"
 	"lof/internal/geom"
 	"lof/internal/index"
 	"lof/internal/index/indextest"
@@ -62,4 +63,16 @@ func TestKDTreeNilPointsPanics(t *testing.T) {
 		}
 	}()
 	kdtree.New(nil, nil)
+}
+
+// TestNewAllocs pins that a build allocates per tree, not per node: the
+// median comes from a select over a reused key buffer, nodes live in one
+// flat array and the spread scan reuses one lo/hi pair. An allocation per
+// node (a node, a sort closure, a lo/hi copy) reads in the hundreds here.
+func TestNewAllocs(t *testing.T) {
+	pts := dataset.RandomClusters(3, 2000, 4, 5).Points
+	allocs := testing.AllocsPerRun(20, func() { kdtree.New(pts, nil) })
+	if allocs > 16 {
+		t.Errorf("%.0f allocations per 2,000-point build, want at most 16", allocs)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lof/internal/dataset"
 	"lof/internal/geom"
 )
 
@@ -72,6 +73,32 @@ func BenchmarkStreamIngest(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "inserts/s")
 		})
+	}
+}
+
+// BenchmarkStreamPrime measures filling an empty pipeline: a 2,000-point
+// 4-d window at MinPts 10 in 250-point pushes of clustered points in
+// random order, the priming lofbench's stream-churn workload times as
+// setup_s, here without the HTTP tier. One op is one full priming.
+func BenchmarkStreamPrime(b *testing.B) {
+	const window, dim, push = 2000, 4, 250
+	src := dataset.RandomClusters(1, window, dim, 8).Points
+	pts := make([]geom.Point, window)
+	for i := range pts {
+		pts[i] = src.At(i)
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(Config{Dim: dim, MinPts: 10, MaxPoints: window})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for off := 0; off < window; off += push {
+			if _, err := p.Apply(Update{Inserts: pts[off : off+push]}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -4,14 +4,14 @@
 // Two incremental detectors evolve in lockstep: the published one serves
 // reads (out-of-sample scoring, window LOFs), the other is the writer's
 // working copy. One Apply batch is planned once — explicit deletes,
-// inserts, sliding-window expiry and compaction are resolved into a single
-// deterministic operation list — applied to the back detector, published
-// atomically as the next epoch, and then, after every reader of the
-// previous epoch has drained, replayed verbatim onto the old detector.
-// Because both detectors start empty and apply identical operation lists,
-// they hold bit-identical state at every epoch boundary, and a reader
-// never observes a half-applied update: the detector it acquired is not
-// mutated until the reader releases it (see DESIGN.md, "Streaming
+// inserts, sliding-window expiry and compaction are resolved into one
+// deterministic batch — applied to the back detector as one update,
+// published atomically as the next epoch, and then, after every reader of
+// the previous epoch has drained, replayed onto the old detector by the
+// same update. Because both detectors start empty and apply identical
+// batches, they hold bit-identical state at every epoch boundary, and a
+// reader never observes a half-applied update: the detector it acquired
+// is not mutated until the reader releases it (see DESIGN.md, "Streaming
 // epochs").
 //
 // All maintained and served values are exact: after every epoch publish,
@@ -67,7 +67,7 @@ type Update struct {
 }
 
 // Timing breaks one Apply batch's wall time into the pipeline's stages,
-// for tracing: planning the op list, applying it to the back detector and
+// for tracing: planning the batch, applying it to the back detector and
 // publishing, draining the previous epoch's readers, and replaying onto
 // the old detector.
 type Timing struct {
@@ -128,21 +128,14 @@ type epoch struct {
 	cursors sync.Pool
 }
 
-// opKind discriminates planned operations.
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opDelete
-	opCompact
-)
-
-// op is one step of a planned batch; the same list is applied to both
-// detectors, which is what keeps them bit-identical.
-type op struct {
-	kind opKind
-	p    geom.Point // opInsert: coordinates (owned by the plan)
-	slot int        // opDelete: slot to remove
+// batch is one planned push: the same value is applied to both detectors
+// as one incremental.Detector.Update, which is what keeps them
+// bit-identical.
+type batch struct {
+	inserts []geom.Point // the push's inserts, read during Apply only
+	first   int          // slot of the first insert
+	deletes []int        // slots to remove, live or inserted by this push
+	compact bool         // compact the detector after the update
 }
 
 // entry is one window FIFO record.
@@ -271,7 +264,7 @@ func (p *Pipeline) Apply(u Update) (Result, error) {
 	}
 
 	planStart := time.Now()
-	ops, res, err := p.plan(back, u)
+	b, res, err := p.plan(back, u)
 	if err != nil {
 		return Result{}, err
 	}
@@ -287,8 +280,8 @@ func (p *Pipeline) Apply(u Update) (Result, error) {
 		ts = u.Now.UnixNano()
 	}
 	applyStart := time.Now()
-	remap := p.apply(back, ops)
-	p.bookkeep(ops, remap, &res, ts)
+	remap := p.apply(back, &b)
+	p.bookkeep(&b, remap, &res, ts)
 	p.seq++
 	res.Seq = p.seq
 	res.Live = back.Len()
@@ -297,13 +290,13 @@ func (p *Pipeline) Apply(u Update) (Result, error) {
 	p.lastPublish.Store(time.Now().UnixNano())
 	res.Timing.Apply = time.Since(applyStart)
 
-	// Replay the identical list onto the previous epoch's detector once
-	// its readers are gone; both detectors are now bit-identical again.
+	// Replay the same batch onto the previous epoch's detector once its
+	// readers are gone; both detectors are now bit-identical again.
 	drainStart := time.Now()
 	p.drain(prev)
 	res.Timing.Drain = time.Since(drainStart)
 	replayStart := time.Now()
-	p.apply(prev.det, ops)
+	p.apply(prev.det, &b)
 	res.Timing.Replay = time.Since(replayStart)
 
 	p.inserts.Add(uint64(len(res.Inserted)))
@@ -315,23 +308,24 @@ func (p *Pipeline) Apply(u Update) (Result, error) {
 	return res, nil
 }
 
-// plan resolves one batch into the deterministic op list both detectors
+// plan resolves one push into the deterministic batch both detectors
 // will apply: explicit deletes, then age expiry, then inserts, then count
 // expiry, then (when tombstones have piled up) a compaction. Slot numbers
-// for new inserts are the detector's next appends, so the whole list is
+// for new inserts are the detector's next appends, so the whole batch is
 // computable before anything mutates.
-func (p *Pipeline) plan(back *incremental.Detector, u Update) ([]op, Result, error) {
+func (p *Pipeline) plan(back *incremental.Detector, u Update) (batch, Result, error) {
 	var res Result
-	ops := make([]op, 0, len(u.Deletes)+len(u.Inserts)+2)
+	// A full window expires one point per insert.
+	b := batch{inserts: u.Inserts, first: back.Size(), deletes: make([]int, 0, len(u.Deletes)+len(u.Inserts))}
 	gone := make(map[uint64]bool, len(u.Deletes))
 
 	for _, id := range u.Deletes {
 		slot, ok := p.idToSlot[id]
 		if !ok || gone[id] {
-			return nil, res, fmt.Errorf("stream: delete of unknown id %d", id)
+			return batch{}, res, fmt.Errorf("stream: delete of unknown id %d", id)
 		}
 		gone[id] = true
-		ops = append(ops, op{kind: opDelete, slot: slot})
+		b.deletes = append(b.deletes, slot)
 	}
 	res.Deleted = len(u.Deletes)
 	live := back.Len() - len(u.Deletes)
@@ -350,19 +344,16 @@ func (p *Pipeline) plan(back *incremental.Detector, u Update) ([]op, Result, err
 				break
 			}
 			gone[head.id] = true
-			ops = append(ops, op{kind: opDelete, slot: p.idToSlot[head.id]})
+			b.deletes = append(b.deletes, p.idToSlot[head.id])
 			res.Expired = append(res.Expired, head.id)
 			p.window = p.window[1:]
 			live--
 		}
 	}
 
-	nextSlot := back.Size()
-	for _, q := range u.Inserts {
-		ops = append(ops, op{kind: opInsert, p: q.Clone(), slot: nextSlot})
+	for range u.Inserts {
 		res.Inserted = append(res.Inserted, p.nextID)
 		p.nextID++
-		nextSlot++
 		live++
 	}
 
@@ -385,13 +376,13 @@ func (p *Pipeline) plan(back *incremental.Detector, u Update) ([]op, Result, err
 				p.window = p.window[1:]
 			} else if virt < len(res.Inserted) {
 				id = res.Inserted[virt]
-				slot = back.Size() + virt
+				slot = b.first + virt
 				virt++
 			} else {
 				break
 			}
 			gone[id] = true
-			ops = append(ops, op{kind: opDelete, slot: slot})
+			b.deletes = append(b.deletes, slot)
 			res.Expired = append(res.Expired, id)
 			live--
 		}
@@ -399,55 +390,41 @@ func (p *Pipeline) plan(back *incremental.Detector, u Update) ([]op, Result, err
 
 	// Compaction: when tombstoned slots outnumber live points (and clear
 	// the floor), fold a compact into this batch so both detectors shrink.
-	slots := back.Size() + len(u.Inserts)
+	slots := b.first + len(u.Inserts)
 	if dead := slots - live; dead >= compactMinDead && dead > live {
-		ops = append(ops, op{kind: opCompact})
+		b.compact = true
 		res.Compacted = true
 	}
-	return ops, res, nil
+	return b, res, nil
 }
 
-// apply runs the op list on det, returning the slot remap of the final
-// compact op (nil when the list has none).
-func (p *Pipeline) apply(det *incremental.Detector, ops []op) []int {
-	var remap []int
-	for _, o := range ops {
-		switch o.kind {
-		case opInsert:
-			slot, err := det.Insert(o.p)
-			if err != nil || slot != o.slot {
-				panic(fmt.Sprintf("stream: planned insert at slot %d got %d, err=%v", o.slot, slot, err))
-			}
-		case opDelete:
-			if err := det.Delete(o.slot); err != nil {
-				panic(fmt.Sprintf("stream: planned delete of slot %d: %v", o.slot, err))
-			}
-		case opCompact:
-			remap = det.Compact()
-		}
+// apply runs the planned batch on det as one update, returning the slot
+// remap of its compaction (nil when it has none).
+func (p *Pipeline) apply(det *incremental.Detector, b *batch) []int {
+	if first, err := det.Update(b.inserts, b.deletes); err != nil || first != b.first {
+		panic(fmt.Sprintf("stream: planned update at slot %d got %d, err=%v", b.first, first, err))
 	}
-	return remap
+	if b.compact {
+		return det.Compact()
+	}
+	return nil
 }
 
-// bookkeep applies one batch's effects to the writer's ID maps: delete
-// ops unmap their IDs, insert ops map fresh IDs to their planned slots,
-// and a compaction remaps every surviving slot. ts stamps this batch's
-// inserts in the window FIFO.
-func (p *Pipeline) bookkeep(ops []op, remap []int, res *Result, ts int64) {
-	insertAt := 0
-	for _, o := range ops {
-		switch o.kind {
-		case opInsert:
-			id := res.Inserted[insertAt]
-			insertAt++
-			p.idToSlot[id] = o.slot
-			for len(p.slotToID) <= o.slot {
-				p.slotToID = append(p.slotToID, 0)
-			}
-			p.slotToID[o.slot] = id
-		case opDelete:
-			delete(p.idToSlot, p.slotToID[o.slot])
+// bookkeep applies one batch's effects to the writer's ID maps: inserts
+// map fresh IDs to their planned slots, deletes unmap their IDs, and a
+// compaction remaps every surviving slot. ts stamps this batch's inserts
+// in the window FIFO.
+func (p *Pipeline) bookkeep(b *batch, remap []int, res *Result, ts int64) {
+	for j, id := range res.Inserted {
+		slot := b.first + j
+		p.idToSlot[id] = slot
+		for len(p.slotToID) <= slot {
+			p.slotToID = append(p.slotToID, 0)
 		}
+		p.slotToID[slot] = id
+	}
+	for _, slot := range b.deletes {
+		delete(p.idToSlot, p.slotToID[slot])
 	}
 	// Record this batch's inserts in the window FIFO (skipping ones the
 	// same batch already expired).

@@ -429,6 +429,10 @@ func FuzzStreamOps(f *testing.F) {
 	f.Add([]byte{0x10, 0x10, 0x10, 0x10, 0x80, 0x80, 0x80, 0x10})             // duplicates, shrink to empty
 	f.Add([]byte{0x15, 0x26, 0x80, 0x15, 0x80, 0x15})                         // delete-then-reinsert same site
 	f.Add([]byte{0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x37, 0xc0, 0xc1, 0xc2}) // batch then explicit deletes
+	// Two copies of one site, then two of another in one push: the push
+	// starts from MinPts live points, whose rows are not full, so their
+	// k-distance of 0 must not keep the new points out of them.
+	f.Add([]byte("11\x8500"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := stream.New(stream.Config{Dim: 1, MinPts: 2, MaxPoints: 12})
 		if err != nil {
