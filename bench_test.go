@@ -440,6 +440,31 @@ func BenchmarkFit(b *testing.B) {
 	}
 }
 
+// BenchmarkFitKDTree is BenchmarkFit at lofbench fit-batch's shape: 20,000
+// 5-d points at MinPts 10..30, which the auto index choice sends to the
+// k-d tree (BenchmarkFit's 2-d data runs on the grid).
+func BenchmarkFitKDTree(b *testing.B) {
+	d := dataset.RandomClusters(benchSeed, 20000, 5, 8)
+	rows := make([][]float64, d.Len())
+	for i := range rows {
+		rows[i] = d.Points.At(i)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			det, err := lof.New(lof.Config{MinPtsLB: 10, MinPtsUB: 30, Workers: workers})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := det.Fit(rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkScoreBatch measures out-of-sample inference throughput across
 // batch sizes and worker-pool widths against a fixed 3000-point model.
 func BenchmarkScoreBatch(b *testing.B) {

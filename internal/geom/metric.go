@@ -167,7 +167,9 @@ func (m *WeightedEuclidean) maxDistToRect(p, lo, hi Point) float64 {
 
 // AxisGapLowerBound returns a lower bound on the distance (under m)
 // between two points whose coordinates differ by at least gap on the given
-// axis. The k-d tree and grid indexes prune with it. For the Lp family the
+// axis. The grid index is its last caller: it sizes the grid's ring
+// stopping rule and that rule's rounding slack (the k-d tree prunes by the
+// box bound of Kernel.ReducedGaps instead). For the Lp family the
 // coordinate gap itself is a valid bound; for weighted Euclidean it scales
 // by √w; for unknown metrics the bound degrades to 0 (no pruning, still
 // correct).

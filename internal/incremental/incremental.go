@@ -304,12 +304,7 @@ func (d *Detector) losesNeighbor(o int) bool {
 // absorbs reports whether a surviving new point in slots [first, end) lies
 // within o's pre-batch k-distance, so o's row takes it in.
 func (d *Detector) absorbs(o, first, end int) bool {
-	for i := first; i < end; i++ {
-		if !d.ix.Deleted(i) && d.ix.DistTo(o, d.ix.At(i)) <= d.kdist[o] {
-			return true
-		}
-	}
-	return false
+	return d.ix.AnyWithin(o, first, end, d.kdist[o])
 }
 
 // reprobe recomputes o's neighborhood, adding o to dirty and, when its

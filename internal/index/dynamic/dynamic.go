@@ -8,7 +8,8 @@
 //   - a base: an immutable k-d tree over the slots that were live at the
 //     last rebuild, built over the index's own point store (no copy);
 //   - an overlay: the points inserted since that rebuild, queried by
-//     sequential scan;
+//     sequential scan in reduced distance (see geom.Kernel), so a point
+//     beyond the bound costs no root and no push;
 //   - tombstones: a deleted-bit per slot; deletions never move points, they
 //     only mark them.
 //
@@ -92,6 +93,22 @@ func (ix *Index) At(i int) geom.Point { return ix.pts.At(i) }
 // DistTo returns the distance between slot i and q under the index's
 // metric, through the resolved kernel (no per-call metric dispatch).
 func (ix *Index) DistTo(i int, q geom.Point) float64 { return ix.kern.Dist(i, q) }
+
+// AnyWithin reports whether some live slot i in [first, end) has
+// DistTo(o, At(i)) <= b, bit for bit. A slot whose reduced distance
+// exceeds the threshold of b costs no root.
+func (ix *Index) AnyWithin(o, first, end int, b float64) bool {
+	t := ix.kern.Threshold(b)
+	for i := first; i < end; i++ {
+		if ix.deleted[i] {
+			continue
+		}
+		if r := ix.kern.Reduced(o, ix.pts.At(i)); r <= t && ix.kern.Finish(r) <= b {
+			return true
+		}
+	}
+	return false
+}
 
 // Deleted reports whether slot i is tombstoned (out-of-range slots report
 // true: there is no live point there).
@@ -238,11 +255,20 @@ func (c *Cursor) KNNInto(dst []index.Neighbor, q geom.Point, k int, exclude int)
 			c.h.Push(nb)
 		}
 	}
+	// The overlay scan skips, as the base's leaves do, a point whose
+	// reduced distance exceeds the threshold of the heap's worst: Push
+	// would refuse it.
+	t := c.h.Threshold(&ix.kern)
 	for i := ix.overlayStart; i < ix.pts.Len(); i++ {
 		if i == exclude || ix.deleted[i] {
 			continue
 		}
-		c.h.Push(index.Neighbor{Index: i, Dist: ix.kern.Dist(i, q)})
+		r := ix.kern.Reduced(i, q)
+		if r > t {
+			continue
+		}
+		c.h.Push(index.Neighbor{Index: i, Dist: ix.kern.Finish(r)})
+		t = c.h.Threshold(&ix.kern)
 	}
 	return c.h.AppendSorted(dst)
 }
@@ -258,11 +284,16 @@ func (c *Cursor) RangeInto(dst []index.Neighbor, q geom.Point, r float64, exclud
 	if bc := c.cursor(); bc != nil {
 		dst = bc.RangeLiveInto(dst, q, r, exclude, ix.deleted)
 	}
+	t := ix.kern.Threshold(r)
 	for i := ix.overlayStart; i < ix.pts.Len(); i++ {
 		if i == exclude || ix.deleted[i] {
 			continue
 		}
-		if d := ix.kern.Dist(i, q); d <= r {
+		rd := ix.kern.Reduced(i, q)
+		if rd > t {
+			continue
+		}
+		if d := ix.kern.Finish(rd); d <= r {
 			dst = append(dst, index.Neighbor{Index: i, Dist: d})
 		}
 	}

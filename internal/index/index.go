@@ -9,6 +9,7 @@
 package index
 
 import (
+	"math"
 	"sort"
 
 	"lof/internal/geom"
@@ -116,6 +117,16 @@ func (h *Heap) Worst() (float64, bool) {
 }
 
 func (h *Heap) root() float64 { return h.ns[0].Dist }
+
+// Threshold returns kern's reduced threshold of the worst retained
+// distance, or +Inf while fewer than k candidates are held: a candidate
+// whose reduced distance exceeds it is one Push would refuse.
+func (h *Heap) Threshold(kern *geom.Kernel) float64 {
+	if !h.Full() {
+		return math.Inf(1)
+	}
+	return kern.Threshold(h.root())
+}
 
 // less orders candidates so the "worst" (max distance, then max index) is
 // at the root; using the index as a tiebreak makes results deterministic.

@@ -1,9 +1,15 @@
 // Package kdtree implements an exact k-d tree for the medium-dimensionality
 // regime of the paper's materialization step. The tree is built once by
-// recursive median splits and answers kNN queries by branch-and-bound
-// descent with splitting-plane pruning, which is valid for every Lp metric
-// because the coordinate distance to the splitting plane lower-bounds the
-// full distance.
+// recursive median splits and answers kNN and range queries by
+// branch-and-bound descent pruned by the box bound: the cursor carries the
+// current cell's per-axis gaps to the query down the descent (the
+// incremental distance of Arya and Mount) and skips a far child when the
+// reduced distance of those gaps (geom.Kernel.ReducedGaps) exceeds the
+// threshold of the heap's worst distance or of the radius. Leaf candidates
+// are tested in reduced distance too, so a rejected one costs no square
+// root and no push. Both tests reject only points Push or the radius would
+// refuse, so results and distances are those of a full scan bit for bit
+// (DESIGN.md, "kNN probe bounds").
 //
 // A tree may index a subset of a store's rows (NewSubset), and its live
 // queries skip rows a caller-owned tombstone mask marks deleted inside the
@@ -12,6 +18,8 @@
 package kdtree
 
 import (
+	"math"
+
 	"lof/internal/geom"
 	"lof/internal/index"
 )
@@ -208,10 +216,11 @@ func (ix *Index) Len() int { return len(ix.perm) }
 func (ix *Index) Metric() geom.Metric { return ix.metric }
 
 // Cursor is a reusable query object over the tree: it owns the candidate
-// heap, the range accumulation buffer, the result sorter and the resolved
-// distance kernel, so repeated queries allocate nothing and leaf scans pay
-// no per-candidate metric dispatch. Branch-and-bound descent state lives on
-// the call stack (method recursion), which costs no heap allocation.
+// heap, the range accumulation buffer, the result sorter, the resolved
+// distance kernel and the descent's per-axis gaps, so repeated queries
+// allocate nothing and leaf scans pay no per-candidate metric dispatch.
+// Branch-and-bound descent state lives on the call stack (method
+// recursion), which costs no heap allocation.
 type Cursor struct {
 	ix     *Index
 	h      *index.Heap
@@ -224,11 +233,22 @@ type Cursor struct {
 	// deleted is the in-flight query's tombstone mask; nil on every batch
 	// path.
 	deleted []bool
+	// gaps holds, per axis, the gap between the query and the cell the
+	// descent is in (0 on axes where the query lies within the cell's
+	// extent). Entering a far child sets its axis; leaving restores it.
+	gaps []float64
+	// t is the reduced threshold of the in-flight query's bound: the
+	// heap's worst distance (+Inf until k candidates are held) or the
+	// range radius.
+	t float64
 }
 
 // NewCursor returns a fresh cursor over the index.
 func (ix *Index) NewCursor() index.Cursor {
-	return &Cursor{ix: ix, h: index.NewHeap(0), kern: geom.NewKernel(ix.pts, ix.metric)}
+	return &Cursor{
+		ix: ix, h: index.NewHeap(0), kern: geom.NewKernel(ix.pts, ix.metric),
+		gaps: make([]float64, ix.pts.Dim()),
+	}
 }
 
 // Index returns the cursor's index.
@@ -248,12 +268,23 @@ func (c *Cursor) KNNLiveInto(dst []index.Neighbor, q geom.Point, k int, exclude 
 		return dst
 	}
 	c.h.Reset(k)
-	c.deleted = deleted
+	c.start(math.Inf(1), deleted)
 	c.knn(c.ix.root, q, exclude)
 	c.deleted = nil
 	return c.h.AppendSorted(dst)
 }
 
+// start readies the descent of one query: the root cell has no gaps (a
+// query that panicked mid-descent may have left some set).
+func (c *Cursor) start(t float64, deleted []bool) {
+	clear(c.gaps)
+	c.t, c.deleted = t, deleted
+}
+
+// knn is the branch-and-bound descent of KNNLiveInto. A candidate or a
+// cell whose reduced distance exceeds c.t lies beyond the heap's worst
+// distance, where Push would refuse it, so skipping it leaves the result
+// and every reported distance unchanged.
 func (c *Cursor) knn(n *node, q geom.Point, exclude int) {
 	ix := c.ix
 	if n.axis < 0 { // leaf
@@ -262,21 +293,29 @@ func (c *Cursor) knn(n *node, q geom.Point, exclude int) {
 			if pi == exclude || (dead != nil && dead[pi]) {
 				continue
 			}
-			c.h.Push(index.Neighbor{Index: pi, Dist: c.kern.Dist(pi, q)})
+			r := c.kern.Reduced(pi, q)
+			if r > c.t {
+				continue
+			}
+			c.h.Push(index.Neighbor{Index: pi, Dist: c.kern.Finish(r)})
+			c.t = c.h.Threshold(&c.kern)
 		}
 		return
 	}
+	a := n.axis
 	near, far := n.left, n.right
-	if q[n.axis] >= n.split {
+	if q[a] >= n.split {
 		near, far = far, near
 	}
 	c.knn(near, q, exclude)
-	// The splitting-plane gap, scaled per metric, lower-bounds the distance
-	// to any point in the far subtree.
-	gap := geom.AxisGapLowerBound(ix.metric, n.axis, q[n.axis]-n.split)
-	if w, full := c.h.Worst(); !full || gap <= w {
+	// The far cell lies beyond the splitting plane on axis a, and inside
+	// the current cell on every other axis.
+	old := c.gaps[a]
+	c.gaps[a] = math.Abs(q[a] - n.split)
+	if c.kern.ReducedGaps(c.gaps) <= c.t {
 		c.knn(far, q, exclude)
 	}
+	c.gaps[a] = old
 }
 
 // RangeInto appends all points within distance r of q to dst.
@@ -291,7 +330,7 @@ func (c *Cursor) RangeLiveInto(dst []index.Neighbor, q geom.Point, r float64, ex
 	}
 	start := len(dst)
 	c.out = dst
-	c.deleted = deleted
+	c.start(c.kern.Threshold(r), deleted)
 	c.rangeQuery(c.ix.root, q, r, exclude)
 	dst = c.out
 	c.out, c.deleted = nil, nil
@@ -299,6 +338,8 @@ func (c *Cursor) RangeLiveInto(dst []index.Neighbor, q geom.Point, r float64, ex
 	return dst
 }
 
+// rangeQuery is the descent of RangeLiveInto, pruned as knn is by the
+// threshold of r.
 func (c *Cursor) rangeQuery(n *node, q geom.Point, r float64, exclude int) {
 	ix := c.ix
 	if n.axis < 0 {
@@ -307,18 +348,26 @@ func (c *Cursor) rangeQuery(n *node, q geom.Point, r float64, exclude int) {
 			if pi == exclude || (dead != nil && dead[pi]) {
 				continue
 			}
-			if d := c.kern.Dist(pi, q); d <= r {
+			rd := c.kern.Reduced(pi, q)
+			if rd > c.t {
+				continue
+			}
+			if d := c.kern.Finish(rd); d <= r {
 				c.out = append(c.out, index.Neighbor{Index: pi, Dist: d})
 			}
 		}
 		return
 	}
+	a := n.axis
 	near, far := n.left, n.right
-	if q[n.axis] >= n.split {
+	if q[a] >= n.split {
 		near, far = far, near
 	}
 	c.rangeQuery(near, q, r, exclude)
-	if geom.AxisGapLowerBound(ix.metric, n.axis, q[n.axis]-n.split) <= r {
+	old := c.gaps[a]
+	c.gaps[a] = math.Abs(q[a] - n.split)
+	if c.kern.ReducedGaps(c.gaps) <= c.t {
 		c.rangeQuery(far, q, r, exclude)
 	}
+	c.gaps[a] = old
 }

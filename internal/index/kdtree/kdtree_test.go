@@ -8,6 +8,7 @@ import (
 	"lof/internal/index"
 	"lof/internal/index/indextest"
 	"lof/internal/index/kdtree"
+	"lof/internal/index/linear"
 )
 
 func build(pts *geom.Points, m geom.Metric) index.Index { return kdtree.New(pts, m) }
@@ -74,5 +75,28 @@ func TestNewAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { kdtree.New(pts, nil) })
 	if allocs > 16 {
 		t.Errorf("%.0f allocations per 2,000-point build, want at most 16", allocs)
+	}
+}
+
+// TestMinkowskiFaceTie pins the Minkowski box bound. Under p=3 a point
+// across a splitting plane at gap 2 lies at 1.9999999999999998, an ulp
+// inside the gap, so a far cell pruned by its gap loses a tie it should
+// win: here point 0, behind the plane at 2, ties the twenty copies of -2
+// and must win on its index.
+func TestMinkowskiFaceTie(t *testing.T) {
+	rows := []geom.Point{{2}}
+	for i := 0; i < 20; i++ {
+		rows = append(rows, geom.Point{-2})
+	}
+	pts, err := geom.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := geom.Minkowski{P: 3}
+	q := geom.Point{0}
+	want := linear.New(pts, m).NewCursor().KNNInto(nil, q, 1, index.ExcludeNone)
+	got := kdtree.New(pts, m).NewCursor().KNNInto(nil, q, 1, index.ExcludeNone)
+	if len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("KNN=%v, linear scan %v", got, want)
 	}
 }
