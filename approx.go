@@ -182,9 +182,10 @@ func (m *Model) ScoreBatchPrunedContext(ctx context.Context, queries [][]float64
 	return out, nil
 }
 
-// Coreset returns a model refitted on an importance-weighted sample of at
-// most n fitted points, under the same configuration: the approximate
-// model servers answer ?mode=coreset and ?mode=degraded from. Points are
+// Coreset returns a model refitted on a sample of at most n fitted
+// points, under the same configuration: the approximate model servers
+// answer ?mode=coreset and ?mode=degraded from. The refit is unweighted,
+// so it sees the sample as ordinary data. Points are
 // drawn by sensitivity (Lucic/Bachem/Krause): selection probability mixes
 // a uniform floor with a term proportional to the point's k-distance, so
 // sparse regions — cluster fringes, small clusters, the places a stride
@@ -203,7 +204,7 @@ func (m *Model) Coreset(n int) (*Model, error) {
 		return nil, fmt.Errorf("lof: coreset of %d cannot support MinPtsUB=%d; need at least %d",
 			n, m.cfg.MinPtsUB, m.cfg.MinPtsUB+1)
 	}
-	indices, _, err := approx.Coreset(m.db, m.cfg.MinPtsUB, n, coresetSeed)
+	indices, err := approx.Coreset(m.db, m.cfg.MinPtsUB, n, coresetSeed)
 	if err != nil {
 		return nil, fmt.Errorf("lof: coreset draw: %w", err)
 	}

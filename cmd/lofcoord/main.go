@@ -1,9 +1,10 @@
 // Command lofcoord runs the scatter-gather coordinator of the sharded
 // serving tier. It fronts a fleet of lofserve shard processes: a fit is
 // performed once, globally, then split into per-shard snapshots and
-// replicated; scores are answered by fanning out to every shard and
-// merging the candidates into exact global LOF — bit-identical to what a
-// single lofserve holding the whole model would return.
+// replicated. A score asks every shard once for its kNN candidates, merges
+// them, and evaluates each query's closure from the split the coordinator
+// keeps — exact global LOF, bit-identical to what a single lofserve
+// holding the whole model would return.
 //
 // Usage:
 //

@@ -19,8 +19,6 @@
 //	POST /v1/shard/snapshot   install a shard partition pushed by lofcoord
 //	POST /v1/shard/candidates per-partition kNN candidates (shard role,
 //	                          binary frames)
-//	POST /v1/shard/rows       merged rows or merged k-distances of owned
-//	                          points (shard role, binary frames)
 //	POST /v1/stream/init      create (or replace) the streaming pipeline
 //	POST /v1/stream           apply one ingestion batch (inserts/deletes/expiry)
 //	POST /v1/stream/score     score queries against the published stream epoch

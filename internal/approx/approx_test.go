@@ -298,32 +298,29 @@ func TestSensitivityDistribution(t *testing.T) {
 	}
 }
 
-func TestCoresetDeterministicAndWeighted(t *testing.T) {
+func TestCoresetDeterministic(t *testing.T) {
 	d := clusteredWithOutliers(10, 400)
 	db := testDB(t, d, 20)
-	idx1, w1, err := Coreset(db, 20, 100, 42)
+	idx1, err := Coreset(db, 20, 100, 42)
 	if err != nil {
 		t.Fatalf("Coreset: %v", err)
 	}
-	idx2, w2, err := Coreset(db, 20, 100, 42)
+	idx2, err := Coreset(db, 20, 100, 42)
 	if err != nil {
 		t.Fatalf("Coreset repeat: %v", err)
 	}
-	if len(idx1) != 100 || len(w1) != 100 {
-		t.Fatalf("got %d indices, %d weights, want 100 each", len(idx1), len(w1))
+	if len(idx1) != 100 {
+		t.Fatalf("got %d indices, want 100", len(idx1))
 	}
 	for j := range idx1 {
-		if idx1[j] != idx2[j] || w1[j] != w2[j] {
-			t.Fatalf("slot %d: same-seed draws diverge (%d/%v vs %d/%v)", j, idx1[j], w1[j], idx2[j], w2[j])
+		if idx1[j] != idx2[j] {
+			t.Fatalf("slot %d: same-seed draws diverge (%d vs %d)", j, idx1[j], idx2[j])
 		}
 		if j > 0 && idx1[j] <= idx1[j-1] {
 			t.Fatalf("indices not strictly ascending at slot %d", j)
 		}
-		if !(w1[j] > 0) || math.IsInf(w1[j], 0) {
-			t.Fatalf("slot %d: degenerate weight %v", j, w1[j])
-		}
 	}
-	idx3, _, err := Coreset(db, 20, 100, 43)
+	idx3, err := Coreset(db, 20, 100, 43)
 	if err != nil {
 		t.Fatalf("Coreset reseed: %v", err)
 	}
@@ -342,10 +339,10 @@ func TestCoresetDeterministicAndWeighted(t *testing.T) {
 func TestCoresetEdgeCases(t *testing.T) {
 	d := clusteredWithOutliers(11, 60)
 	db := testDB(t, d, 10)
-	if _, _, err := Coreset(db, 10, 0, 1); err == nil {
+	if _, err := Coreset(db, 10, 0, 1); err == nil {
 		t.Fatal("non-positive size accepted")
 	}
-	idx, w, err := Coreset(db, 10, db.Len()+50, 1)
+	idx, err := Coreset(db, 10, db.Len()+50, 1)
 	if err != nil {
 		t.Fatalf("oversized coreset: %v", err)
 	}
@@ -353,11 +350,11 @@ func TestCoresetEdgeCases(t *testing.T) {
 		t.Fatalf("oversized coreset returned %d of %d points", len(idx), db.Len())
 	}
 	for j, i := range idx {
-		if i != j || w[j] != 1 {
+		if i != j {
 			t.Fatalf("oversized coreset is not the identity at slot %d", j)
 		}
 	}
-	if _, _, err := Coreset(db, 9999, 10, 1); err == nil {
+	if _, err := Coreset(db, 9999, 10, 1); err == nil {
 		t.Fatal("invalid minPts accepted")
 	}
 }
@@ -372,7 +369,7 @@ func TestCoresetKeepsSparseRegions(t *testing.T) {
 	kept := 0
 	trials := 20
 	for s := int64(0); s < int64(trials); s++ {
-		idx, _, err := Coreset(db, 20, 80, s)
+		idx, err := Coreset(db, 20, 80, s)
 		if err != nil {
 			t.Fatalf("Coreset: %v", err)
 		}

@@ -19,7 +19,7 @@ import (
 // decimates first, and exactly the ones whose absence moves downstream
 // LOF scores the most. Mixing half the mass uniformly keeps every point's
 // probability bounded below, the standard lightweight-coreset guard that
-// caps importance weights and covers the dense bulk.
+// keeps the dense bulk covered.
 
 // sensitivityMix is the uniform share of the sampling distribution.
 const sensitivityMix = 0.5
@@ -68,28 +68,21 @@ func Sensitivity(db *matdb.DB, minPts int) ([]float64, error) {
 // spanning several positions) are collapsed and the freed slots go to the
 // highest-sensitivity undrawn points, so the result always has exactly
 // min(m, n) distinct indices, ascending.
-//
-// weights[j] is the unbiasedness weight of indices[j]: draws/(m·q(i)) for
-// sampled points — the Horvitz-Thompson correction that makes weighted
-// sums over the coreset estimate sums over the full data — and 1 for
-// deterministic fill-ins, which represent only themselves.
-func Coreset(db *matdb.DB, minPts, m int, seed int64) (indices []int, weights []float64, err error) {
+func Coreset(db *matdb.DB, minPts, m int, seed int64) ([]int, error) {
 	if m <= 0 {
-		return nil, nil, fmt.Errorf("approx: coreset size must be positive, got %d", m)
+		return nil, fmt.Errorf("approx: coreset size must be positive, got %d", m)
 	}
 	q, err := Sensitivity(db, minPts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n := db.Len()
 	if m >= n {
-		indices = make([]int, n)
-		weights = make([]float64, n)
+		indices := make([]int, n)
 		for i := range indices {
 			indices[i] = i
-			weights[i] = 1
 		}
-		return indices, weights, nil
+		return indices, nil
 	}
 	u := rand.New(rand.NewSource(seed)).Float64()
 	counts := make([]int, n)
@@ -128,20 +121,14 @@ func Coreset(db *matdb.DB, minPts, m int, seed int64) (indices []int, weights []
 			return undrawn[a] < undrawn[b]
 		})
 		for _, i := range undrawn[:missing] {
-			counts[i] = -1 // fill-in marker: weight 1, not Horvitz-Thompson
+			counts[i] = 1
 		}
 	}
-	indices = make([]int, 0, m)
-	weights = make([]float64, 0, m)
+	indices := make([]int, 0, m)
 	for i, c := range counts {
-		switch {
-		case c > 0:
+		if c > 0 {
 			indices = append(indices, i)
-			weights = append(weights, float64(c)/(float64(m)*q[i]))
-		case c < 0:
-			indices = append(indices, i)
-			weights = append(weights, 1)
 		}
 	}
-	return indices, weights, nil
+	return indices, nil
 }

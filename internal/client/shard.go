@@ -14,7 +14,7 @@ import (
 )
 
 // Shard-tier methods: the coordinator talks to each shard replica through
-// these. Data requests (Candidates, Rows) ride the normal retry loop — a
+// these. The data request (Candidates) rides the normal retry loop — a
 // stale-version 503 carries Retry-After and is retried like any transient —
 // while Readyz is deliberately one-shot: a 503 there IS the answer the
 // poller wants, not a failure to paper over.
@@ -33,23 +33,12 @@ func (c *Client) PushSnapshot(ctx context.Context, encoded []byte) (*shard.Snaps
 // Candidates posts a candidates request frame and returns the shard's
 // answer, checked against the request (shard.CheckReply).
 func (c *Client) Candidates(ctx context.Context, req *shard.Frame) (*shard.Frame, error) {
-	return c.frame(ctx, "/v1/shard/candidates", req)
-}
-
-// Rows posts a rows or k-distances request frame and returns the shard's
-// answer, checked against the request.
-func (c *Client) Rows(ctx context.Context, req *shard.Frame) (*shard.Frame, error) {
-	return c.frame(ctx, "/v1/shard/rows", req)
-}
-
-// frame runs one frame round trip on path.
-func (c *Client) frame(ctx context.Context, path string, req *shard.Frame) (*shard.Frame, error) {
 	var out *shard.Frame
-	if err := c.doTyped(ctx, http.MethodPost, path, req.Encode(), "application/octet-stream", &out); err != nil {
+	if err := c.doTyped(ctx, http.MethodPost, "/v1/shard/candidates", req.Encode(), "application/octet-stream", &out); err != nil {
 		return nil, err
 	}
 	if err := shard.CheckReply(req, out); err != nil {
-		return nil, fmt.Errorf("client: %s: %w", path, err)
+		return nil, fmt.Errorf("client: /v1/shard/candidates: %w", err)
 	}
 	return out, nil
 }

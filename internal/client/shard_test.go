@@ -80,25 +80,11 @@ func TestShardClientRoundTrip(t *testing.T) {
 		t.Fatalf("candidates = %+v", cresp)
 	}
 
-	for _, kind := range []shard.Kind{shard.KindRowsRequest, shard.KindKDistsRequest} {
-		req := &shard.Frame{
-			Kind: kind, Version: 3, Dim: 2, LB: 2, UB: 4,
-			Queries: []float64{0.4, 0.4}, Counts: []uint32{1}, IDs: []uint32{0},
-		}
-		rresp, err := c.Rows(ctx, req)
-		if err != nil {
-			t.Fatalf("Rows(%v): %v", kind, err)
-		}
-		if rresp.Kind != kind.Reply() || len(rresp.Lens)+len(rresp.KDists) == 0 {
-			t.Fatalf("rows(%v) = %+v", kind, rresp)
-		}
-	}
-
 	// A frame body a shard does not accept is the caller's error, not
 	// retried; a JSON body is one.
 	var out struct{}
-	if err := c.do(ctx, http.MethodPost, "/v1/shard/rows", []byte(`{"version":3}`), &out); StatusCode(err) != http.StatusBadRequest {
-		t.Fatalf("JSON body on /v1/shard/rows: %v, want a 400", err)
+	if err := c.do(ctx, http.MethodPost, "/v1/shard/candidates", []byte(`{"version":3}`), &out); StatusCode(err) != http.StatusBadRequest {
+		t.Fatalf("JSON body on /v1/shard/candidates: %v, want a 400", err)
 	}
 
 	// A stale pin exhausts retries with the server's 503 as the cause.

@@ -1,25 +1,23 @@
 // Package coord implements the lofcoord scatter-gather coordinator: the
 // control and query plane of the sharded LOF serving tier. It fits a model
-// globally, splits the fitted state into per-shard sub-snapshots
-// (shard.Split), replicates them to lofserve shard processes, and answers
-// score requests by a three-round scatter-gather that reassembles exact
-// global LOF, one binary frame (shard.Frame) per shard and round:
+// globally, splits the fitted state into per-shard parts (shard.Split),
+// replicates them to lofserve shard processes, keeps the split itself, and
+// answers score requests with one shard round:
 //
-//	round 1  every shard returns its partition's kNN candidates for the
-//	         query batch; the coordinator merges them into each query's
-//	         exact global row (matdb.MergeCandidates)
-//	round 2  the merged rows of each query's neighborhood (the first hop)
-//	         are fetched from their owning shards
-//	round 3  for every point those rows reach (the second hop), only its
-//	         merged k-distances at MinPts lb..ub are fetched — the one
-//	         thing LOF reads of it, inside reach-dist
+//	candidates  every shard returns its partition's kNN candidates for the
+//	            query batch, one binary frame (shard.Frame) per shard; the
+//	            coordinator merges them into each query's exact global row
+//	            (matdb.MergeCandidates)
+//	eval        the coordinator assembles each query's two-hop closure from
+//	            the parts it holds — every closure point's row merged with
+//	            the query by its owning part (shard.Part.MergedRow, the
+//	            matdb.RowBuf.Merge call the in-process scorer makes) — and
+//	            evaluates it with core.EvalRange, the scorer's own code
 //
-// Each query's closure is kept densely (closure): its row, its first-hop
-// rows and its second-hop k-distance vectors, addressed by position.
-// Evaluation then runs core.EvalRange over them: literally the code path
-// the in-process scorer uses, fed by shards that build rows and
-// k-distances with the scorer's own matdb helper, which is what makes a
-// distributed score bit-identical to a single-node one.
+// Both halves are the single-node code paths over the same stored rows,
+// which is what makes a distributed score bit-identical to a single-node
+// one. The shards are the distributed kNN probe (plus replicas); the
+// coordinator holds the whole split and does every evaluation.
 //
 // Failure policy: per-shard calls hedge across replicas (first success
 // wins); when a whole shard is unreachable, a request that opted into
@@ -32,13 +30,13 @@
 //
 // Approximate modes ride the same scatter-gather machinery:
 //
-//	?mode=pruned   right after round 1, each query's merged row is
-//	               bounded with lofserve's certificate (approx.QueryBounds
-//	               over per-point approx.Summaries, built from the kept
-//	               parts on the version's first pruned request); a query
-//	               whose LOF interval lies inside 1±eps answers exactly 1
-//	               and skips rounds 2 and 3, so every answer equals
-//	               lof.Model.ScoreBatchPruned's bit for bit
+//	?mode=pruned   right after the candidates round, each query's merged
+//	               row is bounded with lofserve's certificate
+//	               (approx.QueryBounds over per-point approx.Summaries,
+//	               built from the kept parts on the version's first pruned
+//	               request); a query whose LOF interval lies inside 1±eps
+//	               answers exactly 1 and is not evaluated, so every answer
+//	               equals lof.Model.ScoreBatchPruned's bit for bit
 //	?mode=coreset  answered from a local sensitivity-sampled coreset
 //	               model derived at fit time (lof.Model.Coreset), no
 //	               shard RPCs at all; falls back to exact when disabled
@@ -111,10 +109,12 @@ type state struct {
 	lb, ub  int
 	agg     core.Aggregate
 	info    ModelInfo
-	encoded [][]byte // per-shard snapshots, kept for repair re-pushes
+	// parts is the split the shards hold: every query's closure rows are
+	// merged from it, and each push and repair re-push encodes from it.
+	parts   []*shard.Part
 	coreset *lof.Model
 	// summaries returns the pruned-mode certificate's per-point summaries,
-	// built from encoded on the first call (the version's first pruned
+	// built from parts on the first call (the version's first pruned
 	// request) and shared by every later one. Exact traffic never calls
 	// it, so it never pays their memory (DESIGN.md §12).
 	summaries func() (*approx.Summaries, error)
@@ -219,8 +219,9 @@ func (c *Coordinator) Version() uint64 {
 // Fit fits the model globally, splits it, and replicates one sub-snapshot
 // per shard. The new version serves once every shard has acknowledged the
 // push on at least one replica; remaining replicas are brought up to date
-// by the repair loop. The full fitted model is released after the split —
-// the coordinator keeps only the encoded parts and the small coreset.
+// by the repair loop. The fitted model is released after the split — the
+// coordinator keeps the parts, whose rows alias the model's, and the small
+// coreset.
 func (c *Coordinator) Fit(ctx context.Context, fitCfg server.FitConfig, data [][]float64) (ModelInfo, error) {
 	c.fitMu.Lock()
 	defer c.fitMu.Unlock()
@@ -268,8 +269,8 @@ func (c *Coordinator) Install(ctx context.Context, m *lof.Model) (ModelInfo, err
 	return st.info, nil
 }
 
-// buildState splits m into encoded per-shard snapshots under a fresh
-// version and derives the coreset.
+// buildState splits m into per-shard parts under a fresh version and
+// derives the coreset.
 func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 	pts, db := m.Fitted()
 	mcfg := m.Config()
@@ -286,7 +287,7 @@ func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 		lb:      mcfg.MinPtsLB,
 		ub:      mcfg.MinPtsUB,
 		agg:     core.Aggregate(mcfg.Aggregation),
-		encoded: make([][]byte, len(parts)),
+		parts:   parts,
 	}
 	metric := mcfg.Metric
 	if metric == "" {
@@ -301,40 +302,33 @@ func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 		Metric: metric, Distinct: mcfg.Distinct,
 		Shards: len(parts), Version: version,
 	}
-	for s, p := range parts {
-		if st.encoded[s], err = shard.EncodePart(p); err != nil {
-			return nil, fmt.Errorf("coord: encoding shard %d: %w", s, err)
-		}
-	}
 	if c.cfg.CoresetSample > 0 {
 		if cs, err := m.Coreset(c.cfg.CoresetSample); err == nil {
 			st.coreset = cs
 		}
 	}
+	// The summaries come from the parts' rows joined back into the fitted
+	// database, summarized as lof.Model.ScoreBatchPruned summarizes its
+	// own; only the summaries outlive the build.
 	st.summaries = sync.OnceValues(func() (*approx.Summaries, error) {
 		c.summaryBuilds.Add(1)
-		return joinSummaries(st.encoded, st.lb, st.ub, c.pool)
+		db, err := shard.Join(st.parts)
+		if err != nil {
+			return nil, err
+		}
+		return approx.NewSummaries(db, st.lb, st.ub, c.pool)
 	})
 	return st, nil
 }
 
-// joinSummaries derives the pruned-mode summaries from the encoded parts:
-// it decodes them, reassembles the fitted database (shard.Join) and
-// summarizes it as lof.Model.ScoreBatchPruned summarizes its own. Only the
-// summaries outlive the call.
-func joinSummaries(encoded [][]byte, lb, ub int, p *pool.Pool) (*approx.Summaries, error) {
-	parts := make([]*shard.Part, len(encoded))
-	for s, b := range encoded {
-		var err error
-		if parts[s], err = shard.DecodePart(b); err != nil {
-			return nil, fmt.Errorf("decoding shard %d: %w", s, err)
-		}
-	}
-	db, err := shard.Join(parts)
+// pushPart encodes part p and installs it on one replica.
+func pushPart(ctx context.Context, cl *client.Client, p *shard.Part) error {
+	b, err := shard.EncodePart(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return approx.NewSummaries(db, lb, ub, p)
+	_, err = cl.PushSnapshot(ctx, b)
+	return err
 }
 
 // distribute pushes every shard's snapshot to all of its replicas in
@@ -356,7 +350,7 @@ func (c *Coordinator) distribute(ctx context.Context, st *state) error {
 		go func(w push) {
 			defer wg.Done()
 			cl := c.replicas[w.s].Clients()[w.r]
-			if _, err := cl.PushSnapshot(ctx, st.encoded[w.s]); err != nil {
+			if err := pushPart(ctx, cl, st.parts[w.s]); err != nil {
 				errsByShard[w.s].Store(&err)
 				return
 			}
@@ -398,7 +392,7 @@ func (e *shardError) Unwrap() error { return e.err }
 //	"degraded" exact, but a shard outage is absorbed by the local
 //	           coreset model, the return marked "degraded"
 //	"pruned"   band-certified: queries whose LOF interval lies inside
-//	           1±eps answer 1 without rounds 2 and 3; the rest answer
+//	           1±eps answer 1 without evaluation; the rest answer
 //	           exactly
 //	"coreset"  served from the local coreset model; exact when disabled
 //
@@ -462,15 +456,12 @@ func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode strin
 
 // shardCall runs op against a shard's replica set with hedging, records
 // per-shard latency and failures, and traces the whole hedged call as one
-// named span (replica attempts appear as its children) carrying the
-// scatter-gather round (when positive) and, for frame answers, their size
-// in bytes — per-round transport, readable in /debug/traces.
-func shardCall[T any](ctx context.Context, c *Coordinator, s int, name string, round int, op func(context.Context, *client.Client) (T, error)) (T, error) {
+// named span (replica attempts appear as its children) carrying, for frame
+// answers, their size in bytes — per-shard transport, readable in
+// /debug/traces.
+func shardCall[T any](ctx context.Context, c *Coordinator, s int, name string, op func(context.Context, *client.Client) (T, error)) (T, error) {
 	sp, sctx := trace.StartSpan(ctx, name)
 	sp.SetAttrInt("shard", int64(s))
-	if round > 0 {
-		sp.SetAttrInt("round", int64(round))
-	}
 	start := time.Now()
 	v, err := client.Hedged(sctx, c.replicas[s], c.cfg.Hedge, op)
 	c.shardLatency[s].Observe(time.Since(start))
@@ -484,53 +475,15 @@ func shardCall[T any](ctx context.Context, c *Coordinator, s int, name string, r
 	return v, err
 }
 
-// closure is one query's scatter-gather state in dense form: its merged
-// row (round 1), the merged rows of its first hop (round 2) and the merged
-// k-distances of its second hop (round 3). slot maps a global id to its
-// position: i < len(first) for first-hop points, len(first)+j for
-// second-hop point j.
-type closure struct {
-	row    matdb.Row
-	first  []int
-	rows   []matdb.Row // parallel to first
-	second []int
-	kd     []float64 // w per second-hop id, parallel to second
-	slot   map[int]int32
-}
-
-// rowOf returns the merged row of first-hop point i.
-func (cl *closure) rowOf(i int) (matdb.Row, bool) {
-	p, ok := cl.slot[i]
-	if !ok || int(p) >= len(cl.first) {
-		return matdb.Row{}, false
-	}
-	return cl.rows[p], true
-}
-
-// addSecondHop lists the ids the first-hop rows' ub-neighborhoods reach
-// that are neither the query nor first-hop points, in first-seen order —
-// the points the evaluation reads only through their k-distances.
-func (cl *closure) addSecondHop(ub, qIdx int) {
-	for _, row := range cl.rows {
-		for _, nb := range row.Neighborhood(ub) {
-			if _, seen := cl.slot[nb.Index]; seen || nb.Index == qIdx {
-				continue
-			}
-			cl.slot[nb.Index] = int32(len(cl.first) + len(cl.second))
-			cl.second = append(cl.second, nb.Index)
-		}
-	}
-}
-
-// score runs the scatter-gather for a batch. Round 1 merges every query's
+// score answers a batch exactly. The candidates round merges every query's
 // global row. With pruned set, a query whose LOF interval over that row
 // lies inside 1±lof.DefaultPruneEps answers 1 and leaves the batch: the
 // interval is approx.QueryBounds over the version's summaries, the
 // certificate lof.Model.ScoreBatchPruned computes from the same row and
-// the same summaries. Rounds 2 and 3 and the exact evaluation run for the
-// rest. It returns the scores and the number of certified queries.
+// the same summaries. The rest are evaluated. It returns the scores and
+// the number of certified queries.
 func (c *Coordinator) score(ctx context.Context, st *state, queries [][]float64, pruned bool) ([]float64, int, error) {
-	cls, err := c.mergeQueryRows(ctx, st, queries)
+	rows, err := c.mergeQueryRows(ctx, st, queries)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -548,7 +501,7 @@ func (c *Coordinator) score(ctx context.Context, st *state, queries [][]float64,
 		}
 		skip = make([]bool, nq)
 		c.pool.Each(nq, func(qi int) {
-			lower, upper := approx.QueryBounds(sum, cls[qi].row)
+			lower, upper := approx.QueryBounds(sum, rows[qi])
 			skip[qi] = approx.Certified(lower, upper, lof.DefaultPruneEps)
 		})
 		csp.End()
@@ -562,30 +515,20 @@ func (c *Coordinator) score(ctx context.Context, st *state, queries [][]float64,
 			return out, certified, nil
 		}
 	}
-	if err := c.fetchRound(ctx, st, queries, cls, shard.KindRowsRequest, skip); err != nil {
-		return nil, 0, err
-	}
-	// A certified query fetched no rows, so it lists no second hop.
-	for qi := range cls {
-		cls[qi].addSecondHop(st.ub, st.meta.Total)
-	}
-	if err := c.fetchRound(ctx, st, queries, cls, shard.KindKDistsRequest, skip); err != nil {
-		return nil, 0, err
-	}
-	if err := c.evalInto(ctx, st, cls, out, skip); err != nil {
+	if err := c.evalInto(ctx, st, queries, rows, out, skip); err != nil {
 		return nil, 0, err
 	}
 	return out, certified, nil
 }
 
-// mergeQueryRows runs scatter-gather round 1: it merges every query's
-// global row from per-shard candidates and lists its first hop.
-func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][]float64) ([]closure, error) {
+// mergeQueryRows runs the candidates round: it merges every query's global
+// row from per-shard candidates.
+func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][]float64) ([]matdb.Row, error) {
 	nq := len(queries)
 	qIdx := st.meta.Total
 	dim := st.dim
 
-	// Round 1: per-partition candidates from every shard, in parallel.
+	// Per-partition candidates from every shard, in parallel.
 	req := &shard.Frame{Kind: shard.KindCandidatesRequest, Distinct: st.meta.Distinct, Version: st.version, Dim: dim}
 	req.Queries = make([]float64, 0, nq*dim)
 	for _, q := range queries {
@@ -595,7 +538,7 @@ func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][
 	csp, cctx := trace.StartSpan(ctx, "coord/candidates")
 	csp.SetAttrInt("queries", int64(nq))
 	err := c.eachShard(cctx, func(s int) error {
-		f, err := shardCall(cctx, c, s, "rpc/candidates", 1, func(ctx context.Context, cl *client.Client) (*shard.Frame, error) {
+		f, err := shardCall(cctx, c, s, "rpc/candidates", func(ctx context.Context, cl *client.Client) (*shard.Frame, error) {
 			return cl.Candidates(ctx, req)
 		})
 		answers[s] = f
@@ -619,7 +562,7 @@ func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][
 			starts[s][qi+1] = starts[s][qi] + int(n)
 		}
 	}
-	cls := make([]closure, nq)
+	rows := make([]matdb.Row, nq)
 	mergeErrs := make([]error, nq)
 	c.pool.Each(nq, func(qi int) {
 		var cands []index.Neighbor
@@ -643,18 +586,7 @@ func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][
 				}
 			}
 		}
-		cl := &cls[qi]
-		cl.row, mergeErrs[qi] = matdb.MergeCandidates(cands, at, st.meta.K, st.meta.Distinct)
-		nn := cl.row.Neighborhood(st.ub)
-		// The second hop is typically about five times the first.
-		cl.slot = make(map[int]int32, 6*len(nn))
-		for _, nb := range nn {
-			if _, seen := cl.slot[nb.Index]; !seen && nb.Index != qIdx {
-				cl.slot[nb.Index] = int32(len(cl.first))
-				cl.first = append(cl.first, nb.Index)
-			}
-		}
-		cl.rows = make([]matdb.Row, len(cl.first))
+		rows[qi], mergeErrs[qi] = matdb.MergeCandidates(cands, at, st.meta.K, st.meta.Distinct)
 	})
 	for qi, err := range mergeErrs {
 		if err != nil {
@@ -664,138 +596,51 @@ func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][
 		}
 	}
 	msp.End()
-	return cls, nil
+	return rows, nil
 }
 
 // evalInto evaluates every query not marked in skip — one core.EvalRange
-// per query over its closure, the evaluation the in-process scorer runs —
-// writing scores into out. A nil skip evaluates everything.
-func (c *Coordinator) evalInto(ctx context.Context, st *state, cls []closure, out []float64, skip []bool) error {
+// per query, the evaluation the in-process scorer runs, over the closure
+// rows the owning parts merge with the query — writing scores into out. A
+// nil skip evaluates everything. Each pool worker merges into its own
+// RowBuf, and stops at the next query once ctx is done.
+func (c *Coordinator) evalInto(ctx context.Context, st *state, queries [][]float64, rows []matdb.Row, out []float64, skip []bool) error {
 	esp, _ := trace.StartSpan(ctx, "coord/eval")
 	defer esp.End()
 	nq := len(out)
-	qIdx := st.meta.Total
-	w := st.ub - st.lb + 1
+	n, qIdx := len(st.parts), st.meta.Total
 	evalErrs := make([]error, nq)
-	c.pool.Each(nq, func(qi int) {
-		if skip != nil && skip[qi] {
-			return
-		}
-		cl := &cls[qi]
-		missing := -1
-		rowOf := func(i int) matdb.Row {
-			r, ok := cl.rowOf(i)
-			if !ok && missing < 0 {
-				missing = i
+	c.pool.Chunks(nq, func(lo, hi int) {
+		var buf matdb.RowBuf
+		series := make([]float64, st.ub-st.lb+1)
+		for qi := lo; qi < hi && ctx.Err() == nil; qi++ {
+			if skip != nil && skip[qi] {
+				continue
 			}
-			return r
-		}
-		kdOf := func(i int, dst []float64) []float64 {
-			p, ok := cl.slot[i]
-			j := int(p) - len(cl.first)
-			if !ok || j < 0 {
-				if missing < 0 {
-					missing = i
+			q := geom.Point(queries[qi])
+			var rowErr error
+			rowOf := func(i int) matdb.Row {
+				r, err := st.parts[c.cfg.Partitioner.Shard(uint32(i), n, qIdx)].MergedRow(&buf, i, q, st.ub)
+				if err != nil && rowErr == nil {
+					rowErr = err
 				}
-				return append(dst, make([]float64, w)...)
+				return r
 			}
-			return append(dst, cl.kd[j*w:(j+1)*w]...)
+			core.EvalRange(qIdx, rows[qi], rowOf, st.lb, st.ub, series)
+			if rowErr != nil {
+				evalErrs[qi] = fmt.Errorf("coord: query %d: %w", qi, rowErr)
+				continue
+			}
+			out[qi] = core.ScoreAggregate(series, st.agg)
 		}
-		series := make([]float64, w)
-		core.EvalRange(qIdx, cl.row, rowOf, kdOf, st.lb, st.ub, series)
-		if missing >= 0 {
-			evalErrs[qi] = fmt.Errorf("coord: query %d: point %d missing from the fetched closure", qi, missing)
-			return
-		}
-		out[qi] = core.ScoreAggregate(series, st.agg)
 	})
-	for _, err := range evalErrs {
+	for _, err := range append(evalErrs, ctx.Err()) {
 		if err != nil {
+			esp.SetError(err.Error())
 			return err
 		}
 	}
 	return nil
-}
-
-// fetchRound runs scatter-gather round 2 (kind KindRowsRequest: the merged
-// rows of every query's first hop) or round 3 (KindKDistsRequest: the
-// merged k-distances at MinPts lb..ub of its second hop) for every query
-// not marked in skip, one request frame per shard covering the whole
-// batch, and stores the answers in the closures.
-func (c *Coordinator) fetchRound(ctx context.Context, st *state, queries [][]float64, cls []closure, kind shard.Kind, skip []bool) error {
-	round := 2
-	if kind == shard.KindKDistsRequest {
-		round = 3
-	}
-	sp, sctx := trace.StartSpan(ctx, "coord/rows")
-	sp.SetAttrInt("round", int64(round))
-	defer sp.End()
-	n := len(c.replicas)
-	w := st.ub - st.lb + 1
-	reqs := make([]*shard.Frame, n)
-	for s := range reqs {
-		reqs[s] = &shard.Frame{Kind: kind, Distinct: st.meta.Distinct, Version: st.version, Dim: st.dim, LB: st.lb, UB: st.ub}
-	}
-	// dests[s][k] is where the answer to shard s's k-th id goes: the query
-	// and the id's position in that query's hop list.
-	type dest struct{ qi, pos int }
-	dests := make([][]dest, n)
-	for qi := range cls {
-		if skip != nil && skip[qi] {
-			continue
-		}
-		ids := cls[qi].first
-		if round == 3 {
-			ids = cls[qi].second
-			cls[qi].kd = make([]float64, len(ids)*w)
-		}
-		for pos, id := range ids {
-			s := c.cfg.Partitioner.Shard(uint32(id), n, st.meta.Total)
-			f := reqs[s]
-			if d := dests[s]; len(d) == 0 || d[len(d)-1].qi != qi {
-				f.Queries = append(f.Queries, queries[qi]...)
-				f.Counts = append(f.Counts, 0)
-			}
-			f.Counts[len(f.Counts)-1]++
-			f.IDs = append(f.IDs, uint32(id))
-			dests[s] = append(dests[s], dest{qi, pos})
-		}
-	}
-	// Shards answer disjoint (query, position) slots, so they store
-	// without a lock.
-	err := c.eachShard(sctx, func(s int) error {
-		if len(reqs[s].IDs) == 0 {
-			return nil
-		}
-		f, err := shardCall(sctx, c, s, "rpc/rows", round, func(ctx context.Context, cl *client.Client) (*shard.Frame, error) {
-			return cl.Rows(ctx, reqs[s])
-		})
-		if err != nil {
-			return err
-		}
-		if round == 3 {
-			for k, d := range dests[s] {
-				copy(cls[d.qi].kd[d.pos*w:(d.pos+1)*w], f.KDists[k*w:(k+1)*w])
-			}
-			return nil
-		}
-		entries, ranks := f.Entries, f.Ranks
-		for k, d := range dests[s] {
-			nn := entries[:f.Lens[k]:f.Lens[k]]
-			entries = entries[f.Lens[k]:]
-			var rk []int32
-			if st.meta.Distinct {
-				rk = ranks[:f.RankLens[k]:f.RankLens[k]]
-				ranks = ranks[f.RankLens[k]:]
-			}
-			cls[d.qi].rows[d.pos] = matdb.NewRow(nn, rk, st.meta.Distinct)
-		}
-		return nil
-	})
-	if err != nil {
-		sp.SetError(err.Error())
-	}
-	return err
 }
 
 // eachShard runs fn for every shard concurrently and returns the first
@@ -846,7 +691,7 @@ func (c *Coordinator) Repair(ctx context.Context) int {
 				if ctx.Err() != nil {
 					return
 				}
-				if _, err := cl.PushSnapshot(ctx, st.encoded[s]); err == nil {
+				if err := pushPart(ctx, cl, st.parts[s]); err == nil {
 					pushes.Add(1)
 					c.log(ctx, slog.LevelInfo, "repaired replica",
 						slog.Int("shard", s), slog.Uint64("version", st.version))

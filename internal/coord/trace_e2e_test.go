@@ -20,11 +20,12 @@ import (
 // TestTracePropagationEndToEnd spins a coordinator over three traced
 // shards, scores one batch under a sampled traceparent, and asserts the
 // whole request is one trace: every span in all four processes' collectors
-// carries the root trace ID, the coordinator's tree covers the
-// scatter-gather rounds and per-shard RPCs, each shard recorded its
-// handler spans, and the trace is retrievable over /v1/debug/traces. A
-// pruned batch whose queries all certify then shows only round-1 RPCs,
-// with the certified count on its request span.
+// carries the root trace ID, the coordinator's tree covers its one shard
+// round (one candidates RPC per shard, each carrying its answer's size)
+// and its own evaluation, each shard recorded its handler spans, and the
+// trace is retrievable over /v1/debug/traces. A pruned batch whose queries
+// all certify then shows the candidates RPCs and no evaluation, with the
+// certified count on its request span.
 func TestTracePropagationEndToEnd(t *testing.T) {
 	const shards = 3
 	shardCols := make([]*trace.Collector, shards)
@@ -81,34 +82,30 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 			t.Fatalf("coordinator recorded %d %q spans, want 1 (have %v)", names[want], want, names)
 		}
 	}
-	if names["coord/rows"] != 2 {
-		t.Fatalf("coordinator recorded %d coord/rows spans, want rounds 2 and 3 (have %v)", names["coord/rows"], names)
-	}
+	// One shard round: a candidates RPC per shard and nothing else.
 	if names["rpc/candidates"] != shards {
 		t.Fatalf("coordinator recorded %d rpc/candidates spans, want one per shard (have %v)", names["rpc/candidates"], names)
+	}
+	for _, name := range []string{"coord/rows", "rpc/rows"} {
+		if names[name] != 0 {
+			t.Fatalf("coordinator recorded %d %q spans, want no row rounds (have %v)", names[name], name, names)
+		}
 	}
 	if names["replica"] < shards {
 		t.Fatalf("coordinator recorded %d replica spans, want at least one per shard (have %v)", names["replica"], names)
 	}
-	// Every shard RPC span carries its round and its answer's size, so
-	// per-round transport is readable from the trace alone.
-	roundBytes := map[string]int64{}
+	// Every shard RPC span carries its answer's size, so the request's
+	// transport is readable from the trace alone.
 	for _, sp := range coordSpans {
-		if sp.Name != "rpc/candidates" && sp.Name != "rpc/rows" {
+		if sp.Name != "rpc/candidates" {
 			continue
 		}
-		round := sp.Attrs["round"]
-		n, err := strconv.ParseInt(sp.Attrs["bytes"], 10, 64)
-		if err != nil || n <= 0 {
-			t.Fatalf("%s span (round %q) has bytes attribute %q", sp.Name, round, sp.Attrs["bytes"])
+		if n, err := strconv.ParseInt(sp.Attrs["bytes"], 10, 64); err != nil || n <= 0 {
+			t.Fatalf("%s span has bytes attribute %q", sp.Name, sp.Attrs["bytes"])
 		}
-		if ok := map[string]bool{"1": sp.Name == "rpc/candidates", "2": sp.Name == "rpc/rows", "3": sp.Name == "rpc/rows"}[round]; !ok {
-			t.Fatalf("%s span has round %q", sp.Name, round)
+		if round, ok := sp.Attrs["round"]; ok {
+			t.Fatalf("%s span carries round %q; a request has one shard round", sp.Name, round)
 		}
-		roundBytes[round] += n
-	}
-	if len(roundBytes) != 3 {
-		t.Fatalf("answer bytes by round %v, want rounds 1, 2 and 3", roundBytes)
 	}
 
 	for s, col := range shardCols {
@@ -152,17 +149,17 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 	sized := 0
 	for _, sp := range dbg.Traces[0].Spans {
-		if sp.Name == "rpc/rows" && sp.Attrs["bytes"] != "" {
+		if sp.Name == "rpc/candidates" && sp.Attrs["bytes"] != "" {
 			sized++
 		}
 	}
-	if sized == 0 {
-		t.Fatal("debug endpoint shows no rpc/rows span with its answer's bytes")
+	if sized != shards {
+		t.Fatalf("debug endpoint shows %d rpc/candidates spans with their answer's bytes, want %d", sized, shards)
 	}
 
-	// A pruned batch whose queries all certify is answered after round 1:
-	// its request span carries the certified count, and its only RPCs are
-	// round 1's candidates calls.
+	// A pruned batch whose queries all certify is answered from the
+	// candidates round: its request span carries the certified count, and
+	// nothing is evaluated.
 	certifying := testQueries()[:4]
 	if pb, err := m.ScoreBatchPruned(certifying, 0); err != nil || pb.Certified != len(certifying) {
 		t.Fatalf("lofserve certifies %+v (%v) of the chosen batch, want all %d", pb, err, len(certifying))
@@ -185,9 +182,6 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		names[sp.Name]++
 		if sp.Name == "http /v1/score" && sp.Attrs["certified"] != strconv.Itoa(len(certifying)) {
 			t.Fatalf("pruned request span has certified=%q, want %d", sp.Attrs["certified"], len(certifying))
-		}
-		if sp.Name == "rpc/candidates" && sp.Attrs["round"] != "1" {
-			t.Fatalf("rpc/candidates span has round %q", sp.Attrs["round"])
 		}
 	}
 	if names["http /v1/score"] != 1 || names["rpc/candidates"] != shards || names["coord/certify"] != 1 {

@@ -106,8 +106,7 @@ func checkSeries(t *testing.T, sc *Scorer, metric geom.Metric, distinct bool, q 
 	}
 	qRow, rowOf, want := refSeries(sc, q)
 	viaRange := make([]float64, sc.ub-sc.lb+1)
-	kdOf := func(i int, dst []float64) []float64 { return rowOf(i).AppendKDistances(dst, sc.lb, sc.ub) }
-	EvalRange(sc.pts.Len(), qRow, rowOf, kdOf, sc.lb, sc.ub, viaRange)
+	EvalRange(sc.pts.Len(), qRow, rowOf, sc.lb, sc.ub, viaRange)
 	refit := refitSeries(t, sc.pts, q, metric, sc.lb, sc.ub, distinct)
 	for j := range want {
 		m := sc.lb + j

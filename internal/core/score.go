@@ -144,9 +144,9 @@ func (s *Scorer) ScoreSeriesFromRow(ctx context.Context, q geom.Point, qRow matd
 
 // series runs the post-probe pipeline shared by ScoreSeriesCtx and
 // ScoreSeriesFromRow: EvalRange over the query's two-hop closure, whose
-// rows and k-distances come from RowBuf.Merge — the stored row wherever q
-// cannot change it, a splice into sc's buffer otherwise — which is the
-// helper a shard answers the coordinator's row rounds with.
+// rows come from RowBuf.Merge — the stored row wherever q cannot change
+// it, a splice into sc's buffer otherwise — the call the sharded
+// coordinator makes through shard.Part.MergedRow.
 func (s *Scorer) series(ctx context.Context, tr *obs.Tracer, sc *evalScratch, q geom.Point, qRow matdb.Row) ([]float64, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -157,52 +157,45 @@ func (s *Scorer) series(ctx context.Context, tr *obs.Tracer, sc *evalScratch, q 
 	rowOf := func(i int) matdb.Row {
 		return sc.splice.Merge(s.db.Row(i), q, qIdx, s.kern.Dist(i, q), s.pts.At, s.db.K, s.ub)
 	}
-	kdOf := func(i int, dst []float64) []float64 {
-		return rowOf(i).AppendKDistances(dst, s.lb, s.ub)
-	}
 	out := make([]float64, s.ub-s.lb+1)
-	sc.evalRange(tr, qIdx, qRow, rowOf, kdOf, s.lb, s.ub, out)
+	sc.evalRange(tr, qIdx, qRow, rowOf, s.lb, s.ub, out)
 	return out, nil
 }
 
 // EvalRange computes the LOF of a query point at every MinPts in [lb, ub]
 // into out (which must have ub−lb+1 slots) from its merged two-hop closure:
 // qRow is the row the query occupies in data ∪ {q}, qIdx is its virtual
-// index (larger than every stored index), rowOf resolves the merged row of
-// each point in the query's ub-neighborhood (the first hop), and kdOf
-// appends to dst the ub−lb+1 merged k-distances at MinPts lb..ub of every
-// other point the first-hop rows reach (the second hop). A second-hop
-// point enters the LOF only through reach-dist(o, p) = max(k-distance(p),
-// d(o, p)) (Definitions 5–6), and d(o, p) is already in o's row, so its
-// k-distances are all the evaluation needs of it. Neither resolver is asked
-// for qIdx; each is called once per point of its hop, and a row rowOf
-// returns is consumed before the next call, so it may be backed by one
-// reused buffer.
+// index (larger than every stored index), and rowOf resolves the merged
+// row of every other point in the closure: each point in the query's
+// ub-neighborhood (the first hop) and each other point the first-hop rows
+// reach (the second hop). A second-hop point enters the LOF only through
+// reach-dist(o, p) = max(k-distance(p), d(o, p)) (Definitions 5–6), and
+// d(o, p) is already in o's row, so only its k-distances at MinPts lb..ub
+// are read from its row. rowOf is never asked for qIdx; it is called once
+// per closure point, and a row it returns is consumed before the next
+// call, so it may be backed by one reused buffer.
 //
 // This is the single out-of-sample evaluation: the in-process scorer's
-// resolvers read the database, the scatter-gather coordinator's read rows
-// and k-distances fetched from shards, and the streaming detector's
-// (through EvalAt) read its maintained neighborhoods, so distributed and
-// stream scores are bit-identical to a single-node one by construction. The closure is laid
-// out densely — local ids, one flat table of merged k-distances for MinPts
-// lb..ub — and one pass evaluates the whole range with Definitions 5–7's
-// arithmetic in the order a per-MinPts evaluation would use, so every value
-// is bit-identical to EvalAt at that MinPts.
-func EvalRange(qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, kdOf func(i int, dst []float64) []float64, lb, ub int, out []float64) {
+// rowOf reads the database, the sharded coordinator's reads the parts it
+// holds (shard.Part.MergedRow), and the streaming detector's (through
+// EvalAt) reads its maintained neighborhoods, all through RowBuf.Merge, so
+// distributed and stream scores are bit-identical to a single-node one by
+// construction. The closure is laid out densely — local ids, one flat
+// table of merged k-distances for MinPts lb..ub — and one pass evaluates
+// the whole range with Definitions 5–7's arithmetic in the order a
+// per-MinPts evaluation would use, so every value is bit-identical to
+// EvalAt at that MinPts.
+func EvalRange(qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, lb, ub int, out []float64) {
 	sc := scratchPool.Get().(*evalScratch)
-	sc.evalRange(nil, qIdx, qRow, rowOf, kdOf, lb, ub, out)
+	sc.evalRange(nil, qIdx, qRow, rowOf, lb, ub, out)
 	scratchPool.Put(sc)
 }
 
 // EvalAt computes the LOF of a query point at one MinPts value from merged
-// rows alone; it is EvalRange over the one-value range [minPts, minPts],
-// reading second-hop k-distances from the rows rowOf returns.
+// rows alone; it is EvalRange over the one-value range [minPts, minPts].
 func EvalAt(qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, minPts int) float64 {
 	var out [1]float64
-	kdOf := func(i int, dst []float64) []float64 {
-		return rowOf(i).AppendKDistances(dst, minPts, minPts)
-	}
-	EvalRange(qIdx, qRow, rowOf, kdOf, minPts, minPts, out[:])
+	EvalRange(qIdx, qRow, rowOf, minPts, minPts, out[:])
 	return out[0]
 }
 
@@ -251,7 +244,7 @@ type localNeighbor struct {
 
 // evalRange is EvalRange on this scratch, recording the closure build as
 // score/merge and the evaluation pass as score/eval on tr (nil-safe).
-func (sc *evalScratch) evalRange(tr *obs.Tracer, qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, kdOf func(int, []float64) []float64, lb, ub int, out []float64) {
+func (sc *evalScratch) evalRange(tr *obs.Tracer, qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, lb, ub int, out []float64) {
 	w := ub - lb + 1
 	sp := tr.Phase(obs.PhaseScoreMerge)
 	sc.reset(qIdx)
@@ -265,7 +258,7 @@ func (sc *evalScratch) evalRange(tr *obs.Tracer, qIdx int, qRow matdb.Row, rowOf
 		sc.addRow(qIdx, row, lb, ub)
 	}
 	for _, i := range sc.ids[h+1:] {
-		sc.kd = kdOf(i, sc.kd)
+		sc.kd = rowOf(i).AppendKDistances(sc.kd, lb, ub)
 	}
 	sp.End()
 	sp = tr.Phase(obs.PhaseScoreEval)

@@ -60,8 +60,8 @@ func (r Row) AppendKDistances(dst []float64, lb, ub int) []float64 {
 
 // RowBuf is reusable storage for one row at a time: the neighbor list and
 // distinct ranks of the last row built in it, so a caller building many
-// rows — a scorer's closure, a shard's batch answer — allocates only when a
-// row outgrows the buffers. The zero value is ready to use. A row returned
+// rows — a scorer's closure, a shard's candidate batch — allocates only
+// when a row outgrows the buffers. The zero value is ready to use. A row returned
 // by a RowBuf method aliases the buffers and is valid until the next call
 // on the same RowBuf.
 type RowBuf struct {
@@ -92,9 +92,9 @@ func (b *RowBuf) keep(r Row) Row {
 // consulted only for that recomputation; it never sees qIdx. k is the
 // materialized K of the database the row came from.
 //
-// The scorer's closure rows, a shard's answers and the streaming
-// detector's out-of-sample rows all come from here, so every evaluation
-// reads the same rows.
+// The scorer's closure rows, the sharded coordinator's (through
+// shard.Part.MergedRow) and the streaming detector's out-of-sample rows
+// all come from here, so every evaluation reads the same rows.
 func (b *RowBuf) Merge(stored Row, q geom.Point, qIdx int, d float64, at func(int) geom.Point, k, ub int) Row {
 	full := len(stored.Neighbors) >= ub && (!stored.distinct || len(stored.ranks) >= ub)
 	if full && stored.KDistance(ub) < d {

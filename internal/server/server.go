@@ -19,8 +19,6 @@
 //	POST /v1/shard/snapshot   install a pushed shard partition (octet-stream)
 //	POST /v1/shard/candidates per-partition kNN candidates (shard role,
 //	                          binary frames)
-//	POST /v1/shard/rows       merged rows or merged k-distances of owned
-//	                          points (shard role, binary frames)
 //	POST /v1/stream/init      create (or replace) the streaming pipeline
 //	POST /v1/stream           apply one ingestion batch (inserts/deletes/expiry)
 //	POST /v1/stream/score     score queries against the published stream epoch
@@ -200,7 +198,6 @@ func New(cfg Config) *Server {
 	f.Handle("GET /v1/model", s.handleModel)
 	f.Handle("POST /v1/shard/snapshot", s.handleShardSnapshot)
 	f.Handle("POST /v1/shard/candidates", s.handleShardCandidates)
-	f.Handle("POST /v1/shard/rows", s.handleShardRows)
 	f.Handle("POST /v1/stream/init", s.handleStreamInit)
 	f.Handle("POST /v1/stream", s.handleStreamPush)
 	f.Handle("POST /v1/stream/score", s.handleStreamScore)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 
 	"lof/internal/front"
 	"lof/internal/shard"
@@ -15,18 +14,17 @@ import (
 // Shard role: a lofserve process can serve as one shard of a scatter-gather
 // tier instead of (or in addition to) holding a whole model. The coordinator
 // pushes an encoded shard.Part over the replication endpoint; the shard
-// installs it atomically and then answers candidate and merged-row queries
-// pinned to the installed snapshot version:
+// installs it atomically and then answers kNN candidate queries pinned to
+// the installed snapshot version — the one round a sharded score asks of
+// it:
 //
 //	POST /v1/shard/snapshot    octet-stream shard.Part; atomic install
 //	POST /v1/shard/candidates  per-partition kNN candidates for a batch
-//	POST /v1/shard/rows        merged rows, or merged k-distances, of owned
-//	                           points for a batch
 //	GET  /readyz               readiness: 503 while no state is installed
 //	                           or a snapshot swap is in flight
 //
-// Candidates and rows requests and answers are binary frames
-// (shard.Frame), not JSON; error answers are the front end's JSON bodies.
+// Candidates requests and answers are binary frames (shard.Frame), not
+// JSON; error answers are the front end's JSON bodies.
 //
 // Version pinning is the consistency contract: every data request carries
 // the snapshot version the caller routed against, and a shard holding a
@@ -88,21 +86,13 @@ func (s *Server) shardPart(w http.ResponseWriter, r *http.Request, version uint6
 	return p
 }
 
+// handleShardCandidates answers one candidates request: it reads the body
+// under MaxBodyBytes (413 beyond), decodes the request frame (400 when it
+// is not a well-formed candidates request, a JSON body included), bounds
+// its query count by MaxBatch (413), pins the installed part (409, or 503 +
+// Retry-After for a stale version), and writes the part's answer frame.
+// Errors stay the front end's JSON bodies.
 func (s *Server) handleShardCandidates(w http.ResponseWriter, r *http.Request) {
-	s.serveFrame(w, r, shard.KindCandidatesRequest)
-}
-
-func (s *Server) handleShardRows(w http.ResponseWriter, r *http.Request) {
-	s.serveFrame(w, r, shard.KindRowsRequest, shard.KindKDistsRequest)
-}
-
-// serveFrame answers one shard data request: it reads the body under
-// MaxBodyBytes (413 beyond), decodes the request frame (400 when it is not
-// a well-formed frame of one of the kinds this route serves, a JSON body
-// included), bounds its query count by MaxBatch (413), pins the installed
-// part (409, or 503 + Retry-After for a stale version), and writes the
-// part's answer frame. Errors stay the front end's JSON bodies.
-func (s *Server) serveFrame(w http.ResponseWriter, r *http.Request, kinds ...shard.Kind) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -118,7 +108,7 @@ func (s *Server) serveFrame(w http.ResponseWriter, r *http.Request, kinds ...sha
 		front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("invalid request frame: %v", err))
 		return
 	}
-	if !slices.Contains(kinds, req.Kind) {
+	if req.Kind != shard.KindCandidatesRequest {
 		front.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("a %v frame does not belong on %s", req.Kind, r.URL.Path))
 		return
 	}
@@ -143,9 +133,9 @@ func (s *Server) serveFrame(w http.ResponseWriter, r *http.Request, kinds ...sha
 	}
 	out, err := p.Reply(req)
 	if err != nil {
-		// Bad coordinates or an unowned id mean the caller disagrees with
-		// the installed layout — a permanent error for this request, not a
-		// transient one; the coordinator re-resolves, it does not retry.
+		// Bad coordinates or dimensions mean the caller disagrees with the
+		// installed layout — a permanent error for this request, not a
+		// transient one; the coordinator does not retry it.
 		front.WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}

@@ -98,12 +98,8 @@ func TestShardRole(t *testing.T) {
 	defer ts.Close()
 	c := ts.Client()
 	cands := ts.URL + "/v1/shard/candidates"
-	rows := ts.URL + "/v1/shard/rows"
 	candReq := func(version uint64, queries ...float64) *shard.Frame {
 		return &shard.Frame{Kind: shard.KindCandidatesRequest, Version: version, Dim: 2, Queries: queries}
-	}
-	rowReq := func(kind shard.Kind, version uint64, q []float64, ids ...uint32) *shard.Frame {
-		return &shard.Frame{Kind: kind, Version: version, Dim: 2, LB: 2, UB: 4, Queries: q, Counts: []uint32{uint32(len(ids))}, IDs: ids}
 	}
 	expect := func(label, url string, body []byte, status int) []byte {
 		t.Helper()
@@ -126,7 +122,6 @@ func TestShardRole(t *testing.T) {
 
 	// Data requests before a snapshot: 409, not retriable.
 	expect("candidates before snapshot", cands, candReq(1, 0, 0).Encode(), http.StatusConflict)
-	expect("rows before snapshot", rows, rowReq(shard.KindRowsRequest, 1, []float64{0, 0}, 0).Encode(), http.StatusConflict)
 
 	// Push shard 0 of 2 at version 7.
 	parts := splitParts(t, 2, 7)
@@ -146,50 +141,32 @@ func TestShardRole(t *testing.T) {
 		t.Fatalf("readyz after install: code=%d info=%+v", code, info)
 	}
 
-	// Answers pinned to the installed version: each is the part's own
-	// answer, byte for byte.
-	ownedID := uint32(0) // range partitioning: low ids live on shard 0
-	for _, tc := range []struct {
-		url string
-		req *shard.Frame
-	}{
-		{cands, candReq(7, 0.4, 0.4, 10.5, 10.5)},
-		{rows, rowReq(shard.KindRowsRequest, 7, []float64{0.4, 0.4}, ownedID, 1)},
-		{rows, rowReq(shard.KindKDistsRequest, 7, []float64{0.4, 0.4}, ownedID, 1)},
-	} {
-		raw := expect(tc.req.Kind.String(), tc.url, tc.req.Encode(), http.StatusOK)
-		got, err := shard.DecodeFrame(raw)
-		if err != nil {
-			t.Fatalf("%v answer: %v", tc.req.Kind, err)
-		}
-		if err := shard.CheckReply(tc.req, got); err != nil {
-			t.Fatalf("%v answer: %v", tc.req.Kind, err)
-		}
-		want, err := parts[0].Reply(tc.req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, want.Encode()) {
-			t.Fatalf("%v answer differs from the part's", tc.req.Kind)
-		}
+	// An answer pinned to the installed version is the part's own answer,
+	// byte for byte.
+	req := candReq(7, 0.4, 0.4, 10.5, 10.5)
+	raw := expect(req.Kind.String(), cands, req.Encode(), http.StatusOK)
+	got, err := shard.DecodeFrame(raw)
+	if err != nil {
+		t.Fatalf("%v answer: %v", req.Kind, err)
+	}
+	if err := shard.CheckReply(req, got); err != nil {
+		t.Fatalf("%v answer: %v", req.Kind, err)
+	}
+	want, err := parts[0].Reply(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want.Encode()) {
+		t.Fatalf("%v answer differs from the part's", req.Kind)
 	}
 
 	// A stale version pin is refused with a retriable 503 + Retry-After.
-	for _, tc := range []struct {
-		url  string
-		body []byte
-	}{
-		{cands, candReq(6, 0, 0).Encode()},
-		{rows, rowReq(shard.KindKDistsRequest, 6, []float64{0, 0}, ownedID).Encode()},
-	} {
-		code, retry, _ := postFrame(t, c, tc.url, tc.body)
-		if code != http.StatusServiceUnavailable || retry == "" {
-			t.Fatalf("stale pin on %s: status %d Retry-After %q", tc.url, code, retry)
-		}
+	if code, retry, _ := postFrame(t, c, cands, candReq(6, 0, 0).Encode()); code != http.StatusServiceUnavailable || retry == "" {
+		t.Fatalf("stale pin: status %d Retry-After %q", code, retry)
 	}
 
-	// 400: an unowned id, a truncated frame, a wrong magic or format
-	// version, a JSON body, and a frame kind the route does not serve.
+	// 400: a truncated frame, a wrong magic or format version, a JSON
+	// body, and a frame kind the route does not serve.
 	good := candReq(7, 0, 0).Encode()
 	badMagic := append([]byte(nil), good...)
 	badMagic[0] = 'X'
@@ -200,15 +177,11 @@ func TestShardRole(t *testing.T) {
 		label, url string
 		body       []byte
 	}{
-		{"unowned row", rows, rowReq(shard.KindRowsRequest, 7, []float64{0, 0}, 9).Encode()},
-		{"unowned k-distances", rows, rowReq(shard.KindKDistsRequest, 7, []float64{0, 0}, 9).Encode()},
 		{"truncated", cands, good[:len(good)-4]},
 		{"magic", cands, badMagic},
 		{"format version", cands, badVersion},
 		{"json", cands, jsonBody},
-		{"json rows", rows, jsonBody},
-		{"rows frame on candidates", cands, rowReq(shard.KindRowsRequest, 7, []float64{0, 0}, ownedID).Encode()},
-		{"answer frame", rows, (&shard.Frame{Kind: shard.KindKDists, Version: 7, LB: 2, UB: 4}).Encode()},
+		{"answer frame", cands, want.Encode()},
 		{"no queries", cands, candReq(7).Encode()},
 		{"dimension", cands, (&shard.Frame{Kind: shard.KindCandidatesRequest, Version: 7, Dim: 3, Queries: []float64{0, 0, 0}}).Encode()},
 	} {
@@ -224,14 +197,10 @@ func TestShardRole(t *testing.T) {
 
 	// 413: a body over MaxBodyBytes, and more queries than MaxBatch.
 	expect("oversized body", cands, candReq(7, make([]float64, 600)...).Encode(), http.StatusRequestEntityTooLarge)
-	raw := expect("oversized batch", cands, candReq(7, make([]float64, 8)...).Encode(), http.StatusRequestEntityTooLarge)
+	raw = expect("oversized batch", cands, candReq(7, make([]float64, 8)...).Encode(), http.StatusRequestEntityTooLarge)
 	if !strings.Contains(string(raw), "batch of 4 exceeds limit 3") {
 		t.Fatalf("oversized batch body %s", raw)
 	}
-	expect("oversized rows batch", rows, (&shard.Frame{
-		Kind: shard.KindRowsRequest, Version: 7, Dim: 2, LB: 2, UB: 4,
-		Queries: make([]float64, 8), Counts: []uint32{1, 0, 0, 0}, IDs: []uint32{ownedID},
-	}).Encode(), http.StatusRequestEntityTooLarge)
 
 	// A corrupt push is rejected descriptively and leaves the old part live.
 	bad := append([]byte(nil), enc...)

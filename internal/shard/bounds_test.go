@@ -18,14 +18,15 @@ import (
 // points at MinPts 12..26 in distinct mode, where 24 stored rows hold
 // fewer than 26 distinct positions. Over 1, 2, 3 and 5 shard.Split parts:
 //
-//   - every point's merged k-distances at MinPts lb..ub, the answer round
-//     3 ships, lie inside its stored envelope [kd_{lb−1}, kd_ub] read from
-//     the database (kd_ub is +Inf for a distinct row with fewer than ub
-//     distinct positions, which a query at a new position can exceed);
+//   - every point's merged k-distances at MinPts lb..ub, read from the row
+//     its owning part merges for the coordinator (Part.MergedRow), lie
+//     inside its stored envelope [kd_{lb−1}, kd_ub] read from the database
+//     (kd_ub is +Inf for a distinct row with fewer than ub distinct
+//     positions, which a query at a new position can exceed);
 //   - approx.QueryBounds over summaries built from shard.Join(parts), on
-//     the query row round 1 merges, equals QueryBounds over summaries of
-//     the original database, on the single-node query row, bit for bit:
-//     lofcoord's certificate is lofserve's;
+//     the query row the candidates round merges, equals QueryBounds over
+//     summaries of the original database, on the single-node query row,
+//     bit for bit: lofcoord's certificate is lofserve's;
 //   - that interval contains the exact series.
 func TestKDistsEnvelopeContainsMerged(t *testing.T) {
 	const lb, ub, num = 12, 26, 28
@@ -95,13 +96,14 @@ func TestKDistsEnvelopeContainsMerged(t *testing.T) {
 			default:
 				q = geom.Point{rng.Float64()*30 - 5, rng.Float64()*30 - 5}
 			}
+			var buf matdb.RowBuf
 			for i := 0; i < num; i++ {
 				p := parts[shard.PartitionHash.Shard(uint32(i), n, num)]
-				merged, err := p.Reply(rowFrame(p, shard.KindKDistsRequest, q, lb, ub, uint32(i)))
+				merged, err := p.MergedRow(&buf, i, q, ub)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for m, kd := range merged.KDists {
+				for m, kd := range merged.AppendKDistances(nil, lb, ub) {
 					if kd < envLo[i] || kd > envHi[i] {
 						t.Fatalf("shards=%d query %v point %d: merged %d-distance %v outside envelope [%v, %v]", n, q, i, lb+m, kd, envLo[i], envHi[i])
 					}

@@ -9,33 +9,26 @@ import (
 	"lof/internal/index"
 )
 
-// Frames are the bodies of the shard data endpoints, requests and answers
-// alike: POST /v1/shard/candidates carries a candidates request and its
-// answer, POST /v1/shard/rows a rows or k-distances request and its answer.
-// A frame reuses the part snapshot's sectioned layout (flatbin): a fixed
-// little-endian header, a section table, then 8-byte-aligned sections:
+// Frames are the bodies of the shard data endpoint, POST
+// /v1/shard/candidates: a candidates request and its answer. A frame reuses
+// the part snapshot's sectioned layout (flatbin): a fixed little-endian
+// header, a section table, then 8-byte-aligned sections:
 //
 //	offset  field
 //	     0  magic "LOFW"
-//	     4  u32 format version = 1
+//	     4  u32 format version = 2
 //	     8  u8 kind | u8 distinct | u16 zero
 //	    12  u32 section count
 //	    16  u64 snapshot version (a request's pin, an answer's part)
 //	    24  u32 shard (answers)
 //	    28  u32 dim
-//	    32  u32 MinPts lb | 36  u32 MinPts ub (row-round frames)
-//	    40  section table: count × { u32 id | u32 zero | u64 off | u64 len }
+//	    32  section table: count × { u32 id | u32 zero | u64 off | u64 len }
 //	     .  sections in table order, each at the first 8-aligned offset
 //	        after the previous one, zero padding between, none after:
 //	          1 queries    groups·dim × f64
-//	          2 counts     groups × u32 (ids or candidates per query)
-//	          3 ids        u32 global ids
-//	          4 entries    { u32 global id | f64 distance }
-//	          5 lens       u32 entries per row
-//	          6 rank lens  u32 ranks per row (distinct only)
-//	          7 ranks      i32 distinct positions (distinct only)
-//	          8 coords     entries·dim × f64 (distinct only)
-//	          9 kdists     ids·(ub−lb+1) × f64
+//	          2 counts     groups × u32 (candidates per query)
+//	          3 entries    { u32 global id | f64 distance }
+//	          4 coords     entries·dim × f64 (distinct only)
 //
 // Which sections a frame carries is fixed by its kind (and, for answers,
 // the distinct flag); see layout. Every field of a decoded Frame comes from
@@ -48,20 +41,15 @@ import (
 // another format version is refused.
 const (
 	frameMagic      = "LOFW"
-	frameVersion    = 1
-	frameHeaderSize = 40
+	frameVersion    = 2
+	frameHeaderSize = 32
 	// entrySize is the wire size of one (u32 id, f64 distance) entry.
 	entrySize = 12
 
-	fsecQueries  = 1
-	fsecCounts   = 2
-	fsecIDs      = 3
-	fsecEntries  = 4
-	fsecLens     = 5
-	fsecRankLens = 6
-	fsecRanks    = 7
-	fsecCoords   = 8
-	fsecKDists   = 9
+	fsecQueries = 1
+	fsecCounts  = 2
+	fsecEntries = 3
+	fsecCoords  = 4
 )
 
 // Kind says what a frame asks for or answers.
@@ -69,30 +57,16 @@ type Kind uint8
 
 const (
 	// KindCandidatesRequest asks for each query's kNN candidates among
-	// the shard's points (scatter-gather round 1).
+	// the shard's points (the scatter-gather round).
 	KindCandidatesRequest Kind = 1 + iota
 	// KindCandidates answers it: per query, (id, distance) entries and,
 	// in distinct mode, their coordinates.
 	KindCandidates
-	// KindRowsRequest asks for the merged rows of owned points, per query
-	// (round 2, the first hop).
-	KindRowsRequest
-	// KindRows answers it: one merged row per requested id, in order.
-	KindRows
-	// KindKDistsRequest asks for the merged k-distances at MinPts lb..ub
-	// of owned points, per query (round 3, the second hop).
-	KindKDistsRequest
-	// KindKDists answers it: ub−lb+1 k-distances per requested id.
-	KindKDists
 )
 
 var kindNames = [...]string{
 	KindCandidatesRequest: "candidates request",
 	KindCandidates:        "candidates",
-	KindRowsRequest:       "rows request",
-	KindRows:              "rows",
-	KindKDistsRequest:     "k-distances request",
-	KindKDists:            "k-distances",
 }
 
 // String names the kind.
@@ -107,33 +81,21 @@ func (k Kind) String() string {
 //
 //	KindCandidatesRequest   Dim, Queries
 //	KindCandidates          Counts, Entries, and Coords in distinct mode
-//	KindRowsRequest         Dim, LB, UB, Queries, Counts, IDs
-//	KindKDistsRequest       as KindRowsRequest
-//	KindRows                Lens, Entries, and RankLens, Ranks in distinct mode
-//	KindKDists              LB, UB, KDists
 //
-// Requests group by query: query g is Queries[g·Dim:(g+1)·Dim], and its
-// ids (row rounds) or candidates (answer) are the next Counts[g] entries
-// of IDs or Entries. Row answers hold one row per requested id, in request
-// order: Lens[r] entries each, with RankLens[r] ranks in distinct mode.
-// A decoded frame's slices may alias the decoded bytes.
+// Query g of a request is Queries[g·Dim:(g+1)·Dim], and its candidates in
+// the answer are the next Counts[g] entries of Entries. A decoded frame's
+// slices may alias the decoded bytes.
 type Frame struct {
 	Kind     Kind
 	Distinct bool
 	Version  uint64
 	Shard    int
 	Dim      int
-	LB, UB   int
 
-	Queries  []float64
-	Counts   []uint32
-	IDs      []uint32
-	Entries  []index.Neighbor
-	Lens     []uint32
-	RankLens []uint32
-	Ranks    []int32
-	Coords   []float64
-	KDists   []float64
+	Queries []float64
+	Counts  []uint32
+	Entries []index.Neighbor
+	Coords  []float64
 }
 
 // layout lists the sections a frame of kind k carries, in table order, or
@@ -147,41 +109,22 @@ func layout(k Kind, distinct bool) []uint32 {
 			return []uint32{fsecCounts, fsecEntries, fsecCoords}
 		}
 		return []uint32{fsecCounts, fsecEntries}
-	case KindRowsRequest, KindKDistsRequest:
-		return []uint32{fsecQueries, fsecCounts, fsecIDs}
-	case KindRows:
-		if distinct {
-			return []uint32{fsecLens, fsecEntries, fsecRankLens, fsecRanks}
-		}
-		return []uint32{fsecLens, fsecEntries}
-	case KindKDists:
-		return []uint32{fsecKDists}
 	}
 	return nil
 }
 
 // field returns a pointer to the frame field section id holds: a
-// *[]float64, *[]uint32, *[]int32 or *[]index.Neighbor.
+// *[]float64, *[]uint32 or *[]index.Neighbor.
 func (f *Frame) field(id uint32) interface{} {
 	switch id {
 	case fsecQueries:
 		return &f.Queries
 	case fsecCounts:
 		return &f.Counts
-	case fsecIDs:
-		return &f.IDs
 	case fsecEntries:
 		return &f.Entries
-	case fsecLens:
-		return &f.Lens
-	case fsecRankLens:
-		return &f.RankLens
-	case fsecRanks:
-		return &f.Ranks
-	case fsecCoords:
+	default: // fsecCoords
 		return &f.Coords
-	default: // fsecKDists
-		return &f.KDists
 	}
 }
 
@@ -191,8 +134,6 @@ func (f *Frame) sectionLen(id uint32) int {
 	case *[]float64:
 		return 8 * len(*v)
 	case *[]uint32:
-		return 4 * len(*v)
-	case *[]int32:
 		return 4 * len(*v)
 	default:
 		return entrySize * len(*v.(*[]index.Neighbor))
@@ -209,9 +150,6 @@ func (f *Frame) Groups() int {
 
 // Query returns request query g's coordinates.
 func (f *Frame) Query(g int) []float64 { return f.Queries[g*f.Dim : (g+1)*f.Dim] }
-
-// Width returns the number of k-distances per id, ub−lb+1.
-func (f *Frame) Width() int { return f.UB - f.LB + 1 }
 
 // Size returns the length of the frame's encoding.
 func (f *Frame) Size() int {
@@ -238,8 +176,6 @@ func (f *Frame) Encode() []byte {
 	le.PutUint64(b[16:], f.Version)
 	le.PutUint32(b[24:], uint32(f.Shard))
 	le.PutUint32(b[28:], uint32(f.Dim))
-	le.PutUint32(b[32:], uint32(f.LB))
-	le.PutUint32(b[36:], uint32(f.UB))
 	off := frameHeaderSize + len(ids)*flatbin.SectionEntrySize
 	for i, id := range ids {
 		off = flatbin.Align8(off)
@@ -263,10 +199,6 @@ func (f *Frame) putSection(id uint32, b []byte) {
 	case *[]uint32:
 		for i, x := range *v {
 			le.PutUint32(b[4*i:], x)
-		}
-	case *[]int32:
-		for i, x := range *v {
-			le.PutUint32(b[4*i:], uint32(x))
 		}
 	case *[]index.Neighbor:
 		for i, e := range *v {
@@ -295,8 +227,6 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		Version: le.Uint64(b[16:]),
 		Shard:   int(le.Uint32(b[24:])),
 		Dim:     int(le.Uint32(b[28:])),
-		LB:      int(le.Uint32(b[32:])),
-		UB:      int(le.Uint32(b[36:])),
 	}
 	if b[9] > 1 || b[10] != 0 || b[11] != 0 {
 		return nil, fmt.Errorf("shard: invalid frame flags %x", b[9:12])
@@ -351,7 +281,7 @@ func (f *Frame) getSection(id uint32, b []byte) error {
 	switch f.field(id).(type) {
 	case *[]float64:
 		size = 8
-	case *[]uint32, *[]int32:
+	case *[]uint32:
 		size = 4
 	}
 	if len(b)%size != 0 {
@@ -362,8 +292,6 @@ func (f *Frame) getSection(id uint32, b []byte) error {
 		*v, _ = flatbin.Float64s(b)
 	case *[]uint32:
 		*v, _ = flatbin.Uint32s(b)
-	case *[]int32:
-		*v, _ = flatbin.Int32s(b)
 	case *[]index.Neighbor:
 		nn := make([]index.Neighbor, len(b)/entrySize)
 		for i := range nn {
@@ -377,73 +305,19 @@ func (f *Frame) getSection(id uint32, b []byte) error {
 
 // check validates the decoded sections against each other and the header.
 func (f *Frame) check() error {
-	switch f.Kind {
-	case KindCandidatesRequest, KindRowsRequest, KindKDistsRequest:
+	if f.Kind == KindCandidatesRequest {
 		if f.Dim < 1 || len(f.Queries)%f.Dim != 0 {
 			return fmt.Errorf("shard: %v frame holds %d coordinates at dimension %d", f.Kind, len(f.Queries), f.Dim)
 		}
-		if f.Kind == KindCandidatesRequest {
-			return nil
-		}
-		if len(f.Counts) != f.Groups() {
-			return fmt.Errorf("shard: %v frame has %d id counts for %d queries", f.Kind, len(f.Counts), f.Groups())
-		}
-		if err := sumsTo(f.Counts, len(f.IDs), "ids"); err != nil {
-			return err
-		}
-		return f.checkRange()
-	case KindCandidates:
-		if err := sumsTo(f.Counts, len(f.Entries), "candidates"); err != nil {
-			return err
-		}
-		if f.Distinct && (f.Dim < 1 || len(f.Coords) != len(f.Entries)*f.Dim) {
-			return fmt.Errorf("shard: candidates frame holds %d coordinates for %d candidates at dimension %d", len(f.Coords), len(f.Entries), f.Dim)
-		}
-		return checkDists(f.Entries)
-	case KindRows:
-		if err := sumsTo(f.Lens, len(f.Entries), "row entries"); err != nil {
-			return err
-		}
-		if f.Distinct {
-			if len(f.RankLens) != len(f.Lens) {
-				return fmt.Errorf("shard: rows frame has %d rank counts for %d rows", len(f.RankLens), len(f.Lens))
-			}
-			if err := sumsTo(f.RankLens, len(f.Ranks), "ranks"); err != nil {
-				return err
-			}
-			ranks := f.Ranks
-			for r, n := range f.RankLens {
-				for _, v := range ranks[:n] {
-					if v < 0 || uint32(v) >= f.Lens[r] {
-						return fmt.Errorf("shard: row %d rank %d outside its %d entries", r, v, f.Lens[r])
-					}
-				}
-				ranks = ranks[n:]
-			}
-		}
-		return checkDists(f.Entries)
-	default: // KindKDists
-		if err := f.checkRange(); err != nil {
-			return err
-		}
-		if len(f.KDists)%f.Width() != 0 {
-			return fmt.Errorf("shard: k-distances frame holds %d values, not a multiple of %d", len(f.KDists), f.Width())
-		}
-		for _, d := range f.KDists {
-			if !(d >= 0) {
-				return fmt.Errorf("shard: invalid k-distance %v", d)
-			}
-		}
 		return nil
 	}
-}
-
-// checkRange validates a row-round frame's MinPts range.
-func (f *Frame) checkRange() error {
-	if f.LB < 1 || f.LB > f.UB {
-		return fmt.Errorf("shard: %v frame has MinPts range [%d, %d]", f.Kind, f.LB, f.UB)
+	if err := sumsTo(f.Counts, len(f.Entries), "candidates"); err != nil {
+		return err
 	}
-	return nil
+	if f.Distinct && (f.Dim < 1 || len(f.Coords) != len(f.Entries)*f.Dim) {
+		return fmt.Errorf("shard: candidates frame holds %d coordinates for %d candidates at dimension %d", len(f.Coords), len(f.Entries), f.Dim)
+	}
+	return checkDists(f.Entries)
 }
 
 // sumsTo checks that counts add up to n items of the named kind.
@@ -471,16 +345,15 @@ func checkDists(es []index.Neighbor) error {
 // Reply returns the kind that answers a request of kind k, or 0 when k is
 // not a request.
 func (k Kind) Reply() Kind {
-	switch k {
-	case KindCandidatesRequest, KindRowsRequest, KindKDistsRequest:
-		return k + 1
+	if k == KindCandidatesRequest {
+		return KindCandidates
 	}
 	return 0
 }
 
 // CheckReply checks that reply answers req: the matching kind, the pinned
-// snapshot version and duplicate semantics, and one answer per query
-// (candidates) or per requested id (rows, k-distances).
+// snapshot version and duplicate semantics, and one candidate list per
+// query.
 func CheckReply(req, reply *Frame) error {
 	if reply.Kind != req.Kind.Reply() {
 		return fmt.Errorf("shard: %v answered with a %v frame", req.Kind, reply.Kind)
@@ -491,20 +364,8 @@ func CheckReply(req, reply *Frame) error {
 	if reply.Distinct != req.Distinct {
 		return fmt.Errorf("shard: answer distinct=%v to a request with distinct=%v", reply.Distinct, req.Distinct)
 	}
-	switch reply.Kind {
-	case KindCandidates:
-		if len(reply.Counts) != req.Groups() {
-			return fmt.Errorf("shard: %d candidate lists for %d queries", len(reply.Counts), req.Groups())
-		}
-	case KindRows:
-		if len(reply.Lens) != len(req.IDs) {
-			return fmt.Errorf("shard: %d rows for %d ids", len(reply.Lens), len(req.IDs))
-		}
-	default: // KindKDists
-		if reply.LB != req.LB || reply.UB != req.UB || len(reply.KDists) != len(req.IDs)*req.Width() {
-			return fmt.Errorf("shard: %d k-distances at MinPts [%d, %d] for %d ids at [%d, %d]",
-				len(reply.KDists), reply.LB, reply.UB, len(req.IDs), req.LB, req.UB)
-		}
+	if len(reply.Counts) != req.Groups() {
+		return fmt.Errorf("shard: %d candidate lists for %d queries", len(reply.Counts), req.Groups())
 	}
 	return nil
 }

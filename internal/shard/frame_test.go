@@ -57,28 +57,20 @@ func coordOracleParts(t testing.TB, distinct bool) []*shard.Part {
 	return parts
 }
 
-// sampleFrames returns one frame of each kind, requests and the answers
-// shard 0 gives them, in plain and distinct mode.
+// sampleFrames returns candidates requests of one, three and five queries
+// (cluster cores, the duplicate pile, an outlier, empty space) and the
+// answers shard 0 gives them, in plain and distinct mode.
 func sampleFrames(t testing.TB) []*shard.Frame {
 	t.Helper()
 	var out []*shard.Frame
 	for _, distinct := range []bool{false, true} {
 		p := coordOracleParts(t, distinct)[0]
-		queries := []float64{0, 0, 3.25, 3.25, 25, 25}
-		cands := &shard.Frame{Kind: shard.KindCandidatesRequest, Distinct: distinct, Version: p.Version(), Dim: 2, Queries: queries}
-		ids := []uint32{}
-		for id := uint32(0); len(ids) < 5; id++ {
-			if shard.PartitionHash.Shard(id, 3, 128) == 0 {
-				ids = append(ids, id)
-			}
-		}
-		rows := &shard.Frame{
-			Kind: shard.KindRowsRequest, Distinct: distinct, Version: p.Version(), Dim: 2, LB: 3, UB: 9,
-			Queries: queries, Counts: []uint32{2, 0, 3}, IDs: ids,
-		}
-		kdists := *rows
-		kdists.Kind = shard.KindKDistsRequest
-		for _, req := range []*shard.Frame{cands, rows, &kdists} {
+		for _, queries := range [][]float64{
+			{0, 0, 3.25, 3.25, 25, 25},
+			{50, -40},
+			{12, 12, -10, 8, 0.2, -0.3, 100, 100, 3.25, 3.25},
+		} {
+			req := &shard.Frame{Kind: shard.KindCandidatesRequest, Distinct: distinct, Version: p.Version(), Dim: 2, Queries: queries}
 			reply, err := p.Reply(req)
 			if err != nil {
 				t.Fatalf("%v: %v", req.Kind, err)
@@ -92,7 +84,7 @@ func sampleFrames(t testing.TB) []*shard.Frame {
 	return out
 }
 
-// TestFrameRoundTrip: every kind of frame encodes to Size() bytes and
+// TestFrameRoundTrip: every sample frame encodes to Size() bytes and
 // decodes back to a frame that encodes to the same bytes.
 func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range sampleFrames(t) {
@@ -114,11 +106,11 @@ func TestFrameRoundTrip(t *testing.T) {
 // with a description, before trusting any count in them.
 func TestFrameRejects(t *testing.T) {
 	frames := sampleFrames(t)
-	rows := frames[9] // distinct rows answer: every section kind but coords and k-distances
-	if rows.Kind != shard.KindRows || !rows.Distinct {
-		t.Fatalf("sample 9 is a %v frame", rows.Kind)
+	cands := frames[7] // distinct candidates answer: counts, entries and coords
+	if cands.Kind != shard.KindCandidates || !cands.Distinct {
+		t.Fatalf("sample 7 is a %v frame", cands.Kind)
 	}
-	good := rows.Encode()
+	good := cands.Encode()
 	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
 	le := binary.LittleEndian
 	for _, tc := range []struct {
@@ -131,19 +123,22 @@ func TestFrameRejects(t *testing.T) {
 		{"trailing", "trailing", append(append([]byte(nil), good...), 0)},
 		{"json", "magic", []byte(`{"version":1,"queries":[[0,0]]}`)},
 		{"magic", "magic", mutate(func(b []byte) []byte { b[0] = 'X'; return b })},
-		{"version", "format version 2", mutate(func(b []byte) []byte { le.PutUint32(b[4:], 2); return b })},
+		{"version", "format version 3", mutate(func(b []byte) []byte { le.PutUint32(b[4:], 3); return b })},
+		// A frame of the format before this one, whose kinds included the
+		// row rounds, is refused rather than misread.
+		{"version 1", "format version 1", mutate(func(b []byte) []byte { le.PutUint32(b[4:], 1); return b })},
 		{"kind", "unknown frame kind", mutate(func(b []byte) []byte { b[8] = 99; return b })},
 		{"flags", "flags", mutate(func(b []byte) []byte { b[10] = 1; return b })},
-		{"sections", "sections", mutate(func(b []byte) []byte { le.PutUint32(b[12:], 3); return b })},
-		{"reserved", "reserved", mutate(func(b []byte) []byte { b[44] = 1; return b })},
-		{"row count", "sum to", mutate(func(b []byte) []byte {
-			// Lens is the first section: bump row 0's entry count.
-			off := le.Uint64(b[48:])
+		{"sections", "sections", mutate(func(b []byte) []byte { le.PutUint32(b[12:], 4); return b })},
+		{"reserved", "reserved", mutate(func(b []byte) []byte { b[36] = 1; return b })},
+		{"candidate count", "sum to", mutate(func(b []byte) []byte {
+			// Counts is the first section: bump query 0's candidate count.
+			off := le.Uint64(b[40:])
 			le.PutUint32(b[off:], le.Uint32(b[off:])+1)
 			return b
 		})},
 		{"huge count", "sum to", mutate(func(b []byte) []byte {
-			off := le.Uint64(b[48:])
+			off := le.Uint64(b[40:])
 			le.PutUint32(b[off:], 1<<31)
 			return b
 		})},
@@ -151,6 +146,14 @@ func TestFrameRejects(t *testing.T) {
 		_, err := shard.DecodeFrame(tc.b)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	// The byte values of the row-round kinds this format dropped (rows and
+	// k-distances requests and answers) are unknown kinds.
+	for kind := byte(3); kind <= 6; kind++ {
+		b := mutate(func(b []byte) []byte { b[8] = kind; return b })
+		if _, err := shard.DecodeFrame(b); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Errorf("kind %d: error %v, want an unknown frame kind", kind, err)
 		}
 	}
 }

@@ -1,31 +1,26 @@
 // Package shard implements the data plane of the sharded LOF serving tier:
 // the partitioning of a globally fitted model into per-shard sub-snapshots
 // (Split, with Join reassembling the fitted rows), the binary snapshot
-// format those sub-models replicate as, the binary frames the shard data
-// endpoints exchange (frame.go), and the shard-side answers a coordinator
-// scatter-gathers into exact global LOF.
+// format those sub-models replicate as, the binary frames of the shard
+// data endpoint (frame.go), and the two questions a Part answers exactly:
+//
+//   - "who are q's nearest neighbors among YOUR points?" (Reply, the one
+//     round a shard serves): a partition's k-distance is never smaller
+//     than the global one, so the union of per-shard candidate lists
+//     always contains the global neighborhood, which
+//     matdb.MergeCandidates then cuts exactly;
+//   - "what row would YOUR point i occupy in data ∪ {q}?" (MergedRow):
+//     matdb.RowBuf.Merge over the stored row, with a halo of neighbor
+//     coordinates covering the distinct-mode rank recomputation. The
+//     coordinator asks its own copy of the split, not the shards.
 //
 // The correctness hinge is that a Part carries its points' *global*
 // materialized rows — the neighborhoods computed by the one global fit —
-// not rows recomputed against the partition. A shard can therefore answer
-// three questions exactly (Part.Reply):
-//
-//   - "who are q's nearest neighbors among YOUR points?" (candidates): a
-//     partition's k-distance is never smaller than the global one, so the
-//     union of per-shard candidate lists always contains the global
-//     neighborhood, which matdb.MergeCandidates then cuts exactly;
-//   - "what row would YOUR point i occupy in data ∪ {q}?" (rows):
-//     matdb.RowBuf.Merge over the stored global row, with a halo of
-//     neighbor coordinates covering the distinct-mode rank recomputation;
-//   - "what are its k-distances at MinPts lb..ub in data ∪ {q}?"
-//     (k-distances): the same row, reduced to the only values LOF reads of
-//     a point two hops from the query.
-//
-// Everything the LOF arithmetic consumes — k-distances, reachability
-// distances, neighborhood sizes — derives from those answers, and the
-// in-process scorer computes them with the same matdb helper, so the
-// coordinator's evaluation (core.EvalRange) is bit-identical to a
-// single-node model's.
+// not rows recomputed against the partition. Everything the LOF
+// arithmetic consumes — k-distances, reachability distances, neighborhood
+// sizes — derives from those answers, and the in-process scorer computes
+// them with the same matdb helper, so the coordinator's evaluation
+// (core.EvalRange) is bit-identical to a single-node model's.
 package shard
 
 import (
@@ -267,95 +262,70 @@ func (p *Part) validateQuery(q []float64) error {
 	return nil
 }
 
-// Reply answers a request frame against the part, in query order:
-//
-//   - KindCandidatesRequest: each query's k-nearest neighborhood among
-//     this part's points — the shard's contribution to the global
-//     candidate set — with global ids and, in distinct mode, coordinates,
-//     so the coordinator can recompute distinct ranks across shards;
-//   - KindRowsRequest: for each requested owned id, the row that point
-//     occupies in data ∪ {q} (matdb.RowBuf.Merge over the stored global
-//     row, the helper the in-process scorer uses);
-//   - KindKDistsRequest: for each requested owned id, the k-distances at
-//     MinPts lb..ub of that same row, which is all the evaluation reads of
-//     a second-hop point.
-//
-// Requesting an id this part does not own is an error: it means the
-// caller's routing disagrees with the snapshot layout. Version pinning is
-// the caller's concern.
+// Reply answers a candidates request frame against the part: each query's
+// k-nearest neighborhood among this part's points — the shard's
+// contribution to the global candidate set — with global ids and, in
+// distinct mode, coordinates, so the coordinator can recompute distinct
+// ranks across shards. Version pinning is the caller's concern.
 func (p *Part) Reply(req *Frame) (*Frame, error) {
-	out := &Frame{
-		Kind: req.Kind.Reply(), Distinct: p.meta.Distinct, Version: p.version,
-		Shard: p.shardID, Dim: p.pts.Dim(), LB: req.LB, UB: req.UB,
+	if req.Kind != KindCandidatesRequest {
+		return nil, fmt.Errorf("shard: a %v frame is not a request", req.Kind)
 	}
 	if req.Dim != p.pts.Dim() {
 		return nil, fmt.Errorf("shard: queries have %d dimensions, part has %d", req.Dim, p.pts.Dim())
 	}
+	out := &Frame{
+		Kind: KindCandidates, Distinct: p.meta.Distinct, Version: p.version,
+		Shard: p.shardID, Dim: p.pts.Dim(), Counts: make([]uint32, 0, req.Groups()),
+	}
+	var cur index.Cursor
+	if p.ix != nil {
+		cur = index.NewCursor(p.ix)
+	}
 	var buf matdb.RowBuf
-	switch req.Kind {
-	case KindCandidatesRequest:
-		var cur index.Cursor
-		if p.ix != nil {
-			cur = index.NewCursor(p.ix)
+	for g := 0; g < req.Groups(); g++ {
+		q := req.Query(g)
+		if err := p.validateQuery(q); err != nil {
+			return nil, fmt.Errorf("query %d: %w", g, err)
 		}
-		out.Counts = make([]uint32, 0, req.Groups())
-		for g := 0; g < req.Groups(); g++ {
-			q := req.Query(g)
-			if err := p.validateQuery(q); err != nil {
-				return nil, fmt.Errorf("query %d: %w", g, err)
-			}
-			if cur == nil {
-				out.Counts = append(out.Counts, 0) // empty partition contributes nothing
-				continue
-			}
-			nn := buf.QueryCandidates(cur, p.pts, q, p.meta.K, p.meta.Distinct)
-			for _, nb := range nn {
-				out.Entries = append(out.Entries, index.Neighbor{Index: int(p.ids[nb.Index]), Dist: nb.Dist})
-				if p.meta.Distinct {
-					out.Coords = append(out.Coords, p.pts.At(nb.Index)...)
-				}
-			}
-			out.Counts = append(out.Counts, uint32(len(nn)))
+		if cur == nil {
+			out.Counts = append(out.Counts, 0) // empty partition contributes nothing
+			continue
 		}
-	case KindRowsRequest, KindKDistsRequest:
-		if req.UB > p.meta.K {
-			return nil, fmt.Errorf("shard: MinPts range [%d, %d] exceeds materialized K=%d", req.LB, req.UB, p.meta.K)
-		}
-		at := p.at
-		ids := req.IDs
-		for g, n := range req.Counts {
-			q := req.Query(g)
-			if err := p.validateQuery(q); err != nil {
-				return nil, fmt.Errorf("rows request %d: %w", g, err)
+		nn := buf.QueryCandidates(cur, p.pts, q, p.meta.K, p.meta.Distinct)
+		for _, nb := range nn {
+			out.Entries = append(out.Entries, index.Neighbor{Index: int(p.ids[nb.Index]), Dist: nb.Dist})
+			if p.meta.Distinct {
+				out.Coords = append(out.Coords, p.pts.At(nb.Index)...)
 			}
-			for _, id := range ids[:n] {
-				pos, ok := p.local[id]
-				if !ok {
-					return nil, fmt.Errorf("rows request %d: shard: point %d is not owned by shard %d/%d", g, id, p.shardID, p.numShards)
-				}
-				var ranks []int32
-				if p.meta.Distinct {
-					ranks = p.rks[pos]
-				}
-				stored := matdb.NewRow(p.rows[pos], ranks, p.meta.Distinct)
-				row := buf.Merge(stored, q, p.meta.Total, p.kern.Dist(int(pos), q), at, p.meta.K, req.UB)
-				if req.Kind == KindKDistsRequest {
-					out.KDists = row.AppendKDistances(out.KDists, req.LB, req.UB)
-					continue
-				}
-				out.Lens = append(out.Lens, uint32(len(row.Neighbors)))
-				out.Entries = append(out.Entries, row.Neighbors...)
-				if p.meta.Distinct {
-					out.RankLens = append(out.RankLens, uint32(len(row.Ranks())))
-					out.Ranks = append(out.Ranks, row.Ranks()...)
-				}
-			}
-			ids = ids[n:]
 		}
-	default:
-		return nil, fmt.Errorf("shard: a %v frame is not a request", req.Kind)
+		out.Counts = append(out.Counts, uint32(len(nn)))
 	}
 	return out, nil
+}
+
+// MergedRow returns the row owned point id occupies in data ∪ {q} as every
+// MinPts ≤ ub sees it: matdb.RowBuf.Merge over the stored global row, built
+// in buf, with the query under the virtual index Meta().Total — the call
+// the in-process scorer makes for the same point, so the row is the one it
+// reads. q must have the part's dimension and finite coordinates; the
+// caller validates it once per query. An id this part does not own means
+// the caller's routing disagrees with the layout, and ub above the
+// materialized K asks for neighbors the fit never stored: both are errors.
+func (p *Part) MergedRow(buf *matdb.RowBuf, id int, q geom.Point, ub int) (matdb.Row, error) {
+	if ub > p.meta.K {
+		return matdb.Row{}, fmt.Errorf("shard: MinPtsUB=%d exceeds materialized K=%d", ub, p.meta.K)
+	}
+	pos, ok := p.local[uint32(id)]
+	if id < 0 || id >= p.meta.Total || !ok {
+		return matdb.Row{}, fmt.Errorf("shard: point %d is not owned by shard %d/%d", id, p.shardID, p.numShards)
+	}
+	var ranks []int32
+	if p.meta.Distinct {
+		ranks = p.rks[pos]
+	}
+	stored := matdb.NewRow(p.rows[pos], ranks, p.meta.Distinct)
+	return buf.Merge(stored, q, p.meta.Total, p.kern.Dist(int(pos), q), p.at, p.meta.K, ub), nil
 }
 
 // Split partitions a globally fitted model — its points and materialization

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -90,17 +91,8 @@ func candidates(t *testing.T, p *shard.Part, q geom.Point) *shard.Frame {
 	return out
 }
 
-// rowFrame is a one-query rows or k-distances request for ids at MinPts
-// lb..ub.
-func rowFrame(p *shard.Part, kind shard.Kind, q geom.Point, lb, ub int, ids ...uint32) *shard.Frame {
-	return &shard.Frame{
-		Kind: kind, Distinct: p.Meta().Distinct, Version: p.Version(), Dim: len(q), LB: lb, UB: ub,
-		Queries: q, Counts: []uint32{uint32(len(ids))}, IDs: ids,
-	}
-}
-
 // gatherMerged scatter-gathers q's candidates across the parts and merges
-// them — the coordinator's round 1, run in-process.
+// them — the coordinator's candidates round, run in-process.
 func gatherMerged(t *testing.T, parts []*shard.Part, db *matdb.DB, q geom.Point) matdb.Row {
 	t.Helper()
 	var cands []index.Neighbor
@@ -161,40 +153,23 @@ func testSplitExact(t *testing.T, distinct bool) {
 				want := db.QueryRow(pts, ix, q)
 				got := gatherMerged(t, parts, db, q)
 				rowsEqual(t, "merged query row", got, want)
-				// Rounds 2 and 3: every point's merged row and merged
-				// k-distances, fetched from its owning shard, must match the
-				// in-process splice wherever an evaluation can tell. A point
-				// q cannot change may come back as its stored row, so
-				// compare what the evaluation reads: the ub-neighborhood,
-				// and the k-distances at lb..ub.
+				// The closure rows the coordinator merges: every point's
+				// row from its owning part must be the in-process
+				// RowBuf.Merge of the database's stored row, in its
+				// neighbors, its ranks and its k-distances at lb..ub.
+				var gotBuf, wantBuf matdb.RowBuf
 				for i := 0; i < pts.Len(); i++ {
 					owner := parts[parter.Shard(uint32(i), n, pts.Len())]
-					wantRow := db.MergedRow(pts, i, q, pts.Len(), metric.Distance(pts.At(i), q))
-					rows, err := owner.Reply(rowFrame(owner, shard.KindRowsRequest, q, lb, ub, uint32(i)))
+					wantRow := wantBuf.Merge(db.Row(i), q, pts.Len(), metric.Distance(pts.At(i), q), pts.At, db.K, ub)
+					gotRow, err := owner.MergedRow(&gotBuf, i, q, ub)
 					if err != nil {
-						t.Fatalf("rows(%d): %v", i, err)
+						t.Fatalf("MergedRow(%d): %v", i, err)
 					}
-					gotRow := matdb.NewRow(rows.Entries, rows.Ranks, distinct)
-					gotNN, wantNN := gotRow.Neighborhood(ub), wantRow.Neighborhood(ub)
-					if len(gotNN) != len(wantNN) {
-						t.Fatalf("point %d: %d-neighborhood has %d entries, want %d", i, ub, len(gotNN), len(wantNN))
-					}
-					for k := range gotNN {
-						if gotNN[k] != wantNN[k] {
-							t.Fatalf("point %d: neighbor %d = %+v, want %+v", i, k, gotNN[k], wantNN[k])
-						}
-					}
-					kd, err := owner.Reply(rowFrame(owner, shard.KindKDistsRequest, q, lb, ub, uint32(i)))
-					if err != nil {
-						t.Fatalf("kdists(%d): %v", i, err)
-					}
-					wantKD := wantRow.AppendKDistances(nil, lb, ub)
-					for m, v := range kd.KDists {
+					rowsEqual(t, fmt.Sprintf("point %d merged row", i), gotRow, wantRow)
+					gotKD, wantKD := gotRow.AppendKDistances(nil, lb, ub), wantRow.AppendKDistances(nil, lb, ub)
+					for m, v := range gotKD {
 						if math.Float64bits(v) != math.Float64bits(wantKD[m]) {
 							t.Fatalf("point %d: merged %d-distance %v, want %v", i, lb+m, v, wantKD[m])
-						}
-						if v2 := gotRow.KDistance(lb + m); math.Float64bits(v2) != math.Float64bits(v) {
-							t.Fatalf("point %d: rows answer %d-distance %v, k-distances answer %v", i, lb+m, v2, v)
 						}
 					}
 				}
@@ -293,16 +268,23 @@ func TestMergedRowsRejectsUnowned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	// Range partitioning: id 0 lives on shard 0, so shard 1 must refuse it,
-	// for merged rows and merged k-distances alike.
-	for _, kind := range []shard.Kind{shard.KindRowsRequest, shard.KindKDistsRequest} {
-		if _, err := parts[1].Reply(rowFrame(parts[1], kind, geom.Point{0, 0}, 3, 9, 0)); err == nil {
-			t.Fatalf("%v served a point the shard does not own", kind)
+	// Range partitioning: id 0 lives on shard 0, so shard 1 must refuse
+	// it, as must every part an id outside the dataset.
+	var buf matdb.RowBuf
+	if _, err := parts[1].MergedRow(&buf, 0, geom.Point{0, 0}, 9); err == nil {
+		t.Fatal("merged a row the part does not own")
+	}
+	for _, id := range []int{-1, pts.Len(), pts.Len() + 1<<32} {
+		if _, err := parts[0].MergedRow(&buf, id, geom.Point{0, 0}, 9); err == nil {
+			t.Fatalf("merged a row for id %d outside the dataset", id)
 		}
 	}
+	if _, err := parts[0].MergedRow(&buf, 0, geom.Point{0, 0}, 9); err != nil {
+		t.Fatalf("owned row refused: %v", err)
+	}
 	// MinPts beyond the materialized K is refused too.
-	if _, err := parts[0].Reply(rowFrame(parts[0], shard.KindKDistsRequest, geom.Point{0, 0}, 3, 10, 0)); err == nil {
-		t.Fatal("k-distances served beyond the materialized K")
+	if _, err := parts[0].MergedRow(&buf, 0, geom.Point{0, 0}, 10); err == nil {
+		t.Fatal("merged a row beyond the materialized K")
 	}
 }
 
@@ -316,9 +298,8 @@ func TestQueryValidation(t *testing.T) {
 	for _, req := range []*shard.Frame{
 		{Kind: shard.KindCandidatesRequest, Version: 1, Dim: 1, Queries: []float64{1}},
 		{Kind: shard.KindCandidatesRequest, Version: 1, Dim: 2, Queries: []float64{math.NaN(), 0}},
-		rowFrame(p, shard.KindRowsRequest, geom.Point{math.Inf(1), 0}, 3, 9, 0),
-		rowFrame(p, shard.KindKDistsRequest, geom.Point{0, math.NaN()}, 3, 9, 0),
-		{Kind: shard.KindRows, Version: 1, Dim: 2},
+		{Kind: shard.KindCandidatesRequest, Version: 1, Dim: 2, Queries: []float64{0, 0, math.Inf(1), 0}},
+		{Kind: shard.KindCandidates, Version: 1, Dim: 2},
 	} {
 		if _, err := p.Reply(req); err == nil {
 			t.Fatalf("%v with queries %v accepted", req.Kind, req.Queries)
