@@ -138,14 +138,43 @@ func (m *Model) ScoreBatchPrunedContext(ctx context.Context, queries [][]float64
 	if eps <= 0 {
 		eps = DefaultPruneEps
 	}
-	for i, q := range queries {
-		if err := m.validateQuery(q); err != nil {
-			return nil, fmt.Errorf("lof: batch row %d: %w", i, err)
-		}
+	if err := m.validateBatch(queries); err != nil {
+		return nil, err
 	}
-	sum, err := m.summaries()
-	if err != nil {
-		return nil, fmt.Errorf("lof: pruning summaries: %w", err)
+	return m.scoreRows(ctx, queries, func(i int) matdb.Row { return m.scorer.QueryRow(queries[i]) }, eps)
+}
+
+// ScoreQueryRows scores queries whose rows the caller has already merged:
+// rows[i] must be the row queries[i] occupies in data ∪ {queries[i]}, as
+// the model's own kNN probe would find it — the sharded coordinator merges
+// it from its shards' candidates (matdb.MergeCandidates). Every index in
+// rows must be a fitted point's. From there it runs ScoreBatchPruned's
+// body: with eps > 0, a query whose LOF interval over its row
+// (approx.QueryBounds over the model's summaries) lies inside
+// [1/(1+eps), 1+eps] answers 1, and the rest are scored exactly; with
+// eps <= 0 every query is scored exactly and the summaries are never
+// built. Exact scores are bit-identical to ScoreBatch's.
+func (m *Model) ScoreQueryRows(ctx context.Context, queries [][]float64, rows []matdb.Row, eps float64) (*PrunedBatch, error) {
+	if len(rows) != len(queries) {
+		return nil, fmt.Errorf("lof: %d query rows for %d queries", len(rows), len(queries))
+	}
+	if err := m.validateBatch(queries); err != nil {
+		return nil, err
+	}
+	return m.scoreRows(ctx, queries, func(i int) matdb.Row { return rows[i] }, eps)
+}
+
+// scoreRows certifies and evaluates every query from the row rowOf(i)
+// returns for it: certified against the model's summaries when eps > 0,
+// exactly (Scorer.ScoreSeriesFromRow) otherwise or when the bound cannot
+// place it.
+func (m *Model) scoreRows(ctx context.Context, queries [][]float64, rowOf func(int) matdb.Row, eps float64) (*PrunedBatch, error) {
+	var sum *approx.Summaries
+	if eps > 0 {
+		var err error
+		if sum, err = m.summaries(); err != nil {
+			return nil, fmt.Errorf("lof: pruning summaries: %w", err)
+		}
 	}
 	out := &PrunedBatch{
 		Scores: make([]float64, len(queries)),
@@ -153,14 +182,14 @@ func (m *Model) ScoreBatchPrunedContext(ctx context.Context, queries [][]float64
 		Eps:    eps,
 	}
 	errs := make([]error, len(queries))
-	certified := make([]int64, len(queries))
 	if err := m.pool.EachCtx(ctx, len(queries), func(i int) {
-		qRow := m.scorer.QueryRow(queries[i])
-		if lower, upper := approx.QueryBounds(sum, qRow); approx.Certified(lower, upper, eps) {
-			out.Scores[i] = 1
-			out.Pruned[i] = true
-			certified[i] = 1
-			return
+		qRow := rowOf(i)
+		if sum != nil {
+			if lower, upper := approx.QueryBounds(sum, qRow); approx.Certified(lower, upper, eps) {
+				out.Scores[i] = 1
+				out.Pruned[i] = true
+				return
+			}
 		}
 		series, err := m.scorer.ScoreSeriesFromRow(ctx, queries[i], qRow)
 		if err != nil {
@@ -176,8 +205,10 @@ func (m *Model) ScoreBatchPrunedContext(ctx context.Context, queries [][]float64
 			return nil, fmt.Errorf("lof: batch row %d: %w", i, err)
 		}
 	}
-	for _, c := range certified {
-		out.Certified += int(c)
+	for _, pruned := range out.Pruned {
+		if pruned {
+			out.Certified++
+		}
 	}
 	return out, nil
 }

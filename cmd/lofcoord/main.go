@@ -1,10 +1,11 @@
 // Command lofcoord runs the scatter-gather coordinator of the sharded
 // serving tier. It fronts a fleet of lofserve shard processes: a fit is
-// performed once, globally, then split into per-shard snapshots and
+// performed once, globally (or the -model snapshot is opened), and its
+// points are split into per-shard parts — ids and coordinates — and
 // replicated. A score asks every shard once for its kNN candidates, merges
-// them, and evaluates each query's closure from the split the coordinator
-// keeps — exact global LOF, bit-identical to what a single lofserve
-// holding the whole model would return.
+// them into each query's row, and scores the rows with the model the
+// coordinator fitted or opened — exact global LOF, bit-identical to what a
+// single lofserve holding the whole model would return.
 //
 // Usage:
 //

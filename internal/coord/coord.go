@@ -1,42 +1,40 @@
 // Package coord implements the lofcoord scatter-gather coordinator: the
 // control and query plane of the sharded LOF serving tier. It fits a model
-// globally, splits the fitted state into per-shard parts (shard.Split),
-// replicates them to lofserve shard processes, keeps the split itself, and
-// answers score requests with one shard round:
+// globally (or installs one), splits its points into per-shard parts
+// (shard.Split), replicates them to lofserve shard processes, keeps the
+// model itself, and answers score requests with one shard round:
 //
 //	candidates  every shard returns its partition's kNN candidates for the
 //	            query batch, one binary frame (shard.Frame) per shard; the
-//	            coordinator merges them into each query's exact global row
+//	            coordinator checks that each shard answered only with ids
+//	            it owns and merges them into each query's exact global row
 //	            (matdb.MergeCandidates)
-//	eval        the coordinator assembles each query's two-hop closure from
-//	            the parts it holds — every closure point's row merged with
-//	            the query by its owning part (shard.Part.MergedRow, the
-//	            matdb.RowBuf.Merge call the in-process scorer makes) — and
-//	            evaluates it with core.EvalRange, the scorer's own code
+//	score       the coordinator scores the merged rows with the model it
+//	            holds (lof.Model.ScoreQueryRows): the scorer lofserve runs,
+//	            from the query's row on
 //
 // Both halves are the single-node code paths over the same stored rows,
 // which is what makes a distributed score bit-identical to a single-node
-// one. The shards are the distributed kNN probe (plus replicas); the
-// coordinator holds the whole split and does every evaluation.
+// one. The shards are the distributed kNN probe (plus replicas) and hold
+// only points; the coordinator holds the model and does every evaluation.
 //
 // Failure policy: per-shard calls hedge across replicas (first success
-// wins); when a whole shard is unreachable, a request that opted into
-// ?mode=degraded is answered from the local coreset model with the
-// response marked "degraded", and any other request fails with a gateway
-// error — never a silently wrong exact score. A shard that rejects the
-// batch as too large (413) is not an outage: the caller gets the 413. A
-// background repair loop re-pushes snapshots to replicas that report
-// unready or stale.
+// wins); when a whole shard is unreachable, or answers with ids it does not
+// own, a request that opted into ?mode=degraded is answered from the local
+// coreset model with the response marked "degraded", and any other request
+// fails with a gateway error — never a silently wrong exact score. A shard
+// that rejects the batch as too large (413) is not an outage: the caller
+// gets the 413. A background repair loop re-pushes snapshots to replicas
+// that report unready or stale.
 //
 // Approximate modes ride the same scatter-gather machinery:
 //
-//	?mode=pruned   right after the candidates round, each query's merged
-//	               row is bounded with lofserve's certificate
-//	               (approx.QueryBounds over per-point approx.Summaries,
-//	               built from the kept parts on the version's first pruned
-//	               request); a query whose LOF interval lies inside 1±eps
-//	               answers exactly 1 and is not evaluated, so every answer
-//	               equals lof.Model.ScoreBatchPruned's bit for bit
+//	?mode=pruned   the model certifies each merged row as
+//	               lof.Model.ScoreBatchPruned does (approx.QueryBounds over
+//	               the model's summaries, built on the version's first
+//	               pruned request); a query whose LOF interval lies inside
+//	               1±eps answers exactly 1 and is not evaluated, so every
+//	               answer equals ScoreBatchPruned's bit for bit
 //	?mode=coreset  answered from a local sensitivity-sampled coreset
 //	               model derived at fit time (lof.Model.Coreset), no
 //	               shard RPCs at all; falls back to exact when disabled
@@ -48,15 +46,14 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lof"
-	"lof/internal/approx"
 	"lof/internal/client"
-	"lof/internal/core"
 	"lof/internal/front"
 	"lof/internal/geom"
 	"lof/internal/index"
@@ -87,8 +84,8 @@ type Config struct {
 	// outages. Zero means 2048; negative disables it, and both modes then
 	// answer exactly or fail.
 	CoresetSample int
-	// Workers bounds the coordinator-side merge/eval parallelism per batch.
-	// Zero means GOMAXPROCS.
+	// Workers bounds the coordinator-side merge and scoring parallelism per
+	// batch. Zero means GOMAXPROCS.
 	Workers int
 	// RepairInterval paces the background repair loop. Default 2s.
 	RepairInterval time.Duration
@@ -105,19 +102,19 @@ type Config struct {
 type state struct {
 	version uint64
 	meta    shard.Meta
-	dim     int
-	lb, ub  int
-	agg     core.Aggregate
 	info    ModelInfo
-	// parts is the split the shards hold: every query's closure rows are
-	// merged from it, and each push and repair re-push encodes from it.
-	parts   []*shard.Part
+	// model scores every merged query row. Its points resolve
+	// distinct-rank coordinates in the merge, and its summaries, built on
+	// the version's first pruned request, certify pruned mode; exact
+	// traffic never builds them (DESIGN.md §12).
+	model *lof.Model
+	// parts holds each shard's encoded part (ids and coordinates), pushed
+	// on install and on every repair re-push.
+	parts   [][]byte
 	coreset *lof.Model
-	// summaries returns the pruned-mode certificate's per-point summaries,
-	// built from parts on the first call (the version's first pruned
-	// request) and shared by every later one. Exact traffic never calls
-	// it, so it never pays their memory (DESIGN.md §12).
-	summaries func() (*approx.Summaries, error)
+	// pruned counts the version's summary build on its first pruned
+	// request.
+	pruned sync.Once
 }
 
 // ModelInfo mirrors the single-node server's model summary, so the same
@@ -171,6 +168,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RepairInterval <= 0 {
 		cfg.RepairInterval = 2 * time.Second
 	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	c := &Coordinator{
 		cfg:          cfg,
 		replicas:     make([]*client.ReplicaSet, len(cfg.Targets)),
@@ -216,12 +216,11 @@ func (c *Coordinator) Version() uint64 {
 	return 0
 }
 
-// Fit fits the model globally, splits it, and replicates one sub-snapshot
+// Fit fits the model globally, splits its points, and replicates one part
 // per shard. The new version serves once every shard has acknowledged the
 // push on at least one replica; remaining replicas are brought up to date
-// by the repair loop. The fitted model is released after the split — the
-// coordinator keeps the parts, whose rows alias the model's, and the small
-// coreset.
+// by the repair loop. The coordinator keeps the model, the parts'
+// encodings and the small coreset.
 func (c *Coordinator) Fit(ctx context.Context, fitCfg server.FitConfig, data [][]float64) (ModelInfo, error) {
 	c.fitMu.Lock()
 	defer c.fitMu.Unlock()
@@ -254,7 +253,8 @@ func (c *Coordinator) Fit(ctx context.Context, fitCfg server.FitConfig, data [][
 }
 
 // Install splits and replicates an already-fitted model — the preload path
-// (lofcoord -model) and the test seam.
+// (lofcoord -model) and the test seam. The coordinator scores with m,
+// through its own pool of Config.Workers.
 func (c *Coordinator) Install(ctx context.Context, m *lof.Model) (ModelInfo, error) {
 	c.fitMu.Lock()
 	defer c.fitMu.Unlock()
@@ -269,8 +269,8 @@ func (c *Coordinator) Install(ctx context.Context, m *lof.Model) (ModelInfo, err
 	return st.info, nil
 }
 
-// buildState splits m into per-shard parts under a fresh version and
-// derives the coreset.
+// buildState splits m's points into per-shard parts under a fresh version,
+// encodes them, and derives the coreset.
 func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 	pts, db := m.Fitted()
 	mcfg := m.Config()
@@ -283,11 +283,13 @@ func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 	st := &state{
 		version: version,
 		meta:    parts[0].Meta(),
-		dim:     pts.Dim(),
-		lb:      mcfg.MinPtsLB,
-		ub:      mcfg.MinPtsUB,
-		agg:     core.Aggregate(mcfg.Aggregation),
-		parts:   parts,
+		model:   m.WithWorkers(c.cfg.Workers),
+		parts:   make([][]byte, len(parts)),
+	}
+	for s, p := range parts {
+		if st.parts[s], err = shard.EncodePart(p); err != nil {
+			return nil, fmt.Errorf("coord: encoding part %d: %w", s, err)
+		}
 	}
 	metric := mcfg.Metric
 	if metric == "" {
@@ -307,28 +309,7 @@ func (c *Coordinator) buildState(m *lof.Model) (*state, error) {
 			st.coreset = cs
 		}
 	}
-	// The summaries come from the parts' rows joined back into the fitted
-	// database, summarized as lof.Model.ScoreBatchPruned summarizes its
-	// own; only the summaries outlive the build.
-	st.summaries = sync.OnceValues(func() (*approx.Summaries, error) {
-		c.summaryBuilds.Add(1)
-		db, err := shard.Join(st.parts)
-		if err != nil {
-			return nil, err
-		}
-		return approx.NewSummaries(db, st.lb, st.ub, c.pool)
-	})
 	return st, nil
-}
-
-// pushPart encodes part p and installs it on one replica.
-func pushPart(ctx context.Context, cl *client.Client, p *shard.Part) error {
-	b, err := shard.EncodePart(p)
-	if err != nil {
-		return err
-	}
-	_, err = cl.PushSnapshot(ctx, b)
-	return err
 }
 
 // distribute pushes every shard's snapshot to all of its replicas in
@@ -350,7 +331,7 @@ func (c *Coordinator) distribute(ctx context.Context, st *state) error {
 		go func(w push) {
 			defer wg.Done()
 			cl := c.replicas[w.s].Clients()[w.r]
-			if err := pushPart(ctx, cl, st.parts[w.s]); err != nil {
+			if _, err := cl.PushSnapshot(ctx, st.parts[w.s]); err != nil {
 				errsByShard[w.s].Store(&err)
 				return
 			}
@@ -373,8 +354,9 @@ func (c *Coordinator) distribute(ctx context.Context, st *state) error {
 // errNoModel distinguishes "nothing fitted yet" for the HTTP layer.
 var errNoModel = errors.New("coord: no fitted model")
 
-// shardError marks a scatter-gather round that lost a shard — the class of
-// failure degraded mode may absorb.
+// shardError marks a scatter-gather round that lost a shard, or got an
+// answer from it that the layout refutes — the class of failure degraded
+// mode may absorb.
 type shardError struct {
 	shard int
 	err   error
@@ -404,8 +386,8 @@ func (c *Coordinator) Score(ctx context.Context, queries [][]float64, mode strin
 		return nil, "", 0, errNoModel
 	}
 	for i, q := range queries {
-		if len(q) != st.dim {
-			return nil, "", 0, fmt.Errorf("coord: batch row %d has %d dimensions, model expects %d", i, len(q), st.dim)
+		if len(q) != st.model.Dim() {
+			return nil, "", 0, fmt.Errorf("coord: batch row %d has %d dimensions, model expects %d", i, len(q), st.model.Dim())
 		}
 		if !geom.Point(q).Valid() {
 			return nil, "", 0, fmt.Errorf("coord: batch row %d has non-finite coordinates", i)
@@ -475,58 +457,40 @@ func shardCall[T any](ctx context.Context, c *Coordinator, s int, name string, o
 	return v, err
 }
 
-// score answers a batch exactly. The candidates round merges every query's
-// global row. With pruned set, a query whose LOF interval over that row
-// lies inside 1±lof.DefaultPruneEps answers 1 and leaves the batch: the
-// interval is approx.QueryBounds over the version's summaries, the
-// certificate lof.Model.ScoreBatchPruned computes from the same row and
-// the same summaries. The rest are evaluated. It returns the scores and
-// the number of certified queries.
+// score answers a batch: the candidates round merges every query's global
+// row, and the model scores the rows — with pruned set, certifying first
+// as lof.Model.ScoreBatchPruned does, with lof.DefaultPruneEps. It returns
+// the scores and the number of certified queries.
 func (c *Coordinator) score(ctx context.Context, st *state, queries [][]float64, pruned bool) ([]float64, int, error) {
 	rows, err := c.mergeQueryRows(ctx, st, queries)
 	if err != nil {
 		return nil, 0, err
 	}
-	nq := len(queries)
-	out := make([]float64, nq)
-	var skip []bool
-	certified := 0
+	eps := 0.0
 	if pruned {
-		csp, _ := trace.StartSpan(ctx, "coord/certify")
-		sum, err := st.summaries()
-		if err != nil {
-			csp.SetError(err.Error())
-			csp.End()
-			return nil, 0, fmt.Errorf("coord: pruning summaries: %w", err)
-		}
-		skip = make([]bool, nq)
-		c.pool.Each(nq, func(qi int) {
-			lower, upper := approx.QueryBounds(sum, rows[qi])
-			skip[qi] = approx.Certified(lower, upper, lof.DefaultPruneEps)
-		})
-		csp.End()
-		for qi, ok := range skip {
-			if ok {
-				out[qi] = 1
-				certified++
-			}
-		}
-		if certified == nq {
-			return out, certified, nil
-		}
+		eps = lof.DefaultPruneEps
+		st.pruned.Do(func() { c.summaryBuilds.Add(1) })
 	}
-	if err := c.evalInto(ctx, st, queries, rows, out, skip); err != nil {
-		return nil, 0, err
+	ssp, sctx := trace.StartSpan(ctx, "coord/score")
+	defer ssp.End()
+	pb, err := st.model.ScoreQueryRows(sctx, queries, rows, eps)
+	if err != nil {
+		ssp.SetError(err.Error())
+		return nil, 0, fmt.Errorf("coord: %w", err)
 	}
-	return out, certified, nil
+	ssp.SetAttrInt("certified", int64(pb.Certified))
+	return pb.Scores, pb.Certified, nil
 }
 
 // mergeQueryRows runs the candidates round: it merges every query's global
-// row from per-shard candidates.
+// row from per-shard candidates. A replica whose answer the layout refutes
+// (checkOwned) has failed like one that did not answer: its siblings are
+// tried, and a shard none of whose replicas answers acceptably fails the
+// round.
 func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][]float64) ([]matdb.Row, error) {
 	nq := len(queries)
-	qIdx := st.meta.Total
-	dim := st.dim
+	pts, _ := st.model.Fitted()
+	dim := pts.Dim()
 
 	// Per-partition candidates from every shard, in parallel.
 	req := &shard.Frame{Kind: shard.KindCandidatesRequest, Distinct: st.meta.Distinct, Version: st.version, Dim: dim}
@@ -539,7 +503,11 @@ func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][
 	csp.SetAttrInt("queries", int64(nq))
 	err := c.eachShard(cctx, func(s int) error {
 		f, err := shardCall(cctx, c, s, "rpc/candidates", func(ctx context.Context, cl *client.Client) (*shard.Frame, error) {
-			return cl.Candidates(ctx, req)
+			f, err := cl.Candidates(ctx, req)
+			if err == nil {
+				err = c.checkOwned(st, s, f)
+			}
+			return f, err
 		})
 		answers[s] = f
 		return err
@@ -553,7 +521,7 @@ func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][
 	}
 
 	// Merge each query's global row locally; coordinate lookups for
-	// distinct-rank recomputation come from the candidate payloads.
+	// distinct-rank recomputation come from the model's points.
 	msp, _ := trace.StartSpan(ctx, "coord/merge")
 	starts := make([][]int, len(answers)) // starts[s][qi]: query qi's first entry in shard s's answer
 	for s, f := range answers {
@@ -566,27 +534,10 @@ func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][
 	mergeErrs := make([]error, nq)
 	c.pool.Each(nq, func(qi int) {
 		var cands []index.Neighbor
-		var at func(int) geom.Point
-		var cm map[int]geom.Point
-		if st.meta.Distinct {
-			cm = make(map[int]geom.Point)
-			at = func(i int) geom.Point {
-				if i == qIdx {
-					return queries[qi]
-				}
-				return cm[i]
-			}
-		}
 		for s, f := range answers {
-			lo, hi := starts[s][qi], starts[s][qi+1]
-			cands = append(cands, f.Entries[lo:hi]...)
-			if cm != nil {
-				for k := lo; k < hi; k++ {
-					cm[f.Entries[k].Index] = f.Coords[k*dim : (k+1)*dim]
-				}
-			}
+			cands = append(cands, f.Entries[starts[s][qi]:starts[s][qi+1]]...)
 		}
-		rows[qi], mergeErrs[qi] = matdb.MergeCandidates(cands, at, st.meta.K, st.meta.Distinct)
+		rows[qi], mergeErrs[qi] = matdb.MergeCandidates(cands, pts.At, st.meta.K, st.meta.Distinct)
 	})
 	for qi, err := range mergeErrs {
 		if err != nil {
@@ -599,45 +550,18 @@ func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][
 	return rows, nil
 }
 
-// evalInto evaluates every query not marked in skip — one core.EvalRange
-// per query, the evaluation the in-process scorer runs, over the closure
-// rows the owning parts merge with the query — writing scores into out. A
-// nil skip evaluates everything. Each pool worker merges into its own
-// RowBuf, and stops at the next query once ctx is done.
-func (c *Coordinator) evalInto(ctx context.Context, st *state, queries [][]float64, rows []matdb.Row, out []float64, skip []bool) error {
-	esp, _ := trace.StartSpan(ctx, "coord/eval")
-	defer esp.End()
-	nq := len(out)
-	n, qIdx := len(st.parts), st.meta.Total
-	evalErrs := make([]error, nq)
-	c.pool.Chunks(nq, func(lo, hi int) {
-		var buf matdb.RowBuf
-		series := make([]float64, st.ub-st.lb+1)
-		for qi := lo; qi < hi && ctx.Err() == nil; qi++ {
-			if skip != nil && skip[qi] {
-				continue
-			}
-			q := geom.Point(queries[qi])
-			var rowErr error
-			rowOf := func(i int) matdb.Row {
-				r, err := st.parts[c.cfg.Partitioner.Shard(uint32(i), n, qIdx)].MergedRow(&buf, i, q, st.ub)
-				if err != nil && rowErr == nil {
-					rowErr = err
-				}
-				return r
-			}
-			core.EvalRange(qIdx, rows[qi], rowOf, st.lb, st.ub, series)
-			if rowErr != nil {
-				evalErrs[qi] = fmt.Errorf("coord: query %d: %w", qi, rowErr)
-				continue
-			}
-			out[qi] = core.ScoreAggregate(series, st.agg)
+// checkOwned refuses shard s's answer when it holds a candidate id outside
+// the fitted points or one the partitioner assigns to another shard: the
+// shard disagrees with the layout it was pushed, so nothing it answered can
+// be trusted, and an id outside the model would index past its rows.
+func (c *Coordinator) checkOwned(st *state, s int, f *shard.Frame) error {
+	n, total := len(c.replicas), st.meta.Total
+	for _, e := range f.Entries {
+		if e.Index >= total {
+			return fmt.Errorf("answer holds candidate id %d outside the %d fitted points", e.Index, total)
 		}
-	})
-	for _, err := range append(evalErrs, ctx.Err()) {
-		if err != nil {
-			esp.SetError(err.Error())
-			return err
+		if owner := c.cfg.Partitioner.Shard(uint32(e.Index), n, total); owner != s {
+			return fmt.Errorf("answer holds candidate id %d, which shard %d owns", e.Index, owner)
 		}
 	}
 	return nil
@@ -691,7 +615,7 @@ func (c *Coordinator) Repair(ctx context.Context) int {
 				if ctx.Err() != nil {
 					return
 				}
-				if err := pushPart(ctx, cl, st.parts[s]); err == nil {
+				if _, err := cl.PushSnapshot(ctx, st.parts[s]); err == nil {
 					pushes.Add(1)
 					c.log(ctx, slog.LevelInfo, "repaired replica",
 						slog.Int("shard", s), slog.Uint64("version", st.version))

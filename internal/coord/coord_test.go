@@ -479,3 +479,90 @@ func TestScoreValidation(t *testing.T) {
 		t.Fatal("NaN query accepted")
 	}
 }
+
+// forgeNearest wraps a shard so that, while *forged is non-negative, its
+// candidates answers claim id *forged as each query's nearest candidate.
+func forgeNearest(forged *atomic.Int64, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := forged.Load()
+		if r.URL.Path != "/v1/shard/candidates" || id < 0 {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		f, err := shard.DecodeFrame(rec.Body.Bytes())
+		if rec.Code != http.StatusOK || err != nil {
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+			return
+		}
+		at := 0
+		for _, n := range f.Counts {
+			if n > 0 {
+				f.Entries[at].Index = int(id)
+			}
+			at += int(n)
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(f.Encode())
+	})
+}
+
+// TestForgedCandidateIDs: a shard whose answers name a point outside the
+// model, or a point another shard owns, fails every exact and pruned
+// request with a labelled shard error — a 502, never a panic and never a
+// score — and degraded mode absorbs it as it absorbs an outage. Under the
+// range partitioner with two shards, id 0 belongs to shard 0, so shard 1
+// may not answer it.
+func TestForgedCandidateIDs(t *testing.T) {
+	var forged atomic.Int64
+	forged.Store(-1)
+	targets := startShards(t, 2, func(s int, h http.Handler) http.Handler {
+		if s == 1 {
+			return forgeNearest(&forged, h)
+		}
+		return h
+	})
+	m := fitModel(t, lof.Config{MinPtsLB: 3, MinPtsUB: 6})
+	c, err := coord.New(coord.Config{Targets: targets, Client: fastClient(), Partitioner: shard.PartitionRange, CoresetSample: 64})
+	if err != nil {
+		t.Fatalf("coord.New: %v", err)
+	}
+	if _, err := c.Install(context.Background(), m); err != nil {
+		t.Fatalf("Install: %v", err)
+	}
+	queries := testQueries()
+	body, err := json.Marshal(map[string]interface{}{"queries": queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int64{1 << 20, 0} {
+		forged.Store(id)
+		for _, mode := range []string{"", "pruned"} {
+			scores, _, _, err := c.Score(context.Background(), queries, mode)
+			if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "candidate id") {
+				t.Fatalf("id %d, mode %q: scores %v, error %v; want a shard 1 error naming the candidate id", id, mode, scores, err)
+			}
+			rec := httptest.NewRecorder()
+			c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/score?mode="+mode, bytes.NewReader(body)))
+			if rec.Code != http.StatusBadGateway {
+				t.Fatalf("id %d, mode %q: status %d body %s, want 502", id, mode, rec.Code, rec.Body)
+			}
+		}
+		if _, mode, _, err := c.Score(context.Background(), queries, "degraded"); err != nil || mode != "degraded" {
+			t.Fatalf("id %d: degraded request served mode %q, error %v; want the coreset's labelled answer", id, mode, err)
+		}
+	}
+	// The honest shard serves exactly again.
+	forged.Store(-1)
+	want, err := m.ScoreBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err := c.Score(context.Background(), queries, "")
+	if err != nil {
+		t.Fatalf("exact score from honest shards: %v", err)
+	}
+	assertBitIdentical(t, got, want, "honest")
+}

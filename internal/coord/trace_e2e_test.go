@@ -22,10 +22,11 @@ import (
 // whole request is one trace: every span in all four processes' collectors
 // carries the root trace ID, the coordinator's tree covers its one shard
 // round (one candidates RPC per shard, each carrying its answer's size)
-// and its own evaluation, each shard recorded its handler spans, and the
-// trace is retrievable over /v1/debug/traces. A pruned batch whose queries
-// all certify then shows the candidates RPCs and no evaluation, with the
-// certified count on its request span.
+// and one coord/score span around its model's scoring, each shard
+// recorded its handler spans, and the trace is retrievable over
+// /v1/debug/traces. A pruned batch whose queries all certify then shows
+// the candidates RPCs and one coord/score span, with the certified count
+// on it and on its request span.
 func TestTracePropagationEndToEnd(t *testing.T) {
 	const shards = 3
 	shardCols := make([]*trace.Collector, shards)
@@ -77,9 +78,20 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		}
 		names[sp.Name]++
 	}
-	for _, want := range []string{"http /v1/score", "coord/candidates", "coord/merge", "coord/eval"} {
+	for _, want := range []string{"http /v1/score", "coord/candidates", "coord/merge", "coord/score"} {
 		if names[want] != 1 {
 			t.Fatalf("coordinator recorded %d %q spans, want 1 (have %v)", names[want], want, names)
+		}
+	}
+	// The model call is one span: no separate certify or evaluation spans.
+	for _, name := range []string{"coord/certify", "coord/eval"} {
+		if names[name] != 0 {
+			t.Fatalf("coordinator recorded %d %q spans, want them folded into coord/score (have %v)", names[name], name, names)
+		}
+	}
+	for _, sp := range coordSpans {
+		if sp.Name == "coord/score" && sp.Attrs["certified"] != "0" {
+			t.Fatalf("exact coord/score span has certified=%q, want 0", sp.Attrs["certified"])
 		}
 	}
 	// One shard round: a candidates RPC per shard and nothing else.
@@ -158,8 +170,8 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 
 	// A pruned batch whose queries all certify is answered from the
-	// candidates round: its request span carries the certified count, and
-	// nothing is evaluated.
+	// candidates round and the model's certificate: its request span and
+	// its one coord/score span carry the certified count.
 	certifying := testQueries()[:4]
 	if pb, err := m.ScoreBatchPruned(certifying, 0); err != nil || pb.Certified != len(certifying) {
 		t.Fatalf("lofserve certifies %+v (%v) of the chosen batch, want all %d", pb, err, len(certifying))
@@ -180,14 +192,14 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	names = map[string]int{}
 	for _, sp := range coordCol.Spans(trace.Query{TraceID: proot.TraceID.String()}) {
 		names[sp.Name]++
-		if sp.Name == "http /v1/score" && sp.Attrs["certified"] != strconv.Itoa(len(certifying)) {
-			t.Fatalf("pruned request span has certified=%q, want %d", sp.Attrs["certified"], len(certifying))
+		if (sp.Name == "http /v1/score" || sp.Name == "coord/score") && sp.Attrs["certified"] != strconv.Itoa(len(certifying)) {
+			t.Fatalf("pruned %s span has certified=%q, want %d", sp.Name, sp.Attrs["certified"], len(certifying))
 		}
 	}
-	if names["http /v1/score"] != 1 || names["rpc/candidates"] != shards || names["coord/certify"] != 1 {
-		t.Fatalf("pruned spans %v, want the request span, one coord/certify and one rpc/candidates per shard", names)
+	if names["http /v1/score"] != 1 || names["rpc/candidates"] != shards || names["coord/score"] != 1 {
+		t.Fatalf("pruned spans %v, want the request span, one coord/score and one rpc/candidates per shard", names)
 	}
-	for _, name := range []string{"rpc/rows", "coord/rows", "coord/eval"} {
+	for _, name := range []string{"rpc/rows", "coord/rows", "coord/certify", "coord/eval"} {
 		if names[name] != 0 {
 			t.Fatalf("a fully certified batch recorded %d %q spans (have %v)", names[name], name, names)
 		}

@@ -4,7 +4,10 @@
 // computed from a materialization database with the two-scan algorithm of
 // Sec. 7.4, the MinPts-range sweep with max/min/mean aggregation proposed
 // in Sec. 6.2, and the formal bound calculators of Sec. 5 (Lemma 1,
-// Theorems 1 and 2).
+// Theorems 1 and 2). Out-of-sample scoring (Scorer, EvalRange) is the one
+// evaluation every serving path runs: lofserve, the sharded coordinator —
+// which scores query rows merged from its shards' candidates with the
+// model it fitted — and the streaming detector.
 package core
 
 import (

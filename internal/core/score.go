@@ -123,11 +123,13 @@ func (s *Scorer) QueryRow(q geom.Point) matdb.Row {
 	return qRow
 }
 
-// ScoreSeriesFromRow is ScoreSeriesCtx for a caller that already probed
-// the query's merged row with QueryRow (e.g. to test pruning bounds before
-// committing to a full evaluation): the kNN probe is skipped, everything
-// downstream — merged-row closure and evaluation — is identical, so the
-// series is bit-identical to ScoreSeriesCtx on the same q.
+// ScoreSeriesFromRow is ScoreSeriesCtx for a caller that already holds
+// the query's merged row — probed with QueryRow (e.g. to test pruning
+// bounds before committing to a full evaluation), or merged by the sharded
+// coordinator from its shards' candidates: the kNN probe is skipped,
+// everything downstream — merged-row closure and evaluation — is
+// identical, so the series is bit-identical to ScoreSeriesCtx on the same
+// q.
 func (s *Scorer) ScoreSeriesFromRow(ctx context.Context, q geom.Point, qRow matdb.Row) ([]float64, error) {
 	if len(q) != s.pts.Dim() {
 		return nil, fmt.Errorf("core: query has %d dimensions, model has %d", len(q), s.pts.Dim())
@@ -145,8 +147,7 @@ func (s *Scorer) ScoreSeriesFromRow(ctx context.Context, q geom.Point, qRow matd
 // series runs the post-probe pipeline shared by ScoreSeriesCtx and
 // ScoreSeriesFromRow: EvalRange over the query's two-hop closure, whose
 // rows come from RowBuf.Merge — the stored row wherever q cannot change
-// it, a splice into sc's buffer otherwise — the call the sharded
-// coordinator makes through shard.Part.MergedRow.
+// it, a splice into sc's buffer otherwise.
 func (s *Scorer) series(ctx context.Context, tr *obs.Tracer, sc *evalScratch, q geom.Point, qRow matdb.Row) ([]float64, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -175,16 +176,16 @@ func (s *Scorer) series(ctx context.Context, tr *obs.Tracer, sc *evalScratch, q 
 // per closure point, and a row it returns is consumed before the next
 // call, so it may be backed by one reused buffer.
 //
-// This is the single out-of-sample evaluation: the in-process scorer's
-// rowOf reads the database, the sharded coordinator's reads the parts it
-// holds (shard.Part.MergedRow), and the streaming detector's (through
-// EvalAt) reads its maintained neighborhoods, all through RowBuf.Merge, so
-// distributed and stream scores are bit-identical to a single-node one by
-// construction. The closure is laid out densely — local ids, one flat
-// table of merged k-distances for MinPts lb..ub — and one pass evaluates
-// the whole range with Definitions 5–7's arithmetic in the order a
-// per-MinPts evaluation would use, so every value is bit-identical to
-// EvalAt at that MinPts.
+// This is the single out-of-sample evaluation: the scorer's rowOf reads
+// the database — for lofserve, and for the sharded coordinator, which
+// scores its merged query rows with the model it fitted — and the
+// streaming detector's (through EvalAt) reads its maintained
+// neighborhoods, all through RowBuf.Merge, so distributed and stream
+// scores are bit-identical to a single-node one by construction. The
+// closure is laid out densely — local ids, one flat table of merged
+// k-distances for MinPts lb..ub — and one pass evaluates the whole range
+// with Definitions 5–7's arithmetic in the order a per-MinPts evaluation
+// would use, so every value is bit-identical to EvalAt at that MinPts.
 func EvalRange(qIdx int, qRow matdb.Row, rowOf func(int) matdb.Row, lb, ub int, out []float64) {
 	sc := scratchPool.Get().(*evalScratch)
 	sc.evalRange(nil, qIdx, qRow, rowOf, lb, ub, out)

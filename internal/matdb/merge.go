@@ -7,32 +7,21 @@ import (
 	"lof/internal/index"
 )
 
-// This file is the exported merge surface of the materialization database:
-// the primitives a distributed serving tier needs to reassemble exact
-// global LOF state from per-shard pieces. A shard holds only its partition
-// of the fitted points, but each point's stored row is the *global* row (the
-// neighborhoods computed during the single global materialization), so:
+// This file is the merge surface of the materialization database: the
+// primitives that turn stored rows and kNN candidates into the rows of
+// data ∪ {q}.
 //
 //   - MergeCandidates turns the union of per-shard kNN candidate lists into
-//     the exact row a query point would occupy in the full database, and
-//   - RowBuf.Merge turns a stored global row into the merged row of
-//     data ∪ {q}, the same computation MergedRow performs in-process.
+//     the exact row a query point would occupy in the full database: a
+//     shard holds only its partition of the fitted points, and the sharded
+//     coordinator merges their answers into the query's global row, and
+//   - RowBuf.Merge turns a stored row into the merged row of data ∪ {q},
+//     the same computation MergedRow performs.
 //
-// Both are the single implementation the in-process scoring path also runs
-// through, so a scatter-gather evaluation is bit-identical to a single-node
-// one by construction, not by parallel maintenance.
-
-// NewRow assembles a Row from its serialized parts: a neighbor list sorted
-// by (distance, index) and, for distinct-semantics databases, the positions
-// of the first distinct coordinates. It is the inverse of Row.Neighbors plus
-// Row.Ranks, for rows that crossed a process boundary.
-func NewRow(neighbors []index.Neighbor, ranks []int32, distinct bool) Row {
-	r := Row{Neighbors: neighbors, distinct: distinct}
-	if distinct {
-		r.ranks = ranks
-	}
-	return r
-}
+// The coordinator scores the merged query row with the model it fitted, so
+// a scatter-gather score runs the in-process scorer over the same stored
+// rows and is bit-identical to a single-node one by construction, not by
+// parallel maintenance.
 
 // Ranks returns the distinct-coordinate positions of a distinct-mode row,
 // nil otherwise. The returned slice aliases the row's storage.
@@ -92,9 +81,9 @@ func (b *RowBuf) keep(r Row) Row {
 // consulted only for that recomputation; it never sees qIdx. k is the
 // materialized K of the database the row came from.
 //
-// The scorer's closure rows, the sharded coordinator's (through
-// shard.Part.MergedRow) and the streaming detector's out-of-sample rows
-// all come from here, so every evaluation reads the same rows.
+// The scorer's closure rows — for lofserve and lofcoord alike — and the
+// streaming detector's out-of-sample rows all come from here, so every
+// evaluation reads the same rows.
 func (b *RowBuf) Merge(stored Row, q geom.Point, qIdx int, d float64, at func(int) geom.Point, k, ub int) Row {
 	full := len(stored.Neighbors) >= ub && (!stored.distinct || len(stored.ranks) >= ub)
 	if full && stored.KDistance(ub) < d {
@@ -160,8 +149,9 @@ func (b *RowBuf) query(cur index.Cursor, pts *geom.Points, q geom.Point, k int, 
 // id sets, so no deduplication is needed); each shard's list must cover its
 // partition's contribution to the global neighborhood, which QueryCandidates
 // guarantees: a partition's k-(distinct-)distance is never smaller than the
-// global one. at resolves global ids to coordinates and is consulted only
-// in distinct mode. cands is sorted in place.
+// global one. at resolves global ids to coordinates — the coordinator reads
+// them from its model's points — and is consulted only in distinct mode.
+// cands is sorted in place.
 func MergeCandidates(cands []index.Neighbor, at func(int) geom.Point, k int, distinct bool) (Row, error) {
 	if k <= 0 {
 		return Row{}, fmt.Errorf("matdb: merge K must be positive, got %d", k)

@@ -13,10 +13,12 @@ import (
 
 // Shard role: a lofserve process can serve as one shard of a scatter-gather
 // tier instead of (or in addition to) holding a whole model. The coordinator
-// pushes an encoded shard.Part over the replication endpoint; the shard
-// installs it atomically and then answers kNN candidate queries pinned to
-// the installed snapshot version — the one round a sharded score asks of
-// it:
+// pushes an encoded shard.Part — the shard's points, their global ids and
+// the fit's header, no materialized rows — over the replication endpoint;
+// the shard installs it atomically, builds its local kNN index, and then
+// answers kNN candidate queries pinned to the installed snapshot version —
+// the one round a sharded score asks of it. Everything after the
+// candidates happens on the coordinator, which holds the model:
 //
 //	POST /v1/shard/snapshot    octet-stream shard.Part; atomic install
 //	POST /v1/shard/candidates  per-partition kNN candidates for a batch

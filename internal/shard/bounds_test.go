@@ -16,17 +16,17 @@ import (
 // TestKDistsEnvelopeContainsMerged holds the pruned certificate to its
 // contract on the data of FuzzQueryBounds' seed cb90fd120c2d7d02: 28
 // points at MinPts 12..26 in distinct mode, where 24 stored rows hold
-// fewer than 26 distinct positions. Over 1, 2, 3 and 5 shard.Split parts:
+// fewer than 26 distinct positions. For queries of FuzzQueryBounds' kinds:
 //
 //   - every point's merged k-distances at MinPts lb..ub, read from the row
-//     its owning part merges for the coordinator (Part.MergedRow), lie
+//     the scorer merges (RowBuf.Merge of db.Row(i) with the query), lie
 //     inside its stored envelope [kd_{lb−1}, kd_ub] read from the database
 //     (kd_ub is +Inf for a distinct row with fewer than ub distinct
 //     positions, which a query at a new position can exceed);
-//   - approx.QueryBounds over summaries built from shard.Join(parts), on
-//     the query row the candidates round merges, equals QueryBounds over
-//     summaries of the original database, on the single-node query row,
-//     bit for bit: lofcoord's certificate is lofserve's;
+//   - over 1, 2, 3 and 5 shard.Split parts, approx.QueryBounds over
+//     summaries of db, on the query row the candidates round merges,
+//     equals QueryBounds on the single-node query row, bit for bit:
+//     lofcoord's certificate is lofserve's;
 //   - that interval contains the exact series.
 func TestKDistsEnvelopeContainsMerged(t *testing.T) {
 	const lb, ub, num = 12, 26, 28
@@ -59,7 +59,7 @@ func TestKDistsEnvelopeContainsMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := approx.NewSummaries(db, lb, ub, nil)
+	sum, err := approx.NewSummaries(db, lb, ub, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +72,6 @@ func TestKDistsEnvelopeContainsMerged(t *testing.T) {
 	}
 	for _, n := range []int{1, 2, 3, 5} {
 		parts, err := shard.Split(pts, db, shard.Meta{Metric: "euclidean"}, n, shard.PartitionHash, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		joined, err := shard.Join(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := approx.NewSummaries(joined, lb, ub, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,21 +90,17 @@ func TestKDistsEnvelopeContainsMerged(t *testing.T) {
 			}
 			var buf matdb.RowBuf
 			for i := 0; i < num; i++ {
-				p := parts[shard.PartitionHash.Shard(uint32(i), n, num)]
-				merged, err := p.MergedRow(&buf, i, q, ub)
-				if err != nil {
-					t.Fatal(err)
-				}
+				merged := buf.Merge(db.Row(i), q, num, geom.Euclidean{}.Distance(pts.At(i), q), pts.At, db.K, ub)
 				for m, kd := range merged.AppendKDistances(nil, lb, ub) {
 					if kd < envLo[i] || kd > envHi[i] {
 						t.Fatalf("shards=%d query %v point %d: merged %d-distance %v outside envelope [%v, %v]", n, q, i, lb+m, kd, envLo[i], envHi[i])
 					}
 				}
 			}
-			lower, upper := approx.QueryBounds(sum, gatherMerged(t, parts, db, q))
-			wantLower, wantUpper := approx.QueryBounds(want, scorer.QueryRow(q))
+			lower, upper := approx.QueryBounds(sum, gatherMerged(t, parts, pts, db, q))
+			wantLower, wantUpper := approx.QueryBounds(sum, scorer.QueryRow(q))
 			if math.Float64bits(lower) != math.Float64bits(wantLower) || math.Float64bits(upper) != math.Float64bits(wantUpper) {
-				t.Fatalf("shards=%d query %v: joined summaries give [%v, %v], the database's [%v, %v]", n, q, lower, upper, wantLower, wantUpper)
+				t.Fatalf("shards=%d query %v: the merged row bounds [%v, %v], the single-node row [%v, %v]", n, q, lower, upper, wantLower, wantUpper)
 			}
 			series, err := scorer.ScoreSeries(q)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lof"
@@ -11,13 +12,16 @@ import (
 	"lof/internal/shard"
 )
 
-// The golden parts under testdata are version-2 images of a split of the
-// oracle fit the root package's testdata/oracle_prerefactor.json captures,
-// converted from the original streamed (version 1) goldens. A fresh split
-// with today's code must encode to them byte for byte, and both readers
-// must restore them into parts that re-encode to the same bytes: encoding
-// is deterministic, so byte equality proves the entire state — ids,
-// coordinates, rows, ranks, halo, metadata — survives exactly.
+// The golden parts under testdata are images of shard 1 of a split of the
+// oracle fit the root package's testdata/oracle_prerefactor.json captures.
+// The version-2 images carried each owned point's materialized row, ranks
+// and halo besides its id and coordinates; the version-3 ones hold their
+// header, ids and coordinates, re-encoded from the version-2 images. A
+// version-2 image must be refused with a request to re-push, a fresh split
+// with today's code must encode to the version-3 image byte for byte, and
+// both readers must restore that image into parts that re-encode to the
+// same bytes: encoding is deterministic, so byte equality proves the
+// entire state — ids, coordinates, metadata — survives exactly.
 
 func oracleParts(t *testing.T, distinct bool) []*shard.Part {
 	t.Helper()
@@ -55,15 +59,25 @@ func oracleParts(t *testing.T, distinct bool) []*shard.Part {
 
 func TestGoldenPartBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
-		file     string
+		file, v3 string
 		distinct bool
 	}{
-		{"part_v2.bin", false},
-		{"part_v2_distinct.bin", true},
+		{"part_v2.bin", "part_v3.bin", false},
+		{"part_v2_distinct.bin", "part_v3_distinct.bin", true},
 	} {
 		tc := tc
 		t.Run(tc.file, func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			v2, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatalf("reading fixture: %v", err)
+			}
+			if _, err := shard.DecodePart(v2); err == nil || !strings.Contains(err.Error(), "re-push") {
+				t.Fatalf("DecodePart(%s): %v, want a refusal asking to re-push", tc.file, err)
+			}
+			if _, err := shard.ReadPart(bytes.NewReader(v2)); err == nil || !strings.Contains(err.Error(), "re-push") {
+				t.Fatalf("ReadPart(%s): %v, want a refusal asking to re-push", tc.file, err)
+			}
+			raw, err := os.ReadFile(filepath.Join("testdata", tc.v3))
 			if err != nil {
 				t.Fatalf("reading fixture: %v", err)
 			}

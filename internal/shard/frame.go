@@ -16,7 +16,7 @@ import (
 //
 //	offset  field
 //	     0  magic "LOFW"
-//	     4  u32 format version = 2
+//	     4  u32 format version = 3
 //	     8  u8 kind | u8 distinct | u16 zero
 //	    12  u32 section count
 //	    16  u64 snapshot version (a request's pin, an answer's part)
@@ -28,20 +28,20 @@ import (
 //	          1 queries    groups·dim × f64
 //	          2 counts     groups × u32 (candidates per query)
 //	          3 entries    { u32 global id | f64 distance }
-//	          4 coords     entries·dim × f64 (distinct only)
 //
-// Which sections a frame carries is fixed by its kind (and, for answers,
-// the distinct flag); see layout. Every field of a decoded Frame comes from
-// the bytes and the layout is canonical, so an accepted frame re-encodes to
-// exactly its input. The decoder sizes every allocation from section
-// lengths it has bounds-checked against the input, so a hostile count can
-// never make it allocate more than a small multiple of the bytes it got.
+// Which sections a frame carries is fixed by its kind; see layout. Every
+// field of a decoded Frame comes from the bytes and the layout is
+// canonical, so an accepted frame re-encodes to exactly its input. The
+// decoder sizes every allocation from section lengths it has
+// bounds-checked against the input, so a hostile count can never make it
+// allocate more than a small multiple of the bytes it got.
 // Frames are an internal protocol between a coordinator and its shards of
 // the same build: there is no negotiation and no fallback, and a frame of
-// another format version is refused.
+// another format version is refused — among them version 2, whose distinct
+// answers also carried each candidate's coordinates.
 const (
 	frameMagic      = "LOFW"
-	frameVersion    = 2
+	frameVersion    = 3
 	frameHeaderSize = 32
 	// entrySize is the wire size of one (u32 id, f64 distance) entry.
 	entrySize = 12
@@ -49,7 +49,6 @@ const (
 	fsecQueries = 1
 	fsecCounts  = 2
 	fsecEntries = 3
-	fsecCoords  = 4
 )
 
 // Kind says what a frame asks for or answers.
@@ -59,8 +58,7 @@ const (
 	// KindCandidatesRequest asks for each query's kNN candidates among
 	// the shard's points (the scatter-gather round).
 	KindCandidatesRequest Kind = 1 + iota
-	// KindCandidates answers it: per query, (id, distance) entries and,
-	// in distinct mode, their coordinates.
+	// KindCandidates answers it: per query, (id, distance) entries.
 	KindCandidates
 )
 
@@ -80,7 +78,7 @@ func (k Kind) String() string {
 // Frame is one decoded request or answer. Which fields a kind uses:
 //
 //	KindCandidatesRequest   Dim, Queries
-//	KindCandidates          Counts, Entries, and Coords in distinct mode
+//	KindCandidates          Counts, Entries
 //
 // Query g of a request is Queries[g·Dim:(g+1)·Dim], and its candidates in
 // the answer are the next Counts[g] entries of Entries. A decoded frame's
@@ -95,19 +93,15 @@ type Frame struct {
 	Queries []float64
 	Counts  []uint32
 	Entries []index.Neighbor
-	Coords  []float64
 }
 
 // layout lists the sections a frame of kind k carries, in table order, or
 // nil for an unknown kind.
-func layout(k Kind, distinct bool) []uint32 {
+func layout(k Kind) []uint32 {
 	switch k {
 	case KindCandidatesRequest:
 		return []uint32{fsecQueries}
 	case KindCandidates:
-		if distinct {
-			return []uint32{fsecCounts, fsecEntries, fsecCoords}
-		}
 		return []uint32{fsecCounts, fsecEntries}
 	}
 	return nil
@@ -121,10 +115,8 @@ func (f *Frame) field(id uint32) interface{} {
 		return &f.Queries
 	case fsecCounts:
 		return &f.Counts
-	case fsecEntries:
+	default: // fsecEntries
 		return &f.Entries
-	default: // fsecCoords
-		return &f.Coords
 	}
 }
 
@@ -153,7 +145,7 @@ func (f *Frame) Query(g int) []float64 { return f.Queries[g*f.Dim : (g+1)*f.Dim]
 
 // Size returns the length of the frame's encoding.
 func (f *Frame) Size() int {
-	ids := layout(f.Kind, f.Distinct)
+	ids := layout(f.Kind)
 	end := frameHeaderSize + len(ids)*flatbin.SectionEntrySize
 	for _, id := range ids {
 		end = flatbin.Align8(end) + f.sectionLen(id)
@@ -166,7 +158,7 @@ func (f *Frame) Size() int {
 // DecodeFrame refuses.
 func (f *Frame) Encode() []byte {
 	le := binary.LittleEndian
-	ids := layout(f.Kind, f.Distinct)
+	ids := layout(f.Kind)
 	b := make([]byte, f.Size())
 	copy(b, frameMagic)
 	le.PutUint32(b[4:], frameVersion)
@@ -232,7 +224,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, fmt.Errorf("shard: invalid frame flags %x", b[9:12])
 	}
 	f.Distinct = b[9] == 1
-	ids := layout(f.Kind, f.Distinct)
+	ids := layout(f.Kind)
 	if ids == nil {
 		return nil, fmt.Errorf("shard: unknown frame kind %d", b[8])
 	}
@@ -313,9 +305,6 @@ func (f *Frame) check() error {
 	}
 	if err := sumsTo(f.Counts, len(f.Entries), "candidates"); err != nil {
 		return err
-	}
-	if f.Distinct && (f.Dim < 1 || len(f.Coords) != len(f.Entries)*f.Dim) {
-		return fmt.Errorf("shard: candidates frame holds %d coordinates for %d candidates at dimension %d", len(f.Coords), len(f.Entries), f.Dim)
 	}
 	return checkDists(f.Entries)
 }

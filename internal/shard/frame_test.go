@@ -106,7 +106,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // with a description, before trusting any count in them.
 func TestFrameRejects(t *testing.T) {
 	frames := sampleFrames(t)
-	cands := frames[7] // distinct candidates answer: counts, entries and coords
+	cands := frames[7] // distinct candidates answer: counts and entries
 	if cands.Kind != shard.KindCandidates || !cands.Distinct {
 		t.Fatalf("sample 7 is a %v frame", cands.Kind)
 	}
@@ -123,13 +123,15 @@ func TestFrameRejects(t *testing.T) {
 		{"trailing", "trailing", append(append([]byte(nil), good...), 0)},
 		{"json", "magic", []byte(`{"version":1,"queries":[[0,0]]}`)},
 		{"magic", "magic", mutate(func(b []byte) []byte { b[0] = 'X'; return b })},
-		{"version", "format version 3", mutate(func(b []byte) []byte { le.PutUint32(b[4:], 3); return b })},
-		// A frame of the format before this one, whose kinds included the
-		// row rounds, is refused rather than misread.
+		{"version", "format version 4", mutate(func(b []byte) []byte { le.PutUint32(b[4:], 4); return b })},
+		// Frames of the formats before this one — whose kinds included the
+		// row rounds (1), and whose distinct answers carried coordinates
+		// (2) — are refused rather than misread.
 		{"version 1", "format version 1", mutate(func(b []byte) []byte { le.PutUint32(b[4:], 1); return b })},
+		{"version 2", "format version 2", mutate(func(b []byte) []byte { le.PutUint32(b[4:], 2); return b })},
 		{"kind", "unknown frame kind", mutate(func(b []byte) []byte { b[8] = 99; return b })},
 		{"flags", "flags", mutate(func(b []byte) []byte { b[10] = 1; return b })},
-		{"sections", "sections", mutate(func(b []byte) []byte { le.PutUint32(b[12:], 4); return b })},
+		{"sections", "sections", mutate(func(b []byte) []byte { le.PutUint32(b[12:], 3); return b })},
 		{"reserved", "reserved", mutate(func(b []byte) []byte { b[36] = 1; return b })},
 		{"candidate count", "sum to", mutate(func(b []byte) []byte {
 			// Counts is the first section: bump query 0's candidate count.

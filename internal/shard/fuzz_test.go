@@ -18,7 +18,7 @@ import (
 // behind the CRC; an image accepted that way must re-encode to bytes that
 // decode and re-encode to themselves.
 func FuzzDecodePart(f *testing.F) {
-	for _, name := range []string{"part_v2.bin", "part_v2_distinct.bin"} {
+	for _, name := range []string{"part_v3.bin", "part_v3_distinct.bin"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

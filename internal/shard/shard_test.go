@@ -2,7 +2,6 @@ package shard_test
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,22 +91,15 @@ func candidates(t *testing.T, p *shard.Part, q geom.Point) *shard.Frame {
 }
 
 // gatherMerged scatter-gathers q's candidates across the parts and merges
-// them — the coordinator's candidates round, run in-process.
-func gatherMerged(t *testing.T, parts []*shard.Part, db *matdb.DB, q geom.Point) matdb.Row {
+// them with distinct-rank coordinates from the fitted points — the
+// coordinator's candidates round, run in-process.
+func gatherMerged(t *testing.T, parts []*shard.Part, pts *geom.Points, db *matdb.DB, q geom.Point) matdb.Row {
 	t.Helper()
 	var cands []index.Neighbor
-	coords := make(map[int]geom.Point)
 	for _, p := range parts {
-		f := candidates(t, p, q)
-		cands = append(cands, f.Entries...)
-		if db.IsDistinct() {
-			for k, e := range f.Entries {
-				coords[e.Index] = f.Coords[k*f.Dim : (k+1)*f.Dim]
-			}
-		}
+		cands = append(cands, candidates(t, p, q).Entries...)
 	}
-	at := func(i int) geom.Point { return coords[i] }
-	row, err := matdb.MergeCandidates(cands, at, db.K, db.IsDistinct())
+	row, err := matdb.MergeCandidates(cands, pts.At, db.K, db.IsDistinct())
 	if err != nil {
 		t.Fatalf("MergeCandidates: %v", err)
 	}
@@ -119,7 +111,6 @@ func testSplitExact(t *testing.T, distinct bool) {
 	metric, _ := geom.MetricByName("euclidean")
 	ix := linear.New(pts, metric)
 	meta := shard.Meta{Metric: "euclidean"}
-	lb, ub := 3, db.K
 	for _, n := range []int{1, 2, 3, 5} {
 		for _, parter := range []shard.Partitioner{shard.PartitionHash, shard.PartitionRange} {
 			parts, err := shard.Split(pts, db, meta, n, parter, 42)
@@ -136,43 +127,10 @@ func testSplitExact(t *testing.T, distinct bool) {
 			if total != pts.Len() {
 				t.Fatalf("Split(n=%d): parts own %d points, want %d", n, total, pts.Len())
 			}
-			// Join inverts the split: the reassembled database equals the
-			// original entry for entry.
-			joined, err := shard.Join(parts)
-			if err != nil {
-				t.Fatalf("Join(Split(n=%d, %v)): %v", n, parter, err)
-			}
-			if joined.Len() != db.Len() || joined.K != db.K || joined.IsDistinct() != distinct {
-				t.Fatalf("Join(Split(n=%d, %v)): %d rows at K=%d distinct=%v, want %d at K=%d distinct=%v",
-					n, parter, joined.Len(), joined.K, joined.IsDistinct(), db.Len(), db.K, distinct)
-			}
-			for i := 0; i < db.Len(); i++ {
-				rowsEqual(t, "joined row", joined.Row(i), db.Row(i))
-			}
 			for _, q := range testQueries(pts) {
 				want := db.QueryRow(pts, ix, q)
-				got := gatherMerged(t, parts, db, q)
+				got := gatherMerged(t, parts, pts, db, q)
 				rowsEqual(t, "merged query row", got, want)
-				// The closure rows the coordinator merges: every point's
-				// row from its owning part must be the in-process
-				// RowBuf.Merge of the database's stored row, in its
-				// neighbors, its ranks and its k-distances at lb..ub.
-				var gotBuf, wantBuf matdb.RowBuf
-				for i := 0; i < pts.Len(); i++ {
-					owner := parts[parter.Shard(uint32(i), n, pts.Len())]
-					wantRow := wantBuf.Merge(db.Row(i), q, pts.Len(), metric.Distance(pts.At(i), q), pts.At, db.K, ub)
-					gotRow, err := owner.MergedRow(&gotBuf, i, q, ub)
-					if err != nil {
-						t.Fatalf("MergedRow(%d): %v", i, err)
-					}
-					rowsEqual(t, fmt.Sprintf("point %d merged row", i), gotRow, wantRow)
-					gotKD, wantKD := gotRow.AppendKDistances(nil, lb, ub), wantRow.AppendKDistances(nil, lb, ub)
-					for m, v := range gotKD {
-						if math.Float64bits(v) != math.Float64bits(wantKD[m]) {
-							t.Fatalf("point %d: merged %d-distance %v, want %v", i, lb+m, v, wantKD[m])
-						}
-					}
-				}
 			}
 		}
 	}
@@ -262,32 +220,6 @@ func TestEmptyPartition(t *testing.T) {
 	}
 }
 
-func TestMergedRowsRejectsUnowned(t *testing.T) {
-	_, pts, db := fitModel(t, false)
-	parts, err := shard.Split(pts, db, shard.Meta{}, 2, shard.PartitionRange, 1)
-	if err != nil {
-		t.Fatalf("Split: %v", err)
-	}
-	// Range partitioning: id 0 lives on shard 0, so shard 1 must refuse
-	// it, as must every part an id outside the dataset.
-	var buf matdb.RowBuf
-	if _, err := parts[1].MergedRow(&buf, 0, geom.Point{0, 0}, 9); err == nil {
-		t.Fatal("merged a row the part does not own")
-	}
-	for _, id := range []int{-1, pts.Len(), pts.Len() + 1<<32} {
-		if _, err := parts[0].MergedRow(&buf, id, geom.Point{0, 0}, 9); err == nil {
-			t.Fatalf("merged a row for id %d outside the dataset", id)
-		}
-	}
-	if _, err := parts[0].MergedRow(&buf, 0, geom.Point{0, 0}, 9); err != nil {
-		t.Fatalf("owned row refused: %v", err)
-	}
-	// MinPts beyond the materialized K is refused too.
-	if _, err := parts[0].MergedRow(&buf, 0, geom.Point{0, 0}, 10); err == nil {
-		t.Fatal("merged a row beyond the materialized K")
-	}
-}
-
 func TestQueryValidation(t *testing.T) {
 	_, pts, db := fitModel(t, false)
 	parts, err := shard.Split(pts, db, shard.Meta{}, 2, shard.PartitionHash, 1)
@@ -351,29 +283,5 @@ func TestSplitValidation(t *testing.T) {
 	}
 	if _, err := shard.Split(pts, db, shard.Meta{Metric: "warp"}, 2, shard.PartitionHash, 1); err == nil {
 		t.Fatal("unknown metric accepted")
-	}
-	// Join takes exactly one layout's parts, in shard order.
-	parts, err := shard.Split(pts, db, shard.Meta{}, 3, shard.PartitionHash, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := shard.Split(pts, db, shard.Meta{}, 3, shard.PartitionHash, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranged, err := shard.Split(pts, db, shard.Meta{}, 3, shard.PartitionRange, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, bad := range map[string][]*shard.Part{
-		"no parts":          nil,
-		"missing part":      parts[:2],
-		"shuffled parts":    {parts[1], parts[0], parts[2]},
-		"mixed versions":    {parts[0], other[1], parts[2]},
-		"mixed partitioner": {parts[0], ranged[1], parts[2]},
-	} {
-		if _, err := shard.Join(bad); err == nil {
-			t.Fatalf("Join accepted %s", name)
-		}
 	}
 }

@@ -153,6 +153,17 @@ func (m *Model) validateQuery(q []float64) error {
 	return nil
 }
 
+// validateBatch validates every query of a batch before any is scored, so
+// an invalid row fails the whole batch.
+func (m *Model) validateBatch(queries [][]float64) error {
+	for i, q := range queries {
+		if err := m.validateQuery(q); err != nil {
+			return fmt.Errorf("lof: batch row %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Score returns the query point's LOF aggregated over the model's MinPts
 // range with the configured aggregation. The query is validated for
 // dimensionality and finiteness.
@@ -209,10 +220,8 @@ func (m *Model) ScoreBatch(queries [][]float64) ([]float64, error) {
 // remaining queries. A cancelled batch returns an error wrapping ctx.Err()
 // and no scores; an uncancelled one is bit-identical to ScoreBatch.
 func (m *Model) ScoreBatchContext(ctx context.Context, queries [][]float64) ([]float64, error) {
-	for i, q := range queries {
-		if err := m.validateQuery(q); err != nil {
-			return nil, fmt.Errorf("lof: batch row %d: %w", i, err)
-		}
+	if err := m.validateBatch(queries); err != nil {
+		return nil, err
 	}
 	out := make([]float64, len(queries))
 	errs := make([]error, len(queries))

@@ -1,13 +1,15 @@
 #!/bin/sh
 # shard_smoke.sh is the end-to-end smoke test of the sharded serving tier:
 # three lofserve shard processes fronted by one lofcoord, fit over HTTP,
-# exact scatter-gather scoring, and ?mode=pruned answers byte-identical to
-# a single lofserve fitted with the same data. Then a shard is killed
-# outright — the tier must fail loudly (502 exact / explicit degraded), and
-# after the shard restarts empty, the coordinator's repair loop must
-# re-push its partition until scoring returns the exact pre-kill bytes.
-# Finally lofload drives the coordinator and writes the machine-readable
-# JSON report.
+# exact scatter-gather scoring, and exact and ?mode=pruned answers
+# byte-identical to a single lofserve fitted with the same data. Then a
+# shard is killed outright — the tier must fail loudly (502 exact /
+# explicit degraded), and after the shard restarts empty, the
+# coordinator's repair loop must re-push its partition until scoring
+# returns the exact pre-kill bytes. A distinct-mode fit over data with
+# exact duplicates must then answer byte-identically on both tiers too,
+# exact and pruned. Finally lofload drives the coordinator and writes the
+# machine-readable JSON report.
 #
 # Usage: ./scripts/shard_smoke.sh
 set -eu
@@ -124,15 +126,27 @@ while [ "$i" -lt 3 ]; do
 done
 echo "trace $trace_id spans the coordinator and all 3 shards"
 
-echo "== pruned mode: lofcoord answers as a single lofserve does"
+echo "== exact and pruned mode: lofcoord answers as a single lofserve does"
 # A single-role lofserve fitted with the same data must return the
-# byte-identical ?mode=pruned body, and the body must certify at least one
-# query, so the check cannot pass on exact answers alone.
+# byte-identical exact body and ?mode=pruned body, and the pruned body
+# must certify at least one query, so the check cannot pass on exact
+# answers alone.
 "$tmpdir/lofserve" -addr 127.0.0.1:0 >"$tmpdir/single.log" 2>&1 &
 pids="$pids $!"
 single=http://$(wait_addr "$tmpdir/single.log")
 curl -fsS -X POST -H 'Content-Type: application/json' \
 	--data-binary @"$tmpdir/fit.json" "$single/v1/fit" >/dev/null
+curl -fsS -o "$tmpdir/exact_single.json" -X POST -H 'Content-Type: application/json' \
+	-d "$queries" "$single/v1/score"
+cmp -s "$tmpdir/scores_before.json" "$tmpdir/exact_single.json" || {
+	echo "exact answers differ across tiers:" >&2
+	echo "-- lofcoord:" >&2
+	cat "$tmpdir/scores_before.json" >&2
+	echo "-- lofserve:" >&2
+	cat "$tmpdir/exact_single.json" >&2
+	exit 1
+}
+echo "exact: byte-identical bodies on both tiers"
 code=$(score "$tmpdir/pruned_coord.json" "?mode=pruned")
 curl -fsS -o "$tmpdir/pruned_single.json" -X POST -H 'Content-Type: application/json' \
 	-d "$queries" "$single/v1/score?mode=pruned"
@@ -192,6 +206,54 @@ if [ "$recovered" != 1 ]; then
 	exit 1
 fi
 echo "recovered: post-restart scores byte-identical to pre-kill scores"
+
+echo "== distinct mode: lofcoord answers as a single lofserve does"
+# The same clusters plus a pile of six exact duplicates, fitted with
+# k-distinct-distance semantics on both tiers. The coordinator recomputes
+# distinct ranks from the points of the model it fitted, so its exact and
+# ?mode=pruned bodies must equal the single lofserve's byte for byte, and
+# the pruned body must certify at least one query.
+awk 'BEGIN {
+	printf "{\"config\":{\"minPtsLB\":3,\"minPtsUB\":8,\"distinct\":true},\"data\":["
+	for (i = 0; i < 120; i++) {
+		cx = (i % 2) * 10; cy = (i % 2) * 10
+		x = cx + (i % 7) / 7 - 0.5; y = cy + (i % 5) / 5 - 0.5
+		printf "%s[%.6f,%.6f]", (i ? "," : ""), x, y
+	}
+	for (i = 0; i < 6; i++) printf ",[5,5]"
+	printf ",[40,-40]]}"
+}' >"$tmpdir/fit_distinct.json"
+for target in "$coord" "$single"; do
+	curl -fsS -X POST -H 'Content-Type: application/json' \
+		--data-binary @"$tmpdir/fit_distinct.json" "$target/v1/fit" >"$tmpdir/fit_distinct_resp.json"
+	grep -q '"distinct":true' "$tmpdir/fit_distinct_resp.json" || {
+		echo "unexpected distinct fit response from $target:" >&2
+		cat "$tmpdir/fit_distinct_resp.json" >&2
+		exit 1
+	}
+done
+for mode in exact pruned; do
+	suffix=""
+	[ "$mode" = pruned ] && suffix="?mode=pruned"
+	code=$(score "$tmpdir/distinct_${mode}_coord.json" "$suffix")
+	curl -fsS -o "$tmpdir/distinct_${mode}_single.json" -X POST -H 'Content-Type: application/json' \
+		-d "$queries" "$single/v1/score$suffix"
+	if [ "$code" != 200 ] || ! cmp -s "$tmpdir/distinct_${mode}_coord.json" "$tmpdir/distinct_${mode}_single.json"; then
+		echo "distinct $mode answers differ across tiers (lofcoord status $code):" >&2
+		echo "-- lofcoord:" >&2
+		cat "$tmpdir/distinct_${mode}_coord.json" >&2
+		echo "-- lofserve:" >&2
+		cat "$tmpdir/distinct_${mode}_single.json" >&2
+		exit 1
+	fi
+done
+certified=$(sed -n 's/.*"certified":\([0-9]*\).*/\1/p' "$tmpdir/distinct_pruned_coord.json")
+[ "${certified:-0}" -ge 1 ] || {
+	echo "distinct pruned answer certifies nothing:" >&2
+	cat "$tmpdir/distinct_pruned_coord.json" >&2
+	exit 1
+}
+echo "distinct: byte-identical exact and pruned bodies on both tiers, $certified of 5 queries certified"
 
 echo "== lofload against the coordinator (JSON report)"
 "$tmpdir/lofload" -addr "$coord" -duration 2s -rps 40 -workers 4 -batch 4 \

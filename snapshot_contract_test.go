@@ -214,10 +214,11 @@ func TestSnapshotV3Rejection(t *testing.T) {
 }
 
 // TestPartSnapshotRejection runs the battery over the two part readers and
-// the replication endpoint that installs a pushed part. A retired version-1
-// part must be asked to re-push; over HTTP every refusal is a 400.
+// the replication endpoint that installs a pushed part. A retired
+// version-1 or version-2 part must be asked to re-push; over HTTP every
+// refusal is a 400.
 func TestPartSnapshotRejection(t *testing.T) {
-	img, err := os.ReadFile(filepath.Join("internal", "shard", "testdata", "part_v2_distinct.bin"))
+	img, err := os.ReadFile(filepath.Join("internal", "shard", "testdata", "part_v3_distinct.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +231,8 @@ func TestPartSnapshotRejection(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.Config{}).Handler())
 	defer ts.Close()
 	runSnapshotBattery(t, snapFormat{
-		Image: img, TableOff: 72, Sections: 10,
-		Retired: 1, RetiredHint: "re-push",
+		Image: img, TableOff: 64, Sections: 4,
+		Retired: 2, RetiredHint: "re-push",
 	},
 		snapReader{Name: "DecodePart", Load: func(t *testing.T, b []byte) ([]byte, error) {
 			return reencode(shard.DecodePart(b))
@@ -261,4 +262,10 @@ func TestPartSnapshotRejection(t *testing.T) {
 			return nil, nil
 		}},
 	)
+	// Version 1 is retired the same way as version 2.
+	v1 := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	if _, err := shard.DecodePart(v1); err == nil || !strings.Contains(err.Error(), "re-push") {
+		t.Fatalf("version-1 part: got %v, want an error asking to re-push", err)
+	}
 }
