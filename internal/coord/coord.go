@@ -551,18 +551,43 @@ func (c *Coordinator) mergeQueryRows(ctx context.Context, st *state, queries [][
 }
 
 // checkOwned refuses shard s's answer when it holds a candidate id outside
-// the fitted points or one the partitioner assigns to another shard: the
-// shard disagrees with the layout it was pushed, so nothing it answered can
-// be trusted, and an id outside the model would index past its rows.
+// the fitted points, one the partitioner assigns to another shard, or one
+// id twice for one query: the shard disagrees with the layout it was
+// pushed, so nothing it answered can be trusted, and an id outside the
+// model would index past its rows.
 func (c *Coordinator) checkOwned(st *state, s int, f *shard.Frame) error {
 	n, total := len(c.replicas), st.meta.Total
-	for _, e := range f.Entries {
-		if e.Index >= total {
-			return fmt.Errorf("answer holds candidate id %d outside the %d fitted points", e.Index, total)
+	// seen is an open-addressed set of one query's ids (stored as id+1, 0
+	// marking an empty cell), at most half full.
+	var seen []int
+	at := 0
+	for qi, count := range f.Counts {
+		size := 1
+		for size < 2*int(count) {
+			size <<= 1
 		}
-		if owner := c.cfg.Partitioner.Shard(uint32(e.Index), n, total); owner != s {
-			return fmt.Errorf("answer holds candidate id %d, which shard %d owns", e.Index, owner)
+		if len(seen) < size {
+			seen = make([]int, size)
 		}
+		set := seen[:size]
+		clear(set)
+		for _, e := range f.Entries[at : at+int(count)] {
+			if e.Index >= total {
+				return fmt.Errorf("answer holds candidate id %d outside the %d fitted points", e.Index, total)
+			}
+			if owner := c.cfg.Partitioner.Shard(uint32(e.Index), n, total); owner != s {
+				return fmt.Errorf("answer holds candidate id %d, which shard %d owns", e.Index, owner)
+			}
+			h := (e.Index * 0x9E3779B1) & (size - 1)
+			for set[h] != 0 && set[h] != e.Index+1 {
+				h = (h + 1) & (size - 1)
+			}
+			if set[h] != 0 {
+				return fmt.Errorf("answer repeats candidate id %d for query %d", e.Index, qi)
+			}
+			set[h] = e.Index + 1
+		}
+		at += int(count)
 	}
 	return nil
 }

@@ -483,19 +483,10 @@ func TestScoreValidation(t *testing.T) {
 // forgeNearest wraps a shard so that, while *forged is non-negative, its
 // candidates answers claim id *forged as each query's nearest candidate.
 func forgeNearest(forged *atomic.Int64, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return rewriteCandidates(h, func(f *shard.Frame) bool {
 		id := forged.Load()
-		if r.URL.Path != "/v1/shard/candidates" || id < 0 {
-			h.ServeHTTP(w, r)
-			return
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, r)
-		f, err := shard.DecodeFrame(rec.Body.Bytes())
-		if rec.Code != http.StatusOK || err != nil {
-			w.WriteHeader(rec.Code)
-			w.Write(rec.Body.Bytes())
-			return
+		if id < 0 {
+			return false
 		}
 		at := 0
 		for _, n := range f.Counts {
@@ -503,6 +494,30 @@ func forgeNearest(forged *atomic.Int64, h http.Handler) http.Handler {
 				f.Entries[at].Index = int(id)
 			}
 			at += int(n)
+		}
+		return true
+	})
+}
+
+// rewriteCandidates wraps a shard so that edit may rewrite each of its
+// successful candidates answers; an answer edit returns false for goes
+// out as the shard sent it.
+func rewriteCandidates(h http.Handler, edit func(f *shard.Frame) bool) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/shard/candidates" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		f, err := shard.DecodeFrame(rec.Body.Bytes())
+		if rec.Code != http.StatusOK || err != nil || !edit(f) {
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(f.Encode())
@@ -556,6 +571,71 @@ func TestForgedCandidateIDs(t *testing.T) {
 	}
 	// The honest shard serves exactly again.
 	forged.Store(-1)
+	want, err := m.ScoreBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err := c.Score(context.Background(), queries, "")
+	if err != nil {
+		t.Fatalf("exact score from honest shards: %v", err)
+	}
+	assertBitIdentical(t, got, want, "honest")
+}
+
+// TestDuplicateCandidateIDs: a shard that names one id twice in a query's
+// candidates disagrees with its layout like one that forges an id. Every
+// exact and pruned request gets a labelled 502 naming it, not a 400, and
+// degraded mode absorbs it. Shard 1 repeats each query's nearest owned
+// candidate as its second.
+func TestDuplicateCandidateIDs(t *testing.T) {
+	var repeat atomic.Bool
+	targets := startShards(t, 2, func(s int, h http.Handler) http.Handler {
+		if s != 1 {
+			return h
+		}
+		return rewriteCandidates(h, func(f *shard.Frame) bool {
+			if !repeat.Load() {
+				return false
+			}
+			at := 0
+			for _, n := range f.Counts {
+				if n >= 2 {
+					f.Entries[at+1] = f.Entries[at]
+				}
+				at += int(n)
+			}
+			return true
+		})
+	})
+	m := fitModel(t, lof.Config{MinPtsLB: 3, MinPtsUB: 6})
+	c, err := coord.New(coord.Config{Targets: targets, Client: fastClient(), Partitioner: shard.PartitionRange, CoresetSample: 64})
+	if err != nil {
+		t.Fatalf("coord.New: %v", err)
+	}
+	if _, err := c.Install(context.Background(), m); err != nil {
+		t.Fatalf("Install: %v", err)
+	}
+	queries := testQueries()
+	body, err := json.Marshal(map[string]interface{}{"queries": queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeat.Store(true)
+	for _, mode := range []string{"", "pruned"} {
+		scores, _, _, err := c.Score(context.Background(), queries, mode)
+		if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "repeats candidate id") {
+			t.Fatalf("mode %q: scores %v, error %v; want a shard 1 error naming the repeated id", mode, scores, err)
+		}
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/score?mode="+mode, bytes.NewReader(body)))
+		if rec.Code != http.StatusBadGateway {
+			t.Fatalf("mode %q: status %d body %s, want 502", mode, rec.Code, rec.Body)
+		}
+	}
+	if _, mode, _, err := c.Score(context.Background(), queries, "degraded"); err != nil || mode != "degraded" {
+		t.Fatalf("degraded request served mode %q, error %v; want the coreset's labelled answer", mode, err)
+	}
+	repeat.Store(false)
 	want, err := m.ScoreBatch(queries)
 	if err != nil {
 		t.Fatal(err)

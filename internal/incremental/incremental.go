@@ -22,7 +22,9 @@
 // or density are the o with a changed point in nn[o]: one pass over the
 // maintained neighborhoods per kind of change. The passes sweep flat
 // arrays and allocate nothing; the dirty sets are generation-stamped and
-// owned by the detector.
+// owned by the detector. A second detector that held the same state
+// follows an update with Mirror: the batch's index mutations and a copy of
+// the derived values, no probe.
 //
 // Scoring writes no arithmetic of its own. Densities and LOFs are
 // refreshed with core.LRD and core.LOF, the batch sweep's per-point
@@ -205,49 +207,13 @@ func (d *Detector) Delete(i int) error {
 // one, but each changed neighborhood is re-probed once per batch and the
 // density and LOF refresh runs once.
 func (d *Detector) Update(inserts []geom.Point, deletes []int) (first int, err error) {
-	first = d.ix.Size()
+	first, err = d.check(inserts, deletes)
+	if err != nil {
+		return 0, err
+	}
 	end := first + len(inserts)
-	for _, p := range inserts {
-		if len(p) != d.Dim() {
-			return 0, fmt.Errorf("incremental: %w: point has %d dimensions, detector has %d", geom.ErrDimension, len(p), d.Dim())
-		}
-		if !p.Valid() {
-			return 0, geom.ErrInvalidCoord
-		}
-	}
-	// dirty doubles as the batch's delete set until the refresh resets it.
-	d.dirty.reset(end)
-	for _, i := range deletes {
-		switch {
-		case i < 0 || i >= end:
-			return 0, fmt.Errorf("incremental: point %d out of range [0, %d)", i, end)
-		case i < first && d.ix.Deleted(i):
-			return 0, fmt.Errorf("incremental: point %d already deleted", i)
-		case d.dirty.has(i):
-			return 0, fmt.Errorf("incremental: point %d deleted twice", i)
-		}
-		d.dirty.add(i)
-	}
-
 	before := d.ix.Len()
-	for _, p := range inserts {
-		if _, err := d.ix.Insert(p); err != nil {
-			panic(fmt.Sprintf("incremental: validated insert: %v", err))
-		}
-		d.nn = append(d.nn, nil)
-		d.kdist = append(d.kdist, math.Inf(1))
-		d.lrd = append(d.lrd, math.Inf(1))
-		d.lof = append(d.lof, 1)
-	}
-	for _, i := range deletes {
-		if err := d.ix.Delete(i); err != nil {
-			panic(fmt.Sprintf("incremental: validated delete: %v", err))
-		}
-		d.nn[i] = nil
-		d.kdist[i] = math.Inf(1)
-		d.lrd[i] = math.Inf(1)
-		d.lof[i] = math.NaN()
-	}
+	d.mutate(inserts, deletes)
 
 	if after := d.ix.Len(); before <= d.minPts || after <= d.minPts+1 {
 		// Rows are not full (fewer than MinPts neighbors) before or after
@@ -279,6 +245,59 @@ func (d *Detector) Update(inserts []geom.Point, deletes []int) (first int, err e
 	d.propagate()
 	d.lastAffected += len(deletes)
 	return first, nil
+}
+
+// check validates a batch as Update documents and returns the slot of its
+// first insert. It changes nothing but the dirty set, which holds the
+// batch's deletes afterwards.
+func (d *Detector) check(inserts []geom.Point, deletes []int) (first int, err error) {
+	first = d.ix.Size()
+	end := first + len(inserts)
+	for _, p := range inserts {
+		if len(p) != d.Dim() {
+			return 0, fmt.Errorf("incremental: %w: point has %d dimensions, detector has %d", geom.ErrDimension, len(p), d.Dim())
+		}
+		if !p.Valid() {
+			return 0, geom.ErrInvalidCoord
+		}
+	}
+	d.dirty.reset(end)
+	for _, i := range deletes {
+		switch {
+		case i < 0 || i >= end:
+			return 0, fmt.Errorf("incremental: point %d out of range [0, %d)", i, end)
+		case i < first && d.ix.Deleted(i):
+			return 0, fmt.Errorf("incremental: point %d already deleted", i)
+		case d.dirty.has(i):
+			return 0, fmt.Errorf("incremental: point %d deleted twice", i)
+		}
+		d.dirty.add(i)
+	}
+	return first, nil
+}
+
+// mutate applies a checked batch's index mutations: each insert appends a
+// slot with no neighborhood yet, and each delete tombstones its slot and
+// clears its values.
+func (d *Detector) mutate(inserts []geom.Point, deletes []int) {
+	for _, p := range inserts {
+		if _, err := d.ix.Insert(p); err != nil {
+			panic(fmt.Sprintf("incremental: validated insert: %v", err))
+		}
+		d.nn = append(d.nn, nil)
+		d.kdist = append(d.kdist, math.Inf(1))
+		d.lrd = append(d.lrd, math.Inf(1))
+		d.lof = append(d.lof, 1)
+	}
+	for _, i := range deletes {
+		if err := d.ix.Delete(i); err != nil {
+			panic(fmt.Sprintf("incremental: validated delete: %v", err))
+		}
+		d.nn[i] = nil
+		d.kdist[i] = math.Inf(1)
+		d.lrd[i] = math.Inf(1)
+		d.lof[i] = math.NaN()
+	}
 }
 
 // resetSets empties the update's sets.
@@ -372,13 +391,7 @@ func (d *Detector) propagate() {
 func (d *Detector) recomputeNeighborhood(q int) {
 	ns := index.KNNWithTiesInto(d.cur, d.scratch[:0], d.ix.At(q), d.minPts, q)
 	d.scratch = ns[:0]
-	row := d.nn[q]
-	if cap(row) < len(ns) {
-		row = make([]index.Neighbor, len(ns))
-	}
-	row = row[:len(ns)]
-	copy(row, ns)
-	d.nn[q] = row
+	d.nn[q] = copyRow(d.nn[q], ns)
 	if len(ns) >= d.minPts {
 		d.kdist[q] = ns[d.minPts-1].Dist
 	} else if len(ns) > 0 {
@@ -417,6 +430,20 @@ func (d *Detector) rebuildAll() {
 // remapping: remap[old] is the new index of old's point, or -1 if old was
 // deleted.
 func (d *Detector) Compact() []int {
+	remap := d.compactSlots()
+	for _, row := range d.nn {
+		for j := range row {
+			row[j].Index = remap[row[j].Index]
+		}
+	}
+	return remap
+}
+
+// compactSlots is Compact without renumbering the rows: it rebuilds the
+// index over the live points and moves their values and row storage to
+// dense slots, in arrays sized to the live count. The rows still name the
+// old slots.
+func (d *Detector) compactSlots() []int {
 	remap := make([]int, d.ix.Size())
 	live := d.ix.Len()
 	nn := make([][]index.Neighbor, 0, live)
@@ -434,15 +461,57 @@ func (d *Detector) Compact() []int {
 		lrd = append(lrd, d.lrd[i])
 		lof = append(lof, d.lof[i])
 	}
-	for _, row := range nn {
-		for j := range row {
-			row[j].Index = remap[row[j].Index]
-		}
-	}
 	d.ix = d.ix.Compacted()
 	d.cur = d.ix.NewCursor()
 	d.nn, d.kdist, d.lrd, d.lof = nn, kdist, lrd, lof
 	return remap
+}
+
+// Mirror brings d to the state src reached with Update(inserts, deletes),
+// followed by Compact when compact is set, starting from the state src
+// held before that call, which d must hold. It derives nothing: it applies
+// the batch's index mutations (the same appends and tombstones, then the
+// compaction's index build) and copies src's neighborhoods, k-distances,
+// densities and LOFs into d's own storage, so src may be read while d is
+// mutated afterwards. The batch is checked as Update checks it, and the
+// slot and live counts it leaves against src's; an error leaves d
+// untouched.
+func (d *Detector) Mirror(src *Detector, inserts []geom.Point, deletes []int, compact bool) error {
+	first, err := d.check(inserts, deletes)
+	if err != nil {
+		return err
+	}
+	size, live := first+len(inserts), d.ix.Len()+len(inserts)-len(deletes)
+	if compact {
+		size = live
+	}
+	if src.minPts != d.minPts || src.Size() != size || src.Len() != live {
+		return fmt.Errorf("incremental: mirrored batch leaves %d live of %d slots at MinPts %d, source holds %d of %d at %d",
+			live, size, d.minPts, src.Len(), src.Size(), src.minPts)
+	}
+	d.mutate(inserts, deletes)
+	if compact {
+		d.compactSlots()
+	}
+	for i, row := range src.nn {
+		d.nn[i] = copyRow(d.nn[i], row)
+	}
+	copy(d.kdist, src.kdist)
+	copy(d.lrd, src.lrd)
+	copy(d.lof, src.lof)
+	d.lastAffected = src.lastAffected
+	return nil
+}
+
+// copyRow copies row into dst's storage, allocating only when dst is too
+// short.
+func copyRow(dst, row []index.Neighbor) []index.Neighbor {
+	if cap(dst) < len(row) {
+		dst = make([]index.Neighbor, len(row))
+	}
+	dst = dst[:len(row)]
+	copy(dst, row)
+	return dst
 }
 
 // NewCursor returns a query cursor over the detector's current index, for

@@ -97,7 +97,10 @@ func (p *Pool) Size() int {
 // on each. Chunk boundaries depend only on n and Size(), never on timing,
 // so callers that write results at index-addressed locations get output
 // identical to a sequential run. fn must not retain references past the
-// call; Chunks returns only after every chunk completes.
+// call; Chunks returns only after every chunk completes. When a chunk
+// panics, no further chunk starts, and Chunks re-panics with that value on
+// the caller's goroutine once every running chunk has finished, with the
+// borrowed workers back in the pool.
 func (p *Pool) Chunks(n int, fn func(lo, hi int)) {
 	p.chunked(nil, n, fn)
 }
@@ -157,13 +160,30 @@ func (p *Pool) chunked(ctx context.Context, n int, fn func(lo, hi int)) error {
 	}
 	p.borrows.Add(int64(extra))
 	p.chunks.Add(int64(chunks))
-	var next atomic.Int64
+	// The region's shared state: the next chunk to claim and the first
+	// chunk panic's value.
+	var r struct {
+		next   atomic.Int64
+		failed sync.Once
+		fault  any
+	}
+	// run claims chunks until none are left. A chunk's panic is recovered
+	// wherever it happens and stops further claims, so every worker
+	// returns, the tokens go back, and the caller re-panics with it below:
+	// a panic on a spare worker would otherwise end the process, and one
+	// on the caller would leak the tokens.
 	run := func() {
+		defer func() {
+			if v := recover(); v != nil {
+				r.failed.Do(func() { r.fault = v })
+				r.next.Store(int64(chunks))
+			}
+		}()
 		for {
 			if ctx != nil && ctx.Err() != nil {
 				return
 			}
-			c := int(next.Add(1)) - 1
+			c := int(r.next.Add(1)) - 1
 			if c >= chunks {
 				return
 			}
@@ -182,6 +202,9 @@ func (p *Pool) chunked(ctx context.Context, n int, fn func(lo, hi int)) error {
 	wg.Wait()
 	for i := 0; i < extra; i++ {
 		p.spare <- struct{}{}
+	}
+	if r.fault != nil {
+		panic(r.fault)
 	}
 	return ctxErr(ctx)
 }

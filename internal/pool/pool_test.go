@@ -215,3 +215,56 @@ func TestStatsConcurrent(t *testing.T) {
 		t.Fatalf("borrows = %d exceeds chunks-tasks = %d", s.Borrows, s.Chunks-s.Tasks)
 	}
 }
+
+// TestPanicReturnsTokens: a chunk that panics, recovered by the caller,
+// leaves the pool whole. The next wide region borrows Size()-1 workers
+// again instead of running inline for good.
+func TestPanicReturnsTokens(t *testing.T) {
+	p := New(2)
+	func() {
+		defer func() {
+			if v := recover(); v != "chunk 0" {
+				t.Fatalf("recovered %v, want the chunk's panic", v)
+			}
+		}()
+		p.Chunks(2, func(lo, hi int) {
+			if lo == 0 {
+				panic("chunk 0")
+			}
+		})
+	}()
+	if got := len(p.spare); got != p.Size()-1 {
+		t.Fatalf("%d spare workers after a recovered panic, want %d", got, p.Size()-1)
+	}
+	before := p.Stats()
+	p.Each(100, func(int) {})
+	if got := p.Stats().Sub(before).Borrows; got != int64(p.Size()-1) {
+		t.Fatalf("the next region borrowed %d workers, want %d", got, p.Size()-1)
+	}
+}
+
+// TestPanicOnEveryWorker: every chunk panics, each on its own worker (a
+// barrier holds them until all have started). The region re-panics on the
+// caller's goroutine, where it can be recovered; a panic left on a spare
+// worker would end the test binary.
+func TestPanicOnEveryWorker(t *testing.T) {
+	const workers = 4
+	p := New(workers)
+	var started sync.WaitGroup
+	started.Add(workers)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		p.Chunks(workers, func(lo, hi int) {
+			started.Done()
+			started.Wait()
+			panic(lo)
+		})
+	}()
+	if v, ok := got.(int); !ok || v < 0 || v >= workers {
+		t.Fatalf("recovered %v, want one chunk's start in [0, %d)", got, workers)
+	}
+	if n := len(p.spare); n != workers-1 {
+		t.Fatalf("%d spare workers after the region, want %d", n, workers-1)
+	}
+}

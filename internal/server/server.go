@@ -613,7 +613,7 @@ func (s *Server) declareMetrics(reg *obs.Registry) {
 		}
 		return math.Max(0, s.now().Sub(time.Unix(0, st.LastPublishUnixNanos)).Seconds())
 	}))
-	reg.Gauge("lof_stream_replay_queue_depth", "In-flight readers pinning the published epoch (writers drain behind them before replay).", streamGauge(func(st stream.Stats) float64 { return float64(st.Readers) }))
+	reg.Gauge("lof_stream_replay_queue_depth", "In-flight readers pinning the published epoch (the writer waits for them before it mirrors a batch onto that epoch's detector).", streamGauge(func(st stream.Stats) float64 { return float64(st.Readers) }))
 	reg.Gauge("lof_stream_window_occupancy", "Fill fraction of the count-bounded stream window (0 when unbounded).", streamGauge(func(st stream.Stats) float64 {
 		if st.MaxPoints <= 0 {
 			return 0

@@ -1,18 +1,18 @@
 // Package stream turns the incremental LOF detector into a concurrently
 // readable ingestion pipeline using epoch-based double buffering.
 //
-// Two incremental detectors evolve in lockstep: the published one serves
-// reads (out-of-sample scoring, window LOFs), the other is the writer's
-// working copy. One Apply batch is planned once — explicit deletes,
-// inserts, sliding-window expiry and compaction are resolved into one
-// deterministic batch — applied to the back detector as one update,
-// published atomically as the next epoch, and then, after every reader of
-// the previous epoch has drained, replayed onto the old detector by the
-// same update. Because both detectors start empty and apply identical
-// batches, they hold bit-identical state at every epoch boundary, and a
-// reader never observes a half-applied update: the detector it acquired
-// is not mutated until the reader releases it (see DESIGN.md, "Streaming
-// epochs").
+// Two incremental detectors alternate: the published one serves reads
+// (out-of-sample scoring, window LOFs), the other is the writer's working
+// copy. One Apply batch is planned once — explicit deletes, inserts,
+// sliding-window expiry and compaction are resolved into one deterministic
+// batch — applied to the back detector as one update, published atomically
+// as the next epoch, and then, after every reader of the previous epoch
+// has drained, mirrored onto the old detector: the same index mutations,
+// then a copy of the values the update derived (incremental.Detector.
+// Mirror), so each push is derived once. Both detectors therefore hold
+// bit-identical state at every epoch boundary, and a reader never observes
+// a half-applied update: the detector it acquired is not mutated until
+// the reader releases it (see DESIGN.md, "Streaming epochs").
 //
 // All maintained and served values are exact: after every epoch publish,
 // the live LOFs equal a from-scratch batch fit over the window at the same
@@ -68,12 +68,15 @@ type Update struct {
 
 // Timing breaks one Apply batch's wall time into the pipeline's stages,
 // for tracing: planning the batch, applying it to the back detector and
-// publishing, draining the previous epoch's readers, and replaying onto
+// publishing, draining the previous epoch's readers, and mirroring onto
 // the old detector.
 type Timing struct {
-	Plan   time.Duration
-	Apply  time.Duration
-	Drain  time.Duration
+	Plan  time.Duration
+	Apply time.Duration
+	Drain time.Duration
+	// Replay times the mirror onto the old detector: the batch's index
+	// mutations and the copy of the published detector's values. It keeps
+	// its name because benchmarks and traces (stream/replay_us) read it.
 	Replay time.Duration
 }
 
@@ -128,9 +131,9 @@ type epoch struct {
 	cursors sync.Pool
 }
 
-// batch is one planned push: the same value is applied to both detectors
-// as one incremental.Detector.Update, which is what keeps them
-// bit-identical.
+// batch is one planned push: the back detector applies it as one
+// incremental.Detector.Update, and the old detector mirrors that update
+// with the same value.
 type batch struct {
 	inserts []geom.Point // the push's inserts, read during Apply only
 	first   int          // slot of the first insert
@@ -210,12 +213,12 @@ func (p *Pipeline) newEpoch(det *incremental.Detector, seq uint64) *epoch {
 	return e
 }
 
-// acquire pins the published epoch against writer replay: the writer
-// replays a batch onto a detector only after its epoch's refcount drains.
-// The re-check closes the publish/increment race — an epoch superseded
-// between Load and Add is released and retried, so a successful acquire
-// always holds the refcount of an epoch the writer is still draining (or
-// the current one), never one being mutated.
+// acquire pins the published epoch against the writer's mirror: the
+// writer mirrors a batch onto a detector only after its epoch's refcount
+// drains. The re-check closes the publish/increment race — an epoch
+// superseded between Load and Add is released and retried, so a
+// successful acquire always holds the refcount of an epoch the writer is
+// still draining (or the current one), never one being mutated.
 func (p *Pipeline) acquire() *epoch {
 	for {
 		e := p.pub.Load()
@@ -290,13 +293,15 @@ func (p *Pipeline) Apply(u Update) (Result, error) {
 	p.lastPublish.Store(time.Now().UnixNano())
 	res.Timing.Apply = time.Since(applyStart)
 
-	// Replay the same batch onto the previous epoch's detector once its
+	// Mirror the update onto the previous epoch's detector once its
 	// readers are gone; both detectors are now bit-identical again.
 	drainStart := time.Now()
 	p.drain(prev)
 	res.Timing.Drain = time.Since(drainStart)
 	replayStart := time.Now()
-	p.apply(prev.det, &b)
+	if err := prev.det.Mirror(back, b.inserts, b.deletes, b.compact); err != nil {
+		panic(fmt.Sprintf("stream: mirroring epoch %d: %v", p.seq, err))
+	}
 	res.Timing.Replay = time.Since(replayStart)
 
 	p.inserts.Add(uint64(len(res.Inserted)))
@@ -308,11 +313,11 @@ func (p *Pipeline) Apply(u Update) (Result, error) {
 	return res, nil
 }
 
-// plan resolves one push into the deterministic batch both detectors
-// will apply: explicit deletes, then age expiry, then inserts, then count
-// expiry, then (when tombstones have piled up) a compaction. Slot numbers
-// for new inserts are the detector's next appends, so the whole batch is
-// computable before anything mutates.
+// plan resolves one push into the deterministic batch the back detector
+// applies and the old one mirrors: explicit deletes, then age expiry, then
+// inserts, then count expiry, then (when tombstones have piled up) a
+// compaction. Slot numbers for new inserts are the detector's next
+// appends, so the whole batch is computable before anything mutates.
 func (p *Pipeline) plan(back *incremental.Detector, u Update) (batch, Result, error) {
 	var res Result
 	// A full window expires one point per insert.
